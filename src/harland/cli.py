@@ -24,7 +24,7 @@ from harland.errors import (
 )
 from harland.model import Constraint, DocumentKind, Schema
 from harland.parsing import parse_cli_literal, render_literal
-from harland.store import _fields, encode_value
+from harland.store import _fields, encode_value, schema_record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,11 +260,7 @@ def _run_schema(repo: Repository, args, out) -> int:
         return 0
     schema = repo.registry.get(args.name)
     if args.fmt == "records":
-        parts = ["SCHEMA", schema.name, str(repo.registry.slice_of_schema(schema.name))]
-        for prop in sorted(schema.constraints):
-            c = schema.constraints[prop]
-            parts.append(f"{prop}:{c.value_type.value}:{c.arity_text()}")
-        print(_fields(*parts), file=out)
+        print(schema_record(schema, repo.registry.slice_of_schema(schema.name)), file=out)
         return 0
     print(f"schema {schema.name}", file=out)
     for prop in sorted(schema.constraints):

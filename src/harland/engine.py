@@ -1,24 +1,33 @@
 """Document repository: cache, slice prefetching, writeback, and commits.
 
-The repository keeps every document's metadata (kind, slice assignments,
-enforcement, membership, content tokens) in memory from open, mirroring the
-backend's metadata view. Property values live in per-document slice maps
-that are materialized on demand: reading any property of a document fetches
-the whole slice that property is assigned to, in one backend round trip, so
-the other properties of the same schema arrive for free.
+The repository is the authority for every live document's metadata from
+open: its own tables hold kinds, slice assignments, membership and content
+tokens, and the schema registry holds enforcement. Property values live in
+per-document slice maps that are materialized on demand: reading any
+property of a document fetches the whole slice that property is assigned
+to, in one backend round trip, so the other properties of the same schema
+arrive for free.
 
-Writes go to the in-memory document and mark its slices dirty; a background
-flusher (and explicit flush()) diffs dirty slices against their last
-persisted image and ships one atomic batch per document. Schema definitions
-and content writes go through to the backend immediately.
+Writes go to the in-memory document. A value write marks its slice dirty;
+a metadata write records the changed key together with the state the store
+had before the first change since the last flush. A background flusher
+(and explicit flush()) diffs dirty slices against their last persisted
+image, writes records for the changed metadata keys only, and ships one
+atomic batch per document. Schema definitions and content writes go
+through to the backend immediately.
 
-Lock order: document lock, then any of (metadata mirror lock, backend,
+Only flushed documents leave the cache, and a new document enters the
+cache before its id becomes live, so a live document outside the cache
+always has a store record.
+
+Lock order: document lock, then any of (metadata lock, backend,
 hub, cache lock, registry). Nothing called under those ever takes a
 document lock, except eviction, which only try-acquires and skips.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 import threading
 import uuid
@@ -55,6 +64,8 @@ from harland.store import (
     SchemaDef,
     SliceAssignment,
 )
+
+logger = logging.getLogger(__name__)
 
 
 # ---- change descriptions ----
@@ -138,48 +149,42 @@ class _IdGen:
 # ---- cached document state ----
 
 class _IDoc:
-    """In-memory image of one document. All fields are guarded by the
-    document's lock except nothing: take the lock first."""
+    """In-memory image of one document's values, plus what its next flush
+    must write. Guarded by the document's lock."""
 
     __slots__ = (
         "doc_id",
-        "kind",
         "bags",          # slice id -> {prop -> value bag}
         "clean_bags",    # last persisted image of each materialized slice
         "dirty_slices",
-        "meta_dirty",
         "exists_in_store",
-        "persisted_enforcement",   # schema name -> seq, as persisted
-        "persisted_members",
-        "persisted_assignments",   # props whose slice assignment is persisted
+        "changed_meta",  # metadata key changed since the last flush -> its state in the store
     )
 
-    def __init__(self, doc_id: DocumentId, kind: DocumentKind, exists_in_store: bool):
+    def __init__(self, doc_id: DocumentId, exists_in_store: bool):
         self.doc_id = doc_id
-        self.kind = kind
         self.bags: dict[int, dict[str, tuple[Value, ...]]] = {}
         self.clean_bags: dict[int, dict[str, tuple[Value, ...]]] = {}
         self.dirty_slices: set[int] = set()
-        self.meta_dirty = False
         self.exists_in_store = exists_in_store
-        self.persisted_enforcement: dict[str, int] = {}
-        self.persisted_members: set[DocumentId] = set()
-        self.persisted_assignments: set[str] = set()
+        # ("assign", prop) -> None: assignments are write-once, so only new ones
+        # ("enforce", schema) -> stored seq, or None when not stored
+        # ("member", member id) -> whether the membership is stored
+        self.changed_meta: dict[tuple, object] = {}
 
     def is_dirty(self) -> bool:
-        return bool(self.dirty_slices) or self.meta_dirty
+        return bool(self.dirty_slices or self.changed_meta) or not self.exists_in_store
 
 
 class Handle:
-    """Caller's reference to one document. Stale after the document is
+    """Caller's reference to one document. Stale once the document is
     deleted; every operation re-checks."""
 
-    __slots__ = ("_repo", "doc_id", "_generation")
+    __slots__ = ("_repo", "doc_id")
 
-    def __init__(self, repo: "Repository", doc_id: DocumentId, generation: int):
+    def __init__(self, repo: "Repository", doc_id: DocumentId):
         self._repo = repo
         self.doc_id = doc_id
-        self._generation = generation
 
     def __repr__(self) -> str:
         return f"Handle({self.doc_id})"
@@ -192,7 +197,7 @@ class Handle:
 
     @property
     def kind(self) -> DocumentKind:
-        return self._repo._kind_of(self)
+        return self._repo._kind(self.doc_id)
 
     def values(self, prop: str) -> tuple[Value, ...]:
         return self._repo.values(self, prop)
@@ -240,6 +245,9 @@ class Handle:
         self._repo.delete_document(self)
 
 
+_KIND_NOUNS = {DocumentKind.COLLECTION: "collection", DocumentKind.CONTENT: "content document"}
+
+
 def _as_id(ref: Union[Handle, DocumentId, str]) -> DocumentId:
     if isinstance(ref, Handle):
         return ref.doc_id
@@ -248,28 +256,67 @@ def _as_id(ref: Union[Handle, DocumentId, str]) -> DocumentId:
     return DocumentId.parse(ref)
 
 
+class _Locked:
+    """Resolves, locks, re-checks and loads one document for the
+    committing and reading methods: `with _Locked(repo, doc_id) as (doc_id, idoc)`.
+
+    The document must exist before its lock is taken and again under it,
+    since a delete may win the race for the lock. With load false the image
+    is not loaded and None is yielded; with kind given, a document of
+    another kind raises WrongKind after the load.
+    """
+
+    __slots__ = ("repo", "doc_id", "load", "kind", "lock")
+
+    def __init__(
+        self, repo: "Repository", doc_id: DocumentId, load: bool = True, kind: Optional[DocumentKind] = None
+    ):
+        self.repo = repo
+        self.doc_id = doc_id
+        self.load = load
+        self.kind = kind
+
+    def __enter__(self) -> tuple[DocumentId, Optional[_IDoc]]:
+        repo, doc_id = self.repo, self.doc_id
+        repo._kind(doc_id)
+        self.lock = repo._lock_for(doc_id)
+        self.lock.acquire()
+        try:
+            actual = repo._kind(doc_id)
+            idoc = repo._idoc(doc_id) if self.load else None
+            if self.kind is not None and actual is not self.kind:
+                raise WrongKind(f"document {doc_id} is not a {_KIND_NOUNS[self.kind]}")
+        except BaseException:
+            self.lock.release()
+            raise
+        return doc_id, idoc
+
+    def __exit__(self, *exc) -> None:
+        self.lock.release()
+
+
 class Cursor:
     """Query results. The match set is pinned when the query runs; iteration
     prefetches each document's relevant slices just before yielding it."""
 
-    def __init__(self, repo: "Repository", compiled: QueryPlan, matches: list[tuple[DocumentId, int]]):
+    def __init__(self, repo: "Repository", compiled: QueryPlan, matches: list[DocumentId]):
         self._repo = repo
         self._plan = compiled
         self._matches = matches
 
     def ids(self) -> list[DocumentId]:
-        return [doc_id for doc_id, _ in self._matches]
+        return list(self._matches)
 
     def __len__(self) -> int:
         return len(self._matches)
 
     def __iter__(self):
-        for doc_id, generation in self._matches:
+        for doc_id in self._matches:
             try:
                 self._repo._prefetch(doc_id, self._plan)
             except UnknownDocument:
-                pass  # deleted since the query ran; the handle stays stale
-            yield Handle(self._repo, doc_id, generation)
+                pass  # deleted since the query ran; the handle is stale
+            yield Handle(self._repo, doc_id)
 
 
 class Repository:
@@ -287,8 +334,6 @@ class Repository:
         self._assignments: dict[DocumentId, dict[str, int]] = {}
         self._members: dict[DocumentId, set[DocumentId]] = {}
         self._content_tokens: dict[DocumentId, frozenset[str]] = {}
-        self._generations: dict[DocumentId, int] = {}
-        self._in_store: set[DocumentId] = set()
 
         self._cache_lock = threading.Lock()
         self._cache: "OrderedDict[DocumentId, _IDoc]" = OrderedDict()
@@ -348,8 +393,6 @@ class Repository:
         for doc_id, kind in view.docs.items():
             self._kinds[doc_id] = kind
             self._assignments[doc_id] = {}
-            self._generations[doc_id] = 1
-            self._in_store.add(doc_id)
             if kind is DocumentKind.COLLECTION:
                 self._members[doc_id] = set()
         for doc_id, assigned in view.assignments.items():
@@ -372,12 +415,13 @@ class Repository:
                 lock = self._locks[doc_id] = threading.RLock()
             return lock
 
-    def _resolve(self, handle: Handle) -> DocumentId:
+    def _kind(self, doc_id: DocumentId) -> DocumentKind:
+        """The live document's kind; raises UnknownDocument once it is deleted."""
         with self._meta_lock:
-            current = self._generations.get(handle.doc_id)
-        if current is None or current != handle._generation:
-            raise UnknownDocument(f"document {handle.doc_id} does not exist")
-        return handle.doc_id
+            kind = self._kinds.get(doc_id)
+        if kind is None:
+            raise UnknownDocument(f"document {doc_id} does not exist")
+        return kind
 
     def _idoc(self, doc_id: DocumentId) -> _IDoc:
         """Cache lookup; caller must hold the document lock."""
@@ -392,19 +436,8 @@ class Repository:
             return idoc
         with self._stats_lock:
             self._misses += 1
-        with self._meta_lock:
-            kind = self._kinds.get(doc_id)
-            if kind is None:
-                raise UnknownDocument(f"document {doc_id} does not exist")
-            in_store = doc_id in self._in_store
-            assignments = set(self._assignments.get(doc_id, {}))
-            members = set(self._members.get(doc_id, ()))
-        idoc = _IDoc(doc_id, kind, exists_in_store=in_store)
-        if in_store:
-            # clean at eviction implies flushed, so persisted state == current
-            idoc.persisted_assignments = assignments
-            idoc.persisted_members = members
-            idoc.persisted_enforcement = dict(self.registry.enforcement_entries(doc_id))
+        self._kind(doc_id)
+        idoc = _IDoc(doc_id, exists_in_store=True)
         with self._cache_lock:
             self._cache[doc_id] = idoc
             self._cache.move_to_end(doc_id)
@@ -425,12 +458,21 @@ class Repository:
                     continue
                 try:
                     idoc = self._cache.get(doc_id)
-                    if idoc is not None and not idoc.is_dirty() and idoc.exists_in_store:
+                    if idoc is not None and not idoc.is_dirty():
                         del self._cache[doc_id]
                         with self._stats_lock:
                             self._evictions += 1
                 finally:
                     lock.release()
+
+    def _stored(self, doc_id: DocumentId) -> bool:
+        """Whether a live document has a store record."""
+        with self._cache_lock:
+            idoc = self._cache.get(doc_id)
+        if idoc is not None:
+            return idoc.exists_in_store
+        with self._meta_lock:
+            return doc_id in self._kinds
 
     def _materialize(self, idoc: _IDoc, slices: set[int]) -> None:
         """Fetch absent slices in one backend round trip. Document lock held."""
@@ -451,22 +493,20 @@ class Repository:
             idoc.bags[s] = dict(image)
             idoc.clean_bags[s] = dict(image)
 
-    def _all_slices(self, doc_id: DocumentId) -> set[int]:
-        with self._meta_lock:
-            return set(self._assignments.get(doc_id, {}).values())
-
     def _snapshot_locked(self, doc_id: DocumentId, idoc: _IDoc) -> DocumentSnapshot:
-        self._materialize(idoc, self._all_slices(doc_id))
+        with self._meta_lock:
+            kind = self._kinds[doc_id]
+            slices = set(self._assignments[doc_id].values())
+            members = frozenset(self._members[doc_id]) if kind is DocumentKind.COLLECTION else frozenset()
+        self._materialize(idoc, slices)
         props: dict[str, tuple[Value, ...]] = {}
         for slice_bags in idoc.bags.values():
             for prop, values in slice_bags.items():
                 if values:
                     props[prop] = values
-        with self._meta_lock:
-            members = frozenset(self._members.get(doc_id, ())) if idoc.kind is DocumentKind.COLLECTION else frozenset()
         return DocumentSnapshot(
             doc_id=doc_id,
-            kind=idoc.kind,
+            kind=kind,
             properties=props,
             enforced=frozenset(self.registry.enforced_names(doc_id)),
             members=members,
@@ -481,32 +521,26 @@ class Repository:
                 return candidate in self._kinds
         doc_id = self._ids.next_id(in_use)
         with self._lock_for(doc_id):
-            with self._meta_lock:
+            with self._cache_lock:
+                self._cache[doc_id] = _IDoc(doc_id, exists_in_store=False)
+            with self._meta_lock:  # live only now that its image is cached
                 self._kinds[doc_id] = kind
                 self._assignments[doc_id] = {}
-                self._generations[doc_id] = 1
                 if kind is DocumentKind.COLLECTION:
                     self._members[doc_id] = set()
-            idoc = _IDoc(doc_id, kind, exists_in_store=False)
-            idoc.meta_dirty = True
-            with self._cache_lock:
-                self._cache[doc_id] = idoc
             self._evict_if_needed(exclude=doc_id)
             after = DocumentSnapshot(
                 doc_id=doc_id, kind=kind, properties={},
                 enforced=frozenset(), members=frozenset(),
             )
             self.hub.publish(doc_id=doc_id, before=None, after=after)
-        return Handle(self, doc_id, 1)
+        return Handle(self, doc_id)
 
     def get_document(self, ref: Union[DocumentId, str, Handle]) -> Handle:
         self._check_open()
         doc_id = _as_id(ref)
-        with self._meta_lock:
-            generation = self._generations.get(doc_id)
-        if generation is None:
-            raise UnknownDocument(f"document {doc_id} does not exist")
-        return Handle(self, doc_id, generation)
+        self._kind(doc_id)
+        return Handle(self, doc_id)
 
     def document_ids(self) -> list[DocumentId]:
         with self._meta_lock:
@@ -518,10 +552,7 @@ class Repository:
 
     def delete_document(self, handle: Handle) -> None:
         self._check_open()
-        doc_id = self._resolve(handle)
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)  # recheck under the lock
-            idoc = self._idoc(doc_id)
+        with _Locked(self, handle.doc_id) as (doc_id, idoc):
             before = self._snapshot_locked(doc_id, idoc)
             if idoc.exists_in_store:
                 self.backend.delete_document(doc_id)
@@ -532,8 +563,6 @@ class Repository:
                 self._assignments.pop(doc_id, None)
                 self._members.pop(doc_id, None)
                 self._content_tokens.pop(doc_id, None)
-                self._generations.pop(doc_id, None)
-                self._in_store.discard(doc_id)
                 holders = [c for c, members in self._members.items() if doc_id in members]
                 for c in holders:
                     self._members[c].discard(doc_id)
@@ -565,10 +594,7 @@ class Repository:
 
     def mutate(self, handle: Handle, change: Change) -> None:
         self._check_open()
-        doc_id = self._resolve(handle)
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)
-            idoc = self._idoc(doc_id)
+        with _Locked(self, handle.doc_id) as (doc_id, idoc):
             before = self._snapshot_locked(doc_id, idoc)
             prop = change.prop
             old = before.values_of(prop)
@@ -592,10 +618,11 @@ class Repository:
                 raise SchemaViolation(violations)
 
             with self._meta_lock:
-                slice_id = self._assignments[doc_id].get(prop)
+                assigned = self._assignments[doc_id]
+                slice_id = assigned.get(prop)
                 if slice_id is None:
-                    slice_id = self._assign_slice(doc_id, prop)
-                    self._assignments[doc_id][prop] = slice_id
+                    slice_id = assigned[prop] = self._assign_slice(doc_id, prop)
+                    idoc.changed_meta[("assign", prop)] = None
             self._materialize(idoc, {slice_id})
             slice_bags = idoc.bags.setdefault(slice_id, {})
             if new:
@@ -625,10 +652,8 @@ class Repository:
 
     def enforce(self, handle: Handle, schema_name: str) -> None:
         self._check_open()
-        doc_id = self._resolve(handle)
-        schema = self.registry.get(schema_name)  # raises UnknownSchema
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)
+        with _Locked(self, handle.doc_id, load=False) as (doc_id, _):
+            schema = self.registry.get(schema_name)  # raises UnknownSchema
             if self.registry.is_enforced(doc_id, schema_name):
                 return
             idoc = self._idoc(doc_id)
@@ -637,7 +662,7 @@ class Repository:
             if violations:
                 raise NotConforming(violations)
             self.registry.record_enforce(doc_id, schema_name)
-            idoc.meta_dirty = True
+            idoc.changed_meta.setdefault(("enforce", schema_name), None)
             after = DocumentSnapshot(
                 doc_id=doc_id,
                 kind=before.kind,
@@ -650,16 +675,14 @@ class Repository:
     def unenforce(self, handle: Handle, schema_name: str) -> None:
         """Stops enforcement; property values are retained untouched."""
         self._check_open()
-        doc_id = self._resolve(handle)
-        self.registry.get(schema_name)
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)
+        with _Locked(self, handle.doc_id, load=False) as (doc_id, _):
+            self.registry.get(schema_name)
             if not self.registry.is_enforced(doc_id, schema_name):
                 return
             idoc = self._idoc(doc_id)
             before = self._snapshot_locked(doc_id, idoc)
-            self.registry.record_unenforce(doc_id, schema_name)
-            idoc.meta_dirty = True
+            seq = self.registry.record_unenforce(doc_id, schema_name)
+            idoc.changed_meta.setdefault(("enforce", schema_name), seq)
             after = DocumentSnapshot(
                 doc_id=doc_id,
                 kind=before.kind,
@@ -670,19 +693,14 @@ class Repository:
             self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_removed=frozenset({schema_name}))
 
     def enforced_names(self, handle: Handle) -> tuple[str, ...]:
-        doc_id = self._resolve(handle)
-        return tuple(self.registry.enforced_names(doc_id))
+        self._kind(handle.doc_id)
+        return tuple(self.registry.enforced_names(handle.doc_id))
 
     # ---- membership ----
 
     def add_member(self, handle: Handle, member_id: DocumentId) -> None:
         self._check_open()
-        doc_id = self._resolve(handle)
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)
-            idoc = self._idoc(doc_id)
-            if idoc.kind is not DocumentKind.COLLECTION:
-                raise WrongKind(f"document {doc_id} is not a collection")
+        with _Locked(self, handle.doc_id, kind=DocumentKind.COLLECTION) as (doc_id, idoc):
             with self._meta_lock:
                 if member_id not in self._kinds:
                     raise UnknownDocument(f"member {member_id} does not exist")
@@ -691,10 +709,10 @@ class Repository:
             before = self._snapshot_locked(doc_id, idoc)
             with self._meta_lock:
                 self._members[doc_id].add(member_id)
-            idoc.meta_dirty = True
+            idoc.changed_meta.setdefault(("member", member_id), False)
             after = DocumentSnapshot(
                 doc_id=doc_id,
-                kind=idoc.kind,
+                kind=before.kind,
                 properties=before.properties,
                 enforced=before.enforced,
                 members=before.members | {member_id},
@@ -703,22 +721,17 @@ class Repository:
 
     def remove_member(self, handle: Handle, member_id: DocumentId) -> None:
         self._check_open()
-        doc_id = self._resolve(handle)
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)
-            idoc = self._idoc(doc_id)
-            if idoc.kind is not DocumentKind.COLLECTION:
-                raise WrongKind(f"document {doc_id} is not a collection")
+        with _Locked(self, handle.doc_id, kind=DocumentKind.COLLECTION) as (doc_id, idoc):
             with self._meta_lock:
-                if member_id not in self._members.get(doc_id, ()):
+                if member_id not in self._members[doc_id]:
                     return
             before = self._snapshot_locked(doc_id, idoc)
             with self._meta_lock:
                 self._members[doc_id].discard(member_id)
-            idoc.meta_dirty = True
+            idoc.changed_meta.setdefault(("member", member_id), True)
             after = DocumentSnapshot(
                 doc_id=doc_id,
-                kind=idoc.kind,
+                kind=before.kind,
                 properties=before.properties,
                 enforced=before.enforced,
                 members=before.members - {member_id},
@@ -726,11 +739,9 @@ class Repository:
             self.hub.publish(doc_id=doc_id, before=before, after=after, members_removed=frozenset({member_id}))
 
     def members_of_handle(self, handle: Handle) -> frozenset[DocumentId]:
-        doc_id = self._resolve(handle)
-        with self._meta_lock:
-            if self._kinds.get(doc_id) is not DocumentKind.COLLECTION:
-                raise WrongKind(f"document {doc_id} is not a collection")
-            return frozenset(self._members.get(doc_id, ()))
+        if self._kind(handle.doc_id) is not DocumentKind.COLLECTION:
+            raise WrongKind(f"document {handle.doc_id} is not a collection")
+        return self.members_of(handle.doc_id)
 
     # ---- content ----
 
@@ -738,12 +749,7 @@ class Repository:
         self._check_open()
         if not isinstance(data, bytes):
             raise TypeError("content must be bytes")
-        doc_id = self._resolve(handle)
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)
-            idoc = self._idoc(doc_id)
-            if idoc.kind is not DocumentKind.CONTENT:
-                raise WrongKind(f"document {doc_id} is not a content document")
+        with _Locked(self, handle.doc_id, kind=DocumentKind.CONTENT) as (doc_id, idoc):
             self._flush_doc_locked(doc_id, idoc)  # the blob needs its document record first
             with self._meta_lock:
                 tokens_before = self._content_tokens.get(doc_id, frozenset())
@@ -761,11 +767,7 @@ class Repository:
             )
 
     def get_content(self, handle: Handle) -> bytes:
-        doc_id = self._resolve(handle)
-        with self._lock_for(doc_id):
-            idoc = self._idoc(doc_id)
-            if idoc.kind is not DocumentKind.CONTENT:
-                raise WrongKind(f"document {doc_id} is not a content document")
+        with _Locked(self, handle.doc_id, kind=DocumentKind.CONTENT) as (doc_id, idoc):
             if not idoc.exists_in_store:
                 return b""
             return self.backend.content_read(doc_id)
@@ -786,30 +788,11 @@ class Repository:
     # ---- reads ----
 
     def values(self, handle: Handle, prop: str) -> tuple[Value, ...]:
-        doc_id = self._resolve(handle)
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)
-            with self._meta_lock:
-                slice_id = self._assignments.get(doc_id, {}).get(prop)
-            if slice_id is None:
-                return ()
-            idoc = self._idoc(doc_id)
-            self._materialize(idoc, {slice_id})
-            return idoc.bags.get(slice_id, {}).get(prop, ())
+        return self.bags_of(handle.doc_id, (prop,)).get(prop, ())
 
     def snapshot_of(self, handle: Handle) -> DocumentSnapshot:
-        doc_id = self._resolve(handle)
-        with self._lock_for(doc_id):
-            doc_id = self._resolve(handle)
-            return self._snapshot_locked(doc_id, self._idoc(doc_id))
-
-    def _kind_of(self, handle: Handle) -> DocumentKind:
-        doc_id = self._resolve(handle)
-        with self._meta_lock:
-            kind = self._kinds.get(doc_id)
-        if kind is None:
-            raise UnknownDocument(f"document {doc_id} does not exist")
-        return kind
+        with _Locked(self, handle.doc_id) as (doc_id, idoc):
+            return self._snapshot_locked(doc_id, idoc)
 
     # ---- query view protocol ----
 
@@ -832,29 +815,24 @@ class Repository:
             return self._content_tokens.get(doc_id, frozenset())
 
     def bags_of(self, doc_id: DocumentId, props: Sequence[str]) -> dict[str, tuple[Value, ...]]:
-        with self._lock_for(doc_id):
+        with _Locked(self, doc_id, load=False):
             with self._meta_lock:
-                if doc_id not in self._kinds:
-                    raise UnknownDocument(f"document {doc_id} does not exist")
-                assigned = dict(self._assignments.get(doc_id, {}))
-                slices = {assigned[p] for p in props if p in assigned}
-            if not slices:
+                assigned = self._assignments[doc_id]
+                wanted = {p: assigned[p] for p in props if p in assigned}
+            if not wanted:
                 return {}
             idoc = self._idoc(doc_id)
-            self._materialize(idoc, slices)
+            self._materialize(idoc, set(wanted.values()))
             out = {}
-            for p in props:
-                s = assigned.get(p)
-                if s is None:
-                    continue
+            for p, s in wanted.items():
                 values = idoc.bags.get(s, {}).get(p, ())
                 if values:
                     out[p] = values
             return out
 
     def snapshot(self, doc_id: DocumentId) -> DocumentSnapshot:
-        with self._lock_for(doc_id):
-            return self._snapshot_locked(doc_id, self._idoc(doc_id))
+        with _Locked(self, doc_id) as (doc_id, idoc):
+            return self._snapshot_locked(doc_id, idoc)
 
     # ---- queries ----
 
@@ -866,10 +844,7 @@ class Repository:
         expr = self._as_expr(query)
         validate_references(expr, self)
         compiled = plan(expr, self.registry)
-        matched = execute(compiled, self)
-        with self._meta_lock:
-            pinned = [(d, self._generations.get(d, 0)) for d in matched]
-        return Cursor(self, compiled, pinned)
+        return Cursor(self, compiled, execute(compiled, self))
 
     def match_now(self, query: Union[str, QueryExpr]) -> set[DocumentId]:
         """Reference evaluation: full scan, no planner."""
@@ -882,20 +857,12 @@ class Repository:
         for name in compiled.prefetch_schemas:
             if self.registry.has(name):
                 slices.add(self.registry.slice_of_schema(name))
-        with self._meta_lock:
-            assigned = self._assignments.get(doc_id)
-            if assigned is None:
-                raise UnknownDocument(f"document {doc_id} does not exist")
-            for p in compiled.props:
-                if p in assigned:
-                    slices.add(assigned[p])
-        if not slices:
-            return
-        with self._lock_for(doc_id):
+        with _Locked(self, doc_id, load=False):
             with self._meta_lock:
-                if doc_id not in self._kinds:
-                    raise UnknownDocument(f"document {doc_id} does not exist")
-            self._materialize(self._idoc(doc_id), slices)
+                assigned = self._assignments[doc_id]
+                slices.update(assigned[p] for p in compiled.props if p in assigned)
+            if slices:
+                self._materialize(self._idoc(doc_id), slices)
 
     def subscribe(self, query: Union[str, QueryExpr], mode: SubscriptionMode = SubscriptionMode.TRANSITION) -> Subscription:
         self._check_open()
@@ -909,19 +876,17 @@ class Repository:
     def flush(self) -> int:
         """Writes every dirty document out; returns how many were flushed.
 
-        Two passes: documents without a store record first, so membership
-        records written by the second pass always have their member's
-        document record in place.
+        Two passes, documents without a store record first in each: a
+        membership record needs its member's document record in place, so
+        one whose member is not yet stored waits for the second pass.
         """
         flushed = 0
         for _ in range(2):
             with self._cache_lock:
-                doc_ids = list(self._cache)
-            with self._meta_lock:
-                in_store = set(self._in_store)
-            ordered = [d for d in doc_ids if d not in in_store] + [d for d in doc_ids if d in in_store]
+                cached = list(self._cache.items())
+            cached.sort(key=lambda item: item[1].exists_in_store)
             dirty_left = False
-            for doc_id in ordered:
+            for doc_id, _ in cached:
                 with self._lock_for(doc_id):
                     with self._cache_lock:
                         idoc = self._cache.get(doc_id)
@@ -950,52 +915,46 @@ class Repository:
 
         meta: list = []
         meta_deletes: list = []
-        if not idoc.exists_in_store:
-            meta.append(DocumentRecord(doc_id, idoc.kind))
+        joined: list[DocumentId] = []
+        enforcement = self.registry.enforcement_entries(doc_id) if idoc.changed_meta else {}
         with self._meta_lock:
-            assignments = dict(self._assignments.get(doc_id, {}))
-            live = set(self._kinds)
-            in_store = set(self._in_store)
-            current_members = set(self._members.get(doc_id, ()))
-        for prop, slice_id in sorted(assignments.items()):
-            if prop not in idoc.persisted_assignments:
-                meta.append(SliceAssignment(doc_id, prop, slice_id))
-        current_enf = self.registry.enforcement_entries(doc_id)
-        for name, seq in sorted(current_enf.items(), key=lambda kv: kv[1]):
-            if idoc.persisted_enforcement.get(name) != seq:
-                meta.append(Enforcement(doc_id, name, seq))
-        for name in sorted(idoc.persisted_enforcement):
-            if name not in current_enf:
-                meta_deletes.append(Enforcement(doc_id, name, 0))
-        # cascade deletes already removed dead members' records from the store
-        persisted_live = idoc.persisted_members & live
-        added_members: set[DocumentId] = set()
-        deferred_members = False
-        for member in sorted(current_members - persisted_live):
-            if member in in_store or member == doc_id:
+            if not idoc.exists_in_store:
+                meta.append(DocumentRecord(doc_id, self._kinds[doc_id]))
+            for key, stored in idoc.changed_meta.items():
+                tag, name = key
+                if tag == "assign":
+                    meta.append(SliceAssignment(doc_id, name, self._assignments[doc_id][name]))
+                elif tag == "enforce":
+                    seq = enforcement.get(name)
+                    if seq == stored:
+                        continue
+                    if seq is None:
+                        meta_deletes.append(Enforcement(doc_id, name, 0))
+                    else:
+                        meta.append(Enforcement(doc_id, name, seq))
+                elif name in self._members[doc_id]:
+                    if not stored:
+                        joined.append(name)
+                elif stored and name in self._kinds:
+                    # a deleted member's records went with it in the store
+                    meta_deletes.append(Membership(doc_id, name))
+        deferred: dict[tuple, object] = {}
+        for member in joined:
+            if member == doc_id or self._stored(member):
                 meta.append(Membership(doc_id, member))
-                added_members.add(member)
             else:
-                # the member has no store record yet; a later pass links it
-                deferred_members = True
-        for member in sorted(persisted_live - current_members):
-            meta_deletes.append(Membership(doc_id, member))
+                deferred[("member", member)] = False  # the member has no store record yet
 
         if not rows and not deletes and not meta and not meta_deletes:
             idoc.dirty_slices.clear()
-            idoc.meta_dirty = deferred_members
+            idoc.changed_meta = deferred
             return False
         self.backend.put_rows(rows=rows, deletes=deletes, meta=meta, meta_deletes=meta_deletes)
         for slice_id in idoc.dirty_slices:
             idoc.clean_bags[slice_id] = dict(idoc.bags.get(slice_id, {}))
         idoc.dirty_slices.clear()
-        idoc.meta_dirty = deferred_members
+        idoc.changed_meta = deferred
         idoc.exists_in_store = True
-        idoc.persisted_assignments = set(assignments)
-        idoc.persisted_enforcement = current_enf
-        idoc.persisted_members = (persisted_live & current_members) | added_members
-        with self._meta_lock:
-            self._in_store.add(doc_id)
         with self._stats_lock:
             self._flushes += 1
         return True
@@ -1005,8 +964,10 @@ class Repository:
         while not self._flusher_stop.wait(interval):
             try:
                 self.flush()
-            except StorageFailure:
-                continue  # keep state dirty in memory; the next pass retries
+            except Exception:
+                # state stays dirty in memory and the next pass retries;
+                # close() flushes in the caller's thread and raises
+                logger.exception("background flush failed; retrying")
 
     # ---- stats ----
 

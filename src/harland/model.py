@@ -234,11 +234,6 @@ class Constraint:
     def arity_text(self) -> str:
         return f"{self.min_count}..{self.max_count if self.max_count is not None else '*'}"
 
-    def allows_count(self, n: int) -> bool:
-        if n < self.min_count:
-            return False
-        return self.max_count is None or n <= self.max_count
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -270,10 +265,6 @@ class DocumentId:
     def __post_init__(self):
         if not 0 <= self.value < 2**128:
             raise ValueError("document id out of 128-bit range")
-
-    @classmethod
-    def random(cls) -> "DocumentId":
-        return cls(uuid.uuid4().int)
 
     @classmethod
     def parse(cls, text: str) -> "DocumentId":

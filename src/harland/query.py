@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from harland.errors import UnknownCollection, UnknownSchema
 from harland.model import (
@@ -102,55 +102,27 @@ class Cmp(QueryExpr):
     literal: Value
 
 
-_LEAF_TYPES = (HasSchema, MemberOf, ContentContains, Exists, Cardinality, Cmp)
+def _leaves(expr: QueryExpr) -> Iterator[QueryExpr]:
+    """Every leaf predicate of expr, depth first."""
+    if isinstance(expr, (And, Or)):
+        for child in expr.children:
+            yield from _leaves(child)
+    elif isinstance(expr, Not):
+        yield from _leaves(expr.child)
+    else:
+        yield expr
 
 
 def referenced_props(expr: QueryExpr) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(e):
-        if isinstance(e, (Exists, Cardinality, Cmp)):
-            out.add(e.prop)
-        elif isinstance(e, (And, Or)):
-            for c in e.children:
-                walk(c)
-        elif isinstance(e, Not):
-            walk(e.child)
-
-    walk(expr)
-    return frozenset(out)
+    return frozenset(e.prop for e in _leaves(expr) if isinstance(e, (Exists, Cardinality, Cmp)))
 
 
 def referenced_schemas(expr: QueryExpr) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(e):
-        if isinstance(e, HasSchema):
-            out.add(e.name)
-        elif isinstance(e, (And, Or)):
-            for c in e.children:
-                walk(c)
-        elif isinstance(e, Not):
-            walk(e.child)
-
-    walk(expr)
-    return frozenset(out)
+    return frozenset(e.name for e in _leaves(expr) if isinstance(e, HasSchema))
 
 
 def referenced_collections(expr: QueryExpr) -> frozenset[DocumentId]:
-    out: set[DocumentId] = set()
-
-    def walk(e):
-        if isinstance(e, MemberOf):
-            out.add(e.collection)
-        elif isinstance(e, (And, Or)):
-            for c in e.children:
-                walk(c)
-        elif isinstance(e, Not):
-            walk(e.child)
-
-    walk(expr)
-    return frozenset(out)
+    return frozenset(e.collection for e in _leaves(expr) if isinstance(e, MemberOf))
 
 
 # ---- the reference evaluator ----
@@ -261,12 +233,6 @@ def _push(e: QueryExpr, negated: bool) -> QueryExpr:
 
 # ---- plan nodes ----
 
-class SourceScan:
-    """Scans every live document id; the single source of a plan."""
-
-    __slots__ = ()
-
-
 class SliceFilter:
     """Leaf predicate over one document, closed-world when negated."""
 
@@ -288,7 +254,6 @@ class BooleanCombine:
 @dataclass
 class QueryPlan:
     expr: QueryExpr
-    source: SourceScan
     root: object  # SliceFilter | BooleanCombine
     prefetch_schemas: frozenset[str]
     props: frozenset[str]
@@ -344,7 +309,7 @@ def plan(expr: QueryExpr, registry=None) -> QueryPlan:
     if registry is not None:
         for prop in props:
             prefetch.update(registry.schemas_containing(prop))
-    return QueryPlan(expr, SourceScan(), root, frozenset(prefetch), props)
+    return QueryPlan(expr, root, frozenset(prefetch), props)
 
 
 def _node_cost(node) -> int:

@@ -154,10 +154,10 @@ class SchemaRegistry:
             entry[name] = seq
             return seq
 
-    def record_unenforce(self, doc_id: DocumentId, name: str) -> None:
+    def record_unenforce(self, doc_id: DocumentId, name: str) -> Optional[int]:
+        """Drop enforcement; returns the seq it had, or None if it was not enforced."""
         with self._lock:
-            entry = self._enforcement.get(doc_id, {})
-            entry.pop(name, None)
+            return self._enforcement.get(doc_id, {}).pop(name, None)
 
     def drop_document(self, doc_id: DocumentId) -> None:
         with self._lock:
@@ -172,9 +172,6 @@ class SchemaRegistry:
     def enforcement_entries(self, doc_id: DocumentId) -> dict[str, int]:
         with self._lock:
             return dict(self._enforcement.get(doc_id, {}))
-
-    def enforcement_seq(self, doc_id: DocumentId, name: str) -> int:
-        return self._enforcement[doc_id][name]
 
     def is_enforced(self, doc_id: DocumentId, name: str) -> bool:
         return name in self._enforcement.get(doc_id, {})

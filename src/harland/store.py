@@ -24,7 +24,6 @@ content/<doc-id> files under the store root.
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 from dataclasses import dataclass, field
@@ -33,8 +32,6 @@ from typing import Iterable, Optional, Union
 
 from harland.errors import CorruptStore, StorageFailure, UnknownDocument
 from harland.model import Constraint, DocumentId, DocumentKind, Schema, Value, ValueType, sort_key
-
-logger = logging.getLogger(__name__)
 
 MAGIC = "HARLAND-STORE v1"
 CHECKPOINT_NAME = "store.hl1"
@@ -466,21 +463,24 @@ class MemoryBackend:
     def content_write(self, doc_id: DocumentId, data: bytes) -> ContentRef:
         with self._lock:
             self._require(doc_id)
+            data = bytes(data)
             ref = ContentRef(doc_id, len(data), tokenize(data))
             old_ref = self._content.get(doc_id)
             old_blob = self._blobs.get(doc_id)
+            self._persist_blob(doc_id, data)  # replaces the file whole or not at all
             self._content[doc_id] = ref
-            self._blobs[doc_id] = bytes(data)
-            self._persist_blob(doc_id, bytes(data))
+            self._blobs[doc_id] = data
             try:
                 self._persist()
             except BaseException:
                 if old_ref is None:
                     self._content.pop(doc_id, None)
                     self._blobs.pop(doc_id, None)
+                    self._remove_blob_file(doc_id)
                 else:
                     self._content[doc_id] = old_ref
                     self._blobs[doc_id] = old_blob
+                    self._persist_blob(doc_id, old_blob)
                 raise
             return ref
 
@@ -495,17 +495,24 @@ class MemoryBackend:
         """Remove rows, metadata, memberships in both directions, and content."""
         with self._lock:
             self._require(doc_id)
-            self._docs.pop(doc_id)
-            self._rows.pop(doc_id, None)
-            self._enforcement.pop(doc_id, None)
-            self._assignments.pop(doc_id, None)
-            self._members.pop(doc_id, None)
-            for members in self._members.values():
+            tables = (self._docs, self._rows, self._enforcement, self._assignments,
+                      self._members, self._content, self._blobs)
+            removed = [(table, table.pop(doc_id)) for table in tables if doc_id in table]
+            holders = [members for members in self._members.values() if doc_id in members]
+            for members in holders:
                 members.discard(doc_id)
-            self._content.pop(doc_id, None)
-            self._blobs.pop(doc_id, None)
-            self._persist()
-            self._remove_blob_file(doc_id)
+            try:
+                self._persist()
+            except BaseException:
+                for table, entry in removed:
+                    table[doc_id] = entry
+                for members in holders:
+                    members.add(doc_id)
+                raise
+            try:
+                self._remove_blob_file(doc_id)
+            except StorageFailure:
+                pass  # the delete is committed; open never reads a leftover content file
 
     # ---- persistence hooks (memory backend keeps state only in RAM) ----
 
@@ -531,12 +538,8 @@ class MemoryBackend:
         lines.append("META")
         for doc_id in sorted(self._docs):
             lines.append(_fields("DOC", str(doc_id), self._docs[doc_id].value))
-        for name, (schema, slice_id) in sorted(self._schemas.items(), key=lambda kv: kv[1][1]):
-            parts = ["SCHEMA", name, str(slice_id)]
-            for prop in sorted(schema.constraints):
-                c = schema.constraints[prop]
-                parts.append(f"{prop}:{c.value_type.value}:{c.arity_text()}")
-            lines.append(_fields(*parts))
+        for schema, slice_id in sorted(self._schemas.values(), key=lambda pair: pair[1]):
+            lines.append(schema_record(schema, slice_id))
         for doc_id in sorted(self._enforcement):
             entry = self._enforcement[doc_id]
             for name, seq in sorted(entry.items(), key=lambda kv: kv[1]):
@@ -627,29 +630,44 @@ class MemoryBackend:
 
     @classmethod
     def open(cls, path) -> "MemoryBackend":
-        root = Path(path)
+        backend = cls()
+        backend._load_root(Path(path))
+        return backend
+
+    def _load_root(self, root: Path) -> None:
+        """Load the checkpoint and content files of a store root."""
         target = root / CHECKPOINT_NAME
         if not target.exists():
             raise StorageFailure(f"no store at {root}")
-        backend = cls()
-        backend._load_checkpoint(target.read_bytes())
-        for doc_id in backend._content:
+        self._load_checkpoint(target.read_bytes())
+        for doc_id in self._content:
             blob_path = root / CONTENT_DIR / str(doc_id)
             try:
-                backend._blobs[doc_id] = blob_path.read_bytes()
+                self._blobs[doc_id] = blob_path.read_bytes()
             except FileNotFoundError:
                 raise StorageFailure(f"missing content file for {doc_id}") from None
-        return backend
 
 
 def _fields(*parts: str) -> str:
     return "\t".join(escape_field(p) for p in parts)
 
 
+def schema_record(schema: Schema, slice_id: int) -> str:
+    """The checkpoint's SCHEMA record for one definition."""
+    parts = ["SCHEMA", schema.name, str(slice_id)]
+    for prop in sorted(schema.constraints):
+        c = schema.constraints[prop]
+        parts.append(f"{prop}:{c.value_type.value}:{c.arity_text()}")
+    return _fields(*parts)
+
+
 def _atomic_write(target: Path, data: bytes) -> None:
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, target)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise StorageFailure(f"cannot write {target}: {exc}") from exc
 
 
 class DiskBackend(MemoryBackend):
@@ -672,18 +690,8 @@ class DiskBackend(MemoryBackend):
 
     @classmethod
     def open(cls, path) -> "DiskBackend":
-        root = Path(path)
-        target = root / CHECKPOINT_NAME
-        if not target.exists():
-            raise StorageFailure(f"no store at {root}")
-        backend = cls(root)
-        backend._load_checkpoint(target.read_bytes())
-        for doc_id in backend._content:
-            blob_path = root / CONTENT_DIR / str(doc_id)
-            try:
-                backend._blobs[doc_id] = blob_path.read_bytes()
-            except FileNotFoundError:
-                raise StorageFailure(f"missing content file for {doc_id}") from None
+        backend = cls(path)
+        backend._load_root(backend.root)
         return backend
 
     def _persist(self) -> None:
@@ -698,6 +706,8 @@ class DiskBackend(MemoryBackend):
             os.remove(self.root / CONTENT_DIR / str(doc_id))
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            raise StorageFailure(f"cannot remove content file for {doc_id}: {exc}") from exc
 
     def checkpoint(self, path=None) -> Path:
         if path is None:

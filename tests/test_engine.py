@@ -416,3 +416,31 @@ def test_flush_after_unenforce_updates_store(tmp_path):
         doc_id = h.doc_id
     with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as repo:
         assert repo.get_document(doc_id).enforced() == ()
+
+
+def test_background_flusher_survives_os_errors(tmp_path, monkeypatch):
+    from harland import store
+
+    repo = Repository.init(tmp_path / "store", config=CacheConfig(flush_interval=0.02), id_seed=1)
+    real_write = store._atomic_write
+    faults = [OSError(28, "No space left on device") for _ in range(3)]
+
+    def failing_write(target, data):
+        if faults:
+            raise faults.pop()
+        real_write(target, data)
+
+    monkeypatch.setattr(store, "_atomic_write", failing_write)
+    try:
+        h = repo.create_document()
+        h.set_property("x", [Value.integer(1)])
+        deadline = time.monotonic() + 5
+        while not repo.backend.scan_rows(h.doc_id) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert faults == []
+        assert repo._flusher.is_alive()
+        assert repo.backend.scan_rows(h.doc_id)
+    finally:
+        repo.close()
+    with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
+        assert reopened.get_document(h.doc_id).values("x") == (Value.integer(1),)

@@ -280,3 +280,75 @@ def test_failed_persist_applies_nothing(tmp_path):
 def test_open_missing_store(tmp_path):
     with pytest.raises(StorageFailure):
         DiskBackend.open(tmp_path / "absent")
+
+
+# ---- failed writes leave memory and disk as they were ----
+
+def _image(backend):
+    return backend._encode_checkpoint(), dict(backend._blobs)
+
+
+def _assert_unchanged(backend, root, before, blob_on_disk):
+    assert _image(backend) == before
+    assert _image(DiskBackend.open(root)) == before
+    blob = root / "content" / str(D1)
+    if blob_on_disk is None:
+        assert not blob.exists()
+    else:
+        assert blob.read_bytes() == blob_on_disk
+
+
+def test_failed_delete_restores_the_document(tmp_path):
+    root = tmp_path / "store"
+    b = DiskBackend.init(root)
+    _seed(b)
+    b.content_write(D1, b"keep me")
+    before = _image(b)
+    b.fail_next_persist = True
+    with pytest.raises(StorageFailure):
+        b.delete_document(D1)
+    _assert_unchanged(b, root, before, b"keep me")
+    assert b.fetch_slices(D2, set()).members == frozenset({D1})
+
+
+def test_failed_blob_write_changes_nothing(tmp_path, monkeypatch):
+    root = tmp_path / "store"
+    b = DiskBackend.init(root)
+    _seed(b)
+    b.content_write(D1, b"old")
+    before = _image(b)
+
+    def full_disk(self, doc_id, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(DiskBackend, "_persist_blob", full_disk)
+    with pytest.raises(OSError):
+        b.content_write(D1, b"new and longer")
+    monkeypatch.undo()
+    _assert_unchanged(b, root, before, b"old")
+
+
+@pytest.mark.parametrize("old", [None, b"old"])
+def test_failed_content_commit_restores_the_blob_file(tmp_path, old):
+    root = tmp_path / "store"
+    b = DiskBackend.init(root)
+    _seed(b)
+    if old is not None:
+        b.content_write(D1, old)
+    before = _image(b)
+    b.fail_next_persist = True
+    with pytest.raises(StorageFailure):
+        b.content_write(D1, b"new and longer")
+    _assert_unchanged(b, root, before, old)
+
+
+def test_os_errors_surface_as_storage_failures(tmp_path):
+    root = tmp_path / "store"
+    b = DiskBackend.init(root)
+    _seed(b)
+    (root / "store.hl1.tmp").mkdir()  # the temp name cannot be written
+    with pytest.raises(StorageFailure):
+        b.put_rows(meta=[DocumentRecord(DocumentId(3), DocumentKind.PLAIN)])
+    with pytest.raises(StorageFailure):
+        b.checkpoint()
+    assert b.scan_all() == [(D1, DocumentKind.PLAIN), (D2, DocumentKind.COLLECTION)]
