@@ -11,7 +11,8 @@ arrive for free.
 Writes go to the in-memory document. A value write marks its slice dirty;
 a metadata write records the changed key together with the state the store
 had before the first change since the last flush. A background flusher
-(and explicit flush()) diffs dirty slices against their last persisted
+(and explicit flush()) visits only the documents changed since their last
+successful flush, diffs their dirty slices against the last persisted
 image, writes records for the changed metadata keys only, and ships one
 atomic batch per document. Schema definitions and content writes go
 through to the backend immediately.
@@ -286,6 +287,10 @@ class _Locked:
             idoc = repo._idoc(doc_id) if self.load else None
             if self.kind is not None and actual is not self.kind:
                 raise WrongKind(f"document {doc_id} is not a {_KIND_NOUNS[self.kind]}")
+        except UnknownDocument:
+            self.lock.release()
+            repo._forget_lock(doc_id, self.lock)  # deleted while we waited
+            raise
         except BaseException:
             self.lock.release()
             raise
@@ -337,6 +342,9 @@ class Repository:
 
         self._cache_lock = threading.Lock()
         self._cache: "OrderedDict[DocumentId, _IDoc]" = OrderedDict()
+        # every dirty document, in the order it first changed, plus any
+        # flushed since by put_content; flush() walks this, not the cache
+        self._dirty: dict[DocumentId, None] = {}
         self._locks: dict[DocumentId, threading.RLock] = {}
         self._locks_guard = threading.Lock()
 
@@ -385,6 +393,7 @@ class Repository:
             self._flusher.join(timeout=5)
         self.flush()
         self.hub.stop()
+        self.hub.repo = None  # break the cycle: a dropped repository is freed at once
 
     def _load_metadata(self) -> None:
         view = self.backend.meta_view()
@@ -414,6 +423,17 @@ class Repository:
             if lock is None:
                 lock = self._locks[doc_id] = threading.RLock()
             return lock
+
+    def _forget_lock(self, doc_id: DocumentId, lock: threading.RLock) -> None:
+        """Drops a deleted document's lock. Ids are never reused, and whoever
+        holds or waits on the lock re-checks the kind and fails."""
+        with self._locks_guard:
+            if self._locks.get(doc_id) is lock:
+                del self._locks[doc_id]
+
+    def _mark_dirty(self, doc_id: DocumentId) -> None:
+        with self._cache_lock:
+            self._dirty[doc_id] = None
 
     def _kind(self, doc_id: DocumentId) -> DocumentKind:
         """The live document's kind; raises UnknownDocument once it is deleted."""
@@ -523,6 +543,7 @@ class Repository:
         with self._lock_for(doc_id):
             with self._cache_lock:
                 self._cache[doc_id] = _IDoc(doc_id, exists_in_store=False)
+                self._dirty[doc_id] = None
             with self._meta_lock:  # live only now that its image is cached
                 self._kinds[doc_id] = kind
                 self._assignments[doc_id] = {}
@@ -558,6 +579,7 @@ class Repository:
                 self.backend.delete_document(doc_id)
             with self._cache_lock:
                 self._cache.pop(doc_id, None)
+                self._dirty.pop(doc_id, None)
             with self._meta_lock:
                 self._kinds.pop(doc_id, None)
                 self._assignments.pop(doc_id, None)
@@ -567,6 +589,7 @@ class Repository:
                 for c in holders:
                     self._members[c].discard(doc_id)
             self.registry.drop_document(doc_id)
+            self._forget_lock(doc_id, self._lock_for(doc_id))
             # re-evaluate the deleted collection's members: their membership
             # test flips when the collection disappears
             self.hub.publish(
@@ -630,6 +653,7 @@ class Repository:
             else:
                 slice_bags.pop(prop, None)
             idoc.dirty_slices.add(slice_id)
+            self._mark_dirty(doc_id)
             self.hub.publish(doc_id=doc_id, before=before, after=after, changed_props=frozenset({prop}))
 
     @staticmethod
@@ -663,6 +687,7 @@ class Repository:
                 raise NotConforming(violations)
             self.registry.record_enforce(doc_id, schema_name)
             idoc.changed_meta.setdefault(("enforce", schema_name), None)
+            self._mark_dirty(doc_id)
             after = DocumentSnapshot(
                 doc_id=doc_id,
                 kind=before.kind,
@@ -683,6 +708,7 @@ class Repository:
             before = self._snapshot_locked(doc_id, idoc)
             seq = self.registry.record_unenforce(doc_id, schema_name)
             idoc.changed_meta.setdefault(("enforce", schema_name), seq)
+            self._mark_dirty(doc_id)
             after = DocumentSnapshot(
                 doc_id=doc_id,
                 kind=before.kind,
@@ -710,6 +736,7 @@ class Repository:
             with self._meta_lock:
                 self._members[doc_id].add(member_id)
             idoc.changed_meta.setdefault(("member", member_id), False)
+            self._mark_dirty(doc_id)
             after = DocumentSnapshot(
                 doc_id=doc_id,
                 kind=before.kind,
@@ -729,6 +756,7 @@ class Repository:
             with self._meta_lock:
                 self._members[doc_id].discard(member_id)
             idoc.changed_meta.setdefault(("member", member_id), True)
+            self._mark_dirty(doc_id)
             after = DocumentSnapshot(
                 doc_id=doc_id,
                 kind=before.kind,
@@ -876,25 +904,32 @@ class Repository:
     def flush(self) -> int:
         """Writes every dirty document out; returns how many were flushed.
 
-        Two passes, documents without a store record first in each: a
-        membership record needs its member's document record in place, so
+        Visits only the documents changed since their last successful
+        flush. Two passes, documents without a store record first in each:
+        a membership record needs its member's document record in place, so
         one whose member is not yet stored waits for the second pass.
         """
         flushed = 0
         for _ in range(2):
             with self._cache_lock:
-                cached = list(self._cache.items())
-            cached.sort(key=lambda item: item[1].exists_in_store)
+                dirty = [(doc_id, self._cache.get(doc_id)) for doc_id in self._dirty]
+            dirty.sort(key=lambda item: item[1] is not None and item[1].exists_in_store)
             dirty_left = False
-            for doc_id, _ in cached:
-                with self._lock_for(doc_id):
+            for doc_id, _ in dirty:
+                lock = self._lock_for(doc_id)
+                with lock:
                     with self._cache_lock:
                         idoc = self._cache.get(doc_id)
-                    if idoc is None:
-                        continue
-                    if self._flush_doc_locked(doc_id, idoc):
-                        flushed += 1
-                    dirty_left = dirty_left or idoc.is_dirty()
+                    if idoc is not None:
+                        if self._flush_doc_locked(doc_id, idoc):
+                            flushed += 1
+                        if idoc.is_dirty():
+                            dirty_left = True
+                            continue
+                    with self._cache_lock:
+                        self._dirty.pop(doc_id, None)
+                if idoc is None and self.document_kind(doc_id) is None:
+                    self._forget_lock(doc_id, lock)  # deleted since the list was taken
             if not dirty_left:
                 break
         self._evict_if_needed()

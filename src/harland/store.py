@@ -20,11 +20,25 @@ are lowercase hex so every value round-trips bit-exactly. Records are
 written in a canonical sort order, which makes checkpoint bytes a pure
 function of store state. Content bytes live outside the checkpoint in
 content/<doc-id> files under the store root.
+
+Every section except SCHEMA is document-major in sorted id order (MEMBER by
+collection), so the body is a join of per-document record blocks. A backend
+keeps each block it has encoded together with its CRC32C, and a batch drops
+the blocks of the documents it touches, so a write encodes and checksums
+only what it changed. END folds the cached CRCs with crc32c_combine, over
+groups of the documents whose ids share a quotient by _GROUP (32); dropping
+a block drops its group's CRC too, so a group's CRC is kept only while no
+document in it has changed, arrived or left. The caches fill on the first
+encode; opening a store builds none.
 """
 
 from __future__ import annotations
 
+import functools
+import io
+import itertools
 import os
+import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,26 +52,114 @@ CHECKPOINT_NAME = "store.hl1"
 CONTENT_DIR = "content"
 
 
-# ---- CRC32C (Castagnoli), table driven ----
+# ---- CRC32C (Castagnoli): slicing-by-8 kernel and combine ----
 
-def _make_crc_table() -> list[int]:
-    table = []
+_POLY = 0x82F63B78  # bit-reflected
+
+
+def _make_crc_tables() -> tuple[list[int], ...]:
+    """Table k maps a byte to the CRC register after it and k zero bytes."""
+    first = []
     for i in range(256):
         crc = i
         for _ in range(8):
-            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
+        first.append(crc)
+    tables = [first]
+    for _ in range(7):
+        tables.append([(c >> 8) ^ first[c & 0xFF] for c in tables[-1]])
+    return tuple(tables)
+
+
+_CRC_TABLES = _make_crc_tables()
+
+
+def crc32c(data: bytes, value: int = 0) -> int:
+    """CRC32C of data, continuing from `value`, the CRC of the bytes before it.
+
+    Eight bytes per step, one lookup per byte in eight tables (slicing-by-8).
+    """
+    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
+    crc = value ^ 0xFFFFFFFF
+    view = memoryview(data)
+    n = len(view) & ~7
+    for lo, hi in struct.iter_unpack("<II", view[:n]):
+        lo ^= crc
+        crc = (
+            t7[lo & 0xFF] ^ t6[lo >> 8 & 0xFF] ^ t5[lo >> 16 & 0xFF] ^ t4[lo >> 24]
+            ^ t3[hi & 0xFF] ^ t2[hi >> 8 & 0xFF] ^ t1[hi >> 16 & 0xFF] ^ t0[hi >> 24]
+        )
+    for byte in view[n:]:
+        crc = (crc >> 8) ^ t0[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
+def _make_nibble_table() -> list[int]:
+    """Maps the 4 bits shifted out of a register to their reduction mod P."""
+    table = []
+    for i in range(16):
+        crc = i
+        for _ in range(4):
+            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
         table.append(crc)
     return table
 
 
-_CRC_TABLE = _make_crc_table()
+_NIBBLE_TABLE = _make_nibble_table()
 
 
-def crc32c(data: bytes, value: int = 0) -> int:
-    crc = value ^ 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+def _multmodp(a: int, b: int) -> int:
+    """a * b modulo the CRC polynomial, both bit-reflected (bit 31 is x^0).
+
+    Horner's rule over the eight 4-bit digits of a, highest degree first,
+    with the 16 multiples of b by a 4-bit polynomial tabulated up front.
+    """
+    t = _NIBBLE_TABLE
+    b1 = (b >> 1) ^ _POLY if b & 1 else b >> 1  # b * x
+    b2 = (b1 >> 1) ^ _POLY if b1 & 1 else b1 >> 1
+    b3 = (b2 >> 1) ^ _POLY if b2 & 1 else b2 >> 1
+    b23 = b2 ^ b3
+    b01 = b ^ b1
+    m = (0, b3, b2, b23, b1, b1 ^ b3, b1 ^ b2, b1 ^ b23,
+         b, b ^ b3, b ^ b2, b ^ b23, b01, b01 ^ b3, b01 ^ b2, b01 ^ b23)
+    p = m[a & 15]
+    p = (p >> 4) ^ t[p & 15] ^ m[a >> 4 & 15]
+    p = (p >> 4) ^ t[p & 15] ^ m[a >> 8 & 15]
+    p = (p >> 4) ^ t[p & 15] ^ m[a >> 12 & 15]
+    p = (p >> 4) ^ t[p & 15] ^ m[a >> 16 & 15]
+    p = (p >> 4) ^ t[p & 15] ^ m[a >> 20 & 15]
+    p = (p >> 4) ^ t[p & 15] ^ m[a >> 24 & 15]
+    return (p >> 4) ^ t[p & 15] ^ m[a >> 28]
+
+
+def _make_x2n() -> list[int]:
+    """x^(2^k) modulo the polynomial for k < 64."""
+    powers = [1 << 30]  # x^1
+    for _ in range(63):
+        powers.append(_multmodp(powers[-1], powers[-1]))
+    return powers
+
+
+_X2N = _make_x2n()
+
+
+@functools.lru_cache(maxsize=1024)
+def _x8n(n: int) -> int:
+    """x^(8n) modulo the polynomial: moves a CRC past n bytes."""
+    p = 1 << 31  # x^0
+    k = 3
+    while n:
+        if n & 1:
+            p = _multmodp(_X2N[k], p)
+        n >>= 1
+        k += 1
+    return p
+
+
+def crc32c_combine(crc_a: int, crc_b: int, len_b: int) -> int:
+    """crc32c(a + b) from crc32c(a), crc32c(b) and len(b), as zlib's crc32_combine:
+    crc(A || B) = (crc(A) * x^(8|B|) mod P) xor crc(B)."""
+    return _multmodp(_x8n(len_b), crc_a) ^ crc_b
 
 
 # ---- record field escaping ----
@@ -275,6 +377,7 @@ class MemoryBackend:
         self._members: dict[DocumentId, set[DocumentId]] = {}
         self._content: dict[DocumentId, ContentRef] = {}
         self._blobs: dict[DocumentId, bytes] = {}
+        self._sections = {name: _Section() for name, _ in _LAYOUT}
         self.fetch_count = 0
         self.batch_count = 0
         self.scan_count = 0
@@ -294,6 +397,9 @@ class MemoryBackend:
         meta, meta_deletes = list(meta), list(meta_deletes)
         with self._lock:
             self._validate_batch(rows, deletes, meta, meta_deletes)
+            touched = {("props", row.doc_id) for row in rows}
+            touched.update(("props", key[0]) for key in deletes)
+            touched.update(record.key()[:2] for record in meta + meta_deletes)
             undo: list = []
             try:
                 for record in meta:
@@ -308,10 +414,12 @@ class MemoryBackend:
                     slot = self._rows.setdefault(row.doc_id, {})
                     slot[row.key()[1:]] = row
                     undo.append(lambda d=row.doc_id, k=row.key()[1:]: self._rows[d].pop(k, None))
+                self._stale(touched)
                 self._persist()
             except BaseException:
                 for fn in reversed(undo):
                     fn()
+                self._stale(touched)  # blocks encoded before a failed write
                 raise
             self.batch_count += 1
 
@@ -470,9 +578,12 @@ class MemoryBackend:
             self._persist_blob(doc_id, data)  # replaces the file whole or not at all
             self._content[doc_id] = ref
             self._blobs[doc_id] = data
+            touched = {("content", doc_id)}
             try:
+                self._stale(touched)
                 self._persist()
             except BaseException:
+                self._stale(touched)
                 if old_ref is None:
                     self._content.pop(doc_id, None)
                     self._blobs.pop(doc_id, None)
@@ -498,16 +609,20 @@ class MemoryBackend:
             tables = (self._docs, self._rows, self._enforcement, self._assignments,
                       self._members, self._content, self._blobs)
             removed = [(table, table.pop(doc_id)) for table in tables if doc_id in table]
-            holders = [members for members in self._members.values() if doc_id in members]
-            for members in holders:
-                members.discard(doc_id)
+            holders = [c for c, members in self._members.items() if doc_id in members]
+            for collection in holders:
+                self._members[collection].discard(doc_id)
+            touched = {(name, doc_id) for name in _DOC_SECTIONS}
+            touched.update(("member", collection) for collection in holders)
             try:
+                self._stale(touched)
                 self._persist()
             except BaseException:
                 for table, entry in removed:
                     table[doc_id] = entry
-                for members in holders:
-                    members.add(doc_id)
+                for collection in holders:
+                    self._members[collection].add(doc_id)
+                self._stale(touched)
                 raise
             try:
                 self._remove_blob_file(doc_id)
@@ -529,54 +644,93 @@ class MemoryBackend:
 
     # ---- checkpoint codec ----
 
+    def _stale(self, touched: Iterable[tuple]) -> None:
+        """Drops the cached encoding of each (section, document or schema name) pair."""
+        for name, key in touched:
+            section = self._sections[name]
+            section.joined = None
+            if isinstance(key, DocumentId):
+                section.blocks.pop(key.value, None)
+                section.groups.pop(key.value // _GROUP, None)
+
     def _encode_checkpoint(self) -> bytes:
-        lines = [MAGIC, "PROPS"]
-        for doc_id in sorted(self._rows):
-            rows = self._rows[doc_id].values()
-            for row in sorted(rows, key=lambda r: (r.slice_id, r.prop, encode_value(r.value), r.ordinal)):
-                lines.append(_fields(str(doc_id), str(row.slice_id), row.prop, encode_value(row.value), str(row.ordinal)))
-        lines.append("META")
-        for doc_id in sorted(self._docs):
-            lines.append(_fields("DOC", str(doc_id), self._docs[doc_id].value))
-        for schema, slice_id in sorted(self._schemas.values(), key=lambda pair: pair[1]):
-            lines.append(schema_record(schema, slice_id))
-        for doc_id in sorted(self._enforcement):
-            entry = self._enforcement[doc_id]
-            for name, seq in sorted(entry.items(), key=lambda kv: kv[1]):
-                lines.append(_fields("ENFORCE", str(doc_id), str(seq), name))
-        for doc_id in sorted(self._assignments):
-            for prop in sorted(self._assignments[doc_id]):
-                lines.append(_fields("ASSIGN", str(doc_id), prop, str(self._assignments[doc_id][prop])))
-        for coll in sorted(self._members):
-            for member in sorted(self._members[coll]):
-                lines.append(_fields("MEMBER", str(coll), str(member)))
-        lines.append("CONTENT")
-        for doc_id in sorted(self._content):
-            ref = self._content[doc_id]
-            lines.append(_fields(str(doc_id), str(ref.length), " ".join(sorted(ref.tokens))))
-        body = ("\n".join(lines) + "\n").encode("utf-8")
-        return body + f"END {crc32c(body)}\n".encode("ascii")
+        """The checkpoint bytes, joined from cached record blocks; only the
+        blocks dropped since the last call are encoded and checksummed again,
+        and END folds cached CRCs with crc32c_combine."""
+        parts: list[bytes] = []
+        crc = 0
+        for name, header in _LAYOUT:
+            section = self._sections[name]
+            if section.joined is None:
+                section.joined = self._encode_section(name, header, section)
+            section_parts, section_crc, length = section.joined
+            parts += section_parts
+            crc = crc32c_combine(crc, section_crc, length)
+        parts.append(f"END {crc}\n".encode("ascii"))
+        return b"".join(parts)
+
+    def _encode_section(self, name: str, header: bytes, section: "_Section") -> tuple[list[bytes], int, int]:
+        """(blocks, CRC, length) of one section, its header first.
+
+        Keys go in sorted order, grouped by id // _GROUP; a group whose CRC
+        is still cached is unchanged since it was folded, so its blocks are
+        all cached too.
+        """
+        if name == "schema":
+            block = "".join(
+                schema_record(schema, slice_id) + "\n"
+                for schema, slice_id in sorted(self._schemas.values(), key=lambda pair: pair[1])
+            ).encode("utf-8")
+            return [block], crc32c(block), len(block)
+        table_name, encode = _DOC_SECTIONS[name]
+        table = getattr(self, table_name)
+        blocks, groups = section.blocks, section.groups
+        values = sorted(doc_id.value for doc_id in table)
+        parts = [header]
+        crc, length = crc32c(header), len(header)
+        for bucket, members in itertools.groupby(values, key=lambda value: value // _GROUP):
+            group = groups.get(bucket)
+            if group is not None:
+                parts += [blocks[value][0] for value in members]
+            else:
+                group_crc = group_length = 0
+                for value in members:
+                    entry = blocks.get(value)
+                    if entry is None:
+                        doc_id = DocumentId(value)
+                        data = encode(str(doc_id), table[doc_id]).encode("utf-8")
+                        entry = blocks[value] = (data, crc32c(data))
+                    data, block_crc = entry
+                    parts.append(data)
+                    group_crc = crc32c_combine(group_crc, block_crc, len(data))
+                    group_length += len(data)
+                group = groups[bucket] = (group_crc, group_length)
+            crc = crc32c_combine(crc, *group)
+            length += group[1]
+        return parts, crc, length
 
     def _load_checkpoint(self, data: bytes) -> None:
         try:
             idx = data.rindex(b"\nEND ")
         except ValueError:
             raise CorruptStore("missing END trailer") from None
-        body, trailer = data[: idx + 1], data[idx + 1 :]
+        trailer = data[idx + 1 :]
         if not (trailer.startswith(b"END ") and trailer.endswith(b"\n")):
             raise CorruptStore("malformed END trailer")
         try:
             stated = int(trailer[4:-1])
         except ValueError:
             raise CorruptStore("malformed END trailer") from None
-        if crc32c(body) != stated:
+        if crc32c(memoryview(data)[: idx + 1]) != stated:
             raise CorruptStore("checksum mismatch")
-        lines = body.decode("utf-8").split("\n")[:-1]
-        if not lines or lines[0] != MAGIC:
+        # one line at a time: a list of every line would hold the file twice over
+        lines = itertools.islice(io.BytesIO(data), data.count(b"\n", 0, idx + 1))
+        if next(lines, b"") != f"{MAGIC}\n".encode("ascii"):
             raise CorruptStore("bad magic")
         section = None
         try:
-            for line in lines[1:]:
+            for raw in lines:
+                line = raw.decode("utf-8")[:-1]
                 if line in ("PROPS", "META", "CONTENT"):
                     section = line
                     continue
@@ -621,7 +775,7 @@ class MemoryBackend:
         """Write the full state to a store root; returns the checkpoint path."""
         with self._lock:
             root = Path(path)
-            (root / CONTENT_DIR).mkdir(parents=True, exist_ok=True)
+            _make_dirs(root / CONTENT_DIR)
             for doc_id, blob in self._blobs.items():
                 _atomic_write(root / CONTENT_DIR / str(doc_id), blob)
             target = root / CHECKPOINT_NAME
@@ -661,6 +815,78 @@ def schema_record(schema: Schema, slice_id: int) -> str:
     return _fields(*parts)
 
 
+# ---- cached checkpoint encoding ----
+
+class _Section:
+    """Cached encoding of one checkpoint section, built on the first encode."""
+
+    __slots__ = ("blocks", "groups", "joined")
+
+    def __init__(self):
+        self.blocks: dict = {}  # document id value -> (record block bytes, crc32c)
+        self.groups: dict = {}  # document id value // _GROUP -> (crc32c, length) of its blocks
+        self.joined: Optional[tuple[list[bytes], int, int]] = None  # while nothing changed
+
+
+def _props_block(doc: str, rows: dict) -> str:
+    encoded = sorted(
+        (r.slice_id, r.prop, encode_value(r.value), r.ordinal) for r in rows.values()
+    )
+    return "".join(_fields(doc, str(s), prop, value, str(o)) + "\n" for s, prop, value, o in encoded)
+
+
+def _doc_block(doc: str, kind: DocumentKind) -> str:
+    return _fields("DOC", doc, kind.value) + "\n"
+
+
+def _enforce_block(doc: str, entry: dict[str, int]) -> str:
+    return "".join(
+        _fields("ENFORCE", doc, str(seq), name) + "\n"
+        for name, seq in sorted(entry.items(), key=lambda kv: kv[1])
+    )
+
+
+def _assign_block(doc: str, entry: dict[str, int]) -> str:
+    return "".join(_fields("ASSIGN", doc, prop, str(entry[prop])) + "\n" for prop in sorted(entry))
+
+
+def _member_block(collection: str, members: set[DocumentId]) -> str:
+    return "".join(_fields("MEMBER", collection, str(m)) + "\n" for m in sorted(members))
+
+
+def _content_block(doc: str, ref: ContentRef) -> str:
+    return _fields(doc, str(ref.length), " ".join(sorted(ref.tokens))) + "\n"
+
+
+# sections in checkpoint order, each with the fixed text before it
+_LAYOUT = (
+    ("props", f"{MAGIC}\nPROPS\n".encode("ascii")),
+    ("doc", b"META\n"),
+    ("schema", b""),
+    ("enforce", b""),
+    ("assign", b""),
+    ("member", b""),
+    ("content", b"CONTENT\n"),
+)
+# the sections made of per-document blocks: the backend table each reads, and its block encoder
+_DOC_SECTIONS = {
+    "props": ("_rows", _props_block),
+    "doc": ("_docs", _doc_block),
+    "enforce": ("_enforcement", _enforce_block),
+    "assign": ("_assignments", _assign_block),
+    "member": ("_members", _member_block),
+    "content": ("_content", _content_block),
+}
+_GROUP = 32
+
+
+def _make_dirs(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StorageFailure(f"cannot create {path}: {exc}") from exc
+
+
 def _atomic_write(target: Path, data: bytes) -> None:
     tmp = target.with_name(target.name + ".tmp")
     try:
@@ -672,7 +898,11 @@ def _atomic_write(target: Path, data: bytes) -> None:
 
 class DiskBackend(MemoryBackend):
     """On-disk backend: every committed batch rewrites the checkpoint, so a
-    reopen after a crash sees exactly the committed batches."""
+    reopen after a crash sees exactly the committed batches.
+
+    The file is written whole, but only the records the batch changed are
+    encoded and checksummed again; the rest come from the block cache.
+    There is no fsync."""
 
     def __init__(self, root: Path):
         super().__init__()
@@ -683,7 +913,7 @@ class DiskBackend(MemoryBackend):
         root = Path(path)
         if (root / CHECKPOINT_NAME).exists():
             raise StorageFailure(f"store already initialized at {root}")
-        (root / CONTENT_DIR).mkdir(parents=True, exist_ok=True)
+        _make_dirs(root / CONTENT_DIR)
         backend = cls(root)
         backend._persist()
         return backend

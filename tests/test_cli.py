@@ -207,3 +207,13 @@ def test_watch_sigint_exits_cleanly(tmp_path):
     assert proc.returncode == 0
     assert out == b""
     assert b"Traceback" not in err
+
+
+def test_init_below_a_regular_file_fails_cleanly(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "--store", str(blocker / "s"), "init")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot create")

@@ -444,3 +444,121 @@ def test_background_flusher_survives_os_errors(tmp_path, monkeypatch):
         repo.close()
     with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
         assert reopened.get_document(h.doc_id).values("x") == (Value.integer(1),)
+
+
+# ---- per-document locks and the dirty set ----
+
+def test_create_delete_cycles_leave_no_locks():
+    repo = fresh()
+    for _ in range(1000):
+        h = repo.create_document()
+        h.set_property("x", [Value.integer(1)])
+        h.delete()
+    assert repo.document_count() == 0
+    assert len(repo._locks) == 0
+    repo.close()
+
+
+def test_waiter_on_a_deleted_document_fails_and_leaves_no_lock():
+    repo = fresh()
+    h = repo.create_document()
+    errors = []
+
+    def write():
+        try:
+            h.set_property("x", [Value.integer(1)])
+        except UnknownDocument as exc:
+            errors.append(exc)
+
+    lock = repo._lock_for(h.doc_id)
+    with lock:
+        waiter = threading.Thread(target=write)
+        waiter.start()
+        time.sleep(0.05)  # the waiter blocks on the lock we hold
+        h.delete()
+    waiter.join(timeout=5)
+    assert not waiter.is_alive()
+    assert len(errors) == 1
+    assert len(repo._locks) == 0
+    repo.close()
+
+
+def _count_flush_calls(repo, monkeypatch) -> list:
+    calls = []
+    real = repo._flush_doc_locked
+
+    def counting(doc_id, idoc):
+        calls.append(doc_id)
+        return real(doc_id, idoc)
+
+    monkeypatch.setattr(repo, "_flush_doc_locked", counting)
+    return calls
+
+
+def test_flush_visits_only_dirty_documents(monkeypatch):
+    repo = fresh()
+    handles = [repo.create_document() for _ in range(500)]
+    for h in handles:
+        h.set_property("n", [Value.integer(1)])
+    assert repo.flush() == 500
+    calls = _count_flush_calls(repo, monkeypatch)
+    handles[7].set_property("n", [Value.integer(2)])
+    assert repo.flush() == 1
+    assert calls == [handles[7].doc_id]
+    assert repo.flush() == 0
+    assert calls == [handles[7].doc_id]
+    repo.close()
+
+
+def test_failed_flush_keeps_document_dirty_and_cached(tmp_path):
+    from harland.errors import StorageFailure
+
+    repo = fresh(tmp_path, config=CacheConfig(max_docs=2, auto_flush=False))
+    h = repo.create_document()
+    fillers = [repo.create_document() for _ in range(3)]
+    for doc in [h, *fillers]:
+        doc.set_property("n", [Value.integer(1)])
+    repo.flush()
+    h.set_property("n", [Value.integer(2)])
+    repo.backend.fail_next_persist = True
+    with pytest.raises(StorageFailure):
+        repo.flush()
+    assert h.doc_id in repo._dirty
+    for filler in fillers:
+        filler.snapshot()
+    assert h.doc_id in repo._cache  # dirty documents are never evicted
+    assert repo.flush() == 1
+    assert h.doc_id not in repo._dirty
+    repo.close()
+    with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
+        assert reopened.get_document(h.doc_id).values("n") == (Value.integer(2),)
+
+
+def test_deferred_membership_lands_on_second_pass(tmp_path, monkeypatch):
+    repo = fresh(tmp_path)
+    collection = repo.create_document(DocumentKind.COLLECTION)
+    member = repo.create_document()
+    collection.add_member(member)
+    calls = _count_flush_calls(repo, monkeypatch)
+    assert repo.flush() == 3  # the collection twice: its record, then the membership
+    assert calls == [collection.doc_id, member.doc_id, collection.doc_id]
+    assert repo._dirty == {}
+    repo.close()
+    with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
+        assert reopened.members_of(collection.doc_id) == {member.doc_id}
+
+
+def test_closed_repository_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        repo = fresh()
+        repo.create_document().set_property("x", [Value.integer(1)])
+        repo.close()
+        ref = weakref.ref(repo)
+        del repo
+        assert ref() is None  # close() breaks the repository-hub cycle
+    finally:
+        gc.enable()
