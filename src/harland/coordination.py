@@ -25,7 +25,7 @@ from enum import Enum
 from queue import Empty, Queue
 from typing import Callable, Optional
 
-from harland.errors import UnknownDocument
+from harland.errors import StorageFailure, UnknownDocument
 from harland.model import Constraint, DocumentId, DocumentSnapshot, Schema, Value
 from harland.query import And, HasSchema, Not, QueryExpr, QueryPlan, evaluate_doc
 
@@ -84,7 +84,10 @@ class Subscription:
 
     def poll(self) -> set[DocumentId]:
         """Current match set, evaluated against the reference semantics."""
-        return self._hub.repo.match_now(self.expr)
+        repo = self._hub.repo
+        if repo is None:
+            raise StorageFailure("repository is closed")
+        return repo.match_now(self.expr)
 
     def cancel(self) -> None:
         self.active = False
@@ -157,7 +160,7 @@ class CommitHub:
 
     def publish(self, **fields) -> int:
         """Record a commit; returns its sequence number. Called with the
-        committing document's lock held, so sequence order is commit order."""
+        repository lock held, so sequence order is commit order."""
         with self._cond:
             if self._stopped:
                 return self._seq

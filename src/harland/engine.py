@@ -21,9 +21,16 @@ Only flushed documents leave the cache, and a new document enters the
 cache before its id becomes live, so a live document outside the cache
 always has a store record.
 
-Lock order: document lock, then any of (metadata lock, backend,
-hub, cache lock, registry). Nothing called under those ever takes a
-document lock, except eviction, which only try-acquires and skips.
+One repository lock guards the cache, the metadata tables, the dirty set
+and the counters; every commit and every read that loads a document runs
+under it, so commits are serialized and see one consistent state across
+documents. Reading one entry of a table (a kind, a content token set)
+or the document count takes no lock: each is one atomic step under the
+interpreter lock. The backend, the schema registry and the commit hub have their own
+locks and never call back into the repository under them. flush() takes
+the repository lock once per document, so other work runs between
+documents of a long flush; close() and hub.drain() never run under it,
+because the dispatcher thread calls back into the repository.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import random
 import threading
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
 
 from harland.coordination import CommitHub, Subscription, SubscriptionMode
@@ -121,8 +128,9 @@ class CacheConfig:
 # ---- id generation ----
 
 class _IdGen:
+    """Mints fresh document ids; called under the repository lock."""
+
     def __init__(self, seed: Optional[int]):
-        self._lock = threading.Lock()
         self._seed = seed
         self._counter = 0
         self._rng = random.Random(seed) if seed is not None else None
@@ -136,22 +144,21 @@ class _IdGen:
         self._counter = max(tail, default=0)
 
     def next_id(self, in_use) -> DocumentId:
-        with self._lock:
-            while True:
-                if self._seed is not None:
-                    self._counter += 1
-                    candidate = DocumentId(((self._seed & 0xFFFFFFFFFFFFFFFF) << 64) | self._counter)
-                else:
-                    candidate = DocumentId(uuid.uuid4().int)
-                if not in_use(candidate):
-                    return candidate
+        while True:
+            if self._seed is not None:
+                self._counter += 1
+                candidate = DocumentId(((self._seed & 0xFFFFFFFFFFFFFFFF) << 64) | self._counter)
+            else:
+                candidate = DocumentId(uuid.uuid4().int)
+            if not in_use(candidate):
+                return candidate
 
 
 # ---- cached document state ----
 
 class _IDoc:
     """In-memory image of one document's values, plus what its next flush
-    must write. Guarded by the document's lock."""
+    must write. Guarded by the repository lock."""
 
     __slots__ = (
         "doc_id",
@@ -257,49 +264,6 @@ def _as_id(ref: Union[Handle, DocumentId, str]) -> DocumentId:
     return DocumentId.parse(ref)
 
 
-class _Locked:
-    """Resolves, locks, re-checks and loads one document for the
-    committing and reading methods: `with _Locked(repo, doc_id) as (doc_id, idoc)`.
-
-    The document must exist before its lock is taken and again under it,
-    since a delete may win the race for the lock. With load false the image
-    is not loaded and None is yielded; with kind given, a document of
-    another kind raises WrongKind after the load.
-    """
-
-    __slots__ = ("repo", "doc_id", "load", "kind", "lock")
-
-    def __init__(
-        self, repo: "Repository", doc_id: DocumentId, load: bool = True, kind: Optional[DocumentKind] = None
-    ):
-        self.repo = repo
-        self.doc_id = doc_id
-        self.load = load
-        self.kind = kind
-
-    def __enter__(self) -> tuple[DocumentId, Optional[_IDoc]]:
-        repo, doc_id = self.repo, self.doc_id
-        repo._kind(doc_id)
-        self.lock = repo._lock_for(doc_id)
-        self.lock.acquire()
-        try:
-            actual = repo._kind(doc_id)
-            idoc = repo._idoc(doc_id) if self.load else None
-            if self.kind is not None and actual is not self.kind:
-                raise WrongKind(f"document {doc_id} is not a {_KIND_NOUNS[self.kind]}")
-        except UnknownDocument:
-            self.lock.release()
-            repo._forget_lock(doc_id, self.lock)  # deleted while we waited
-            raise
-        except BaseException:
-            self.lock.release()
-            raise
-        return doc_id, idoc
-
-    def __exit__(self, *exc) -> None:
-        self.lock.release()
-
-
 class Cursor:
     """Query results. The match set is pinned when the query runs; iteration
     prefetches each document's relevant slices just before yielding it."""
@@ -333,22 +297,18 @@ class Repository:
         self.config = config or CacheConfig()
         self.registry = SchemaRegistry()
         self._ids = _IdGen(id_seed)
+        self._lock = threading.RLock()
 
-        self._meta_lock = threading.Lock()
         self._kinds: dict[DocumentId, DocumentKind] = {}
         self._assignments: dict[DocumentId, dict[str, int]] = {}
         self._members: dict[DocumentId, set[DocumentId]] = {}
         self._content_tokens: dict[DocumentId, frozenset[str]] = {}
 
-        self._cache_lock = threading.Lock()
         self._cache: "OrderedDict[DocumentId, _IDoc]" = OrderedDict()
         # every dirty document, in the order it first changed, plus any
         # flushed since by put_content; flush() walks this, not the cache
         self._dirty: dict[DocumentId, None] = {}
-        self._locks: dict[DocumentId, threading.RLock] = {}
-        self._locks_guard = threading.Lock()
 
-        self._stats_lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -391,9 +351,11 @@ class Repository:
         self._flusher_stop.set()
         if self._flusher is not None:
             self._flusher.join(timeout=5)
-        self.flush()
-        self.hub.stop()
-        self.hub.repo = None  # break the cycle: a dropped repository is freed at once
+        try:
+            self.flush()
+        finally:
+            self.hub.stop()
+            self.hub.repo = None  # break the cycle: a dropped repository is freed at once
 
     def _load_metadata(self) -> None:
         view = self.backend.meta_view()
@@ -415,87 +377,60 @@ class Repository:
             self._content_tokens[doc_id] = frozenset(ref.tokens)
         self._ids.prime(self._kinds.keys())
 
-    # ---- locks and cache ----
-
-    def _lock_for(self, doc_id: DocumentId) -> threading.RLock:
-        with self._locks_guard:
-            lock = self._locks.get(doc_id)
-            if lock is None:
-                lock = self._locks[doc_id] = threading.RLock()
-            return lock
-
-    def _forget_lock(self, doc_id: DocumentId, lock: threading.RLock) -> None:
-        """Drops a deleted document's lock. Ids are never reused, and whoever
-        holds or waits on the lock re-checks the kind and fails."""
-        with self._locks_guard:
-            if self._locks.get(doc_id) is lock:
-                del self._locks[doc_id]
-
-    def _mark_dirty(self, doc_id: DocumentId) -> None:
-        with self._cache_lock:
-            self._dirty[doc_id] = None
+    # ---- cache (callers hold the repository lock) ----
 
     def _kind(self, doc_id: DocumentId) -> DocumentKind:
         """The live document's kind; raises UnknownDocument once it is deleted."""
-        with self._meta_lock:
-            kind = self._kinds.get(doc_id)
+        kind = self._kinds.get(doc_id)
         if kind is None:
             raise UnknownDocument(f"document {doc_id} does not exist")
         return kind
 
+    def _load(self, doc_id: DocumentId, kind: Optional[DocumentKind] = None) -> _IDoc:
+        """The live document's cached image. With kind given, a document of
+        another kind raises WrongKind after the load, which the cache counts."""
+        actual = self._kind(doc_id)
+        idoc = self._idoc(doc_id)
+        if kind is not None and actual is not kind:
+            raise WrongKind(f"document {doc_id} is not a {_KIND_NOUNS[kind]}")
+        return idoc
+
     def _idoc(self, doc_id: DocumentId) -> _IDoc:
-        """Cache lookup; caller must hold the document lock."""
-        with self._cache_lock:
-            idoc = self._cache.get(doc_id)
-            if idoc is not None:
-                self._cache.move_to_end(doc_id)
-                with self._stats_lock:
-                    self._hits += 1
+        """Cache lookup of a live document, counted as a hit or a miss."""
+        idoc = self._cache.get(doc_id)
         if idoc is not None:
-            self._evict_if_needed(exclude=doc_id)
-            return idoc
-        with self._stats_lock:
-            self._misses += 1
-        self._kind(doc_id)
-        idoc = _IDoc(doc_id, exists_in_store=True)
-        with self._cache_lock:
-            self._cache[doc_id] = idoc
             self._cache.move_to_end(doc_id)
+            self._hits += 1
+        else:
+            self._misses += 1
+            idoc = self._cache[doc_id] = _IDoc(doc_id, exists_in_store=True)
         self._evict_if_needed(exclude=doc_id)
         return idoc
 
     def _evict_if_needed(self, exclude: Optional[DocumentId] = None) -> None:
-        with self._cache_lock:
-            if len(self._cache) <= self.config.max_docs:
-                return
-            for doc_id in list(self._cache):
-                if len(self._cache) <= self.config.max_docs:
+        """Drops the least recently used clean documents until the cache fits."""
+        excess = len(self._cache) - self.config.max_docs
+        if excess <= 0:
+            return
+        victims = []
+        for doc_id, idoc in self._cache.items():
+            if doc_id != exclude and not idoc.is_dirty():
+                victims.append(doc_id)
+                if len(victims) == excess:
                     break
-                if doc_id == exclude:
-                    continue
-                lock = self._lock_for(doc_id)
-                if not lock.acquire(blocking=False):
-                    continue
-                try:
-                    idoc = self._cache.get(doc_id)
-                    if idoc is not None and not idoc.is_dirty():
-                        del self._cache[doc_id]
-                        with self._stats_lock:
-                            self._evictions += 1
-                finally:
-                    lock.release()
+        for doc_id in victims:
+            del self._cache[doc_id]
+        self._evictions += len(victims)
 
     def _stored(self, doc_id: DocumentId) -> bool:
         """Whether a live document has a store record."""
-        with self._cache_lock:
-            idoc = self._cache.get(doc_id)
+        idoc = self._cache.get(doc_id)
         if idoc is not None:
             return idoc.exists_in_store
-        with self._meta_lock:
-            return doc_id in self._kinds
+        return doc_id in self._kinds
 
     def _materialize(self, idoc: _IDoc, slices: set[int]) -> None:
-        """Fetch absent slices in one backend round trip. Document lock held."""
+        """Fetch absent slices in one backend round trip."""
         missing = {s for s in slices if s not in idoc.bags}
         if not missing:
             return
@@ -514,11 +449,9 @@ class Repository:
             idoc.clean_bags[s] = dict(image)
 
     def _snapshot_locked(self, doc_id: DocumentId, idoc: _IDoc) -> DocumentSnapshot:
-        with self._meta_lock:
-            kind = self._kinds[doc_id]
-            slices = set(self._assignments[doc_id].values())
-            members = frozenset(self._members[doc_id]) if kind is DocumentKind.COLLECTION else frozenset()
-        self._materialize(idoc, slices)
+        kind = self._kinds[doc_id]
+        members = frozenset(self._members[doc_id]) if kind is DocumentKind.COLLECTION else frozenset()
+        self._materialize(idoc, set(self._assignments[doc_id].values()))
         props: dict[str, tuple[Value, ...]] = {}
         for slice_bags in idoc.bags.values():
             for prop, values in slice_bags.items():
@@ -536,19 +469,15 @@ class Repository:
 
     def create_document(self, kind: DocumentKind = DocumentKind.PLAIN) -> Handle:
         self._check_open()
-        def in_use(candidate: DocumentId) -> bool:
-            with self._meta_lock:
-                return candidate in self._kinds
-        doc_id = self._ids.next_id(in_use)
-        with self._lock_for(doc_id):
-            with self._cache_lock:
-                self._cache[doc_id] = _IDoc(doc_id, exists_in_store=False)
-                self._dirty[doc_id] = None
-            with self._meta_lock:  # live only now that its image is cached
-                self._kinds[doc_id] = kind
-                self._assignments[doc_id] = {}
-                if kind is DocumentKind.COLLECTION:
-                    self._members[doc_id] = set()
+        with self._lock:
+            doc_id = self._ids.next_id(self._kinds.__contains__)
+            self._cache[doc_id] = _IDoc(doc_id, exists_in_store=False)
+            self._dirty[doc_id] = None
+            # live only now that its image is cached
+            self._kinds[doc_id] = kind
+            self._assignments[doc_id] = {}
+            if kind is DocumentKind.COLLECTION:
+                self._members[doc_id] = set()
             self._evict_if_needed(exclude=doc_id)
             after = DocumentSnapshot(
                 doc_id=doc_id, kind=kind, properties={},
@@ -564,32 +493,30 @@ class Repository:
         return Handle(self, doc_id)
 
     def document_ids(self) -> list[DocumentId]:
-        with self._meta_lock:
+        with self._lock:
             return sorted(self._kinds)
 
     def document_count(self) -> int:
-        with self._meta_lock:
-            return len(self._kinds)
+        return len(self._kinds)
 
     def delete_document(self, handle: Handle) -> None:
         self._check_open()
-        with _Locked(self, handle.doc_id) as (doc_id, idoc):
+        doc_id = handle.doc_id
+        with self._lock:
+            idoc = self._load(doc_id)
             before = self._snapshot_locked(doc_id, idoc)
             if idoc.exists_in_store:
                 self.backend.delete_document(doc_id)
-            with self._cache_lock:
-                self._cache.pop(doc_id, None)
-                self._dirty.pop(doc_id, None)
-            with self._meta_lock:
-                self._kinds.pop(doc_id, None)
-                self._assignments.pop(doc_id, None)
-                self._members.pop(doc_id, None)
-                self._content_tokens.pop(doc_id, None)
-                holders = [c for c, members in self._members.items() if doc_id in members]
-                for c in holders:
-                    self._members[c].discard(doc_id)
+            self._cache.pop(doc_id, None)
+            self._dirty.pop(doc_id, None)
+            self._kinds.pop(doc_id, None)
+            self._assignments.pop(doc_id, None)
+            self._members.pop(doc_id, None)
+            self._content_tokens.pop(doc_id, None)
+            holders = [c for c, members in self._members.items() if doc_id in members]
+            for c in holders:
+                self._members[c].discard(doc_id)
             self.registry.drop_document(doc_id)
-            self._forget_lock(doc_id, self._lock_for(doc_id))
             # re-evaluate the deleted collection's members: their membership
             # test flips when the collection disappears
             self.hub.publish(
@@ -617,7 +544,9 @@ class Repository:
 
     def mutate(self, handle: Handle, change: Change) -> None:
         self._check_open()
-        with _Locked(self, handle.doc_id) as (doc_id, idoc):
+        doc_id = handle.doc_id
+        with self._lock:
+            idoc = self._load(doc_id)
             before = self._snapshot_locked(doc_id, idoc)
             prop = change.prop
             old = before.values_of(prop)
@@ -629,23 +558,16 @@ class Repository:
                 proposed[prop] = new
             else:
                 proposed.pop(prop, None)
-            after = DocumentSnapshot(
-                doc_id=doc_id,
-                kind=before.kind,
-                properties=proposed,
-                enforced=before.enforced,
-                members=before.members,
-            )
+            after = replace(before, properties=proposed)
             violations = self.registry.validate_mutation(before, after)
             if violations:
                 raise SchemaViolation(violations)
 
-            with self._meta_lock:
-                assigned = self._assignments[doc_id]
-                slice_id = assigned.get(prop)
-                if slice_id is None:
-                    slice_id = assigned[prop] = self._assign_slice(doc_id, prop)
-                    idoc.changed_meta[("assign", prop)] = None
+            assigned = self._assignments[doc_id]
+            slice_id = assigned.get(prop)
+            if slice_id is None:
+                slice_id = assigned[prop] = self._assign_slice(doc_id, prop)
+                idoc.changed_meta[("assign", prop)] = None
             self._materialize(idoc, {slice_id})
             slice_bags = idoc.bags.setdefault(slice_id, {})
             if new:
@@ -653,7 +575,7 @@ class Repository:
             else:
                 slice_bags.pop(prop, None)
             idoc.dirty_slices.add(slice_id)
-            self._mark_dirty(doc_id)
+            self._dirty[doc_id] = None
             self.hub.publish(doc_id=doc_id, before=before, after=after, changed_props=frozenset({prop}))
 
     @staticmethod
@@ -676,7 +598,9 @@ class Repository:
 
     def enforce(self, handle: Handle, schema_name: str) -> None:
         self._check_open()
-        with _Locked(self, handle.doc_id, load=False) as (doc_id, _):
+        doc_id = handle.doc_id
+        with self._lock:
+            self._kind(doc_id)
             schema = self.registry.get(schema_name)  # raises UnknownSchema
             if self.registry.is_enforced(doc_id, schema_name):
                 return
@@ -687,20 +611,16 @@ class Repository:
                 raise NotConforming(violations)
             self.registry.record_enforce(doc_id, schema_name)
             idoc.changed_meta.setdefault(("enforce", schema_name), None)
-            self._mark_dirty(doc_id)
-            after = DocumentSnapshot(
-                doc_id=doc_id,
-                kind=before.kind,
-                properties=before.properties,
-                enforced=before.enforced | {schema_name},
-                members=before.members,
-            )
+            self._dirty[doc_id] = None
+            after = replace(before, enforced=before.enforced | {schema_name})
             self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_added=frozenset({schema_name}))
 
     def unenforce(self, handle: Handle, schema_name: str) -> None:
         """Stops enforcement; property values are retained untouched."""
         self._check_open()
-        with _Locked(self, handle.doc_id, load=False) as (doc_id, _):
+        doc_id = handle.doc_id
+        with self._lock:
+            self._kind(doc_id)
             self.registry.get(schema_name)
             if not self.registry.is_enforced(doc_id, schema_name):
                 return
@@ -708,14 +628,8 @@ class Repository:
             before = self._snapshot_locked(doc_id, idoc)
             seq = self.registry.record_unenforce(doc_id, schema_name)
             idoc.changed_meta.setdefault(("enforce", schema_name), seq)
-            self._mark_dirty(doc_id)
-            after = DocumentSnapshot(
-                doc_id=doc_id,
-                kind=before.kind,
-                properties=before.properties,
-                enforced=before.enforced - {schema_name},
-                members=before.members,
-            )
+            self._dirty[doc_id] = None
+            after = replace(before, enforced=before.enforced - {schema_name})
             self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_removed=frozenset({schema_name}))
 
     def enforced_names(self, handle: Handle) -> tuple[str, ...]:
@@ -726,44 +640,32 @@ class Repository:
 
     def add_member(self, handle: Handle, member_id: DocumentId) -> None:
         self._check_open()
-        with _Locked(self, handle.doc_id, kind=DocumentKind.COLLECTION) as (doc_id, idoc):
-            with self._meta_lock:
-                if member_id not in self._kinds:
-                    raise UnknownDocument(f"member {member_id} does not exist")
-                if member_id in self._members[doc_id]:
-                    return
+        doc_id = handle.doc_id
+        with self._lock:
+            idoc = self._load(doc_id, DocumentKind.COLLECTION)
+            if member_id not in self._kinds:
+                raise UnknownDocument(f"member {member_id} does not exist")
+            if member_id in self._members[doc_id]:
+                return
             before = self._snapshot_locked(doc_id, idoc)
-            with self._meta_lock:
-                self._members[doc_id].add(member_id)
+            self._members[doc_id].add(member_id)
             idoc.changed_meta.setdefault(("member", member_id), False)
-            self._mark_dirty(doc_id)
-            after = DocumentSnapshot(
-                doc_id=doc_id,
-                kind=before.kind,
-                properties=before.properties,
-                enforced=before.enforced,
-                members=before.members | {member_id},
-            )
+            self._dirty[doc_id] = None
+            after = replace(before, members=before.members | {member_id})
             self.hub.publish(doc_id=doc_id, before=before, after=after, members_added=frozenset({member_id}))
 
     def remove_member(self, handle: Handle, member_id: DocumentId) -> None:
         self._check_open()
-        with _Locked(self, handle.doc_id, kind=DocumentKind.COLLECTION) as (doc_id, idoc):
-            with self._meta_lock:
-                if member_id not in self._members[doc_id]:
-                    return
+        doc_id = handle.doc_id
+        with self._lock:
+            idoc = self._load(doc_id, DocumentKind.COLLECTION)
+            if member_id not in self._members[doc_id]:
+                return
             before = self._snapshot_locked(doc_id, idoc)
-            with self._meta_lock:
-                self._members[doc_id].discard(member_id)
+            self._members[doc_id].discard(member_id)
             idoc.changed_meta.setdefault(("member", member_id), True)
-            self._mark_dirty(doc_id)
-            after = DocumentSnapshot(
-                doc_id=doc_id,
-                kind=before.kind,
-                properties=before.properties,
-                enforced=before.enforced,
-                members=before.members - {member_id},
-            )
+            self._dirty[doc_id] = None
+            after = replace(before, members=before.members - {member_id})
             self.hub.publish(doc_id=doc_id, before=before, after=after, members_removed=frozenset({member_id}))
 
     def members_of_handle(self, handle: Handle) -> frozenset[DocumentId]:
@@ -777,15 +679,15 @@ class Repository:
         self._check_open()
         if not isinstance(data, bytes):
             raise TypeError("content must be bytes")
-        with _Locked(self, handle.doc_id, kind=DocumentKind.CONTENT) as (doc_id, idoc):
+        doc_id = handle.doc_id
+        with self._lock:
+            idoc = self._load(doc_id, DocumentKind.CONTENT)
             self._flush_doc_locked(doc_id, idoc)  # the blob needs its document record first
-            with self._meta_lock:
-                tokens_before = self._content_tokens.get(doc_id, frozenset())
+            tokens_before = self._content_tokens.get(doc_id, frozenset())
             snap = self._snapshot_locked(doc_id, idoc)
             ref = self.backend.content_write(doc_id, data)
             tokens_after = frozenset(ref.tokens)
-            with self._meta_lock:
-                self._content_tokens[doc_id] = tokens_after
+            self._content_tokens[doc_id] = tokens_after
             self.hub.publish(
                 doc_id=doc_id,
                 before=snap,
@@ -795,10 +697,10 @@ class Repository:
             )
 
     def get_content(self, handle: Handle) -> bytes:
-        with _Locked(self, handle.doc_id, kind=DocumentKind.CONTENT) as (doc_id, idoc):
-            if not idoc.exists_in_store:
+        with self._lock:
+            if not self._load(handle.doc_id, DocumentKind.CONTENT).exists_in_store:
                 return b""
-            return self.backend.content_read(doc_id)
+            return self.backend.content_read(handle.doc_id)
 
     # ---- schemas ----
 
@@ -819,8 +721,7 @@ class Repository:
         return self.bags_of(handle.doc_id, (prop,)).get(prop, ())
 
     def snapshot_of(self, handle: Handle) -> DocumentSnapshot:
-        with _Locked(self, handle.doc_id) as (doc_id, idoc):
-            return self._snapshot_locked(doc_id, idoc)
+        return self.snapshot(handle.doc_id)
 
     # ---- query view protocol ----
 
@@ -828,25 +729,23 @@ class Repository:
         return self.registry.has(name)
 
     def document_kind(self, doc_id: DocumentId) -> Optional[DocumentKind]:
-        with self._meta_lock:
-            return self._kinds.get(doc_id)
+        return self._kinds.get(doc_id)
 
     def enforced_of(self, doc_id: DocumentId) -> frozenset[str]:
         return frozenset(self.registry.enforced_names(doc_id))
 
     def members_of(self, collection_id: DocumentId) -> frozenset[DocumentId]:
-        with self._meta_lock:
+        with self._lock:
             return frozenset(self._members.get(collection_id, ()))
 
     def content_tokens(self, doc_id: DocumentId) -> frozenset[str]:
-        with self._meta_lock:
-            return self._content_tokens.get(doc_id, frozenset())
+        return self._content_tokens.get(doc_id, frozenset())
 
     def bags_of(self, doc_id: DocumentId, props: Sequence[str]) -> dict[str, tuple[Value, ...]]:
-        with _Locked(self, doc_id, load=False):
-            with self._meta_lock:
-                assigned = self._assignments[doc_id]
-                wanted = {p: assigned[p] for p in props if p in assigned}
+        with self._lock:
+            self._kind(doc_id)
+            assigned = self._assignments[doc_id]
+            wanted = {p: assigned[p] for p in props if p in assigned}
             if not wanted:
                 return {}
             idoc = self._idoc(doc_id)
@@ -859,8 +758,8 @@ class Repository:
             return out
 
     def snapshot(self, doc_id: DocumentId) -> DocumentSnapshot:
-        with _Locked(self, doc_id) as (doc_id, idoc):
-            return self._snapshot_locked(doc_id, idoc)
+        with self._lock:
+            return self._snapshot_locked(doc_id, self._load(doc_id))
 
     # ---- queries ----
 
@@ -885,10 +784,10 @@ class Repository:
         for name in compiled.prefetch_schemas:
             if self.registry.has(name):
                 slices.add(self.registry.slice_of_schema(name))
-        with _Locked(self, doc_id, load=False):
-            with self._meta_lock:
-                assigned = self._assignments[doc_id]
-                slices.update(assigned[p] for p in compiled.props if p in assigned)
+        with self._lock:
+            self._kind(doc_id)
+            assigned = self._assignments[doc_id]
+            slices.update(assigned[p] for p in compiled.props if p in assigned)
             if slices:
                 self._materialize(self._idoc(doc_id), slices)
 
@@ -911,28 +810,24 @@ class Repository:
         """
         flushed = 0
         for _ in range(2):
-            with self._cache_lock:
+            with self._lock:
                 dirty = [(doc_id, self._cache.get(doc_id)) for doc_id in self._dirty]
-            dirty.sort(key=lambda item: item[1] is not None and item[1].exists_in_store)
+                dirty.sort(key=lambda item: item[1] is not None and item[1].exists_in_store)
             dirty_left = False
             for doc_id, _ in dirty:
-                lock = self._lock_for(doc_id)
-                with lock:
-                    with self._cache_lock:
-                        idoc = self._cache.get(doc_id)
+                with self._lock:  # once per document: other work runs in between
+                    idoc = self._cache.get(doc_id)
                     if idoc is not None:
                         if self._flush_doc_locked(doc_id, idoc):
                             flushed += 1
                         if idoc.is_dirty():
                             dirty_left = True
                             continue
-                    with self._cache_lock:
-                        self._dirty.pop(doc_id, None)
-                if idoc is None and self.document_kind(doc_id) is None:
-                    self._forget_lock(doc_id, lock)  # deleted since the list was taken
+                    self._dirty.pop(doc_id, None)
             if not dirty_left:
                 break
-        self._evict_if_needed()
+        with self._lock:
+            self._evict_if_needed()
         return flushed
 
     def _flush_doc_locked(self, doc_id: DocumentId, idoc: _IDoc) -> bool:
@@ -952,27 +847,26 @@ class Repository:
         meta_deletes: list = []
         joined: list[DocumentId] = []
         enforcement = self.registry.enforcement_entries(doc_id) if idoc.changed_meta else {}
-        with self._meta_lock:
-            if not idoc.exists_in_store:
-                meta.append(DocumentRecord(doc_id, self._kinds[doc_id]))
-            for key, stored in idoc.changed_meta.items():
-                tag, name = key
-                if tag == "assign":
-                    meta.append(SliceAssignment(doc_id, name, self._assignments[doc_id][name]))
-                elif tag == "enforce":
-                    seq = enforcement.get(name)
-                    if seq == stored:
-                        continue
-                    if seq is None:
-                        meta_deletes.append(Enforcement(doc_id, name, 0))
-                    else:
-                        meta.append(Enforcement(doc_id, name, seq))
-                elif name in self._members[doc_id]:
-                    if not stored:
-                        joined.append(name)
-                elif stored and name in self._kinds:
-                    # a deleted member's records went with it in the store
-                    meta_deletes.append(Membership(doc_id, name))
+        if not idoc.exists_in_store:
+            meta.append(DocumentRecord(doc_id, self._kinds[doc_id]))
+        for key, stored in idoc.changed_meta.items():
+            tag, name = key
+            if tag == "assign":
+                meta.append(SliceAssignment(doc_id, name, self._assignments[doc_id][name]))
+            elif tag == "enforce":
+                seq = enforcement.get(name)
+                if seq == stored:
+                    continue
+                if seq is None:
+                    meta_deletes.append(Enforcement(doc_id, name, 0))
+                else:
+                    meta.append(Enforcement(doc_id, name, seq))
+            elif name in self._members[doc_id]:
+                if not stored:
+                    joined.append(name)
+            elif stored and name in self._kinds:
+                # a deleted member's records went with it in the store
+                meta_deletes.append(Membership(doc_id, name))
         deferred: dict[tuple, object] = {}
         for member in joined:
             if member == doc_id or self._stored(member):
@@ -990,8 +884,7 @@ class Repository:
         idoc.dirty_slices.clear()
         idoc.changed_meta = deferred
         idoc.exists_in_store = True
-        with self._stats_lock:
-            self._flushes += 1
+        self._flushes += 1
         return True
 
     def _flush_loop(self) -> None:
@@ -1007,7 +900,7 @@ class Repository:
     # ---- stats ----
 
     def stats(self) -> dict[str, int]:
-        with self._stats_lock:
+        with self._lock:
             return {
                 "documents": self.document_count(),
                 "cached_documents": len(self._cache),

@@ -201,9 +201,13 @@ def test_watch_sigint_exits_cleanly(tmp_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    time.sleep(1.0)
-    proc.send_signal(signal.SIGINT)
-    out, err = proc.communicate(timeout=10)
+    try:
+        time.sleep(1.0)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()  # a no-op once it has exited
+        proc.wait()
     assert proc.returncode == 0
     assert out == b""
     assert b"Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 
 from harland.coordination import SubscriptionMode, Worker, run_pipeline_demo
 from harland.engine import CacheConfig, Repository
+from harland.errors import StorageFailure
 from harland.model import Constraint, DocumentKind, Schema, Value
 
 
@@ -251,3 +252,11 @@ def test_subscriptions_survive_concurrent_commits():
             t.join()
         got = take_all(sub, repo)
         assert {d.doc_id for d in got} == {d.doc_id for d in docs}
+
+
+def test_poll_after_close_is_a_storage_failure():
+    repo = fresh()
+    sub = repo.subscribe("exists(x)")
+    repo.close()
+    with pytest.raises(StorageFailure, match="repository is closed"):
+        sub.poll()

@@ -212,6 +212,24 @@ def test_lru_evicts_only_clean_documents():
         assert all(h.values("n") != () for h in handles)
 
 
+def test_eviction_takes_the_least_recently_used_clean_document():
+    with fresh(config=CacheConfig(max_docs=3, auto_flush=False)) as repo:
+        a, b, c, d = handles = [repo.create_document() for _ in range(4)]
+        for h in handles:
+            h.set_property("n", [Value.integer(1)])
+        repo.flush()
+        assert list(repo._cache) == [b.doc_id, c.doc_id, d.doc_id]
+        b.values("n")
+        a.values("n")  # a miss: c is now the least recently used
+        assert list(repo._cache) == [d.doc_id, b.doc_id, a.doc_id]
+        d.set_property("n", [Value.integer(2)])
+        b.values("n")
+        a.values("n")
+        c.values("n")  # d is older but dirty, so b goes
+        assert list(repo._cache) == [d.doc_id, a.doc_id, c.doc_id]
+        assert repo.stats()["evictions"] == 3
+
+
 def test_flush_diffs_rows(tmp_path):
     with fresh(tmp_path) as repo:
         h = repo.create_document()
@@ -446,7 +464,7 @@ def test_background_flusher_survives_os_errors(tmp_path, monkeypatch):
         assert reopened.get_document(h.doc_id).values("x") == (Value.integer(1),)
 
 
-# ---- per-document locks and the dirty set ----
+# ---- the repository lock and the dirty set ----
 
 def test_create_delete_cycles_leave_no_locks():
     repo = fresh()
@@ -455,7 +473,8 @@ def test_create_delete_cycles_leave_no_locks():
         h.set_property("x", [Value.integer(1)])
         h.delete()
     assert repo.document_count() == 0
-    assert len(repo._locks) == 0
+    for table in (repo._cache, repo._dirty, repo._assignments, repo._members, repo._content_tokens):
+        assert len(table) == 0
     repo.close()
 
 
@@ -470,8 +489,7 @@ def test_waiter_on_a_deleted_document_fails_and_leaves_no_lock():
         except UnknownDocument as exc:
             errors.append(exc)
 
-    lock = repo._lock_for(h.doc_id)
-    with lock:
+    with repo._lock:
         waiter = threading.Thread(target=write)
         waiter.start()
         time.sleep(0.05)  # the waiter blocks on the lock we hold
@@ -479,7 +497,6 @@ def test_waiter_on_a_deleted_document_fails_and_leaves_no_lock():
     waiter.join(timeout=5)
     assert not waiter.is_alive()
     assert len(errors) == 1
-    assert len(repo._locks) == 0
     repo.close()
 
 
@@ -546,6 +563,51 @@ def test_deferred_membership_lands_on_second_pass(tmp_path, monkeypatch):
     repo.close()
     with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
         assert reopened.members_of(collection.doc_id) == {member.doc_id}
+
+
+def test_close_whose_flush_fails_still_stops_the_dispatcher():
+    from harland.errors import StorageFailure
+
+    repo = fresh()
+    h = repo.create_document()
+    h.set_property("x", [Value.integer(1)])
+    repo.backend.fail_next_persist = True
+    with pytest.raises(StorageFailure):
+        repo.close()
+    assert not repo.hub._thread.is_alive()
+    assert repo.hub.repo is None
+    assert repo.flush() == 1
+    assert [r.value for r in repo.backend.scan_rows(h.doc_id)] == [Value.integer(1)]
+
+
+def test_concurrent_adds_under_the_flusher_lose_no_update():
+    import sys
+
+    repo = Repository.in_memory(config=CacheConfig(max_docs=2, flush_interval=0.01), id_seed=7)
+    shared = repo.create_document()
+    others = [repo.create_document() for _ in range(4)]
+    for h in others:
+        h.set_property("n", [Value.integer(0)])
+
+    def add(worker):
+        for i in range(50):
+            shared.add_values("n", [Value.integer(worker * 100 + i)])
+            others[i % len(others)].values("n")  # churn the 2-document cache
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=add, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    repo.close()
+    assert len(shared.values("n")) == 400
+    assert len(repo.backend.scan_rows(shared.doc_id)) == 400
 
 
 def test_closed_repository_is_freed_without_the_cycle_collector():
