@@ -35,12 +35,13 @@ because the dispatcher thread calls back into the repository.
 
 from __future__ import annotations
 
+import functools
 import logging
-import random
 import threading
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from harland.coordination import CommitHub, Subscription, SubscriptionMode
@@ -60,7 +61,19 @@ from harland.model import (
     bag,
 )
 from harland.parsing import parse_query
-from harland.query import QueryExpr, QueryPlan, execute, naive_eval, plan, validate_references
+from harland.query import (
+    ContentContains,
+    HasSchema,
+    MemberOf,
+    QueryExpr,
+    QueryPlan,
+    bag_matches,
+    candidates,
+    execute,
+    naive_eval,
+    plan,
+    validate_references,
+)
 from harland.schemas import DEFAULT_SLICE, SchemaRegistry
 from harland.store import (
     DiskBackend,
@@ -133,7 +146,6 @@ class _IdGen:
     def __init__(self, seed: Optional[int]):
         self._seed = seed
         self._counter = 0
-        self._rng = random.Random(seed) if seed is not None else None
 
     def prime(self, existing: Iterable[DocumentId]) -> None:
         """Seeded generation continues past ids minted by earlier runs."""
@@ -163,7 +175,7 @@ class _IDoc:
     __slots__ = (
         "doc_id",
         "bags",          # slice id -> {prop -> value bag}
-        "clean_bags",    # last persisted image of each materialized slice
+        "clean_bags",    # persisted image of each dirty slice, copied before its first change
         "dirty_slices",
         "exists_in_store",
         "changed_meta",  # metadata key changed since the last flush -> its state in the store
@@ -437,16 +449,13 @@ class Repository:
         if not idoc.exists_in_store:
             for s in missing:
                 idoc.bags[s] = {}
-                idoc.clean_bags[s] = {}
             return
         data = self.backend.fetch_slices(idoc.doc_id, missing)
         grouped: dict[int, dict[str, list[Value]]] = {s: {} for s in missing}
         for row in data.rows:
             grouped[row.slice_id].setdefault(row.prop, []).append(row.value)
         for s, props in grouped.items():
-            image = {p: bag(vals) for p, vals in props.items()}
-            idoc.bags[s] = dict(image)
-            idoc.clean_bags[s] = dict(image)
+            idoc.bags[s] = {p: bag(vals) for p, vals in props.items()}
 
     def _snapshot_locked(self, doc_id: DocumentId, idoc: _IDoc) -> DocumentSnapshot:
         kind = self._kinds[doc_id]
@@ -494,7 +503,7 @@ class Repository:
 
     def document_ids(self) -> list[DocumentId]:
         with self._lock:
-            return sorted(self._kinds)
+            return sorted(self._kinds, key=attrgetter("value"))
 
     def document_count(self) -> int:
         return len(self._kinds)
@@ -570,6 +579,8 @@ class Repository:
                 idoc.changed_meta[("assign", prop)] = None
             self._materialize(idoc, {slice_id})
             slice_bags = idoc.bags.setdefault(slice_id, {})
+            if slice_id not in idoc.dirty_slices:
+                idoc.clean_bags[slice_id] = dict(slice_bags)
             if new:
                 slice_bags[prop] = new
             else:
@@ -761,6 +772,34 @@ class Repository:
         with self._lock:
             return self._snapshot_locked(doc_id, self._load(doc_id))
 
+    def leaf_candidates(self, preds) -> dict:
+        """Each positive leaf's candidate source: leaf -> (source, ids, exact).
+
+        No source fetches a slice or touches the cache. Schema, membership and
+        content leaves read the enforcement map, the collection's members and
+        the content tokens, and are exact. A value leaf reads the documents
+        whose stored bag passes it from the backend's column for its
+        property, united with every dirty document, whose values in memory
+        may differ from the store. All of it is read under the repository
+        lock, so no flush moves a document from the dirty set to the store
+        in between.
+        """
+        served = {}
+        with self._lock:
+            for pred in preds:
+                if isinstance(pred, HasSchema):
+                    served[pred] = ("schema", self.registry.enforced_on(pred.name), True)
+                elif isinstance(pred, MemberOf):
+                    served[pred] = ("members", list(self._members.get(pred.collection, ())), True)
+                elif isinstance(pred, ContentContains):
+                    token = pred.token.casefold()
+                    hits = [d for d, tokens in self._content_tokens.items() if token in tokens]
+                    served[pred] = ("content", hits, True)
+                else:
+                    stored = self.backend.stored_matches(pred.prop, functools.partial(bag_matches, pred))
+                    served[pred] = ("column", stored + list(self._dirty), False)
+        return served
+
     # ---- queries ----
 
     def _as_expr(self, query: Union[str, QueryExpr]) -> QueryExpr:
@@ -772,6 +811,25 @@ class Repository:
         validate_references(expr, self)
         compiled = plan(expr, self.registry)
         return Cursor(self, compiled, execute(compiled, self))
+
+    def explain(self, query: Union[str, QueryExpr]) -> dict:
+        """How query() would find its matches, without evaluating any document:
+        the source of each leaf used (schema, members, content, column, or
+        scan for a full scan), the candidate count, whether the candidates
+        are the answer, and whether the plan fell back to a full scan."""
+        self._check_open()
+        expr = self._as_expr(query)
+        validate_references(expr, self)
+        found = candidates(plan(expr, self.registry), self)
+        return {
+            "sources": [
+                {"source": source, "leaf": None if leaf is None else repr(leaf), "candidates": n}
+                for source, leaf, n in found.sources
+            ],
+            "candidates": len(found.ids),
+            "exact": found.exact,
+            "full_scan": found.full_scan,
+        }
 
     def match_now(self, query: Union[str, QueryExpr]) -> set[DocumentId]:
         """Reference evaluation: full scan, no planner."""
@@ -876,12 +934,12 @@ class Repository:
 
         if not rows and not deletes and not meta and not meta_deletes:
             idoc.dirty_slices.clear()
+            idoc.clean_bags.clear()
             idoc.changed_meta = deferred
             return False
         self.backend.put_rows(rows=rows, deletes=deletes, meta=meta, meta_deletes=meta_deletes)
-        for slice_id in idoc.dirty_slices:
-            idoc.clean_bags[slice_id] = dict(idoc.bags.get(slice_id, {}))
         idoc.dirty_slices.clear()
+        idoc.clean_bags.clear()
         idoc.changed_meta = deferred
         idoc.exists_in_store = True
         self._flushes += 1

@@ -46,7 +46,7 @@ class ValueType(Enum):
 ORDERED_TYPES = frozenset({ValueType.TEXT, ValueType.INTEGER, ValueType.FLOAT, ValueType.TIMESTAMP})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Value:
     """One typed value. Equality is bit-exact: Float compares by IEEE bits."""
 
@@ -153,7 +153,11 @@ class Value:
     def __eq__(self, other):
         if not isinstance(other, Value):
             return NotImplemented
-        return self._key() == other._key()
+        if self.vtype is not other.vtype:
+            return False
+        if self.vtype is ValueType.FLOAT:
+            return self._key() == other._key()
+        return self.payload == other.payload  # what _key() compares for every other type
 
     def __hash__(self):
         return hash(self._key())
@@ -256,7 +260,7 @@ class DocumentKind(Enum):
     CONTENT = "content"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DocumentId:
     """Opaque 128-bit identifier, rendered in canonical UUID text form."""
 

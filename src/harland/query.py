@@ -2,15 +2,26 @@
 
 Two evaluation paths exist on purpose. naive_eval is the reference: a full
 scan over complete snapshots with inline predicate logic. plan/execute is
-the production path: rewritten expression, leaf sharing, short-circuit
-evaluation, and per-document slice loading that only touches properties the
-query references. Tests hold the two equal on randomized inputs.
+the production path: the rewritten expression with shared leaves, evaluated
+only on candidate documents. A view that serves leaf sources (the
+repository does) gives each positive leaf a superset of its matches without
+loading any document: the schema enforcement map, a collection's members,
+the content token sets, or for a value leaf the stored rows of its property
+united with the documents changed since their last flush. An And
+intersects its children's sources and keeps the rest as residual filters,
+an Or unions them when every child has one, and anything else, a negated
+leaf on its own for one, scans every document. When every leaf used has an
+exact source and no residual filter remains, the candidates are the answer;
+otherwise each candidate is evaluated with short-circuiting and loads only
+the slices of the properties the query references. Tests hold the two
+paths equal on randomized inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from harland.errors import UnknownCollection, UnknownSchema
@@ -135,12 +146,12 @@ def naive_eval(expr: QueryExpr, view) -> set[DocumentId]:
     from the planner path: this function is the meaning of a query.
     """
     validate_references(expr, view)
-    snapshots: dict[DocumentId, DocumentSnapshot] = {}
+    collections: dict[DocumentId, DocumentSnapshot] = {}
 
     def snap(doc_id: DocumentId) -> Optional[DocumentSnapshot]:
-        if doc_id not in snapshots:
-            snapshots[doc_id] = view.snapshot(doc_id)
-        return snapshots[doc_id]
+        if doc_id not in collections:
+            collections[doc_id] = view.snapshot(doc_id)
+        return collections[doc_id]
 
     def matches(e: QueryExpr, s: DocumentSnapshot) -> bool:
         if isinstance(e, And):
@@ -186,7 +197,9 @@ def naive_eval(expr: QueryExpr, view) -> set[DocumentId]:
 
     result = set()
     for doc_id in view.document_ids():
-        if matches(expr, snap(doc_id)):
+        # not memoized: matches() refers to itself, so whatever its closure
+        # holds is freed only by a full garbage collection
+        if matches(expr, view.snapshot(doc_id)):
             result.add(doc_id)
     return result
 
@@ -347,35 +360,44 @@ def leaf_matches(pred: QueryExpr, ctx: _DocContext) -> bool:
         return doc_id in view.members_of(pred.collection)
     if isinstance(pred, ContentContains):
         return pred.token.casefold() in view.content_tokens(doc_id)
-    if isinstance(pred, Exists):
-        return len(ctx.bag(pred.prop)) > 0
-    if isinstance(pred, Cardinality):
-        n = len(ctx.bag(pred.prop))
-        return n == 1 if pred.card is Card.SINGLE else n >= 2
-    if isinstance(pred, Cmp):
-        lit = pred.literal
-        for v in ctx.bag(pred.prop):
-            if pred.op is CmpOp.EQ:
-                if v == lit:
-                    return True
-            elif pred.op is CmpOp.NE:
-                if v.vtype is lit.vtype and v != lit:
-                    return True
-            else:
-                if v.vtype is not lit.vtype or v.vtype not in ORDERED_TYPES:
-                    continue
-                c = compare_values(v, lit)
-                if c is None:
-                    continue
-                if (
-                    (pred.op is CmpOp.LT and c < 0)
-                    or (pred.op is CmpOp.LE and c <= 0)
-                    or (pred.op is CmpOp.GT and c > 0)
-                    or (pred.op is CmpOp.GE and c >= 0)
-                ):
-                    return True
-        return False
+    if isinstance(pred, (Exists, Cardinality, Cmp)):
+        return bag_matches(pred, ctx.bag(pred.prop))
     raise TypeError(f"not a leaf predicate: {pred!r}")
+
+
+def bag_matches(pred: QueryExpr, values: tuple[Value, ...]) -> bool:
+    """Whether one property's value bag passes an Exists, Cardinality or Cmp
+    leaf. Order within the bag does not matter; an empty bag never passes."""
+    if isinstance(pred, Exists):
+        return len(values) > 0
+    if isinstance(pred, Cardinality):
+        n = len(values)
+        return n == 1 if pred.card is Card.SINGLE else n >= 2
+    lit, op = pred.literal, pred.op
+    if op is CmpOp.EQ:
+        for v in values:
+            if v == lit:
+                return True
+        return False
+    if op is CmpOp.NE:
+        for v in values:
+            if v.vtype is lit.vtype and v != lit:
+                return True
+        return False
+    if lit.vtype not in ORDERED_TYPES:
+        return False
+    for v in values:
+        if v.vtype is not lit.vtype:
+            continue
+        c = compare_values(v, lit)
+        if (
+            (op is CmpOp.LT and c < 0)
+            or (op is CmpOp.LE and c <= 0)
+            or (op is CmpOp.GT and c > 0)
+            or (op is CmpOp.GE and c >= 0)
+        ):
+            return True
+    return False
 
 
 def evaluate_doc(query_plan: QueryPlan, view, doc_id: DocumentId) -> bool:
@@ -407,4 +429,80 @@ def execute(query_plan: QueryPlan, view) -> list[DocumentId]:
     consumers stream the ids afterwards at their own pace.
     """
     validate_references(query_plan.expr, view)
-    return [d for d in sorted(view.document_ids()) if evaluate_doc(query_plan, view, d)]
+    found = candidates(query_plan, view)
+    if found.exact:
+        return found.ids
+    return [d for d in found.ids if evaluate_doc(query_plan, view, d)]
+
+
+# ---- candidate sources ----
+
+@dataclass
+class Candidates:
+    """The documents execute evaluates, and where they came from."""
+
+    ids: list[DocumentId]  # sorted by id value
+    exact: bool            # ids is the match set itself: no document is evaluated
+    sources: list[tuple]   # (source, leaf, candidate count) per leaf used; ("scan", None, n) for a full scan
+
+    @property
+    def full_scan(self) -> bool:
+        return self.sources[0][0] == "scan"
+
+
+def candidates(query_plan: QueryPlan, view) -> Candidates:
+    """A superset of the plan's matches, drawn from the view's leaf sources.
+
+    A view with leaf_candidates(preds) maps each positive leaf it can serve
+    to (source, ids, exact): ids is a superset of the live documents that
+    match the leaf, and exactly that set when exact. An And intersects the
+    sources of its sourced children and leaves the rest (negated leaves, for
+    one) as residual filters; an Or unions its children's sources only when
+    every child has one. Anything else, and any view without sources, falls
+    back to every document. The answer is exact when no residual filter
+    remains anywhere and every source used is exact.
+    """
+    sources: list[tuple] = []
+    found = None
+    serve = getattr(view, "leaf_candidates", None)
+    if serve is not None:
+        positive = {node.pred for node in query_plan.leaf_nodes() if not node.negated}
+        found = _combine(query_plan.root, serve(positive), sources)
+    if found is None:
+        ids = sorted(view.document_ids(), key=attrgetter("value"))
+        return Candidates(ids, False, [("scan", None, len(ids))])
+    by_value, exact = found
+    return Candidates([by_value[k] for k in sorted(by_value)], exact, sources)
+
+
+def _combine(node, served: dict, sources: list) -> Optional[tuple[dict, bool]]:
+    """({id value: id} superset of node's matches, whether exact), or None
+    when node has no source. Appends each leaf source used to sources."""
+    if isinstance(node, SliceFilter):
+        got = None if node.negated else served.get(node.pred)
+        if got is None:
+            return None
+        source, ids, exact = got
+        by_value = {d.value: d for d in ids}
+        sources.append((source, node.pred, len(by_value)))
+        return by_value, exact
+    mark = len(sources)
+    parts = []
+    for child in node.children:
+        part = _combine(child, served, sources)
+        if part is None and node.op == "or":
+            del sources[mark:]
+            return None
+        parts.append(part)
+    sourced = [p for p in parts if p is not None]
+    if not sourced:
+        return None
+    exact = len(sourced) == len(parts) and all(e for _, e in sourced)
+    if node.op == "or":
+        merged: dict = {}
+        for by_value, _ in sourced:
+            merged.update(by_value)
+        return merged, exact
+    sourced.sort(key=lambda part: len(part[0]))
+    smallest, rest = sourced[0][0], [by_value for by_value, _ in sourced[1:]]
+    return {k: d for k, d in smallest.items() if all(k in other for other in rest)}, exact

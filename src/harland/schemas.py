@@ -169,6 +169,11 @@ class SchemaRegistry:
             entry = self._enforcement.get(doc_id, {})
             return sorted(entry, key=entry.__getitem__)
 
+    def enforced_on(self, name: str) -> list[DocumentId]:
+        """Every document the schema is enforced on, in no particular order."""
+        with self._lock:
+            return [doc_id for doc_id, entry in self._enforcement.items() if name in entry]
+
     def enforcement_entries(self, doc_id: DocumentId) -> dict[str, int]:
         with self._lock:
             return dict(self._enforcement.get(doc_id, {}))

@@ -39,6 +39,7 @@ import io
 import itertools
 import os
 import struct
+import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -262,7 +263,7 @@ def tokenize(data: bytes) -> frozenset[str]:
 
 # ---- rows and metadata records ----
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyRow:
     """One stored value: the vertical-storage unit."""
 
@@ -378,6 +379,8 @@ class MemoryBackend:
         self._content: dict[DocumentId, ContentRef] = {}
         self._blobs: dict[DocumentId, bytes] = {}
         self._sections = {name: _Section() for name, _ in _LAYOUT}
+        # prop -> {document -> its stored bag, unordered}, for the properties some query has named
+        self._columns: dict[str, dict[DocumentId, tuple[Value, ...]]] = {}
         self.fetch_count = 0
         self.batch_count = 0
         self.scan_count = 0
@@ -421,6 +424,8 @@ class MemoryBackend:
                     fn()
                 self._stale(touched)  # blocks encoded before a failed write
                 raise
+            if self._columns:
+                self._refresh_columns([(row.doc_id, row.prop) for row in rows] + [key[:2] for key in deletes])
             self.batch_count += 1
 
     def _validate_batch(self, rows, deletes, meta, meta_deletes):
@@ -533,6 +538,30 @@ class MemoryBackend:
                 content_ref=self._content.get(doc_id),
             )
 
+    def stored_matches(self, prop: str, test) -> list[DocumentId]:
+        """Stored documents whose bag for prop passes test(bag), in no
+        particular order. Scans prop's column, built from the rows the first
+        time a caller names prop and kept current by every committed batch."""
+        with self._lock:
+            column = self._columns.get(prop)
+            if column is None:
+                column = self._columns[prop] = {}
+                self._refresh_columns([(doc_id, prop) for doc_id in self._rows])
+            return [doc_id for doc_id, values in column.items() if test(values)]
+
+    def _refresh_columns(self, changed: Iterable[tuple]) -> None:
+        """Re-reads the stored bag of each committed (document, prop) pair
+        into prop's column, if it has one."""
+        for doc_id, prop in changed:
+            column = self._columns.get(prop)
+            if column is None:
+                continue
+            values = tuple(row.value for row in self._rows.get(doc_id, {}).values() if row.prop == prop)
+            if values:
+                column[doc_id] = values
+            else:
+                column.pop(doc_id, None)
+
     def scan_all(self) -> list[tuple[DocumentId, DocumentKind]]:
         with self._lock:
             self.scan_count += 1
@@ -624,6 +653,8 @@ class MemoryBackend:
                     self._members[collection].add(doc_id)
                 self._stale(touched)
                 raise
+            for column in self._columns.values():
+                column.pop(doc_id, None)
             try:
                 self._remove_blob_file(doc_id)
             except StorageFailure:
@@ -728,6 +759,17 @@ class MemoryBackend:
         if next(lines, b"") != f"{MAGIC}\n".encode("ascii"):
             raise CorruptStore("bad magic")
         section = None
+        # one object per distinct document id and per distinct value, however
+        # many records name it
+        ids: dict[str, DocumentId] = {}
+        values: dict[str, Value] = {}
+
+        def parse_id(text: str) -> DocumentId:
+            doc_id = ids.get(text)
+            if doc_id is None:
+                doc_id = ids[text] = DocumentId.parse(text)
+            return doc_id
+
         try:
             for raw in lines:
                 line = raw.decode("utf-8")[:-1]
@@ -736,13 +778,16 @@ class MemoryBackend:
                     continue
                 fields = [unescape_field(f) for f in line.split("\t")]
                 if section == "PROPS":
-                    doc_id = DocumentId.parse(fields[0])
-                    row = PropertyRow(doc_id, int(fields[1]), fields[2], decode_value(fields[3]), int(fields[4]))
+                    doc_id = parse_id(fields[0])
+                    value = values.get(fields[3])
+                    if value is None:
+                        value = values[fields[3]] = decode_value(fields[3])
+                    row = PropertyRow(doc_id, int(fields[1]), sys.intern(fields[2]), value, int(fields[4]))
                     self._rows.setdefault(doc_id, {})[row.key()[1:]] = row
                 elif section == "META":
-                    self._load_meta_record(fields)
+                    self._load_meta_record(fields, parse_id)
                 elif section == "CONTENT":
-                    doc_id = DocumentId.parse(fields[0])
+                    doc_id = parse_id(fields[0])
                     tokens = frozenset(fields[2].split(" ")) if fields[2] else frozenset()
                     self._content[doc_id] = ContentRef(doc_id, int(fields[1]), tokens)
                 else:
@@ -750,10 +795,10 @@ class MemoryBackend:
         except (IndexError, ValueError) as exc:
             raise CorruptStore(f"malformed record: {exc}") from exc
 
-    def _load_meta_record(self, fields: list[str]) -> None:
+    def _load_meta_record(self, fields: list[str], parse_id) -> None:
         kind = fields[0]
         if kind == "DOC":
-            self._docs[DocumentId.parse(fields[1])] = DocumentKind(fields[2])
+            self._docs[parse_id(fields[1])] = DocumentKind(fields[2])
         elif kind == "SCHEMA":
             constraints = {}
             for part in fields[3:]:
@@ -761,11 +806,11 @@ class MemoryBackend:
                 constraints[prop] = Constraint.from_text(type_tag, arity)
             self._schemas[fields[1]] = (Schema(fields[1], constraints), int(fields[2]))
         elif kind == "ENFORCE":
-            self._enforcement.setdefault(DocumentId.parse(fields[1]), {})[fields[3]] = int(fields[2])
+            self._enforcement.setdefault(parse_id(fields[1]), {})[fields[3]] = int(fields[2])
         elif kind == "ASSIGN":
-            self._assignments.setdefault(DocumentId.parse(fields[1]), {})[fields[2]] = int(fields[3])
+            self._assignments.setdefault(parse_id(fields[1]), {})[sys.intern(fields[2])] = int(fields[3])
         elif kind == "MEMBER":
-            self._members.setdefault(DocumentId.parse(fields[1]), set()).add(DocumentId.parse(fields[2]))
+            self._members.setdefault(parse_id(fields[1]), set()).add(parse_id(fields[2]))
         else:
             raise CorruptStore(f"unknown metadata record kind {kind!r}")
 
