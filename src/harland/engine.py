@@ -967,6 +967,9 @@ class Repository:
                 "cache_misses": self._misses,
                 "evictions": self._evictions,
                 "flushes": self._flushes,
+                "backend_batches": self.backend.batch_count,
+                "backend_scans": self.backend.scan_count,
+                "encoded_blocks": self.backend.encoded_blocks,
             }
 
     def _check_open(self) -> None:

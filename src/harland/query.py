@@ -26,6 +26,8 @@ from typing import Iterator, Optional
 
 from harland.errors import UnknownCollection, UnknownSchema
 from harland.model import (
+    BOOLEAN,
+    BYTES,
     ORDERED_TYPES,
     DocumentId,
     DocumentKind,
@@ -365,6 +367,10 @@ def leaf_matches(pred: QueryExpr, ctx: _DocContext) -> bool:
     raise TypeError(f"not a leaf predicate: {pred!r}")
 
 
+# the compare_values results that pass each range operator
+_PASSING_SIGNS = {CmpOp.LT: (-1,), CmpOp.LE: (-1, 0), CmpOp.GT: (1,), CmpOp.GE: (0, 1)}
+
+
 def bag_matches(pred: QueryExpr, values: tuple[Value, ...]) -> bool:
     """Whether one property's value bag passes an Exists, Cardinality or Cmp
     leaf. Order within the bag does not matter; an empty bag never passes."""
@@ -384,18 +390,11 @@ def bag_matches(pred: QueryExpr, values: tuple[Value, ...]) -> bool:
             if v.vtype is lit.vtype and v != lit:
                 return True
         return False
-    if lit.vtype not in ORDERED_TYPES:
+    if lit.vtype is BOOLEAN or lit.vtype is BYTES:  # unordered types
         return False
+    signs = _PASSING_SIGNS[op]
     for v in values:
-        if v.vtype is not lit.vtype:
-            continue
-        c = compare_values(v, lit)
-        if (
-            (op is CmpOp.LT and c < 0)
-            or (op is CmpOp.LE and c <= 0)
-            or (op is CmpOp.GT and c > 0)
-            or (op is CmpOp.GE and c >= 0)
-        ):
+        if v.vtype is lit.vtype and compare_values(v, lit) in signs:
             return True
     return False
 

@@ -23,17 +23,24 @@ content/<doc-id> files under the store root.
 
 Every section except SCHEMA is document-major in sorted id order (MEMBER by
 collection), so the body is a join of per-document record blocks. A backend
-keeps each block it has encoded together with its CRC32C, and a batch drops
-the blocks of the documents it touches, so a write encodes and checksums
-only what it changed. END folds the cached CRCs with crc32c_combine, over
-groups of the documents whose ids share a quotient by _GROUP (32); dropping
-a block drops its group's CRC too, so a group's CRC is kept only while no
-document in it has changed, arrived or left. The caches fill on the first
-encode; opening a store builds none.
+keeps each block with its CRC32C, and a batch drops the blocks of the
+documents it touches, so a write encodes and checksums only what it changed.
+Each section orders its ids in a sorted list of chunks, runs of about
+_CHUNK (32) consecutive ids, and a chunk keeps the (CRC, length) of its
+joined blocks until one of its documents changes, arrives or leaves; END
+folds the chunk CRCs with crc32c_combine, so a write never sorts a section.
+
+Opening a store seeds the same cache from the bytes it has just read: each
+document's run of lines is its block, each chunk's span is checksummed once,
+and END is verified by folding those CRCs with the CRCs of the gaps between
+chunks. A section whose runs are out of order, repeat a document or hold a
+duplicate record loads unseeded, and its first encode builds it canonically.
+A backend that never encodes and never opens a file builds no cache.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import io
 import itertools
@@ -234,7 +241,7 @@ def decode_value(text: str) -> Value:
             return Value.boolean(body == "true")
         if t is ValueType.TIMESTAMP:
             return Value.timestamp_text(body)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp offset past year 1 or 9999
         raise CorruptStore(f"malformed value encoding {text!r}: {exc}") from exc
     raise CorruptStore(f"unknown value tag {tag!r}")  # pragma: no cover
 
@@ -384,6 +391,7 @@ class MemoryBackend:
         self.fetch_count = 0
         self.batch_count = 0
         self.scan_count = 0
+        self.encoded_blocks = 0  # record blocks encoded from the tables, not taken from the cache
         self.fail_next_persist = False
 
     # ---- batches ----
@@ -612,14 +620,16 @@ class MemoryBackend:
                 self._stale(touched)
                 self._persist()
             except BaseException:
-                self._stale(touched)
                 if old_ref is None:
                     self._content.pop(doc_id, None)
                     self._blobs.pop(doc_id, None)
-                    self._remove_blob_file(doc_id)
                 else:
                     self._content[doc_id] = old_ref
                     self._blobs[doc_id] = old_blob
+                self._stale(touched)  # after the table is restored: it files the id by the table
+                if old_ref is None:
+                    self._remove_blob_file(doc_id)
+                else:
                     self._persist_blob(doc_id, old_blob)
                 raise
             return ref
@@ -676,13 +686,14 @@ class MemoryBackend:
     # ---- checkpoint codec ----
 
     def _stale(self, touched: Iterable[tuple]) -> None:
-        """Drops the cached encoding of each (section, document or schema name) pair."""
+        """Drops the cached encoding of each (section, document or schema name)
+        pair, and files the document in or out of its section's chunks by
+        whether the section's table now holds it."""
         for name, key in touched:
             section = self._sections[name]
             section.joined = None
             if isinstance(key, DocumentId):
-                section.blocks.pop(key.value, None)
-                section.groups.pop(key.value // _GROUP, None)
+                section.drop(key.value, key in getattr(self, _DOC_SECTIONS[name][0]))
 
     def _encode_checkpoint(self) -> bytes:
         """The checkpoint bytes, joined from cached record blocks; only the
@@ -703,9 +714,9 @@ class MemoryBackend:
     def _encode_section(self, name: str, header: bytes, section: "_Section") -> tuple[list[bytes], int, int]:
         """(blocks, CRC, length) of one section, its header first.
 
-        Keys go in sorted order, grouped by id // _GROUP; a group whose CRC
-        is still cached is unchanged since it was folded, so its blocks are
-        all cached too.
+        Chunks go in order; a chunk whose CRC is still set is unchanged since
+        it was folded or seeded, so its blocks are all cached too. A chunk
+        without one encodes its missing blocks and folds its block CRCs.
         """
         if name == "schema":
             block = "".join(
@@ -715,32 +726,42 @@ class MemoryBackend:
             return [block], crc32c(block), len(block)
         table_name, encode = _DOC_SECTIONS[name]
         table = getattr(self, table_name)
-        blocks, groups = section.blocks, section.groups
-        values = sorted(doc_id.value for doc_id in table)
+        blocks, crcs = section.blocks, section.crcs
+        if section.chunks is None:
+            keys = sorted(doc_id.value for doc_id in table)
+            section.chunks = [_Chunk(keys[i : i + _CHUNK]) for i in range(0, len(keys), _CHUNK)]
         parts = [header]
         crc, length = crc32c(header), len(header)
-        for bucket, members in itertools.groupby(values, key=lambda value: value // _GROUP):
-            group = groups.get(bucket)
-            if group is not None:
-                parts += [blocks[value][0] for value in members]
-            else:
-                group_crc = group_length = 0
-                for value in members:
-                    entry = blocks.get(value)
-                    if entry is None:
+        for chunk in section.chunks:
+            if chunk.crc is None:
+                chunk_crc = chunk_length = 0
+                for value in chunk.keys:
+                    data = blocks.get(value)
+                    if data is None:
                         doc_id = DocumentId(value)
-                        data = encode(str(doc_id), table[doc_id]).encode("utf-8")
-                        entry = blocks[value] = (data, crc32c(data))
-                    data, block_crc = entry
-                    parts.append(data)
-                    group_crc = crc32c_combine(group_crc, block_crc, len(data))
-                    group_length += len(data)
-                group = groups[bucket] = (group_crc, group_length)
-            crc = crc32c_combine(crc, *group)
-            length += group[1]
+                        data = blocks[value] = encode(str(doc_id), table[doc_id]).encode("utf-8")
+                        self.encoded_blocks += 1
+                    block_crc = crcs.get(value)
+                    if block_crc is None:
+                        block_crc = crcs[value] = crc32c(data)
+                    chunk_crc = crc32c_combine(chunk_crc, block_crc, len(data))
+                    chunk_length += len(data)
+                chunk.crc, chunk.length = chunk_crc, chunk_length
+            parts += [blocks[value] for value in chunk.keys]
+            crc = crc32c_combine(crc, chunk.crc, chunk.length)
+            length += chunk.length
         return parts, crc, length
 
     def _load_checkpoint(self, data: bytes) -> None:
+        """Decodes a checkpoint into the tables, seeds the block cache from
+        its bytes and checks END; corrupt input raises CorruptStore.
+
+        A document section is seeded when its lines are contiguous and its
+        runs of lines, one per document, arrive in strictly increasing id
+        order with one record per line. Every body byte is checksummed once:
+        each seeded chunk's span, and each gap between them (headers, SCHEMA
+        lines, unseeded sections); END must equal the fold of those CRCs.
+        """
         try:
             idx = data.rindex(b"\nEND ")
         except ValueError:
@@ -752,13 +773,12 @@ class MemoryBackend:
             stated = int(trailer[4:-1])
         except ValueError:
             raise CorruptStore("malformed END trailer") from None
-        if crc32c(memoryview(data)[: idx + 1]) != stated:
-            raise CorruptStore("checksum mismatch")
+        body_end = idx + 1
         # one line at a time: a list of every line would hold the file twice over
-        lines = itertools.islice(io.BytesIO(data), data.count(b"\n", 0, idx + 1))
-        if next(lines, b"") != f"{MAGIC}\n".encode("ascii"):
+        lines = itertools.islice(io.BytesIO(data), data.count(b"\n", 0, body_end))
+        first = next(lines, b"")
+        if first != f"{MAGIC}\n".encode("ascii"):
             raise CorruptStore("bad magic")
-        section = None
         # one object per distinct document id and per distinct value, however
         # many records name it
         ids: dict[str, DocumentId] = {}
@@ -770,49 +790,111 @@ class MemoryBackend:
                 doc_id = ids[text] = DocumentId.parse(text)
             return doc_id
 
+        # per document section: (id value, offset of its first line) for each run of lines
+        runs: dict[str, list[tuple[int, int]]] = {name: [] for name in _DOC_SECTIONS}
+        ends: dict[str, int] = {}  # section -> offset just past its last line so far
+        unseeded: set[str] = set()
+        marker = current = run_text = None
+        pos = len(first)
         try:
             for raw in lines:
                 line = raw.decode("utf-8")[:-1]
                 if line in ("PROPS", "META", "CONTENT"):
-                    section = line
+                    marker = line
+                    pos += len(raw)
                     continue
-                fields = [unescape_field(f) for f in line.split("\t")]
-                if section == "PROPS":
-                    doc_id = parse_id(fields[0])
+                fields = line.split("\t")
+                if "\\" in line:
+                    fields = [unescape_field(f) for f in fields]
+                if marker == "PROPS":
+                    name, id_text = "props", fields[0]
+                    doc_id = parse_id(id_text)
                     value = values.get(fields[3])
                     if value is None:
                         value = values[fields[3]] = decode_value(fields[3])
                     row = PropertyRow(doc_id, int(fields[1]), sys.intern(fields[2]), value, int(fields[4]))
                     self._rows.setdefault(doc_id, {})[row.key()[1:]] = row
-                elif section == "META":
-                    self._load_meta_record(fields, parse_id)
-                elif section == "CONTENT":
-                    doc_id = parse_id(fields[0])
+                elif marker == "META":
+                    name, id_text = self._load_meta_record(fields, parse_id)
+                elif marker == "CONTENT":
+                    name, id_text = "content", fields[0]
+                    doc_id = parse_id(id_text)
                     tokens = frozenset(fields[2].split(" ")) if fields[2] else frozenset()
                     self._content[doc_id] = ContentRef(doc_id, int(fields[1]), tokens)
                 else:
                     raise CorruptStore(f"record outside any section: {line!r}")
-        except (IndexError, ValueError) as exc:
+                if id_text != run_text or name != current:  # a new run
+                    current, run_text = name, id_text
+                    if id_text is not None:  # SCHEMA lines have no id and make no run
+                        section_runs = runs[name]
+                        id_value = ids[id_text].value
+                        if section_runs and id_value <= section_runs[-1][0]:
+                            unseeded.add(name)
+                        section_runs.append((id_value, pos))
+                pos += len(raw)
+                ends[name] = pos
+        except (IndexError, ValueError, OverflowError) as exc:
             raise CorruptStore(f"malformed record: {exc}") from exc
+        spans = self._seed_sections(data, runs, ends, unseeded)
+        crc = pos = 0
+        view = memoryview(data)
+        for start, chunk in sorted(spans, key=lambda span: span[0]):
+            if start > pos:
+                crc = crc32c_combine(crc, crc32c(view[pos:start]), start - pos)
+            chunk.crc = crc32c(view[start : start + chunk.length])
+            crc = crc32c_combine(crc, chunk.crc, chunk.length)
+            pos = start + chunk.length
+        crc = crc32c_combine(crc, crc32c(view[pos:body_end]), body_end - pos)
+        if crc != stated:
+            raise CorruptStore("checksum mismatch")
 
-    def _load_meta_record(self, fields: list[str], parse_id) -> None:
+    def _seed_sections(self, data: bytes, runs: dict, ends: dict, unseeded: set) -> list[tuple[int, "_Chunk"]]:
+        """Keeps each run of lines of every seedable section as its document's
+        block, and chunks the runs; returns (offset, chunk) for every chunk,
+        whose CRC the caller fills in."""
+        spans = []
+        for name, section_runs in runs.items():
+            table = getattr(self, _DOC_SECTIONS[name][0])
+            records = len(table) if name in ("doc", "content") else sum(map(len, table.values()))
+            bounds = [start for _, start in section_runs] + [ends.get(name, 0)]
+            # more lines than records: a duplicate record, or other lines inside the section
+            if name in unseeded or (section_runs and records != data.count(b"\n", bounds[0], bounds[-1])):
+                continue  # the first encode builds it from the table
+            section = self._sections[name]
+            keys = [value for value, _ in section_runs]
+            section.blocks = {value: data[bounds[i] : bounds[i + 1]] for i, value in enumerate(keys)}
+            section.chunks = []
+            for i in range(0, len(keys), _CHUNK):
+                chunk = _Chunk(keys[i : i + _CHUNK])
+                chunk.length = bounds[min(i + _CHUNK, len(keys))] - bounds[i]
+                section.chunks.append(chunk)
+                spans.append((bounds[i], chunk))
+        return spans
+
+    def _load_meta_record(self, fields: list[str], parse_id) -> tuple[str, Optional[str]]:
+        """Loads one META record; returns its section and the id text its
+        section is ordered by (None for SCHEMA)."""
         kind = fields[0]
         if kind == "DOC":
             self._docs[parse_id(fields[1])] = DocumentKind(fields[2])
-        elif kind == "SCHEMA":
+            return "doc", fields[1]
+        if kind == "SCHEMA":
             constraints = {}
             for part in fields[3:]:
                 prop, type_tag, arity = part.rsplit(":", 2)
                 constraints[prop] = Constraint.from_text(type_tag, arity)
             self._schemas[fields[1]] = (Schema(fields[1], constraints), int(fields[2]))
-        elif kind == "ENFORCE":
+            return "schema", None
+        if kind == "ENFORCE":
             self._enforcement.setdefault(parse_id(fields[1]), {})[fields[3]] = int(fields[2])
-        elif kind == "ASSIGN":
+            return "enforce", fields[1]
+        if kind == "ASSIGN":
             self._assignments.setdefault(parse_id(fields[1]), {})[sys.intern(fields[2])] = int(fields[3])
-        elif kind == "MEMBER":
+            return "assign", fields[1]
+        if kind == "MEMBER":
             self._members.setdefault(parse_id(fields[1]), set()).add(parse_id(fields[2]))
-        else:
-            raise CorruptStore(f"unknown metadata record kind {kind!r}")
+            return "member", fields[1]
+        raise CorruptStore(f"unknown metadata record kind {kind!r}")
 
     # ---- checkpoint to / open from a store root directory ----
 
@@ -863,14 +945,65 @@ def schema_record(schema: Schema, slice_id: int) -> str:
 # ---- cached checkpoint encoding ----
 
 class _Section:
-    """Cached encoding of one checkpoint section, built on the first encode."""
+    """Cached encoding of one checkpoint section.
 
-    __slots__ = ("blocks", "groups", "joined")
+    For a document section: each document's record block and, once computed,
+    its CRC32C, and the sorted chunks that order them. Filled by open or by
+    the first encode."""
+
+    __slots__ = ("blocks", "crcs", "chunks", "joined")
 
     def __init__(self):
-        self.blocks: dict = {}  # document id value -> (record block bytes, crc32c)
-        self.groups: dict = {}  # document id value // _GROUP -> (crc32c, length) of its blocks
+        self.blocks: dict[int, bytes] = {}  # document id value -> record block
+        self.crcs: dict[int, int] = {}  # document id value -> crc32c of its block, once computed
+        self.chunks: Optional[list[_Chunk]] = None  # every id of the section's table, in order
         self.joined: Optional[tuple[list[bytes], int, int]] = None  # while nothing changed
+
+    def drop(self, value: int, present: bool) -> None:
+        """Forgets value's block, files value in or out of the chunks by
+        present, and clears the CRC of the chunk that holds or would hold it."""
+        self.blocks.pop(value, None)
+        self.crcs.pop(value, None)
+        chunks = self.chunks
+        if chunks is None:
+            return
+        i = max(bisect.bisect_right(chunks, value, key=_first_key) - 1, 0)
+        if i == len(chunks):
+            if present:
+                chunks.append(_Chunk([value]))
+            return
+        chunk = chunks[i]
+        keys = chunk.keys
+        j = bisect.bisect_left(keys, value)
+        held = j < len(keys) and keys[j] == value
+        if present and not held:
+            keys.insert(j, value)
+            if len(keys) > 2 * _CHUNK:
+                chunks.insert(i + 1, _Chunk(keys[_CHUNK:]))
+                del keys[_CHUNK:]
+        elif held and not present:
+            del keys[j]
+            if not keys:
+                del chunks[i]
+        elif not held:
+            return  # neither held nor stored: nothing to fold again
+        chunk.crc = None
+
+
+class _Chunk:
+    """A run of consecutive ids of one section, in order, with the (CRC32C,
+    length) of their joined blocks while none of them changed, arrived or left."""
+
+    __slots__ = ("keys", "crc", "length")
+
+    def __init__(self, keys: list[int]):
+        self.keys = keys
+        self.crc: Optional[int] = None
+        self.length = 0
+
+
+def _first_key(chunk: _Chunk) -> int:
+    return chunk.keys[0]
 
 
 def _props_block(doc: str, rows: dict) -> str:
@@ -922,7 +1055,7 @@ _DOC_SECTIONS = {
     "member": ("_members", _member_block),
     "content": ("_content", _content_block),
 }
-_GROUP = 32
+_CHUNK = 32  # target ids per chunk; a chunk splits past twice this
 
 
 def _make_dirs(path: Path) -> None:
@@ -946,8 +1079,9 @@ class DiskBackend(MemoryBackend):
     reopen after a crash sees exactly the committed batches.
 
     The file is written whole, but only the records the batch changed are
-    encoded and checksummed again; the rest come from the block cache.
-    There is no fsync."""
+    encoded and checksummed again; the rest come from the block cache,
+    which open seeds from the bytes it checked, so the first write after
+    open costs what it changes too. There is no fsync."""
 
     def __init__(self, root: Path):
         super().__init__()

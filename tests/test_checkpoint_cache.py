@@ -5,17 +5,22 @@ docstring: it sorts every record of a shadow model of the store and
 checksums the body one byte at a time. A DiskBackend is driven through
 random batches, failed ones included, and after every step its checkpoint
 file must equal the reference bytes; a MemoryBackend, which encodes only
-when asked for a checkpoint, is checked after every few steps.
+when asked for a checkpoint, is checked after every few steps. Opening a
+store seeds the cache from the bytes it read, so each check also encodes
+the reopened store cold, from its decoded tables alone, and a DiskBackend
+writer now and then carries on with the seeded backend of a reopen.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 import pytest
 
-from harland import store
-from harland.engine import Repository
+from harland import cli, store
+from harland.engine import CacheConfig, Repository
 from harland.errors import CorruptStore, StorageFailure
 from harland.model import Constraint, DocumentId, DocumentKind, Schema, Value
 from harland.store import (
@@ -133,6 +138,13 @@ class Shadow:
         return body + f"END {reference_crc32c(body)}\n".encode("ascii")
 
 
+def cold_encode(backend) -> bytes:
+    """The checkpoint encoded from the backend's tables alone, with no cached
+    block, chunk or CRC, as a backend that never opened a file encodes it."""
+    backend._sections = {name: store._Section() for name, _ in store._LAYOUT}
+    return backend._encode_checkpoint()
+
+
 # ---- the CRC32C kernel and combine ----
 
 def test_crc32c_matches_bytewise_reference():
@@ -182,8 +194,10 @@ class RandomWriter:
     A DiskBackend writes its checkpoint on every batch; a MemoryBackend
     (`memory=True`) only when check() asks it for one."""
 
-    def __init__(self, rng: random.Random, root, monkeypatch, memory: bool = False):
+    def __init__(self, rng: random.Random, root, monkeypatch, memory: bool = False, random_ids: bool = False):
         self.rng = rng
+        self.random_ids = random_ids
+        self.checks = 0
         self.root = root
         self.monkeypatch = monkeypatch
         self.backend_class = MemoryBackend if memory else DiskBackend
@@ -195,10 +209,10 @@ class RandomWriter:
 
     def _new_id(self) -> DocumentId:
         while True:
-            pick = self.rng.random()
-            if pick < 0.25:  # the first id of a group of 32
+            pick = 1.0 if self.random_ids else self.rng.random()
+            if pick < 0.25:  # ids divisible by 32
                 doc_id = DocumentId((5 << 64) | 32 * self.rng.randrange(25))
-            elif pick < 0.8:  # dense ids: several groups per section
+            elif pick < 0.8:  # dense ids: several chunks per section
                 doc_id = DocumentId((5 << 64) | self.rng.randrange(800))
             else:
                 doc_id = DocumentId(self.rng.randrange(2**128))
@@ -339,7 +353,13 @@ class RandomWriter:
         on_disk = (self.root / CHECKPOINT_NAME).read_bytes()
         assert on_disk == self.shadow.encode()
         assert self.backend._encode_checkpoint() == on_disk
-        assert self.backend_class.open(self.root)._encode_checkpoint() == on_disk
+        reopened = self.backend_class.open(self.root)
+        assert all(reopened._sections[name].chunks is not None for name in store._DOC_SECTIONS)
+        assert reopened._encode_checkpoint() == on_disk
+        assert cold_encode(self.backend_class.open(self.root)) == on_disk
+        self.checks += 1
+        if self.backend_class is DiskBackend and self.checks % 4 == 0:
+            self.backend = reopened  # later batches edit seeded chunks
         body = on_disk[: on_disk.rindex(b"END ")]
         for _ in range(3):
             k = self.rng.randrange(len(body) + 1)
@@ -353,12 +373,22 @@ def test_random_batches_match_reference_encoder(tmp_path, monkeypatch, seed):
     for _ in range(220):
         writer.step()
         writer.check()
-    assert len(writer.shadow.docs) > 40  # enough documents for several groups
+    assert len(writer.shadow.docs) > 40  # enough documents for several chunks
+
+
+def test_random_id_batches_match_reference_encoder(tmp_path, monkeypatch):
+    """Every id random: each chunk spans ids far apart, none shares a quotient by 32."""
+    writer = RandomWriter(random.Random(7), tmp_path / "store", monkeypatch, random_ids=True)
+    writer.check()
+    for _ in range(300):
+        writer.step()
+        writer.check()
+    assert len(writer.shadow.docs) > 40
 
 
 @pytest.mark.parametrize("seed,every", [(3, 2), (6, 5)])
 def test_memory_backend_checkpoints_match_reference_encoder(tmp_path, monkeypatch, seed, every):
-    """Several batches between encodes: a group can lose and gain documents
+    """Several batches between encodes: a chunk can lose and gain documents
     between two checkpoints and keep its size."""
     writer = RandomWriter(random.Random(seed), tmp_path / "store", monkeypatch, memory=True)
     writer.check()
@@ -384,13 +414,37 @@ def test_group_that_keeps_its_size_across_two_deletes(tmp_path):
 
 
 def test_open_and_memory_backends_build_no_caches(tmp_path):
+    """Open seeds every document section from the bytes it read, so its first
+    write encodes only the changed document's block; an in-memory repository,
+    which never encodes, builds no cache."""
     root = tmp_path / "store"
     with Repository.init(root) as repo:
-        repo.create_document().set_property("Subject", [Value.text("x")])
-    backend = DiskBackend.open(root)
-    assert all(not s.blocks and s.joined is None for s in backend._sections.values())
-    backend._encode_checkpoint()
-    assert any(s.blocks for s in backend._sections.values())
+        repo.define_schema(Schema("note", {"Subject": Constraint.from_text("text", "0..1")}))
+        collection = repo.create_document(DocumentKind.COLLECTION)
+        for i in range(70):
+            handle = repo.create_document(DocumentKind.CONTENT if i % 7 == 0 else DocumentKind.PLAIN)
+            handle.set_property("Subject", [Value.text(f"s{i}")])
+            handle.enforce("note")
+            collection.add_member(handle)
+            if i % 7 == 0:
+                handle.put_content(b"alpha beta")
+        target = repo.document_ids()[35]
+    with Repository.open(root, CacheConfig(auto_flush=False)) as repo:
+        sections = repo.backend._sections
+        assert all(sections[name].chunks for name in store._DOC_SECTIONS)
+        assert {name: len(s.blocks) for name, s in sections.items()} == {
+            "props": 70, "doc": 71, "schema": 0, "enforce": 70, "assign": 70, "member": 1, "content": 10,
+        }
+        handle = repo.get_document(target)
+        handle.set_property("Subject", [Value.text("changed")])
+        repo.flush()
+        assert repo.stats()["encoded_blocks"] == 1
+        assert repo.stats()["backend_batches"] == 1
+        handle.unenforce("note")
+        repo.flush()
+        assert repo.stats()["encoded_blocks"] == 2
+        on_disk = (root / CHECKPOINT_NAME).read_bytes()
+        assert cold_encode(DiskBackend.open(root)) == on_disk
 
     repo = Repository.in_memory()
     for _ in range(20):
@@ -406,5 +460,170 @@ def test_body_that_is_not_utf8_is_a_corrupt_store(tmp_path):
     root = tmp_path / "store"
     root.mkdir()
     (root / CHECKPOINT_NAME).write_bytes(body + f"END {crc32c(body)}\n".encode("ascii"))
+    with pytest.raises(CorruptStore):
+        DiskBackend.open(root)
+
+
+def test_chunks_split_past_twice_their_size_and_go_when_empty():
+    backend, shadow = MemoryBackend(), Shadow()
+
+    def batch(meta=(), deleted=()):
+        backend.put_rows(meta=meta)
+        shadow.apply(meta=meta)
+        for doc_id in deleted:
+            backend.delete_document(doc_id)
+            shadow.delete(doc_id)
+        assert backend._encode_checkpoint() == shadow.encode()
+        return [len(chunk.keys) for chunk in backend._sections["doc"].chunks]
+
+    def docs(values):
+        return [DocumentRecord(DocumentId(value), DocumentKind.PLAIN) for value in values]
+
+    assert batch(docs(10_000 + 1_000 * i for i in range(40))) == [32, 8]
+    sizes = batch(docs(range(10_001, 10_071)))  # 70 more ids inside the first chunk
+    assert len(sizes) > 3 and max(sizes) <= 64 and sum(sizes) == 110
+    assert batch(deleted=[DocumentId(10_000 + 1_000 * i) for i in range(32, 40)]) == sizes[:-1]
+    assert batch(docs([5]))[0] == sizes[0] + 1  # below every id: the first chunk takes it
+    assert batch(deleted=list(shadow.docs)) == []
+    assert batch(docs([7])) == [1]
+
+
+def test_acceptance_store_encodes_cold_to_its_own_bytes(tmp_path):
+    """The store of acceptance 8, reopened with no cached encoding: its
+    tables alone encode to the file, so decode then encode is the identity."""
+    store_dir = str(tmp_path / "store")
+    blob = tmp_path / "receipt.bin"
+    blob.write_bytes("total 12,50 €\n".encode("utf-8") + b"\xff\x00tail")
+
+    def run(*argv: str) -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["--store", store_dir, "--seed", "11", *argv]) == 0, argv
+        return out.getvalue().strip()
+
+    run("init")
+    run("schema", "define", "note", "Title:text:1..1", "Tag:text:0..*", "Rank:float:0..1")
+    doc_a, doc_b, doc_c = run("create"), run("create", "--kind", "collection"), run("create", "--kind", "content")
+    run("set", doc_a, "Title", "fold the laundry")
+    run("add", doc_a, "Tag", "home", "home", "weekend")
+    run("set", doc_a, "Rank", "2.5")
+    run("enforce", doc_a, "note")
+    run("set", doc_c, "Title", "receipts march")
+    run("enforce", doc_c, "note")
+    run("members", "add", doc_b, doc_a)
+    run("members", "add", doc_b, doc_c)
+    run("content", "put", doc_c, str(blob))
+    run("flush")
+    on_disk = (tmp_path / "store" / CHECKPOINT_NAME).read_bytes()
+    assert cold_encode(DiskBackend.open(store_dir)) == on_disk
+    assert cold_encode(MemoryBackend.open(store_dir)) == on_disk
+
+
+def _build_store(root, count: int) -> bytes:
+    """A store of count documents whose records use every section and escape."""
+    rng = random.Random(count)
+    repo = Repository.in_memory(CacheConfig(max_docs=count + 1, auto_flush=False), id_seed=count)
+    repo.define_schema(Schema("note", {"Title": Constraint.from_text("text", "1..1")}))
+    collection = repo.create_document(DocumentKind.COLLECTION)
+    for i in range(count - 1):
+        handle = repo.create_document(DocumentKind.CONTENT if i % 9 == 0 else DocumentKind.PLAIN)
+        handle.set_property("Title", [Value.text(rng.choice(("a\tb", "line\nbreak", "back\\", "plain")))])
+        handle.set_property("n", [Value.integer(i), Value.timestamp(rng.randrange(10**12))])
+        if i % 2:
+            handle.enforce("note")
+        if i % 3:
+            collection.add_member(handle)
+        if i % 9 == 0:
+            handle.put_content(b"alpha beta")
+    repo.flush()
+    repo.backend.checkpoint(root)
+    repo.close()
+    return (root / CHECKPOINT_NAME).read_bytes()
+
+
+def test_flipped_or_truncated_checkpoint_is_a_corrupt_store(tmp_path):
+    root = tmp_path / "store"
+    data = _build_store(root, 200)
+    rng = random.Random(9)
+    damaged = []
+    for offset in rng.sample(range(len(data)), 200):
+        flipped = bytearray(data)
+        flipped[offset] ^= rng.randrange(1, 256)
+        damaged.append(bytes(flipped))
+    damaged += [data[:length] for length in rng.sample(range(len(data)), 50)]
+    for bad in damaged:
+        (root / CHECKPOINT_NAME).write_bytes(bad)
+        with pytest.raises(CorruptStore):
+            DiskBackend.open(root)
+
+
+def _with_crc(body_lines: list[bytes]) -> bytes:
+    body = b"".join(body_lines)
+    return body + f"END {crc32c(body)}\n".encode("ascii")
+
+
+def _move_first_run_to_end(lines: list[bytes], prefix: bytes) -> list[bytes]:
+    """Moves the first id's run of records starting with prefix past the
+    others: valid records, out of id order."""
+    at = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    doc = lines[at[0]][len(prefix) :].split(b"\t")[0]
+    run = [i for i in at if lines[i][len(prefix) :].split(b"\t")[0] == doc]
+    moved = [lines[i] for i in run]
+    kept = [line for i, line in enumerate(lines) if i not in run]
+    end = at[-1] - len(run) + 1
+    return kept[:end] + moved + kept[end:]
+
+
+def _duplicate_first(lines: list[bytes], prefix: bytes) -> list[bytes]:
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    return lines[: i + 1] + lines[i:]
+
+
+def _enforce_before_docs(lines: list[bytes]) -> list[bytes]:
+    """Moves the first ENFORCE record before the DOC records: ids still
+    increase, but the section's lines are split in two."""
+    i = min(i for i, line in enumerate(lines) if line.startswith(b"ENFORCE\t"))
+    first_doc = lines.index(b"META\n") + 1
+    return lines[:first_doc] + [lines[i]] + lines[first_doc:i] + lines[i + 1 :]
+
+
+def _within(lines: list[bytes], first: bytes, last, edit) -> list[bytes]:
+    """Applies edit to the records after the marker line first, up to last."""
+    lo = lines.index(first) + 1
+    hi = lines.index(last) if last else len(lines)
+    return lines[:lo] + edit(lines[lo:hi]) + lines[hi:]
+
+
+@pytest.mark.parametrize("section,edit", [
+    ("props", lambda lines: _within(lines, b"PROPS\n", b"META\n", lambda part: _move_first_run_to_end(part, b""))),
+    ("props", lambda lines: _within(lines, b"PROPS\n", b"META\n", lambda part: _duplicate_first(part, b""))),
+    ("doc", lambda lines: _duplicate_first(lines, b"DOC\t")),
+    ("doc", lambda lines: _move_first_run_to_end(lines, b"DOC\t")),
+    ("enforce", _enforce_before_docs),
+    ("assign", lambda lines: _move_first_run_to_end(lines, b"ASSIGN\t")),
+    ("member", lambda lines: _duplicate_first(lines, b"MEMBER\t")),
+    ("content", lambda lines: _within(lines, b"CONTENT\n", None, lambda part: _duplicate_first(part, b""))),
+])
+def test_out_of_order_or_duplicated_records_load_unseeded(tmp_path, section, edit):
+    root = tmp_path / "store"
+    canonical = _build_store(root, 40)
+    lines = canonical[: canonical.rindex(b"END ")].splitlines(keepends=True)
+    (root / CHECKPOINT_NAME).write_bytes(_with_crc(edit(lines)))
+    backend = DiskBackend.open(root)
+    assert backend._sections[section].chunks is None
+    assert all(backend._sections[name].chunks is not None for name in store._DOC_SECTIONS if name != section)
+    assert cold_encode(DiskBackend.open(root)) == canonical  # the same state, whatever the record order
+    backend.put_rows(meta=[DocumentRecord(DocumentId(12345), DocumentKind.PLAIN)])
+    assert (root / CHECKPOINT_NAME).read_bytes() == cold_encode(DiskBackend.open(root))
+
+
+def test_timestamp_beyond_the_calendar_is_a_corrupt_store(tmp_path):
+    """A CRC-valid record whose timestamp offset moves it before year 1."""
+    root = tmp_path / "store"
+    canonical = _build_store(root, 3)
+    lines = canonical[: canonical.rindex(b"END ")].splitlines(keepends=True)
+    doc = lines[2].split(b"\t")[0]
+    lines.insert(2, doc + b"\t0\tWhen\ttimestamp:0001-01-01T00:00:00+01:00\t0\n")
+    (root / CHECKPOINT_NAME).write_bytes(_with_crc(lines))
     with pytest.raises(CorruptStore):
         DiskBackend.open(root)

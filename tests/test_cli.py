@@ -36,6 +36,17 @@ def test_store_env_fallback(capsys, monkeypatch, tmp_path):
     assert "documents 0" in out
 
 
+def test_stats_prints_every_counter_in_sorted_order(capsys, tmp_path):
+    store = str(tmp_path / "s")
+    assert run(capsys, "--store", store, "init")[0] == 0
+    code, out, _ = run(capsys, "--store", store, "stats")
+    assert code == 0
+    assert [line.split(" ")[0] for line in out.splitlines()] == [
+        "backend_batches", "backend_fetches", "backend_scans", "cache_hits", "cache_misses",
+        "cached_documents", "documents", "encoded_blocks", "evictions", "flushes",
+    ]
+
+
 def test_violation_lines_and_exit_codes(capsys, tmp_path):
     store = str(tmp_path / "s")
     assert run(capsys, "--store", store, "init")[0] == 0
