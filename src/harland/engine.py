@@ -970,6 +970,7 @@ class Repository:
                 "backend_batches": self.backend.batch_count,
                 "backend_scans": self.backend.scan_count,
                 "encoded_blocks": self.backend.encoded_blocks,
+                "checksummed_bytes": self.backend.checksummed_bytes,
             }
 
     def _check_open(self) -> None:

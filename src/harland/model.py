@@ -146,24 +146,27 @@ class Value:
     # ---- identity ----
 
     def _key(self):
-        p = self.payload
-        if self.vtype is ValueType.FLOAT:
+        t, p = self.vtype, self.payload
+        if t is FLOAT:
             p = struct.pack(">d", p)
-        elif self.vtype is ValueType.BOOLEAN:
+        elif t is BOOLEAN:
             p = b"\x01" if p else b"\x00"
-        return (self.vtype.value, p)
+        return (t._value_, p)
 
     def __eq__(self, other):
         if not isinstance(other, Value):
             return NotImplemented
-        if self.vtype is not other.vtype:
+        t = self.vtype
+        if t is not other.vtype:
             return False
-        if self.vtype is ValueType.FLOAT:
-            return self._key() == other._key()
+        if t is FLOAT:
+            return struct.pack(">d", self.payload) == struct.pack(">d", other.payload)
         return self.payload == other.payload  # what _key() compares for every other type
 
     def __hash__(self):
-        return hash(self._key())
+        # equal values have equal payloads, so this agrees with __eq__
+        # without packing floats (-0.0 and 0.0 share a hash but not equality)
+        return hash((self.vtype._value_, self.payload))
 
     def __repr__(self):
         return f"Value({self.vtype.value}, {self.payload!r})"

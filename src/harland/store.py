@@ -33,9 +33,20 @@ folds the chunk CRCs with crc32c_combine, so a write never sorts a section.
 Opening a store seeds the same cache from the bytes it has just read: each
 document's run of lines is its block, each chunk's span is checksummed once,
 and END is verified by folding those CRCs with the CRCs of the gaps between
-chunks. A section whose runs are out of order, repeat a document or hold a
-duplicate record loads unseeded, and its first encode builds it canonically.
-A backend that never encodes and never opens a file builds no cache.
+chunks. A seeded block's own CRC is computed when its chunk is next folded,
+so the first write into a chunk after open checksums the chunk's other
+blocks once as well. A section whose runs are out of order, repeat a
+document or hold a duplicate record loads unseeded, and its first encode
+builds it canonically. A backend that never encodes and never opens a file
+builds no cache.
+
+The CRC32C kernel is bit-parallel. The CRC is linear over GF(2): from a zero
+register, each set message bit adds a fixed 32-bit term that depends only
+on its distance from the end of the block. So a 16 KB block, read as one
+big integer, folds into the register with 32 C-level ANDs and bit counts
+against masks built once per process (512 KB), one per register bit.
+Inputs shorter than about 48 bytes, where a fold's fixed cost dominates,
+take a loop over one 256-entry table instead.
 """
 
 from __future__ import annotations
@@ -45,7 +56,6 @@ import functools
 import io
 import itertools
 import os
-import struct
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -60,46 +70,25 @@ CHECKPOINT_NAME = "store.hl1"
 CONTENT_DIR = "content"
 
 
-# ---- CRC32C (Castagnoli): slicing-by-8 kernel and combine ----
+# ---- CRC32C (Castagnoli): bit-parallel kernel, table loop for short inputs, and combine ----
 
 _POLY = 0x82F63B78  # bit-reflected
+_BLOCK = 16384  # bytes per fold; each of the 32 fold masks has 8 * _BLOCK bits
+_SHORT = 48  # inputs and head fragments shorter than this take the table loop, which is faster there
 
 
-def _make_crc_tables() -> tuple[list[int], ...]:
-    """Table k maps a byte to the CRC register after it and k zero bytes."""
-    first = []
+def _make_crc_table() -> list[int]:
+    """Maps a byte to the CRC register after it, from a zero register."""
+    table = []
     for i in range(256):
         crc = i
         for _ in range(8):
             crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
-        first.append(crc)
-    tables = [first]
-    for _ in range(7):
-        tables.append([(c >> 8) ^ first[c & 0xFF] for c in tables[-1]])
-    return tuple(tables)
+        table.append(crc)
+    return table
 
 
-_CRC_TABLES = _make_crc_tables()
-
-
-def crc32c(data: bytes, value: int = 0) -> int:
-    """CRC32C of data, continuing from `value`, the CRC of the bytes before it.
-
-    Eight bytes per step, one lookup per byte in eight tables (slicing-by-8).
-    """
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
-    crc = value ^ 0xFFFFFFFF
-    view = memoryview(data)
-    n = len(view) & ~7
-    for lo, hi in struct.iter_unpack("<II", view[:n]):
-        lo ^= crc
-        crc = (
-            t7[lo & 0xFF] ^ t6[lo >> 8 & 0xFF] ^ t5[lo >> 16 & 0xFF] ^ t4[lo >> 24]
-            ^ t3[hi & 0xFF] ^ t2[hi >> 8 & 0xFF] ^ t1[hi >> 16 & 0xFF] ^ t0[hi >> 24]
-        )
-    for byte in view[n:]:
-        crc = (crc >> 8) ^ t0[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+_CRC_TABLE = _make_crc_table()
 
 
 def _make_nibble_table() -> list[int]:
@@ -162,6 +151,76 @@ def _x8n(n: int) -> int:
         n >>= 1
         k += 1
     return p
+
+
+@functools.cache
+def _fold_masks() -> tuple[int, ...]:
+    """The 32 fold masks, register bit 31 first; built on first use, once per process.
+
+    Read a block big-endian, and bit p of the integer is the message bit at
+    distance d = p ^ 7 from the block's end (bytes are read LSB first). From
+    a zero register, a set bit at distance d adds c_d = x^(d+32) mod P to the
+    final register, so mask j has bit p set when bit j of c_(p^7) is. The
+    first byte's eight c_d are shifted out one bit at a time; then the masks
+    double in length, since c_(d+L) = x^L * c_d, and x^L is a linear map of
+    the register: 32 columns of big-integer XORs per doubling, not a loop
+    over the bits.
+    """
+    c = [_POLY]  # c_0 = x^32 mod P
+    for _ in range(7):
+        c.append((c[-1] >> 1) ^ _POLY if c[-1] & 1 else c[-1] >> 1)  # times x
+    masks = [sum(1 << p for p in range(8) if c[p ^ 7] >> j & 1) for j in range(32)]
+    bits = 8
+    while bits < 8 * _BLOCK:
+        shift = _x8n(bits // 8)
+        moved = [0] * 32
+        for k, mask in enumerate(masks):
+            column = _multmodp(shift, 1 << k)  # x^L times register bit k
+            for j in range(32):
+                if column >> j & 1:
+                    moved[j] ^= mask
+        masks = [mask | high << bits for mask, high in zip(masks, moved)]
+        bits *= 2
+    return tuple(reversed(masks))
+
+
+def _fold(block: memoryview, crc: int) -> int:
+    """The CRC register after block (4 to _BLOCK bytes), from register crc.
+
+    A register's contribution equals XORing it into the block's first four
+    bytes, so the fold starts from zero: register bit j is the parity of the
+    block's bits under mask j, one big-integer AND and bit count each.
+    """
+    prefix = int.from_bytes(crc.to_bytes(4, "little"), "big")
+    a = int.from_bytes(block, "big") ^ prefix << (8 * len(block) - 32)
+    out = 0
+    for mask in _fold_masks():
+        out = out << 1 | (a & mask).bit_count() & 1
+    return out
+
+
+def crc32c(data: bytes, value: int = 0) -> int:
+    """CRC32C of data, continuing from `value`, the CRC of the bytes before it.
+
+    The CRC is linear over GF(2), so each 16 KB block folds in 32 C-level
+    big-integer ANDs and bit counts, one per register bit (see _fold_masks);
+    the head fragment of len(data) % _BLOCK bytes goes first. Inputs and
+    head fragments shorter than _SHORT bytes, where a fold's fixed cost
+    dominates, take a loop over one 256-entry table instead.
+    """
+    crc = value ^ 0xFFFFFFFF
+    view = memoryview(data)
+    n = len(view)
+    head = n % _BLOCK
+    if head < _SHORT:
+        table = _CRC_TABLE
+        for byte in view[:head]:
+            crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+    else:
+        crc = _fold(view[:head], crc)
+    for start in range(head, n, _BLOCK):
+        crc = _fold(view[start : start + _BLOCK], crc)
+    return crc ^ 0xFFFFFFFF
 
 
 def crc32c_combine(crc_a: int, crc_b: int, len_b: int) -> int:
@@ -392,6 +451,7 @@ class MemoryBackend:
         self.batch_count = 0
         self.scan_count = 0
         self.encoded_blocks = 0  # record blocks encoded from the tables, not taken from the cache
+        self.checksummed_bytes = 0  # bytes passed to crc32c, by open and by encodes
         self.fail_next_persist = False
 
     # ---- batches ----
@@ -723,7 +783,7 @@ class MemoryBackend:
                 schema_record(schema, slice_id) + "\n"
                 for schema, slice_id in sorted(self._schemas.values(), key=lambda pair: pair[1])
             ).encode("utf-8")
-            return [block], crc32c(block), len(block)
+            return [block], self._checksum(block), len(block)
         table_name, encode = _DOC_SECTIONS[name]
         table = getattr(self, table_name)
         blocks, crcs = section.blocks, section.crcs
@@ -731,7 +791,7 @@ class MemoryBackend:
             keys = sorted(doc_id.value for doc_id in table)
             section.chunks = [_Chunk(keys[i : i + _CHUNK]) for i in range(0, len(keys), _CHUNK)]
         parts = [header]
-        crc, length = crc32c(header), len(header)
+        crc, length = _HEADER_CRCS[name], len(header)
         for chunk in section.chunks:
             if chunk.crc is None:
                 chunk_crc = chunk_length = 0
@@ -743,7 +803,7 @@ class MemoryBackend:
                         self.encoded_blocks += 1
                     block_crc = crcs.get(value)
                     if block_crc is None:
-                        block_crc = crcs[value] = crc32c(data)
+                        block_crc = crcs[value] = self._checksum(data)
                     chunk_crc = crc32c_combine(chunk_crc, block_crc, len(data))
                     chunk_length += len(data)
                 chunk.crc, chunk.length = chunk_crc, chunk_length
@@ -751,6 +811,11 @@ class MemoryBackend:
             crc = crc32c_combine(crc, chunk.crc, chunk.length)
             length += chunk.length
         return parts, crc, length
+
+    def _checksum(self, data) -> int:
+        """crc32c of data, counted in checksummed_bytes."""
+        self.checksummed_bytes += len(data)
+        return crc32c(data)
 
     def _load_checkpoint(self, data: bytes) -> None:
         """Decodes a checkpoint into the tables, seeds the block cache from
@@ -840,11 +905,11 @@ class MemoryBackend:
         view = memoryview(data)
         for start, chunk in sorted(spans, key=lambda span: span[0]):
             if start > pos:
-                crc = crc32c_combine(crc, crc32c(view[pos:start]), start - pos)
-            chunk.crc = crc32c(view[start : start + chunk.length])
+                crc = crc32c_combine(crc, self._checksum(view[pos:start]), start - pos)
+            chunk.crc = self._checksum(view[start : start + chunk.length])
             crc = crc32c_combine(crc, chunk.crc, chunk.length)
             pos = start + chunk.length
-        crc = crc32c_combine(crc, crc32c(view[pos:body_end]), body_end - pos)
+        crc = crc32c_combine(crc, self._checksum(view[pos:body_end]), body_end - pos)
         if crc != stated:
             raise CorruptStore("checksum mismatch")
 
@@ -1046,6 +1111,7 @@ _LAYOUT = (
     ("member", b""),
     ("content", b"CONTENT\n"),
 )
+_HEADER_CRCS = {name: crc32c(header) for name, header in _LAYOUT}
 # the sections made of per-document blocks: the backend table each reads, and its block encoder
 _DOC_SECTIONS = {
     "props": ("_rows", _props_block),

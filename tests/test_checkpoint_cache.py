@@ -167,6 +167,25 @@ def test_crc32c_combine_matches_crc_of_joined_bytes():
     assert crc32c_combine(crc32c(b"abc"), 0, 0) == crc32c(b"abc")
 
 
+
+def test_crc32c_kernel_edges_match_bytewise_reference():
+    """Lengths around the table loop's threshold and the fold's block size,
+    continuation values, and the buffers the loader passes (offset views)."""
+    assert crc32c(b"123456789") == 0xE3069283
+    rng = random.Random(9)
+    short, block = store._SHORT, store._BLOCK
+    lengths = [short + k for k in range(-2, 3)]
+    lengths += [block - 1, block, block + 1, block + short, 2 * block, 3 * block + 7]
+    for n in lengths:
+        data = rng.randbytes(n)
+        padded = rng.randbytes(5) + data + rng.randbytes(3)
+        value = rng.randrange(2**32)
+        expected = reference_crc32c(data)
+        continued = reference_crc32c(data, value)
+        for form in (data, bytearray(data), memoryview(padded)[5 : 5 + n]):
+            assert crc32c(form) == expected, n
+            assert crc32c(form, value) == continued, n
+
 # ---- random batches against the reference encoder ----
 
 SCHEMA_TYPES = (("text", "0..*"), ("integer", "0..1"), ("timestamp", "1..1"), ("boolean", "0..*"))
@@ -454,6 +473,45 @@ def test_open_and_memory_backends_build_no_caches(tmp_path):
     assert all(not s.blocks and s.joined is None for s in repo.backend._sections.values())
     repo.close()
 
+
+
+def test_open_checksums_the_body_once(tmp_path):
+    root = tmp_path / "store"
+    with Repository.init(root, id_seed=3) as repo:
+        repo.define_schema(Schema("note", {"Subject": Constraint.from_text("text", "0..1")}))
+        for i in range(100):
+            handle = repo.create_document()
+            handle.set_property("Subject", [Value.text(f"subject {i}")])
+            handle.enforce("note")
+    data = (root / CHECKPOINT_NAME).read_bytes()
+    with Repository.open(root) as repo:
+        assert repo.stats()["checksummed_bytes"] == data.rindex(b"\nEND ") + 1
+
+
+def test_write_after_open_checksums_only_what_it_changed(tmp_path):
+    """Open defers each seeded block's own CRC, so the first write into a
+    chunk checksums that chunk's other blocks once; after that a write
+    checksums only the blocks it changed."""
+    root = tmp_path / "store"
+    with Repository.init(root, id_seed=3) as repo:
+        for i in range(100):
+            repo.create_document().set_property("Subject", [Value.text(f"subject {i}")])
+        ids = repo.document_ids()
+    with Repository.open(root, CacheConfig(auto_flush=False)) as repo:
+        props = repo.backend._sections["props"]
+
+        def write(doc_id, text):
+            before = repo.stats()["checksummed_bytes"]
+            repo.get_document(doc_id).set_property("Subject", [Value.text(text)])
+            repo.flush()
+            return repo.stats()["checksummed_bytes"] - before
+
+        first, second = ids[40], ids[41]
+        chunk = next(c for c in props.chunks if first.value in c.keys)
+        assert second.value in chunk.keys
+        assert write(first, "changed") == sum(len(props.blocks[v]) for v in chunk.keys)
+        assert write(second, "changed too") == len(props.blocks[second.value])
+        assert write(first, "changed again") == len(props.blocks[first.value])
 
 def test_body_that_is_not_utf8_is_a_corrupt_store(tmp_path):
     body = f"{store.MAGIC}\nPROPS\n\xff\nMETA\nCONTENT\n".encode("latin-1")

@@ -43,7 +43,7 @@ def test_stats_prints_every_counter_in_sorted_order(capsys, tmp_path):
     assert code == 0
     assert [line.split(" ")[0] for line in out.splitlines()] == [
         "backend_batches", "backend_fetches", "backend_scans", "cache_hits", "cache_misses",
-        "cached_documents", "documents", "encoded_blocks", "evictions", "flushes",
+        "cached_documents", "checksummed_bytes", "documents", "encoded_blocks", "evictions", "flushes",
     ]
 
 

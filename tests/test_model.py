@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +74,31 @@ def test_float_equality_is_bitwise():
     assert Value.floating(1.5) == Value.floating(1.5)
     assert hash(Value.floating(2.5)) == hash(Value.floating(2.5))
 
+
+
+def test_equal_values_hash_equal():
+    floats = [0.0, -0.0, 5e-324, -5e-324, 1.5, -2.25, 1e300, math.inf, -math.inf]
+    floats += [struct.unpack(">d", bits)[0] for bits in (b"\x3f\xf0\x00\x00\x00\x00\x00\x01", b"\x7f\xef" + b"\xff" * 6)]
+    makers = [
+        (Value.text, ["", "a", "été"]),
+        (Value.integer, [0, 1, -1, 2**63 - 1]),
+        (Value.floating, floats),
+        (Value.boolean, [False, True]),
+        (Value.timestamp, [0, 1, MAY_2001_MS]),
+        (Value.binary, [b"", b"\x00", b"\x01"]),
+    ]
+    values = []
+    for make, payloads in makers:
+        for payload in payloads:
+            a, b = make(payload), make(copy.copy(payload))
+            assert a == b and hash(a) == hash(b)
+            values.append(a)
+    # every pair above differs: by type, by payload, or by float bits
+    assert len(set(values)) == len(values)
+    assert Value.floating(-0.0) != Value.floating(0.0)
+    assert Value.boolean(True) != Value.integer(1) and Value.boolean(False) != Value.integer(0)
+    assert {Value.boolean(True): "b"}.get(Value.integer(1)) is None
+    assert len({Value.floating(0.0), Value.floating(-0.0), Value.integer(0), Value.timestamp(0)}) == 4
 
 def test_cross_type_incomparable():
     assert compare_values(Value.integer(3), Value.text("3")) is None
