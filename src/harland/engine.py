@@ -41,7 +41,6 @@ import threading
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from harland.coordination import CommitHub, Subscription, SubscriptionMode
@@ -317,6 +316,9 @@ class Repository:
         self._content_tokens: dict[DocumentId, frozenset[str]] = {}
 
         self._cache: "OrderedDict[DocumentId, _IDoc]" = OrderedDict()
+        # the clean documents of the cache, in its order; eviction takes
+        # from the front and never walks past a dirty document
+        self._clean: "OrderedDict[DocumentId, None]" = OrderedDict()
         # every dirty document, in the order it first changed, plus any
         # flushed since by put_content; flush() walks this, not the cache
         self._dirty: dict[DocumentId, None] = {}
@@ -412,10 +414,13 @@ class Repository:
         idoc = self._cache.get(doc_id)
         if idoc is not None:
             self._cache.move_to_end(doc_id)
+            if doc_id in self._clean:
+                self._clean.move_to_end(doc_id)
             self._hits += 1
         else:
             self._misses += 1
             idoc = self._cache[doc_id] = _IDoc(doc_id, exists_in_store=True)
+            self._clean[doc_id] = None
         self._evict_if_needed(exclude=doc_id)
         return idoc
 
@@ -425,14 +430,39 @@ class Repository:
         if excess <= 0:
             return
         victims = []
-        for doc_id, idoc in self._cache.items():
-            if doc_id != exclude and not idoc.is_dirty():
+        for doc_id in self._clean:
+            if doc_id != exclude and not self._cache[doc_id].is_dirty():
                 victims.append(doc_id)
                 if len(victims) == excess:
                     break
         for doc_id in victims:
             del self._cache[doc_id]
+            del self._clean[doc_id]
         self._evictions += len(victims)
+
+    def _mark_dirty(self, doc_id: DocumentId) -> None:
+        self._dirty[doc_id] = None
+        self._clean.pop(doc_id, None)
+
+    def _file_clean(self, cleaned: Iterable[DocumentId]) -> None:
+        """Files cached documents that a flush left clean into the clean LRU,
+        at their place in the cache's order. Walks the cache back from its
+        most recent end to the oldest of them, and no further: the clean
+        documents met on the way are the clean LRU's tail, so they are taken
+        off it and put back in order together with the new ones."""
+        pending = {d for d in cleaned if d in self._cache and not self._cache[d].is_dirty()}
+        tail = []
+        for doc_id in reversed(self._cache):
+            if not pending:
+                break
+            if doc_id in pending:
+                pending.discard(doc_id)
+                tail.append(doc_id)
+            elif doc_id in self._clean:
+                tail.append(doc_id)
+        for doc_id in reversed(tail):
+            self._clean.pop(doc_id, None)
+            self._clean[doc_id] = None
 
     def _stored(self, doc_id: DocumentId) -> bool:
         """Whether a live document has a store record."""
@@ -481,7 +511,7 @@ class Repository:
         with self._lock:
             doc_id = self._ids.next_id(self._kinds.__contains__)
             self._cache[doc_id] = _IDoc(doc_id, exists_in_store=False)
-            self._dirty[doc_id] = None
+            self._mark_dirty(doc_id)
             # live only now that its image is cached
             self._kinds[doc_id] = kind
             self._assignments[doc_id] = {}
@@ -503,7 +533,7 @@ class Repository:
 
     def document_ids(self) -> list[DocumentId]:
         with self._lock:
-            return sorted(self._kinds, key=attrgetter("value"))
+            return sorted(self._kinds)
 
     def document_count(self) -> int:
         return len(self._kinds)
@@ -517,6 +547,7 @@ class Repository:
             if idoc.exists_in_store:
                 self.backend.delete_document(doc_id)
             self._cache.pop(doc_id, None)
+            self._clean.pop(doc_id, None)
             self._dirty.pop(doc_id, None)
             self._kinds.pop(doc_id, None)
             self._assignments.pop(doc_id, None)
@@ -586,7 +617,7 @@ class Repository:
             else:
                 slice_bags.pop(prop, None)
             idoc.dirty_slices.add(slice_id)
-            self._dirty[doc_id] = None
+            self._mark_dirty(doc_id)
             self.hub.publish(doc_id=doc_id, before=before, after=after, changed_props=frozenset({prop}))
 
     @staticmethod
@@ -622,7 +653,7 @@ class Repository:
                 raise NotConforming(violations)
             self.registry.record_enforce(doc_id, schema_name)
             idoc.changed_meta.setdefault(("enforce", schema_name), None)
-            self._dirty[doc_id] = None
+            self._mark_dirty(doc_id)
             after = replace(before, enforced=before.enforced | {schema_name})
             self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_added=frozenset({schema_name}))
 
@@ -639,7 +670,7 @@ class Repository:
             before = self._snapshot_locked(doc_id, idoc)
             seq = self.registry.record_unenforce(doc_id, schema_name)
             idoc.changed_meta.setdefault(("enforce", schema_name), seq)
-            self._dirty[doc_id] = None
+            self._mark_dirty(doc_id)
             after = replace(before, enforced=before.enforced - {schema_name})
             self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_removed=frozenset({schema_name}))
 
@@ -661,7 +692,7 @@ class Repository:
             before = self._snapshot_locked(doc_id, idoc)
             self._members[doc_id].add(member_id)
             idoc.changed_meta.setdefault(("member", member_id), False)
-            self._dirty[doc_id] = None
+            self._mark_dirty(doc_id)
             after = replace(before, members=before.members | {member_id})
             self.hub.publish(doc_id=doc_id, before=before, after=after, members_added=frozenset({member_id}))
 
@@ -675,7 +706,7 @@ class Repository:
             before = self._snapshot_locked(doc_id, idoc)
             self._members[doc_id].discard(member_id)
             idoc.changed_meta.setdefault(("member", member_id), True)
-            self._dirty[doc_id] = None
+            self._mark_dirty(doc_id)
             after = replace(before, members=before.members - {member_id})
             self.hub.publish(doc_id=doc_id, before=before, after=after, members_removed=frozenset({member_id}))
 
@@ -694,6 +725,7 @@ class Repository:
         with self._lock:
             idoc = self._load(doc_id, DocumentKind.CONTENT)
             self._flush_doc_locked(doc_id, idoc)  # the blob needs its document record first
+            self._file_clean((doc_id,))
             tokens_before = self._content_tokens.get(doc_id, frozenset())
             snap = self._snapshot_locked(doc_id, idoc)
             ref = self.backend.content_write(doc_id, data)
@@ -867,6 +899,7 @@ class Repository:
         one whose member is not yet stored waits for the second pass.
         """
         flushed = 0
+        cleaned: list[DocumentId] = []
         for _ in range(2):
             with self._lock:
                 dirty = [(doc_id, self._cache.get(doc_id)) for doc_id in self._dirty]
@@ -881,10 +914,12 @@ class Repository:
                         if idoc.is_dirty():
                             dirty_left = True
                             continue
+                        cleaned.append(doc_id)
                     self._dirty.pop(doc_id, None)
             if not dirty_left:
                 break
         with self._lock:
+            self._file_clean(cleaned)
             self._evict_if_needed()
         return flushed
 

@@ -12,7 +12,7 @@ import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _INT64_MIN = -(2**63)
@@ -46,7 +46,9 @@ class ValueType(Enum):
 ORDERED_TYPES = frozenset({ValueType.TEXT, ValueType.INTEGER, ValueType.FLOAT, ValueType.TIMESTAMP})
 # For tests by identity on per-value paths: on Python 3.11, `in ORDERED_TYPES`
 # runs Enum.__hash__ and `ValueType.FLOAT` an EnumType lookup, ~70 ns each.
-FLOAT, BOOLEAN, BYTES = ValueType.FLOAT, ValueType.BOOLEAN, ValueType.BYTES
+TEXT, INTEGER, FLOAT, BOOLEAN, TIMESTAMP, BYTES = (
+    ValueType.TEXT, ValueType.INTEGER, ValueType.FLOAT, ValueType.BOOLEAN, ValueType.TIMESTAMP, ValueType.BYTES
+)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -58,32 +60,32 @@ class Value:
 
     def __post_init__(self):
         t, p = self.vtype, self.payload
-        if t is ValueType.TEXT:
+        if t is TEXT:
             if not isinstance(p, str):
                 raise ValueError("Text payload must be str")
             try:
                 p.encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise ValueError(f"Text payload is not valid Unicode: {exc}") from exc
-        elif t is ValueType.INTEGER:
+        elif t is INTEGER:
             if isinstance(p, bool) or not isinstance(p, int):
                 raise ValueError("Integer payload must be int")
             if not _INT64_MIN <= p <= _INT64_MAX:
                 raise ValueError("Integer payload out of signed 64-bit range")
-        elif t is ValueType.FLOAT:
+        elif t is FLOAT:
             if not isinstance(p, float):
                 raise ValueError("Float payload must be float")
             if p != p:
                 raise ValueError("NaN is rejected at ingestion")
-        elif t is ValueType.BOOLEAN:
+        elif t is BOOLEAN:
             if not isinstance(p, bool):
                 raise ValueError("Boolean payload must be bool")
-        elif t is ValueType.TIMESTAMP:
+        elif t is TIMESTAMP:
             if isinstance(p, bool) or not isinstance(p, int):
                 raise ValueError("Timestamp payload must be epoch milliseconds (int)")
             if not _TS_MIN <= p <= _TS_MAX:
                 raise ValueError("Timestamp out of representable range")
-        elif t is ValueType.BYTES:
+        elif t is BYTES:
             if not isinstance(p, bytes):
                 raise ValueError("Bytes payload must be bytes")
 
@@ -141,7 +143,8 @@ class Value:
         if self.vtype is not ValueType.TIMESTAMP:
             raise ValueError("not a Timestamp value")
         dt = _EPOCH + timedelta(milliseconds=self.payload)
-        return f"{dt:%Y-%m-%dT%H:%M:%S}.{self.payload % 1000:03d}Z"
+        # %Y does not pad years before 1000, which timestamp_text requires
+        return f"{dt.year:04d}-{dt:%m-%dT%H:%M:%S}.{self.payload % 1000:03d}Z"
 
     # ---- identity ----
 
@@ -267,22 +270,37 @@ class DocumentKind(Enum):
     CONTENT = "content"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class DocumentId:
-    """Opaque 128-bit identifier, rendered in canonical UUID text form."""
-
+class _IdFields(NamedTuple):
     value: int
 
-    def __post_init__(self):
-        if not 0 <= self.value < 2**128:
+
+class DocumentId(_IdFields):
+    """Opaque 128-bit identifier, rendered in canonical UUID text form.
+
+    A one-field tuple, so hashing, equality and ordering run in C: an id
+    hashes and compares as (value,), and has length 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int) -> "DocumentId":
+        if not 0 <= value < 2**128:
             raise ValueError("document id out of 128-bit range")
+        return tuple.__new__(cls, (value,))
 
     @classmethod
     def parse(cls, text: str) -> "DocumentId":
+        # the canonical form (what __str__ writes) skips building a uuid.UUID;
+        # uuid.UUID reads it the same way, as the 32 digits between the hyphens
+        if len(text) == 36 and text[8] == text[13] == text[18] == text[23] == "-":
+            digits = text.replace("-", "")
+            if len(digits) == 32:
+                return cls(int(digits, 16))
         return cls(uuid.UUID(text).int)
 
     def __str__(self):
-        return str(uuid.UUID(int=self.value))
+        h = "%032x" % self[0]
+        return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}"
 
     def __repr__(self):
         return f"DocumentId({self})"

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Iterator, Optional
 
 from harland.errors import UnknownCollection, UnknownSchema
@@ -440,7 +439,7 @@ def execute(query_plan: QueryPlan, view) -> list[DocumentId]:
 class Candidates:
     """The documents execute evaluates, and where they came from."""
 
-    ids: list[DocumentId]  # sorted by id value
+    ids: list[DocumentId]  # sorted
     exact: bool            # ids is the match set itself: no document is evaluated
     sources: list[tuple]   # (source, leaf, candidate count) per leaf used; ("scan", None, n) for a full scan
 
@@ -468,23 +467,25 @@ def candidates(query_plan: QueryPlan, view) -> Candidates:
         positive = {node.pred for node in query_plan.leaf_nodes() if not node.negated}
         found = _combine(query_plan.root, serve(positive), sources)
     if found is None:
-        ids = sorted(view.document_ids(), key=attrgetter("value"))
+        ids = sorted(view.document_ids())
         return Candidates(ids, False, [("scan", None, len(ids))])
-    by_value, exact = found
-    return Candidates([by_value[k] for k in sorted(by_value)], exact, sources)
+    ids, exact = found
+    return Candidates(sorted(ids), exact, sources)
 
 
 def _combine(node, served: dict, sources: list) -> Optional[tuple[dict, bool]]:
-    """({id value: id} superset of node's matches, whether exact), or None
-    when node has no source. Appends each leaf source used to sources."""
+    """(ids, a superset of node's matches as dict keys in source order;
+    whether exact), or None when node has no source. Appends each leaf
+    source used to sources. Sources mostly list ids in id order, and
+    keeping that order makes the final sort nearly free."""
     if isinstance(node, SliceFilter):
         got = None if node.negated else served.get(node.pred)
         if got is None:
             return None
         source, ids, exact = got
-        by_value = {d.value: d for d in ids}
-        sources.append((source, node.pred, len(by_value)))
-        return by_value, exact
+        ids = dict.fromkeys(ids)
+        sources.append((source, node.pred, len(ids)))
+        return ids, exact
     mark = len(sources)
     parts = []
     for child in node.children:
@@ -499,9 +500,9 @@ def _combine(node, served: dict, sources: list) -> Optional[tuple[dict, bool]]:
     exact = len(sourced) == len(parts) and all(e for _, e in sourced)
     if node.op == "or":
         merged: dict = {}
-        for by_value, _ in sourced:
-            merged.update(by_value)
+        for ids, _ in sourced:
+            merged.update(ids)
         return merged, exact
     sourced.sort(key=lambda part: len(part[0]))
-    smallest, rest = sourced[0][0], [by_value for by_value, _ in sourced[1:]]
-    return {k: d for k, d in smallest.items() if all(k in other for other in rest)}, exact
+    smallest, rest = sourced[0][0], [ids for ids, _ in sourced[1:]]
+    return {d: None for d in smallest if all(d in other for other in rest)}, exact

@@ -40,6 +40,14 @@ document or hold a duplicate record loads unseeded, and its first encode
 builds it canonically. A backend that never encodes and never opens a file
 builds no cache.
 
+Open decodes in batches of _BATCH (512) lines: one UTF-8 decode and one
+split per batch, marker lines found by substring search, and each
+section's fields transposed into columns, so the work per record runs in C
+(map, zip, dict and set builders). Each distinct id and value text is
+parsed once; a canonical id or timestamp takes a fast path. Besides the
+file's bytes and the tables it fills, open holds one batch's lines and
+columns at a time, so its extra memory does not grow with the store.
+
 The CRC32C kernel is bit-parallel. The CRC is linear over GF(2): from a zero
 register, each set message bit adds a fixed 32-bit term that depends only
 on its distance from the end of the block. So a 16 KB block, read as one
@@ -55,15 +63,22 @@ import bisect
 import functools
 import io
 import itertools
+import logging
 import os
+import re
 import sys
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
+from datetime import datetime
+from operator import itemgetter, lt, ne
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from harland.errors import CorruptStore, StorageFailure, UnknownDocument
 from harland.model import Constraint, DocumentId, DocumentKind, Schema, Value, ValueType, sort_key
+
+logger = logging.getLogger(__name__)
 
 MAGIC = "HARLAND-STORE v1"
 CHECKPOINT_NAME = "store.hl1"
@@ -280,29 +295,48 @@ def encode_value(value: Value) -> str:
     return f"{t.value}:{body}"
 
 
+def _decode_text(body: str) -> Value:
+    return Value.text(bytes.fromhex(body).decode("utf-8"))
+
+
+def _decode_boolean(body: str) -> Value:
+    if body not in ("true", "false"):
+        raise ValueError(body)
+    return Value.boolean(body == "true")
+
+
+_CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+
+
+def decode_timestamp(body: str) -> Value:
+    """Value.timestamp_text(body), with a fast path for the canonical form
+    that encode_value writes (YYYY-MM-DDTHH:MM:SS.mmmZ, in UTC)."""
+    if _CANONICAL_TIMESTAMP.fullmatch(body) is None:
+        return Value.timestamp_text(body)
+    delta = datetime.fromisoformat(body[:19]) - _NAIVE_EPOCH
+    return Value.timestamp(delta.days * 86_400_000 + delta.seconds * 1000 + int(body[20:23]))
+
+
+_DECODERS = {
+    ValueType.TEXT.value: _decode_text,
+    ValueType.BYTES.value: lambda body: Value.binary(bytes.fromhex(body)),
+    ValueType.INTEGER.value: lambda body: Value.integer(int(body)),
+    ValueType.FLOAT.value: lambda body: Value.floating(float(body)),
+    ValueType.BOOLEAN.value: _decode_boolean,
+    ValueType.TIMESTAMP.value: decode_timestamp,
+}
+
+
 def decode_value(text: str) -> Value:
     tag, sep, body = text.partition(":")
-    if not sep:
+    decode = _DECODERS.get(tag) if sep else None
+    if decode is None:
         raise CorruptStore(f"malformed value encoding {text!r}")
     try:
-        t = ValueType(tag)
-        if t is ValueType.TEXT:
-            return Value.text(bytes.fromhex(body).decode("utf-8"))
-        if t is ValueType.BYTES:
-            return Value.binary(bytes.fromhex(body))
-        if t is ValueType.INTEGER:
-            return Value.integer(int(body))
-        if t is ValueType.FLOAT:
-            return Value.floating(float(body))
-        if t is ValueType.BOOLEAN:
-            if body not in ("true", "false"):
-                raise ValueError(body)
-            return Value.boolean(body == "true")
-        if t is ValueType.TIMESTAMP:
-            return Value.timestamp_text(body)
+        return decode(body)
     except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp offset past year 1 or 9999
         raise CorruptStore(f"malformed value encoding {text!r}: {exc}") from exc
-    raise CorruptStore(f"unknown value tag {tag!r}")  # pragma: no cover
 
 
 # ---- content tokenization ----
@@ -329,8 +363,7 @@ def tokenize(data: bytes) -> frozenset[str]:
 
 # ---- rows and metadata records ----
 
-@dataclass(frozen=True, slots=True)
-class PropertyRow:
+class PropertyRow(NamedTuple):
     """One stored value: the vertical-storage unit."""
 
     doc_id: DocumentId
@@ -827,6 +860,7 @@ class MemoryBackend:
         each seeded chunk's span, and each gap between them (headers, SCHEMA
         lines, unseeded sections); END must equal the fold of those CRCs.
         """
+        started = time.perf_counter()
         try:
             idx = data.rindex(b"\nEND ")
         except ValueError:
@@ -839,68 +873,19 @@ class MemoryBackend:
         except ValueError:
             raise CorruptStore("malformed END trailer") from None
         body_end = idx + 1
-        # one line at a time: a list of every line would hold the file twice over
+        # batches of lines: a list of every line would hold the file twice over
         lines = itertools.islice(io.BytesIO(data), data.count(b"\n", 0, body_end))
         first = next(lines, b"")
         if first != f"{MAGIC}\n".encode("ascii"):
             raise CorruptStore("bad magic")
-        # one object per distinct document id and per distinct value, however
-        # many records name it
-        ids: dict[str, DocumentId] = {}
-        values: dict[str, Value] = {}
-
-        def parse_id(text: str) -> DocumentId:
-            doc_id = ids.get(text)
-            if doc_id is None:
-                doc_id = ids[text] = DocumentId.parse(text)
-            return doc_id
-
-        # per document section: (id value, offset of its first line) for each run of lines
-        runs: dict[str, list[tuple[int, int]]] = {name: [] for name in _DOC_SECTIONS}
-        ends: dict[str, int] = {}  # section -> offset just past its last line so far
-        unseeded: set[str] = set()
-        marker = current = run_text = None
-        pos = len(first)
+        decoder = _Decoder(self, len(first))
         try:
-            for raw in lines:
-                line = raw.decode("utf-8")[:-1]
-                if line in ("PROPS", "META", "CONTENT"):
-                    marker = line
-                    pos += len(raw)
-                    continue
-                fields = line.split("\t")
-                if "\\" in line:
-                    fields = [unescape_field(f) for f in fields]
-                if marker == "PROPS":
-                    name, id_text = "props", fields[0]
-                    doc_id = parse_id(id_text)
-                    value = values.get(fields[3])
-                    if value is None:
-                        value = values[fields[3]] = decode_value(fields[3])
-                    row = PropertyRow(doc_id, int(fields[1]), sys.intern(fields[2]), value, int(fields[4]))
-                    self._rows.setdefault(doc_id, {})[row.key()[1:]] = row
-                elif marker == "META":
-                    name, id_text = self._load_meta_record(fields, parse_id)
-                elif marker == "CONTENT":
-                    name, id_text = "content", fields[0]
-                    doc_id = parse_id(id_text)
-                    tokens = frozenset(fields[2].split(" ")) if fields[2] else frozenset()
-                    self._content[doc_id] = ContentRef(doc_id, int(fields[1]), tokens)
-                else:
-                    raise CorruptStore(f"record outside any section: {line!r}")
-                if id_text != run_text or name != current:  # a new run
-                    current, run_text = name, id_text
-                    if id_text is not None:  # SCHEMA lines have no id and make no run
-                        section_runs = runs[name]
-                        id_value = ids[id_text].value
-                        if section_runs and id_value <= section_runs[-1][0]:
-                            unseeded.add(name)
-                        section_runs.append((id_value, pos))
-                pos += len(raw)
-                ends[name] = pos
-        except (IndexError, ValueError, OverflowError) as exc:
+            for batch in iter(lambda: list(itertools.islice(lines, _BATCH)), []):
+                decoder.feed(batch)
+        except (LookupError, ValueError, OverflowError) as exc:
             raise CorruptStore(f"malformed record: {exc}") from exc
-        spans = self._seed_sections(data, runs, ends, unseeded)
+        spans = self._seed_sections(data, decoder.runs, decoder.ends, decoder.unseeded)
+        decoded = time.perf_counter()
         crc = pos = 0
         view = memoryview(data)
         for start, chunk in sorted(spans, key=lambda span: span[0]):
@@ -912,6 +897,11 @@ class MemoryBackend:
         crc = crc32c_combine(crc, self._checksum(view[pos:body_end]), body_end - pos)
         if crc != stated:
             raise CorruptStore("checksum mismatch")
+        logger.debug(
+            "opened checkpoint: %d bytes, %d records, %d distinct values, decode %.2f ms, checksum %.2f ms",
+            len(data), decoder.records, len(decoder.values),
+            (decoded - started) * 1e3, (time.perf_counter() - decoded) * 1e3,
+        )
 
     def _seed_sections(self, data: bytes, runs: dict, ends: dict, unseeded: set) -> list[tuple[int, "_Chunk"]]:
         """Keeps each run of lines of every seedable section as its document's
@@ -935,31 +925,6 @@ class MemoryBackend:
                 section.chunks.append(chunk)
                 spans.append((bounds[i], chunk))
         return spans
-
-    def _load_meta_record(self, fields: list[str], parse_id) -> tuple[str, Optional[str]]:
-        """Loads one META record; returns its section and the id text its
-        section is ordered by (None for SCHEMA)."""
-        kind = fields[0]
-        if kind == "DOC":
-            self._docs[parse_id(fields[1])] = DocumentKind(fields[2])
-            return "doc", fields[1]
-        if kind == "SCHEMA":
-            constraints = {}
-            for part in fields[3:]:
-                prop, type_tag, arity = part.rsplit(":", 2)
-                constraints[prop] = Constraint.from_text(type_tag, arity)
-            self._schemas[fields[1]] = (Schema(fields[1], constraints), int(fields[2]))
-            return "schema", None
-        if kind == "ENFORCE":
-            self._enforcement.setdefault(parse_id(fields[1]), {})[fields[3]] = int(fields[2])
-            return "enforce", fields[1]
-        if kind == "ASSIGN":
-            self._assignments.setdefault(parse_id(fields[1]), {})[sys.intern(fields[2])] = int(fields[3])
-            return "assign", fields[1]
-        if kind == "MEMBER":
-            self._members.setdefault(parse_id(fields[1]), set()).add(parse_id(fields[2]))
-            return "member", fields[1]
-        raise CorruptStore(f"unknown metadata record kind {kind!r}")
 
     # ---- checkpoint to / open from a store root directory ----
 
@@ -1138,6 +1103,206 @@ def _atomic_write(target: Path, data: bytes) -> None:
         os.replace(tmp, target)
     except OSError as exc:
         raise StorageFailure(f"cannot write {target}: {exc}") from exc
+
+
+# ---- checkpoint decoding ----
+
+_BATCH = 512  # lines per decode batch
+_MARKER_NEEDLES = tuple(f"\n{marker}\n" for marker in ("PROPS", "META", "CONTENT"))
+_KINDS = {kind.value: kind for kind in DocumentKind}
+
+
+class _Decoder:
+    """Decodes checkpoint lines into a backend's tables, a batch at a time,
+    and notes each document section's runs of lines for seeding.
+
+    A batch is decoded with one UTF-8 decode and one split. Its marker lines
+    cut it into segments, a META segment is cut into groups of one record
+    kind, and each group's fields are transposed into columns, so the work
+    per record runs in C: ids and values are parsed once per distinct text,
+    and the records of each run are filed in one dict or set per run. A run
+    is a stretch of consecutive records of one section that name the same
+    id text; marker lines do not end one, and one may span batches.
+    Malformed input raises CorruptStore, LookupError or ValueError.
+    """
+
+    def __init__(self, backend: MemoryBackend, pos: int):
+        self.backend = backend
+        self.pos = pos  # offset of the next line
+        self.marker: Optional[str] = None  # the last marker line
+        self.current: Optional[str] = None  # the section of the last record
+        self.run_text: Optional[str] = None  # the id text of the last record (None for SCHEMA)
+        self.ids: dict[str, DocumentId] = {}
+        self.values: dict[str, Value] = {}
+        # per document section: (id value, offset of its first line) for each run
+        self.runs: dict[str, list[tuple[int, int]]] = {name: [] for name in _DOC_SECTIONS}
+        self.ends: dict[str, int] = {}  # section -> offset just past its last line so far
+        self.unseeded: set[str] = set()
+        self.records = 0
+
+    def feed(self, batch: list[bytes]) -> None:
+        """Decodes the next lines, each with its newline."""
+        text = b"".join(batch).decode("utf-8")
+        lines = text.split("\n")  # the empty string after the last newline comes last
+        starts = list(itertools.accumulate(map(len, batch), initial=self.pos))
+        self.pos = starts[-1]
+        escaped = "\\" in text
+        lo = 0
+        for at in _marker_lines(text) + [len(batch)]:
+            if at > lo:
+                self._segment(lines[lo:at], starts[lo : at + 1], escaped)
+            if at < len(batch):
+                self.marker = lines[at]
+            lo = at + 1
+
+    def _segment(self, lines: list[str], starts: list[int], escaped: bool) -> None:
+        """Lines under one marker; starts holds each line's offset and the end."""
+        if self.marker is None:
+            raise CorruptStore(f"record outside any section: {lines[0]!r}")
+        self.records += len(lines)
+        rows = list(map(str.split, lines, itertools.repeat("\t")))
+        if escaped:
+            rows = [list(map(unescape_field, fields)) for fields in rows]
+        if self.marker == "PROPS":
+            self._props(rows, starts)
+        elif self.marker == "CONTENT":
+            self._content(rows, starts)
+        else:
+            kinds = list(map(itemgetter(0), rows))
+            bounds = _changes(kinds)
+            for a, b in zip(bounds, bounds[1:]):
+                load = self._META.get(kinds[a])
+                if load is None:
+                    raise CorruptStore(f"unknown metadata record kind {kinds[a]!r}")
+                load(self, rows[a:b], starts[a : b + 1])
+
+    # ---- one group of records of one section ----
+
+    def _props(self, rows, starts) -> None:
+        texts, slices, props, encoded, ordinals = _columns(rows, 5)
+        docs = self._parse_ids(texts)
+        values = self._decode_values(encoded)
+        props = list(map(sys.intern, props))
+        ordinals = list(map(int, ordinals))
+        built = list(map(tuple.__new__, itertools.repeat(PropertyRow),
+                         zip(docs, map(int, slices), props, values, ordinals)))
+        keys = list(zip(props, values, ordinals))
+        bounds = self._runs("props", texts, starts)
+        _merge(self.backend._rows, docs, bounds, lambda a, b: dict(zip(keys[a:b], built[a:b])))
+
+    def _doc(self, rows, starts) -> None:
+        _, texts, kinds = _columns(rows, 3)
+        self.backend._docs.update(zip(self._parse_ids(texts), map(_KINDS.__getitem__, kinds)))
+        self._runs("doc", texts, starts)
+
+    def _schema(self, rows, starts) -> None:
+        for fields in rows:
+            constraints = {}
+            for part in fields[3:]:
+                prop, type_tag, arity = part.rsplit(":", 2)
+                constraints[prop] = Constraint.from_text(type_tag, arity)
+            self.backend._schemas[fields[1]] = (Schema(fields[1], constraints), int(fields[2]))
+        self.current, self.run_text = "schema", None  # SCHEMA lines make no run
+
+    def _enforce(self, rows, starts) -> None:
+        _, texts, seqs, names = _columns(rows, 4)
+        docs = self._parse_ids(texts)
+        seqs = list(map(int, seqs))
+        bounds = self._runs("enforce", texts, starts)
+        _merge(self.backend._enforcement, docs, bounds, lambda a, b: dict(zip(names[a:b], seqs[a:b])))
+
+    def _assign(self, rows, starts) -> None:
+        _, texts, props, slices = _columns(rows, 4)
+        docs = self._parse_ids(texts)
+        props = list(map(sys.intern, props))
+        slices = list(map(int, slices))
+        bounds = self._runs("assign", texts, starts)
+        _merge(self.backend._assignments, docs, bounds, lambda a, b: dict(zip(props[a:b], slices[a:b])))
+
+    def _member(self, rows, starts) -> None:
+        _, texts, member_texts = _columns(rows, 3)
+        docs = self._parse_ids(texts)
+        members = self._parse_ids(member_texts)
+        bounds = self._runs("member", texts, starts)
+        _merge(self.backend._members, docs, bounds, lambda a, b: set(members[a:b]))
+
+    def _content(self, rows, starts) -> None:
+        texts, lengths, tokens = _columns(rows, 3)
+        self.backend._content.update(
+            (doc, ContentRef(doc, int(length), frozenset(words.split(" ")) if words else frozenset()))
+            for doc, length, words in zip(self._parse_ids(texts), lengths, tokens)
+        )
+        self._runs("content", texts, starts)
+
+    _META = {"DOC": _doc, "SCHEMA": _schema, "ENFORCE": _enforce, "ASSIGN": _assign, "MEMBER": _member}
+
+    # ---- shared steps ----
+
+    def _parse_ids(self, texts) -> list[DocumentId]:
+        ids = self.ids
+        for text in set(texts).difference(ids):
+            ids[text] = DocumentId.parse(text)
+        return list(map(ids.__getitem__, texts))
+
+    def _decode_values(self, texts) -> list[Value]:
+        values = self.values
+        for text in set(texts).difference(values):
+            values[text] = decode_value(text)
+        return list(map(values.__getitem__, texts))
+
+    def _runs(self, name: str, texts, starts: list[int]) -> list[int]:
+        """The bounds of the group's runs of equal id text (see _changes);
+        notes each run that starts in the group, and the section's end."""
+        bounds = _changes(texts)
+        firsts = bounds[:-1]
+        if name == self.current and texts[0] == self.run_text:
+            firsts = firsts[1:]  # the group's first run continues the last one
+        if firsts:
+            values = [self.ids[texts[i]][0] for i in firsts]
+            section_runs = self.runs[name]
+            if (section_runs and values[0] <= section_runs[-1][0]) or not all(map(lt, values, values[1:])):
+                self.unseeded.add(name)
+            section_runs += zip(values, map(starts.__getitem__, firsts))
+        self.current, self.run_text = name, texts[-1]
+        self.ends[name] = starts[-1]
+        return bounds
+
+
+def _marker_lines(text: str) -> list[int]:
+    """The indices, in order, of the marker lines (PROPS, META, CONTENT)
+    among the lines of text, which ends with a newline."""
+    padded = "\n" + text
+    found = []
+    for needle in _MARKER_NEEDLES:
+        at = padded.find(needle)
+        while at >= 0:
+            found.append(padded.count("\n", 0, at))
+            at = padded.find(needle, at + 1)
+    return sorted(found)
+
+
+def _changes(column) -> list[int]:
+    """0, each index whose entry differs from the one before it, and len(column)."""
+    return [0, *itertools.compress(itertools.count(1), map(ne, column[1:], column)), len(column)]
+
+
+def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
+    """The first width fields of the rows, as columns; later fields are
+    ignored, and a row with fewer is malformed."""
+    if min(map(len, rows)) < width:
+        raise CorruptStore(f"record with fewer than {width} fields")
+    return list(zip(*rows))[:width]
+
+
+def _merge(table: dict, docs: list[DocumentId], bounds: list[int], part) -> None:
+    """Files part(a, b), the records of the run of lines a to b, under the
+    run's document: as its entry, or into the entry an earlier run made."""
+    for a, b in zip(bounds, bounds[1:]):
+        held = table.get(docs[a])
+        if held is None:
+            table[docs[a]] = part(a, b)
+        else:
+            held.update(part(a, b))
 
 
 class DiskBackend(MemoryBackend):
