@@ -27,7 +27,10 @@ from harland.parsing import parse_cli_literal, render_literal
 from harland.store import _fields, encode_value, schema_record
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser for every command, or for the one command named: a
+    command's usage, help and errors do not depend on its siblings, so the
+    one-command tree parses that command exactly as the full tree does."""
     p = argparse.ArgumentParser(
         prog="harland",
         description="Embedded document store with schema enforcement and slice prefetching.",
@@ -40,33 +43,59 @@ def build_parser() -> argparse.ArgumentParser:
                    help="records reuses the store file's tab-separated encoding")
     p.add_argument("--seed", type=int, default=None, help="deterministic document ids")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
+    return p
 
-    sub.add_parser("init", help="create a new store at --store")
 
-    c = sub.add_parser("create", help="create a document, print its id")
+# the options before the command; each takes one value
+_GLOBAL_OPTIONS = frozenset({"--store", "--cache-docs", "--flush-ms", "--format", "--seed"})
+
+
+def _command_in(argv: list[str]) -> Optional[str]:
+    """The command argv names after nothing but global options spelled out
+    in full, or None (no command, help, an abbreviation or an unknown option
+    first), for which only the full tree gives argparse's own answer."""
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg in _GLOBAL_OPTIONS:
+            i += 2
+        elif arg.partition("=")[0] in _GLOBAL_OPTIONS:
+            i += 1
+        else:
+            return arg if arg in _COMMANDS else None
+    return None
+
+
+def _no_arguments(c: argparse.ArgumentParser) -> None:
+    pass
+
+
+def _create_arguments(c: argparse.ArgumentParser) -> None:
     c.add_argument("--kind", choices=("plain", "collection", "content"), default="plain")
 
-    for name, help_text in (
-        ("set", "replace a property's value bag"),
-        ("add", "add values to a property"),
-        ("rm-values", "remove one occurrence of each value"),
-    ):
-        c = sub.add_parser(name, help=help_text)
-        c.add_argument("id")
-        c.add_argument("prop")
-        c.add_argument("values", nargs="+", metavar="VALUE",
-                       help="typed literal, e.g. 42, 2.5, true, 2001-05-01T00:00:00Z, "
-                            "text, or tagged: text:..., integer:..., float:..., "
-                            "boolean:..., timestamp:..., bytes:<hex>")
 
-    c = sub.add_parser("rm-prop", help="remove a property entirely")
+def _values_arguments(c: argparse.ArgumentParser) -> None:
+    c.add_argument("id")
+    c.add_argument("prop")
+    c.add_argument("values", nargs="+", metavar="VALUE",
+                   help="typed literal, e.g. 42, 2.5, true, 2001-05-01T00:00:00Z, "
+                        "text, or tagged: text:..., integer:..., float:..., "
+                        "boolean:..., timestamp:..., bytes:<hex>")
+
+
+def _prop_arguments(c: argparse.ArgumentParser) -> None:
     c.add_argument("id")
     c.add_argument("prop")
 
-    c = sub.add_parser("get", help="print a document snapshot")
+
+def _id_argument(c: argparse.ArgumentParser) -> None:
     c.add_argument("id")
 
-    c = sub.add_parser("schema", help="define and inspect schemas")
+
+def _schema_arguments(c: argparse.ArgumentParser) -> None:
     ssub = c.add_subparsers(dest="schema_command", required=True)
     d = ssub.add_parser("define", help="define a schema")
     d.add_argument("name")
@@ -76,15 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = ssub.add_parser("show", help="print one schema's constraints")
     s.add_argument("name")
 
-    for name in ("enforce", "unenforce"):
-        c = sub.add_parser(name, help=f"{name} a schema on a document")
-        c.add_argument("id")
-        c.add_argument("schema")
 
-    c = sub.add_parser("query", help="print matching document ids, sorted")
+def _enforce_arguments(c: argparse.ArgumentParser) -> None:
+    c.add_argument("id")
+    c.add_argument("schema")
+
+
+def _expr_argument(c: argparse.ArgumentParser) -> None:
     c.add_argument("expr")
 
-    c = sub.add_parser("members", help="manage collection membership")
+
+def _members_arguments(c: argparse.ArgumentParser) -> None:
     msub = c.add_subparsers(dest="members_command", required=True)
     for name in ("add", "rm"):
         m = msub.add_parser(name)
@@ -93,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     m = msub.add_parser("list")
     m.add_argument("collection")
 
-    c = sub.add_parser("content", help="read or write a document's content stream")
+
+def _content_arguments(c: argparse.ArgumentParser) -> None:
     csub = c.add_subparsers(dest="content_command", required=True)
     m = csub.add_parser("put")
     m.add_argument("id")
@@ -102,17 +134,37 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("id")
     m.add_argument("file", nargs="?", help="output file; stdout when omitted or '-'")
 
-    c = sub.add_parser("watch", help="stream transition deliveries as '<seq>\\t<doc-id>'")
+
+def _watch_arguments(c: argparse.ArgumentParser) -> None:
     c.add_argument("expr")
     c.add_argument("--max", type=int, default=None, help="exit after N deliveries")
 
-    c = sub.add_parser("demo-pipeline", help="run the three-stage worker pipeline")
+
+def _demo_arguments(c: argparse.ArgumentParser) -> None:
     c.add_argument("--docs", type=int, default=100)
     c.add_argument("--timeout", type=float, default=60.0)
 
-    sub.add_parser("flush", help="write all dirty documents to the store")
-    sub.add_parser("stats", help="print instrumentation counters")
-    return p
+
+# command -> (help line, the function that adds its arguments), in help order
+_COMMANDS = {
+    "init": ("create a new store at --store", _no_arguments),
+    "create": ("create a document, print its id", _create_arguments),
+    "set": ("replace a property's value bag", _values_arguments),
+    "add": ("add values to a property", _values_arguments),
+    "rm-values": ("remove one occurrence of each value", _values_arguments),
+    "rm-prop": ("remove a property entirely", _prop_arguments),
+    "get": ("print a document snapshot", _id_argument),
+    "schema": ("define and inspect schemas", _schema_arguments),
+    "enforce": ("enforce a schema on a document", _enforce_arguments),
+    "unenforce": ("unenforce a schema on a document", _enforce_arguments),
+    "query": ("print matching document ids, sorted", _expr_argument),
+    "members": ("manage collection membership", _members_arguments),
+    "content": ("read or write a document's content stream", _content_arguments),
+    "watch": ("stream transition deliveries as '<seq>\\t<doc-id>'", _watch_arguments),
+    "demo-pipeline": ("run the three-stage worker pipeline", _demo_arguments),
+    "flush": ("write all dirty documents to the store", _no_arguments),
+    "stats": ("print instrumentation counters", _no_arguments),
+}
 
 
 KINDS = {
@@ -287,7 +339,9 @@ def _run_watch(repo: Repository, args, out) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_command_in(argv)).parse_args(argv)
     if not args.store:
         print("usage error: --store (or HARLAND_STORE) is required", file=sys.stderr)
         return 2

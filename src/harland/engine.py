@@ -41,6 +41,7 @@ import threading
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from harland.coordination import CommitHub, Subscription, SubscriptionMode
@@ -52,6 +53,7 @@ from harland.errors import (
     WrongKind,
 )
 from harland.model import (
+    ORDERED_TYPES,
     DocumentId,
     DocumentKind,
     DocumentSnapshot,
@@ -61,6 +63,8 @@ from harland.model import (
 )
 from harland.parsing import parse_query
 from harland.query import (
+    PASSING_SIGNS,
+    Cmp,
     ContentContains,
     HasSchema,
     MemberOf,
@@ -808,10 +812,13 @@ class Repository:
         """Each positive leaf's candidate source: leaf -> (source, ids, exact).
 
         No source fetches a slice or touches the cache. Schema, membership and
-        content leaves read the enforcement map, the collection's members and
-        the content tokens, and are exact. A value leaf reads the documents
-        whose stored bag passes it from the backend's column for its
-        property, united with every dirty document, whose values in memory
+        content leaves read the enforcement map, the collection's members (in
+        id order, which keeps the final sort of the candidates cheap) and the
+        content tokens, and are exact. A value leaf reads the documents whose
+        stored bag passes it from the backend's column for its property:
+        `=`, `<`, `<=`, `>` and `>=` against a literal of an ordered type by a
+        bisect slice of the sorted postings, any other leaf by a scan of the
+        column. The dirty documents are added, since their values in memory
         may differ from the store. All of it is read under the repository
         lock, so no flush moves a document from the dirty set to the store
         in between.
@@ -822,13 +829,18 @@ class Repository:
                 if isinstance(pred, HasSchema):
                     served[pred] = ("schema", self.registry.enforced_on(pred.name), True)
                 elif isinstance(pred, MemberOf):
-                    served[pred] = ("members", list(self._members.get(pred.collection, ())), True)
+                    members = sorted(self._members.get(pred.collection, ()), key=itemgetter(0))
+                    served[pred] = ("members", members, True)
                 elif isinstance(pred, ContentContains):
                     token = pred.token.casefold()
                     hits = [d for d, tokens in self._content_tokens.items() if token in tokens]
                     served[pred] = ("content", hits, True)
                 else:
-                    stored = self.backend.stored_matches(pred.prop, functools.partial(bag_matches, pred))
+                    signs = PASSING_SIGNS.get(pred.op) if isinstance(pred, Cmp) else None
+                    if signs is not None and pred.literal.vtype in ORDERED_TYPES:
+                        stored = self.backend.stored_compared(pred.prop, pred.literal, signs)
+                    else:
+                        stored = self.backend.stored_matches(pred.prop, functools.partial(bag_matches, pred))
                     served[pred] = ("column", stored + list(self._dirty), False)
         return served
 
@@ -1006,6 +1018,8 @@ class Repository:
                 "backend_scans": self.backend.scan_count,
                 "encoded_blocks": self.backend.encoded_blocks,
                 "checksummed_bytes": self.backend.checksummed_bytes,
+                "column_scans": self.backend.column_scans,
+                "column_probes": self.backend.column_probes,
             }
 
     def _check_open(self) -> None:

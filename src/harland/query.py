@@ -366,8 +366,8 @@ def leaf_matches(pred: QueryExpr, ctx: _DocContext) -> bool:
     raise TypeError(f"not a leaf predicate: {pred!r}")
 
 
-# the compare_values results that pass each range operator
-_PASSING_SIGNS = {CmpOp.LT: (-1,), CmpOp.LE: (-1, 0), CmpOp.GT: (1,), CmpOp.GE: (0, 1)}
+# the compare_values results that pass each operator on an ordered type
+PASSING_SIGNS = {CmpOp.EQ: (0,), CmpOp.LT: (-1,), CmpOp.LE: (-1, 0), CmpOp.GT: (1,), CmpOp.GE: (0, 1)}
 
 
 def bag_matches(pred: QueryExpr, values: tuple[Value, ...]) -> bool:
@@ -391,7 +391,7 @@ def bag_matches(pred: QueryExpr, values: tuple[Value, ...]) -> bool:
         return False
     if lit.vtype is BOOLEAN or lit.vtype is BYTES:  # unordered types
         return False
-    signs = _PASSING_SIGNS[op]
+    signs = PASSING_SIGNS[op]
     for v in values:
         if v.vtype is lit.vtype and compare_values(v, lit) in signs:
             return True
@@ -504,5 +504,7 @@ def _combine(node, served: dict, sources: list) -> Optional[tuple[dict, bool]]:
             merged.update(ids)
         return merged, exact
     sourced.sort(key=lambda part: len(part[0]))
-    smallest, rest = sourced[0][0], [ids for ids, _ in sourced[1:]]
-    return {d: None for d in smallest if all(d in other for other in rest)}, exact
+    ids = sourced[0][0]
+    for other, _ in sourced[1:]:
+        ids = dict.fromkeys(filter(other.__contains__, ids))
+    return ids, exact

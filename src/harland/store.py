@@ -55,6 +55,14 @@ big integer, folds into the register with 32 C-level ANDs and bit counts
 against masks built once per process (512 KB), one per register bit.
 Inputs shorter than about 48 bytes, where a fold's fixed cost dominates,
 take a loop over one 256-entry table instead.
+
+For queries, a backend keeps a column per property that some query has
+named: each stored document's value bag, and per ordered value type the
+sorted postings, one (key, document) entry per stored value, where the
+Python order of the keys is the order of compare_values. A committed batch
+or delete moves only the entries of the bags it changed (bisect.insort and
+exact removal), so a comparison is answered by a bisect slice instead of a
+scan of every bag.
 """
 
 from __future__ import annotations
@@ -71,12 +79,24 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime
+from math import copysign
 from operator import itemgetter, lt, ne
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Union
 
 from harland.errors import CorruptStore, StorageFailure, UnknownDocument
-from harland.model import Constraint, DocumentId, DocumentKind, Schema, Value, ValueType, sort_key
+from harland.model import (
+    BOOLEAN,
+    BYTES,
+    FLOAT,
+    Constraint,
+    DocumentId,
+    DocumentKind,
+    Schema,
+    Value,
+    ValueType,
+    sort_key,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -463,6 +483,71 @@ class MetaView:
     content: dict[DocumentId, ContentRef]
 
 
+def _posting_key(value: Value):
+    """value's key in its type's postings, whose Python order is the order of
+    compare_values (a Float keeps -0.0 below +0.0), or None for a type with
+    no order."""
+    t = value.vtype
+    if t is FLOAT:
+        return (value.payload, copysign(1.0, value.payload))
+    if t is BOOLEAN or t is BYTES:
+        return None
+    return value.payload
+
+
+def _stored_bag(rows: dict, prop: str) -> tuple[Value, ...]:
+    return tuple(row.value for row in rows.values() if row.prop == prop)
+
+
+class _Column:
+    """One property's stored bags by document, and per ordered value type the
+    sorted postings: one (key, document) entry per stored value."""
+
+    __slots__ = ("bags", "postings")
+
+    def __init__(self, prop: str, rows: dict[DocumentId, dict]):
+        self.bags: dict[DocumentId, tuple[Value, ...]] = {}
+        self.postings: dict[ValueType, list[tuple]] = {}
+        for doc_id, doc_rows in rows.items():
+            values = _stored_bag(doc_rows, prop)
+            if values:
+                self.bags[doc_id] = values
+                for value in values:
+                    key = _posting_key(value)
+                    if key is not None:
+                        self.postings.setdefault(value.vtype, []).append((key, doc_id))
+        for posting in self.postings.values():
+            posting.sort()
+
+    def put(self, doc_id: DocumentId, values: tuple[Value, ...]) -> None:
+        """Replaces doc_id's stored bag (empty: none), moving only its entries."""
+        old = self.bags.pop(doc_id, ())
+        if values:
+            self.bags[doc_id] = values
+        for value in old:
+            key = _posting_key(value)
+            if key is not None:
+                posting = self.postings[value.vtype]
+                del posting[bisect.bisect_left(posting, (key, doc_id))]
+                if not posting:
+                    del self.postings[value.vtype]
+        for value in values:
+            key = _posting_key(value)
+            if key is not None:
+                bisect.insort(self.postings.setdefault(value.vtype, []), (key, doc_id))
+
+    def compared(self, literal: Value, signs: tuple[int, ...]) -> list[DocumentId]:
+        """The document of each entry whose compare_values against literal is
+        in signs, a contiguous run of -1, 0 and 1; a multi-valued bag's
+        document repeats."""
+        posting = self.postings.get(literal.vtype, ())
+        key = _posting_key(literal)
+        below = bisect.bisect_left(posting, key, key=itemgetter(0))
+        above = bisect.bisect_right(posting, key, lo=below, key=itemgetter(0))
+        bounds = (0, below, above, len(posting))
+        return list(map(itemgetter(1), posting[bounds[min(signs) + 1]:bounds[max(signs) + 2]]))
+
+
 class MemoryBackend:
     """In-memory reference backend. One writer batch at a time; reads see
     only committed batches. Counters instrument every backend round trip."""
@@ -478,11 +563,12 @@ class MemoryBackend:
         self._content: dict[DocumentId, ContentRef] = {}
         self._blobs: dict[DocumentId, bytes] = {}
         self._sections = {name: _Section() for name, _ in _LAYOUT}
-        # prop -> {document -> its stored bag, unordered}, for the properties some query has named
-        self._columns: dict[str, dict[DocumentId, tuple[Value, ...]]] = {}
+        self._columns: dict[str, _Column] = {}  # for the properties some query has named
         self.fetch_count = 0
         self.batch_count = 0
         self.scan_count = 0
+        self.column_scans = 0  # leaves answered by testing every bag of a column
+        self.column_probes = 0  # leaves answered by a bisect slice of a column's postings
         self.encoded_blocks = 0  # record blocks encoded from the tables, not taken from the cache
         self.checksummed_bytes = 0  # bytes passed to crc32c, by open and by encodes
         self.fail_next_persist = False
@@ -501,9 +587,13 @@ class MemoryBackend:
         meta, meta_deletes = list(meta), list(meta_deletes)
         with self._lock:
             self._validate_batch(rows, deletes, meta, meta_deletes)
-            touched = {("props", row.doc_id) for row in rows}
-            touched.update(("props", key[0]) for key in deletes)
-            touched.update(record.key()[:2] for record in meta + meta_deletes)
+            # in batch order, not hash order, so a batch files its ids into a
+            # section's chunks the same way in every process
+            touched = dict.fromkeys(itertools.chain(
+                (("props", row.doc_id) for row in rows),
+                (("props", key[0]) for key in deletes),
+                (record.key()[:2] for record in meta + meta_deletes),
+            ))
             undo: list = []
             try:
                 for record in meta:
@@ -641,27 +731,35 @@ class MemoryBackend:
 
     def stored_matches(self, prop: str, test) -> list[DocumentId]:
         """Stored documents whose bag for prop passes test(bag), in no
-        particular order. Scans prop's column, built from the rows the first
-        time a caller names prop and kept current by every committed batch."""
+        particular order, by a scan of prop's column."""
         with self._lock:
-            column = self._columns.get(prop)
-            if column is None:
-                column = self._columns[prop] = {}
-                self._refresh_columns([(doc_id, prop) for doc_id in self._rows])
-            return [doc_id for doc_id, values in column.items() if test(values)]
+            self.column_scans += 1
+            return [doc_id for doc_id, values in self._column(prop).bags.items() if test(values)]
+
+    def stored_compared(self, prop: str, literal: Value, signs: tuple[int, ...]) -> list[DocumentId]:
+        """Stored documents holding a prop value whose compare_values against
+        literal, a value of an ordered type, is in signs (a contiguous run of
+        -1, 0 and 1), by a bisect slice of prop's postings. A document holding
+        several such values repeats."""
+        with self._lock:
+            self.column_probes += 1
+            return self._column(prop).compared(literal, signs)
+
+    def _column(self, prop: str) -> _Column:
+        """prop's column, built from the rows the first time a caller names
+        prop and kept current by every committed batch and delete."""
+        column = self._columns.get(prop)
+        if column is None:
+            column = self._columns[prop] = _Column(prop, self._rows)
+        return column
 
     def _refresh_columns(self, changed: Iterable[tuple]) -> None:
         """Re-reads the stored bag of each committed (document, prop) pair
         into prop's column, if it has one."""
-        for doc_id, prop in changed:
+        for doc_id, prop in dict.fromkeys(changed):
             column = self._columns.get(prop)
-            if column is None:
-                continue
-            values = tuple(row.value for row in self._rows.get(doc_id, {}).values() if row.prop == prop)
-            if values:
-                column[doc_id] = values
-            else:
-                column.pop(doc_id, None)
+            if column is not None:
+                column.put(doc_id, _stored_bag(self._rows.get(doc_id, {}), prop))
 
     def scan_all(self) -> list[tuple[DocumentId, DocumentKind]]:
         with self._lock:
@@ -757,7 +855,7 @@ class MemoryBackend:
                 self._stale(touched)
                 raise
             for column in self._columns.values():
-                column.pop(doc_id, None)
+                column.put(doc_id, ())
             try:
                 self._remove_blob_file(doc_id)
             except StorageFailure:

@@ -43,7 +43,8 @@ def test_stats_prints_every_counter_in_sorted_order(capsys, tmp_path):
     assert code == 0
     assert [line.split(" ")[0] for line in out.splitlines()] == [
         "backend_batches", "backend_fetches", "backend_scans", "cache_hits", "cache_misses",
-        "cached_documents", "checksummed_bytes", "documents", "encoded_blocks", "evictions", "flushes",
+        "cached_documents", "checksummed_bytes", "column_probes", "column_scans", "documents", "encoded_blocks",
+        "evictions", "flushes",
     ]
 
 
@@ -232,3 +233,33 @@ def test_init_below_a_regular_file_fails_cleanly(capsys, tmp_path):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: cannot create")
+
+
+def _parse_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+NESTED = {"schema": ("define", "list", "show"), "members": ("add", "rm", "list"), "content": ("put", "get")}
+USAGE_ERRORS = (
+    [], ["bogus"], ["--store"], ["--store", "s", "get"], ["get", "a", "b"], ["create", "--kind", "x"],
+    ["set", "id", "prop"], ["schema"], ["schema", "nope"], ["members", "add", "c"], ["content", "put"],
+    ["--seed", "x", "get", "i"], ["--store=s", "watch", "q", "--max", "n"], ["--sto", "s", "get"],
+    ["get", "--bogus", "i"], ["demo-pipeline", "--docs", "1.5"], ["--format", "xml", "stats"],
+    ["--", "get", "i"], ["-h", "get"], ["get", "i", "--store", "s"],
+)
+
+
+def test_one_command_parser_answers_as_the_full_tree(capsys):
+    """main builds only the command argv names; help and usage errors must
+    read byte for byte as the full tree's."""
+    cases = [["--help"], ["-h"]] + [[name, "--help"] for name in cli._COMMANDS]
+    cases += [[name, sub, "--help"] for name, subs in NESTED.items() for sub in subs]
+    for argv in cases + [list(argv) for argv in USAGE_ERRORS]:
+        full = _parse_exit(capsys, cli.build_parser().parse_args, argv)
+        assert _parse_exit(capsys, cli.main, argv) == full, argv
+        assert full[0] == (0 if "--help" in argv or "-h" in argv else 2), argv
+    assert cli._command_in(["--store", "s", "--seed=3", "query", "x"]) == "query"
+    assert cli._command_in(["--sto", "s", "get"]) is None
