@@ -187,8 +187,7 @@ def _print_snapshot(repo: Repository, handle, fmt: str, out) -> None:
     doc = str(snap.doc_id)
     if fmt == "records":
         print(_fields("DOC", doc, snap.kind.value), file=out)
-        entries = repo.registry.enforcement_entries(snap.doc_id)
-        for name, seq in sorted(entries.items(), key=lambda kv: kv[1]):
+        for name, seq in repo.enforcement_seqs(snap.doc_id):
             print(_fields("ENFORCE", doc, str(seq), name), file=out)
         for prop in sorted(snap.properties):
             for value in snap.properties[prop]:

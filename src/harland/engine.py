@@ -1,36 +1,42 @@
 """Document repository: cache, slice prefetching, writeback, and commits.
 
-The repository is the authority for every live document's metadata from
-open: its own tables hold kinds, slice assignments, membership and content
-tokens, and the schema registry holds enforcement. Property values live in
-per-document slice maps that are materialized on demand: reading any
-property of a document fetches the whole slice that property is assigned
-to, in one backend round trip, so the other properties of the same schema
-arrive for free.
+The backend's committed tables are the only record of document metadata:
+kind, slice assignments, enforcement, membership and content tokens. A
+document whose metadata differs from its committed entry (new, or changed
+since its last flush) carries one pending record with its whole live
+entry, copied from the committed entry on its first metadata change; reads
+take the pending record when there is one, else the committed entry.
+Property values live in per-document slice maps that are materialized on
+demand: reading any property of a document fetches the whole slice that
+property is assigned to, in one backend round trip, so the other
+properties of the same schema arrive for free.
 
-Writes go to the in-memory document. A value write marks its slice dirty;
-a metadata write records the changed key together with the state the store
-had before the first change since the last flush. A background flusher
-(and explicit flush()) visits only the documents changed since their last
-successful flush, diffs their dirty slices against the last persisted
-image, writes records for the changed metadata keys only, and ships one
-atomic batch per document. Schema definitions and content writes go
-through to the backend immediately.
+Writes go to the in-memory document: a value write marks its slice dirty,
+a metadata write changes the pending record. A background flusher (and
+explicit flush()) visits only the documents changed since their last
+successful flush, and ships one atomic batch per document with what its
+live state has that the backend has not committed: its dirty slices'
+rows against the stored rows, its pending record against the committed
+entry. Schema definitions and content writes go through to the backend
+immediately.
 
 Only flushed documents leave the cache, and a new document enters the
 cache before its id becomes live, so a live document outside the cache
 always has a store record.
 
-One repository lock guards the cache, the metadata tables, the dirty set
+One repository lock guards the cache, the pending records, the dirty set
 and the counters; every commit and every read that loads a document runs
 under it, so commits are serialized and see one consistent state across
-documents. Reading one entry of a table (a kind, a content token set)
-or the document count takes no lock: each is one atomic step under the
-interpreter lock. The backend, the schema registry and the commit hub have their own
-locks and never call back into the repository under them. flush() takes
-the repository lock once per document, so other work runs between
-documents of a long flush; close() and hub.drain() never run under it,
-because the dispatcher thread calls back into the repository.
+documents. Reading one document's kind, enforcement, members or content
+tokens takes no lock: the pending record is checked before the committed
+table, a flush drops it only after its batch has committed, and a delete
+gives the document one before the backend empties its entry; a kind
+lookup that still finds nothing checks again under the lock. The backend,
+the schema registry and the commit hub have their own locks and never
+call back into the repository under them. flush() takes the repository
+lock once per document, so other work runs between documents of a long
+flush; close() and hub.drain() never run under it, because the dispatcher
+thread calls back into the repository.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from harland.coordination import CommitHub, Subscription, SubscriptionMode
 from harland.errors import (
@@ -158,14 +164,14 @@ class _IdGen:
         tail = [d.value & 0xFFFFFFFFFFFFFFFF for d in existing if (d.value >> 64) == (base >> 64)]
         self._counter = max(tail, default=0)
 
-    def next_id(self, in_use) -> DocumentId:
+    def next_id(self, kind_of) -> DocumentId:
         while True:
             if self._seed is not None:
                 self._counter += 1
                 candidate = DocumentId(((self._seed & 0xFFFFFFFFFFFFFFFF) << 64) | self._counter)
             else:
                 candidate = DocumentId(uuid.uuid4().int)
-            if not in_use(candidate):
+            if kind_of(candidate) is None:
                 return candidate
 
 
@@ -173,30 +179,33 @@ class _IdGen:
 
 class _IDoc:
     """In-memory image of one document's values, plus what its next flush
-    must write. Guarded by the repository lock."""
+    must write: the dirty slices, and the pending record while its metadata
+    differs from the committed entry. Guarded by the repository lock."""
 
-    __slots__ = (
-        "doc_id",
-        "bags",          # slice id -> {prop -> value bag}
-        "clean_bags",    # persisted image of each dirty slice, copied before its first change
-        "dirty_slices",
-        "exists_in_store",
-        "changed_meta",  # metadata key changed since the last flush -> its state in the store
-    )
+    __slots__ = ("doc_id", "bags", "dirty_slices", "pending")
 
-    def __init__(self, doc_id: DocumentId, exists_in_store: bool):
+    def __init__(self, doc_id: DocumentId, pending: Optional["_Pending"] = None):
         self.doc_id = doc_id
-        self.bags: dict[int, dict[str, tuple[Value, ...]]] = {}
-        self.clean_bags: dict[int, dict[str, tuple[Value, ...]]] = {}
+        self.bags: dict[int, dict[str, tuple[Value, ...]]] = {}  # slice id -> {prop -> value bag}
         self.dirty_slices: set[int] = set()
-        self.exists_in_store = exists_in_store
-        # ("assign", prop) -> None: assignments are write-once, so only new ones
-        # ("enforce", schema) -> stored seq, or None when not stored
-        # ("member", member id) -> whether the membership is stored
-        self.changed_meta: dict[tuple, object] = {}
+        self.pending = pending
 
     def is_dirty(self) -> bool:
-        return bool(self.dirty_slices or self.changed_meta) or not self.exists_in_store
+        return self.pending is not None or bool(self.dirty_slices)
+
+
+class _Pending:
+    """A document's whole live metadata entry while it differs from the
+    committed one. Changed under the repository lock, and never again once
+    its flush has dropped it."""
+
+    __slots__ = ("kind", "assignments", "enforcement", "members")
+
+    def __init__(self, kind: DocumentKind, assignments=(), enforcement=(), members=()):
+        self.kind = kind
+        self.assignments: dict[str, int] = dict(assignments)  # prop -> slice id, write-once
+        self.enforcement: dict[str, int] = dict(enforcement)  # schema -> enforcement seq
+        self.members: set[DocumentId] = set(members)
 
 
 class Handle:
@@ -247,7 +256,7 @@ class Handle:
         self._repo.unenforce(self, schema_name)
 
     def enforced(self) -> tuple[str, ...]:
-        return self._repo.enforced_names(self)
+        return tuple(name for name, _ in self._repo.enforcement_seqs(self.doc_id))
 
     def add_member(self, member: Union["Handle", DocumentId]) -> None:
         self._repo.add_member(self, _as_id(member))
@@ -314,11 +323,6 @@ class Repository:
         self._ids = _IdGen(id_seed)
         self._lock = threading.RLock()
 
-        self._kinds: dict[DocumentId, DocumentKind] = {}
-        self._assignments: dict[DocumentId, dict[str, int]] = {}
-        self._members: dict[DocumentId, set[DocumentId]] = {}
-        self._content_tokens: dict[DocumentId, frozenset[str]] = {}
-
         self._cache: "OrderedDict[DocumentId, _IDoc]" = OrderedDict()
         # the clean documents of the cache, in its order; eviction takes
         # from the front and never walks past a dirty document
@@ -376,33 +380,69 @@ class Repository:
             self.hub.repo = None  # break the cycle: a dropped repository is freed at once
 
     def _load_metadata(self) -> None:
-        view = self.backend.meta_view()
-        for schema, slice_id in sorted(view.schemas.values(), key=lambda pair: pair[1]):
+        for schema, slice_id in sorted(self.backend.schema_defs().values(), key=itemgetter(1)):
             self.registry.define(schema, slice_id=slice_id)
-        for doc_id, kind in view.docs.items():
-            self._kinds[doc_id] = kind
-            self._assignments[doc_id] = {}
-            if kind is DocumentKind.COLLECTION:
-                self._members[doc_id] = set()
-        for doc_id, assigned in view.assignments.items():
-            self._assignments[doc_id].update(assigned)
-        for collection_id, members in view.members.items():
-            self._members[collection_id].update(members)
-        for doc_id, entries in view.enforcement.items():
-            for name, seq in sorted(entries.items(), key=lambda kv: kv[1]):
-                self.registry.record_enforce(doc_id, name, seq=seq)
-        for doc_id, ref in view.content.items():
-            self._content_tokens[doc_id] = frozenset(ref.tokens)
-        self._ids.prime(self._kinds.keys())
+        self._ids.prime(self.backend.stored_docs())
 
-    # ---- cache (callers hold the repository lock) ----
+    # ---- live metadata: the pending record, else the committed entry ----
 
     def _kind(self, doc_id: DocumentId) -> DocumentKind:
         """The live document's kind; raises UnknownDocument once it is deleted."""
-        kind = self._kinds.get(doc_id)
+        kind = self.document_kind(doc_id)
         if kind is None:
             raise UnknownDocument(f"document {doc_id} does not exist")
         return kind
+
+    def _pending(self, doc_id: DocumentId) -> Optional[_Pending]:
+        """The document's pending record, or None. A document that has one is
+        dirty, so it is cached."""
+        idoc = self._cache.get(doc_id)
+        return None if idoc is None else idoc.pending
+
+    def _pending_records(self) -> Iterator[tuple[DocumentId, _Pending]]:
+        """Each document that has a pending record, with the record; callers
+        hold the repository lock."""
+        for doc_id in self._dirty:
+            pending = self._pending(doc_id)
+            if pending is not None:
+                yield doc_id, pending
+
+    def _kind_of(self, doc_id: DocumentId) -> Optional[DocumentKind]:
+        pending = self._pending(doc_id)
+        return pending.kind if pending is not None else self.backend.stored_docs().get(doc_id)
+
+    def _assignments_of(self, doc_id: DocumentId) -> Mapping[str, int]:
+        pending = self._pending(doc_id)
+        return pending.assignments if pending is not None else self.backend.stored_assignments().get(doc_id, {})
+
+    def _enforcement_of(self, doc_id: DocumentId) -> Mapping[str, int]:
+        pending = self._pending(doc_id)
+        return pending.enforcement if pending is not None else self.backend.stored_enforcement().get(doc_id, {})
+
+    def _members_of(self, doc_id: DocumentId) -> AbstractSet[DocumentId]:
+        pending = self._pending(doc_id)
+        return pending.members if pending is not None else self.backend.stored_members().get(doc_id, frozenset())
+
+    def _pending_of(self, idoc: _IDoc) -> _Pending:
+        """The pending record of a document whose metadata is changing, copied
+        from its committed entry on the first change since its last flush.
+        The document is dirty from then on."""
+        self._mark_dirty(idoc.doc_id)
+        if idoc.pending is None:
+            backend, doc_id = self.backend, idoc.doc_id
+            idoc.pending = _Pending(
+                backend.stored_docs()[doc_id],
+                backend.stored_assignments().get(doc_id, ()),
+                backend.stored_enforcement().get(doc_id, ()),
+                backend.stored_members().get(doc_id, ()),
+            )
+        return idoc.pending
+
+    def _stored(self, doc_id: DocumentId) -> bool:
+        """Whether a live document has a store record."""
+        return doc_id in self.backend.stored_docs()
+
+    # ---- cache (callers hold the repository lock) ----
 
     def _load(self, doc_id: DocumentId, kind: Optional[DocumentKind] = None) -> _IDoc:
         """The live document's cached image. With kind given, a document of
@@ -423,7 +463,7 @@ class Repository:
             self._hits += 1
         else:
             self._misses += 1
-            idoc = self._cache[doc_id] = _IDoc(doc_id, exists_in_store=True)
+            idoc = self._cache[doc_id] = _IDoc(doc_id)
             self._clean[doc_id] = None
         self._evict_if_needed(exclude=doc_id)
         return idoc
@@ -468,19 +508,12 @@ class Repository:
             self._clean.pop(doc_id, None)
             self._clean[doc_id] = None
 
-    def _stored(self, doc_id: DocumentId) -> bool:
-        """Whether a live document has a store record."""
-        idoc = self._cache.get(doc_id)
-        if idoc is not None:
-            return idoc.exists_in_store
-        return doc_id in self._kinds
-
     def _materialize(self, idoc: _IDoc, slices: set[int]) -> None:
         """Fetch absent slices in one backend round trip."""
         missing = {s for s in slices if s not in idoc.bags}
         if not missing:
             return
-        if not idoc.exists_in_store:
+        if not self._stored(idoc.doc_id):
             for s in missing:
                 idoc.bags[s] = {}
             return
@@ -492,9 +525,9 @@ class Repository:
             idoc.bags[s] = {p: bag(vals) for p, vals in props.items()}
 
     def _snapshot_locked(self, doc_id: DocumentId, idoc: _IDoc) -> DocumentSnapshot:
-        kind = self._kinds[doc_id]
-        members = frozenset(self._members[doc_id]) if kind is DocumentKind.COLLECTION else frozenset()
-        self._materialize(idoc, set(self._assignments[doc_id].values()))
+        kind = self._kind_of(doc_id)
+        members = frozenset(self._members_of(doc_id))
+        self._materialize(idoc, set(self._assignments_of(doc_id).values()))
         props: dict[str, tuple[Value, ...]] = {}
         for slice_bags in idoc.bags.values():
             for prop, values in slice_bags.items():
@@ -504,7 +537,7 @@ class Repository:
             doc_id=doc_id,
             kind=kind,
             properties=props,
-            enforced=frozenset(self.registry.enforced_names(doc_id)),
+            enforced=frozenset(self._enforcement_of(doc_id)),
             members=members,
         )
 
@@ -513,14 +546,10 @@ class Repository:
     def create_document(self, kind: DocumentKind = DocumentKind.PLAIN) -> Handle:
         self._check_open()
         with self._lock:
-            doc_id = self._ids.next_id(self._kinds.__contains__)
-            self._cache[doc_id] = _IDoc(doc_id, exists_in_store=False)
+            doc_id = self._ids.next_id(self._kind_of)
+            # live once its image, which carries its pending record, is cached
+            self._cache[doc_id] = _IDoc(doc_id, _Pending(kind))
             self._mark_dirty(doc_id)
-            # live only now that its image is cached
-            self._kinds[doc_id] = kind
-            self._assignments[doc_id] = {}
-            if kind is DocumentKind.COLLECTION:
-                self._members[doc_id] = set()
             self._evict_if_needed(exclude=doc_id)
             after = DocumentSnapshot(
                 doc_id=doc_id, kind=kind, properties={},
@@ -535,12 +564,18 @@ class Repository:
         self._kind(doc_id)
         return Handle(self, doc_id)
 
+    def _unstored(self) -> list[DocumentId]:
+        """Live documents with no store record yet; callers hold the lock."""
+        stored = self.backend.stored_docs()
+        return [doc_id for doc_id, _ in self._pending_records() if doc_id not in stored]
+
     def document_ids(self) -> list[DocumentId]:
         with self._lock:
-            return sorted(self._kinds)
+            return sorted([*self.backend.stored_docs(), *self._unstored()])
 
     def document_count(self) -> int:
-        return len(self._kinds)
+        with self._lock:  # a flush commits a new document before it drops its pending record
+            return len(self.backend.stored_docs()) + len(self._unstored())
 
     def delete_document(self, handle: Handle) -> None:
         self._check_open()
@@ -548,19 +583,14 @@ class Repository:
         with self._lock:
             idoc = self._load(doc_id)
             before = self._snapshot_locked(doc_id, idoc)
-            if idoc.exists_in_store:
-                self.backend.delete_document(doc_id)
-            self._cache.pop(doc_id, None)
+            if self._stored(doc_id):
+                self._pending_of(idoc)  # lock-free readers take it while the entry is gone
+                self.backend.delete_document(doc_id)  # its committed memberships go too
+            self._cache.pop(doc_id, None)  # and its pending record with it
             self._clean.pop(doc_id, None)
             self._dirty.pop(doc_id, None)
-            self._kinds.pop(doc_id, None)
-            self._assignments.pop(doc_id, None)
-            self._members.pop(doc_id, None)
-            self._content_tokens.pop(doc_id, None)
-            holders = [c for c, members in self._members.items() if doc_id in members]
-            for c in holders:
-                self._members[c].discard(doc_id)
-            self.registry.drop_document(doc_id)
+            for _, pending in self._pending_records():
+                pending.members.discard(doc_id)
             # re-evaluate the deleted collection's members: their membership
             # test flips when the collection disappears
             self.hub.publish(
@@ -576,7 +606,7 @@ class Repository:
 
     def _assign_slice(self, doc_id: DocumentId, prop: str) -> int:
         """First write of a property picks its slice, permanently."""
-        for name in self.registry.enforced_names(doc_id):
+        for name, _ in self.enforcement_seqs(doc_id):
             if prop in self.registry.get(name).constraints:
                 return self.registry.slice_of_schema(name)
         containing = self.registry.schemas_containing(prop)
@@ -607,15 +637,11 @@ class Repository:
             if violations:
                 raise SchemaViolation(violations)
 
-            assigned = self._assignments[doc_id]
-            slice_id = assigned.get(prop)
+            slice_id = self._assignments_of(doc_id).get(prop)
             if slice_id is None:
-                slice_id = assigned[prop] = self._assign_slice(doc_id, prop)
-                idoc.changed_meta[("assign", prop)] = None
+                slice_id = self._pending_of(idoc).assignments[prop] = self._assign_slice(doc_id, prop)
             self._materialize(idoc, {slice_id})
             slice_bags = idoc.bags.setdefault(slice_id, {})
-            if slice_id not in idoc.dirty_slices:
-                idoc.clean_bags[slice_id] = dict(slice_bags)
             if new:
                 slice_bags[prop] = new
             else:
@@ -648,16 +674,15 @@ class Repository:
         with self._lock:
             self._kind(doc_id)
             schema = self.registry.get(schema_name)  # raises UnknownSchema
-            if self.registry.is_enforced(doc_id, schema_name):
+            if schema_name in self._enforcement_of(doc_id):
                 return
             idoc = self._idoc(doc_id)
             before = self._snapshot_locked(doc_id, idoc)
             violations = self.registry.violations(before, schema.name)
             if violations:
                 raise NotConforming(violations)
-            self.registry.record_enforce(doc_id, schema_name)
-            idoc.changed_meta.setdefault(("enforce", schema_name), None)
-            self._mark_dirty(doc_id)
+            enforcement = self._pending_of(idoc).enforcement
+            enforcement[schema_name] = max(enforcement.values(), default=0) + 1
             after = replace(before, enforced=before.enforced | {schema_name})
             self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_added=frozenset({schema_name}))
 
@@ -668,19 +693,19 @@ class Repository:
         with self._lock:
             self._kind(doc_id)
             self.registry.get(schema_name)
-            if not self.registry.is_enforced(doc_id, schema_name):
+            if schema_name not in self._enforcement_of(doc_id):
                 return
             idoc = self._idoc(doc_id)
             before = self._snapshot_locked(doc_id, idoc)
-            seq = self.registry.record_unenforce(doc_id, schema_name)
-            idoc.changed_meta.setdefault(("enforce", schema_name), seq)
-            self._mark_dirty(doc_id)
+            del self._pending_of(idoc).enforcement[schema_name]
             after = replace(before, enforced=before.enforced - {schema_name})
             self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_removed=frozenset({schema_name}))
 
-    def enforced_names(self, handle: Handle) -> tuple[str, ...]:
-        self._kind(handle.doc_id)
-        return tuple(self.registry.enforced_names(handle.doc_id))
+    def enforcement_seqs(self, doc_id: DocumentId) -> list[tuple[str, int]]:
+        """(schema, enforcement seq) of each schema enforced on the live
+        document, earliest enforced first."""
+        self._kind(doc_id)
+        return sorted(self._enforcement_of(doc_id).items(), key=itemgetter(1))
 
     # ---- membership ----
 
@@ -689,14 +714,12 @@ class Repository:
         doc_id = handle.doc_id
         with self._lock:
             idoc = self._load(doc_id, DocumentKind.COLLECTION)
-            if member_id not in self._kinds:
+            if self._kind_of(member_id) is None:
                 raise UnknownDocument(f"member {member_id} does not exist")
-            if member_id in self._members[doc_id]:
+            if member_id in self._members_of(doc_id):
                 return
             before = self._snapshot_locked(doc_id, idoc)
-            self._members[doc_id].add(member_id)
-            idoc.changed_meta.setdefault(("member", member_id), False)
-            self._mark_dirty(doc_id)
+            self._pending_of(idoc).members.add(member_id)
             after = replace(before, members=before.members | {member_id})
             self.hub.publish(doc_id=doc_id, before=before, after=after, members_added=frozenset({member_id}))
 
@@ -705,12 +728,10 @@ class Repository:
         doc_id = handle.doc_id
         with self._lock:
             idoc = self._load(doc_id, DocumentKind.COLLECTION)
-            if member_id not in self._members[doc_id]:
+            if member_id not in self._members_of(doc_id):
                 return
             before = self._snapshot_locked(doc_id, idoc)
-            self._members[doc_id].discard(member_id)
-            idoc.changed_meta.setdefault(("member", member_id), True)
-            self._mark_dirty(doc_id)
+            self._pending_of(idoc).members.discard(member_id)
             after = replace(before, members=before.members - {member_id})
             self.hub.publish(doc_id=doc_id, before=before, after=after, members_removed=frozenset({member_id}))
 
@@ -730,22 +751,21 @@ class Repository:
             idoc = self._load(doc_id, DocumentKind.CONTENT)
             self._flush_doc_locked(doc_id, idoc)  # the blob needs its document record first
             self._file_clean((doc_id,))
-            tokens_before = self._content_tokens.get(doc_id, frozenset())
+            tokens_before = self.content_tokens(doc_id)
             snap = self._snapshot_locked(doc_id, idoc)
             ref = self.backend.content_write(doc_id, data)
-            tokens_after = frozenset(ref.tokens)
-            self._content_tokens[doc_id] = tokens_after
             self.hub.publish(
                 doc_id=doc_id,
                 before=snap,
                 after=snap,
                 tokens_before=tokens_before,
-                tokens_after=tokens_after,
+                tokens_after=ref.tokens,
             )
 
     def get_content(self, handle: Handle) -> bytes:
         with self._lock:
-            if not self._load(handle.doc_id, DocumentKind.CONTENT).exists_in_store:
+            self._load(handle.doc_id, DocumentKind.CONTENT)
+            if not self._stored(handle.doc_id):
                 return b""
             return self.backend.content_read(handle.doc_id)
 
@@ -776,22 +796,28 @@ class Repository:
         return self.registry.has(name)
 
     def document_kind(self, doc_id: DocumentId) -> Optional[DocumentKind]:
-        return self._kinds.get(doc_id)
+        """The live document's kind, or None; a miss is checked again under
+        the lock, which a failed delete holds until it restores the entry."""
+        kind = self._kind_of(doc_id)
+        if kind is None:
+            with self._lock:
+                kind = self._kind_of(doc_id)
+        return kind
 
     def enforced_of(self, doc_id: DocumentId) -> frozenset[str]:
-        return frozenset(self.registry.enforced_names(doc_id))
+        return frozenset(self._enforcement_of(doc_id))
 
     def members_of(self, collection_id: DocumentId) -> frozenset[DocumentId]:
-        with self._lock:
-            return frozenset(self._members.get(collection_id, ()))
+        return frozenset(self._members_of(collection_id))
 
     def content_tokens(self, doc_id: DocumentId) -> frozenset[str]:
-        return self._content_tokens.get(doc_id, frozenset())
+        ref = self.backend.stored_content().get(doc_id)
+        return ref.tokens if ref is not None else frozenset()
 
     def bags_of(self, doc_id: DocumentId, props: Sequence[str]) -> dict[str, tuple[Value, ...]]:
         with self._lock:
             self._kind(doc_id)
-            assigned = self._assignments[doc_id]
+            assigned = self._assignments_of(doc_id)
             wanted = {p: assigned[p] for p in props if p in assigned}
             if not wanted:
                 return {}
@@ -812,28 +838,34 @@ class Repository:
         """Each positive leaf's candidate source: leaf -> (source, ids, exact).
 
         No source fetches a slice or touches the cache. Schema, membership and
-        content leaves read the enforcement map, the collection's members (in
-        id order, which keeps the final sort of the candidates cheap) and the
-        content tokens, and are exact. A value leaf reads the documents whose
-        stored bag passes it from the backend's column for its property:
-        `=`, `<`, `<=`, `>` and `>=` against a literal of an ordered type by a
-        bisect slice of the sorted postings, any other leaf by a scan of the
-        column. The dirty documents are added, since their values in memory
-        may differ from the store. All of it is read under the repository
-        lock, so no flush moves a document from the dirty set to the store
-        in between.
+        content leaves are exact: a walk of the committed enforcement table
+        with the pending records laid over it, the collection's live members
+        (in id order, which keeps the final sort of the candidates cheap), and
+        a walk of the committed content tokens. A value leaf reads the
+        documents whose stored bag passes it from the backend's column for
+        its property: `=`, `<`, `<=`, `>` and `>=` against a literal of an
+        ordered type by a bisect slice of the sorted postings, any other leaf
+        by a scan of the column. The dirty documents are added, since their
+        values in memory may differ from the store. All of it is read under
+        the repository lock, so no flush moves a document from the dirty set
+        to the store in between.
         """
         served = {}
         with self._lock:
             for pred in preds:
                 if isinstance(pred, HasSchema):
-                    served[pred] = ("schema", self.registry.enforced_on(pred.name), True)
+                    hits = [d for d, entry in self.backend.stored_enforcement().items() if pred.name in entry]
+                    pending = dict(self._pending_records())
+                    if pending:  # their pending records replace their committed entries
+                        hits = [d for d in hits if d not in pending]
+                        hits.extend(d for d, record in pending.items() if pred.name in record.enforcement)
+                    served[pred] = ("schema", hits, True)
                 elif isinstance(pred, MemberOf):
-                    members = sorted(self._members.get(pred.collection, ()), key=itemgetter(0))
+                    members = sorted(self._members_of(pred.collection), key=itemgetter(0))
                     served[pred] = ("members", members, True)
                 elif isinstance(pred, ContentContains):
                     token = pred.token.casefold()
-                    hits = [d for d, tokens in self._content_tokens.items() if token in tokens]
+                    hits = [d for d, ref in self.backend.stored_content().items() if token in ref.tokens]
                     served[pred] = ("content", hits, True)
                 else:
                     signs = PASSING_SIGNS.get(pred.op) if isinstance(pred, Cmp) else None
@@ -888,7 +920,7 @@ class Repository:
                 slices.add(self.registry.slice_of_schema(name))
         with self._lock:
             self._kind(doc_id)
-            assigned = self._assignments[doc_id]
+            assigned = self._assignments_of(doc_id)
             slices.update(assigned[p] for p in compiled.props if p in assigned)
             if slices:
                 self._materialize(self._idoc(doc_id), slices)
@@ -914,10 +946,9 @@ class Repository:
         cleaned: list[DocumentId] = []
         for _ in range(2):
             with self._lock:
-                dirty = [(doc_id, self._cache.get(doc_id)) for doc_id in self._dirty]
-                dirty.sort(key=lambda item: item[1] is not None and item[1].exists_in_store)
+                dirty = sorted(self._dirty, key=self._stored)
             dirty_left = False
-            for doc_id, _ in dirty:
+            for doc_id in dirty:
                 with self._lock:  # once per document: other work runs in between
                     idoc = self._cache.get(doc_id)
                     if idoc is not None:
@@ -936,61 +967,48 @@ class Repository:
         return flushed
 
     def _flush_doc_locked(self, doc_id: DocumentId, idoc: _IDoc) -> bool:
-        if not idoc.is_dirty():
-            return False
+        """Writes in one batch how the live document differs from what the
+        backend has committed, and returns whether it wrote one. The pending
+        record goes once the batch commits, unless a membership waits for
+        its member's document record."""
+        pending = idoc.pending
+        backend = self.backend
         rows: list[PropertyRow] = []
         deletes: list[tuple] = []
+        stored_rows = backend.stored_rows().get(doc_id, {})
         for slice_id in sorted(idoc.dirty_slices):
-            new_rows = _bag_rows(doc_id, slice_id, idoc.bags.get(slice_id, {}))
-            old_rows = _bag_rows(doc_id, slice_id, idoc.clean_bags.get(slice_id, {}))
-            new_keys = {r.key(): r for r in new_rows}
-            old_keys = set(r.key() for r in old_rows)
-            deletes.extend(k for k in old_keys if k not in new_keys)
-            rows.extend(r for k, r in new_keys.items() if k not in old_keys)
+            old = {key for key, row in stored_rows.items() if row.slice_id == slice_id}
+            new = {row.key()[1:]: row for row in _bag_rows(doc_id, slice_id, idoc.bags.get(slice_id, {}))}
+            deletes.extend((doc_id, *key) for key in old if key not in new)
+            rows.extend(row for key, row in new.items() if key not in old)
 
         meta: list = []
         meta_deletes: list = []
-        joined: list[DocumentId] = []
-        enforcement = self.registry.enforcement_entries(doc_id) if idoc.changed_meta else {}
-        if not idoc.exists_in_store:
-            meta.append(DocumentRecord(doc_id, self._kinds[doc_id]))
-        for key, stored in idoc.changed_meta.items():
-            tag, name = key
-            if tag == "assign":
-                meta.append(SliceAssignment(doc_id, name, self._assignments[doc_id][name]))
-            elif tag == "enforce":
-                seq = enforcement.get(name)
-                if seq == stored:
-                    continue
-                if seq is None:
-                    meta_deletes.append(Enforcement(doc_id, name, 0))
+        waiting = False
+        if pending is not None:
+            if not self._stored(doc_id):
+                meta.append(DocumentRecord(doc_id, pending.kind))
+            assigned = backend.stored_assignments().get(doc_id, {})
+            meta.extend(SliceAssignment(doc_id, p, s) for p, s in pending.assignments.items() if p not in assigned)
+            enforced = backend.stored_enforcement().get(doc_id, {})
+            meta.extend(Enforcement(doc_id, n, seq) for n, seq in pending.enforcement.items() if enforced.get(n) != seq)
+            meta_deletes.extend(Enforcement(doc_id, n, 0) for n in enforced if n not in pending.enforcement)
+            members = backend.stored_members().get(doc_id, frozenset())
+            for member in pending.members - members:
+                if member == doc_id or self._stored(member):
+                    meta.append(Membership(doc_id, member))
                 else:
-                    meta.append(Enforcement(doc_id, name, seq))
-            elif name in self._members[doc_id]:
-                if not stored:
-                    joined.append(name)
-            elif stored and name in self._kinds:
-                # a deleted member's records went with it in the store
-                meta_deletes.append(Membership(doc_id, name))
-        deferred: dict[tuple, object] = {}
-        for member in joined:
-            if member == doc_id or self._stored(member):
-                meta.append(Membership(doc_id, member))
-            else:
-                deferred[("member", member)] = False  # the member has no store record yet
+                    waiting = True  # the member has no store record yet
+            meta_deletes.extend(Membership(doc_id, m) for m in members - pending.members)
 
-        if not rows and not deletes and not meta and not meta_deletes:
-            idoc.dirty_slices.clear()
-            idoc.clean_bags.clear()
-            idoc.changed_meta = deferred
-            return False
-        self.backend.put_rows(rows=rows, deletes=deletes, meta=meta, meta_deletes=meta_deletes)
+        written = bool(rows or deletes or meta or meta_deletes)
+        if written:
+            backend.put_rows(rows=rows, deletes=deletes, meta=meta, meta_deletes=meta_deletes)
+            self._flushes += 1
         idoc.dirty_slices.clear()
-        idoc.clean_bags.clear()
-        idoc.changed_meta = deferred
-        idoc.exists_in_store = True
-        self._flushes += 1
-        return True
+        if not waiting:
+            idoc.pending = None
+        return written
 
     def _flush_loop(self) -> None:
         interval = max(self.config.flush_interval / 2, 0.01)

@@ -1,8 +1,9 @@
-"""Schema registry: definitions, conformance checks, enforcement bookkeeping.
+"""Schema registry: definitions and conformance checks.
 
 The registry is the in-memory authority for which schemas exist and which
-documents they are enforced on. Persistence of those facts is the engine's
-job; the registry only validates and records.
+slice each one owns. Which documents a schema is enforced on is document
+metadata, held by the store's committed tables and the engine's pending
+records; the registry only validates documents against schemas.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from harland.errors import DuplicateSchema, InconsistentSchema, UnknownSchema
-from harland.model import DocumentSnapshot, DocumentId, Schema
+from harland.model import DocumentSnapshot, Schema
 
 DEFAULT_SLICE = 0
 
@@ -36,13 +37,11 @@ class Violation:
 
 
 class SchemaRegistry:
-    """Registered schemas plus the per-document enforcement record.
+    """Registered schemas and their slices.
 
     Each schema gets a slice id equal to its registration ordinal (1-based;
     slice 0 is the default slice for properties outside every schema), so
-    "earliest registered" and "lowest slice id" coincide. Enforcement
-    entries carry a per-document sequence number so "earliest enforced"
-    survives unenforce/re-enforce cycles and store reloads.
+    "earliest registered" and "lowest slice id" coincide.
     """
 
     def __init__(self):
@@ -50,8 +49,6 @@ class SchemaRegistry:
         self._schemas: dict[str, Schema] = {}
         self._slice_ids: dict[str, int] = {}
         self._next_slice = 1
-        # doc -> {schema name -> enforcement seq}
-        self._enforcement: dict[DocumentId, dict[str, int]] = {}
 
     # ---- definitions ----
 
@@ -141,42 +138,3 @@ class SchemaRegistry:
                     v = Violation(v.schema, v.prop, Reason.TOO_FEW_VALUES)
                 found.append(v)
         return found
-
-    # ---- enforcement bookkeeping ----
-
-    def record_enforce(self, doc_id: DocumentId, name: str, seq: Optional[int] = None) -> int:
-        """Record enforcement; seq is only passed when reloading from the store."""
-        self.get(name)
-        with self._lock:
-            entry = self._enforcement.setdefault(doc_id, {})
-            if seq is None:
-                seq = max(entry.values(), default=0) + 1
-            entry[name] = seq
-            return seq
-
-    def record_unenforce(self, doc_id: DocumentId, name: str) -> Optional[int]:
-        """Drop enforcement; returns the seq it had, or None if it was not enforced."""
-        with self._lock:
-            return self._enforcement.get(doc_id, {}).pop(name, None)
-
-    def drop_document(self, doc_id: DocumentId) -> None:
-        with self._lock:
-            self._enforcement.pop(doc_id, None)
-
-    def enforced_names(self, doc_id: DocumentId) -> list[str]:
-        """Schemas enforced on the document, earliest enforced first."""
-        with self._lock:
-            entry = self._enforcement.get(doc_id, {})
-            return sorted(entry, key=entry.__getitem__)
-
-    def enforced_on(self, name: str) -> list[DocumentId]:
-        """Every document the schema is enforced on, in no particular order."""
-        with self._lock:
-            return [doc_id for doc_id, entry in self._enforcement.items() if name in entry]
-
-    def enforcement_entries(self, doc_id: DocumentId) -> dict[str, int]:
-        with self._lock:
-            return dict(self._enforcement.get(doc_id, {}))
-
-    def is_enforced(self, doc_id: DocumentId, name: str) -> bool:
-        return name in self._enforcement.get(doc_id, {})

@@ -82,7 +82,7 @@ from datetime import datetime
 from math import copysign
 from operator import itemgetter, lt, ne
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional, Union
 
 from harland.errors import CorruptStore, StorageFailure, UnknownDocument
 from harland.model import (
@@ -473,7 +473,7 @@ class DocumentData:
 
 @dataclass
 class MetaView:
-    """Full metadata image used to prime a cache at open time."""
+    """A copy of every committed metadata table."""
 
     docs: dict[DocumentId, DocumentKind]
     schemas: dict[str, tuple[Schema, int]]
@@ -787,6 +787,27 @@ class MemoryBackend:
                 members={d: set(m) for d, m in self._members.items() if m},
                 content=dict(self._content),
             )
+
+    # The committed tables, for the engine to read without the lock. Each is
+    # the table itself, not a copy, and a caller never changes it.
+
+    def stored_docs(self) -> Mapping[DocumentId, DocumentKind]:
+        return self._docs
+
+    def stored_assignments(self) -> Mapping[DocumentId, Mapping[str, int]]:
+        return self._assignments
+
+    def stored_enforcement(self) -> Mapping[DocumentId, Mapping[str, int]]:
+        return self._enforcement
+
+    def stored_members(self) -> Mapping[DocumentId, AbstractSet[DocumentId]]:
+        return self._members
+
+    def stored_content(self) -> Mapping[DocumentId, ContentRef]:
+        return self._content
+
+    def stored_rows(self) -> Mapping[DocumentId, Mapping[tuple, PropertyRow]]:
+        return self._rows
 
     def _require(self, doc_id: DocumentId) -> DocumentKind:
         kind = self._docs.get(doc_id)

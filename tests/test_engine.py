@@ -141,6 +141,20 @@ def test_enforce_is_idempotent_and_ordered():
         assert h.enforced() == ("todo", "audited")
 
 
+def test_enforcement_order_is_tracked():
+    with fresh() as repo:
+        repo.define_schema(Schema("email", {}))
+        repo.define_schema(Schema("to-do", {}))
+        h = repo.create_document()
+        h.enforce("to-do")
+        h.enforce("email")
+        assert h.enforced() == ("to-do", "email")
+        h.unenforce("to-do")
+        assert h.enforced() == ("email",)
+        h.enforce("to-do")  # re-enforce lands at the end
+        assert h.enforced() == ("email", "to-do")
+
+
 def test_slice_assignment_follows_enforcement():
     with fresh() as repo:
         repo.define_schema(todo_schema())  # slice 1
@@ -468,12 +482,17 @@ def test_background_flusher_survives_os_errors(tmp_path, monkeypatch):
 
 def test_create_delete_cycles_leave_no_locks():
     repo = fresh()
-    for _ in range(1000):
+    for i in range(1000):
         h = repo.create_document()
         h.set_property("x", [Value.integer(1)])
+        if i % 2:
+            repo.flush()  # half the deletes go through the store
         h.delete()
     assert repo.document_count() == 0
-    for table in (repo._cache, repo._dirty, repo._assignments, repo._members, repo._content_tokens):
+    backend = repo.backend
+    # pending records live on the cached images, so an empty cache holds none
+    for table in (repo._cache, repo._clean, repo._dirty, backend._docs, backend._assignments,
+                  backend._enforcement, backend._members, backend._content):
         assert len(table) == 0
     repo.close()
 

@@ -159,20 +159,6 @@ def test_validate_mutation_ignores_unenforced_schemas():
     assert reg.validate_mutation(before, proposed) == []
 
 
-def test_enforcement_order_is_tracked():
-    reg = SchemaRegistry()
-    reg.define(email_schema())
-    reg.define(todo_schema())
-    did = DocumentId(9)
-    reg.record_enforce(did, "to-do")
-    reg.record_enforce(did, "email")
-    assert reg.enforced_names(did) == ["to-do", "email"]
-    reg.record_unenforce(did, "to-do")
-    assert reg.enforced_names(did) == ["email"]
-    reg.record_enforce(did, "to-do")  # re-enforce lands at the end
-    assert reg.enforced_names(did) == ["email", "to-do"]
-
-
 def test_empty_schema_always_conforms():
     reg = SchemaRegistry()
     reg.define(Schema("sync", {}))
