@@ -28,15 +28,17 @@ One repository lock guards the cache, the pending records, the dirty set
 and the counters; every commit and every read that loads a document runs
 under it, so commits are serialized and see one consistent state across
 documents. Reading one document's kind, enforcement, members or content
-tokens takes no lock: the pending record is checked before the committed
-table, a flush drops it only after its batch has committed, and a delete
-gives the document one before the backend empties its entry; a kind
-lookup that still finds nothing checks again under the lock. The backend,
-the schema registry and the commit hub have their own locks and never
-call back into the repository under them. flush() takes the repository
-lock once per document, so other work runs between documents of a long
-flush; close() and hub.drain() never run under it, because the dispatcher
-thread calls back into the repository.
+tokens takes no lock. The backend stages a batch beside its committed
+tables, writes the checkpoint, and only then installs the batch, so a
+failed write changes no committed table. The pending record is checked
+before the committed table, a flush drops it only after its batch has
+installed, and a delete gives the document one before the backend
+installs the delete across its tables. The backend, the schema registry
+and the commit hub have their own locks and never call back into the
+repository under them. flush() takes the repository lock once per
+document, so other work runs between documents of a long flush; close()
+and hub.drain() never run under it, because the dispatcher thread calls
+back into the repository.
 """
 
 from __future__ import annotations
@@ -517,9 +519,8 @@ class Repository:
             for s in missing:
                 idoc.bags[s] = {}
             return
-        data = self.backend.fetch_slices(idoc.doc_id, missing)
         grouped: dict[int, dict[str, list[Value]]] = {s: {} for s in missing}
-        for row in data.rows:
+        for row in self.backend.fetch_slices(idoc.doc_id, missing):
             grouped[row.slice_id].setdefault(row.prop, []).append(row.value)
         for s, props in grouped.items():
             idoc.bags[s] = {p: bag(vals) for p, vals in props.items()}
@@ -584,7 +585,9 @@ class Repository:
             idoc = self._load(doc_id)
             before = self._snapshot_locked(doc_id, idoc)
             if self._stored(doc_id):
-                self._pending_of(idoc)  # lock-free readers take it while the entry is gone
+                # lock-free readers take it while the backend installs the
+                # delete one table at a time
+                self._pending_of(idoc)
                 self.backend.delete_document(doc_id)  # its committed memberships go too
             self._cache.pop(doc_id, None)  # and its pending record with it
             self._clean.pop(doc_id, None)
@@ -796,13 +799,8 @@ class Repository:
         return self.registry.has(name)
 
     def document_kind(self, doc_id: DocumentId) -> Optional[DocumentKind]:
-        """The live document's kind, or None; a miss is checked again under
-        the lock, which a failed delete holds until it restores the entry."""
-        kind = self._kind_of(doc_id)
-        if kind is None:
-            with self._lock:
-                kind = self._kind_of(doc_id)
-        return kind
+        """The live document's kind, or None."""
+        return self._kind_of(doc_id)
 
     def enforced_of(self, doc_id: DocumentId) -> frozenset[str]:
         return frozenset(self._enforcement_of(doc_id))

@@ -121,9 +121,6 @@ class SchemaRegistry:
                 found.append(Violation(name, prop, Reason.WRONG_TYPE))
         return found
 
-    def conforms(self, doc: DocumentSnapshot, name: str) -> bool:
-        return not self.violations(doc, name)
-
     def validate_mutation(self, before: DocumentSnapshot, proposed: DocumentSnapshot) -> list[Violation]:
         """Violations the proposed state would cause under before's enforced schemas.
 

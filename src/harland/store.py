@@ -21,6 +21,16 @@ written in a canonical sort order, which makes checkpoint bytes a pure
 function of store state. Content bytes live outside the checkpoint in
 content/<doc-id> files under the store root.
 
+Every writer (put_rows, content_write, delete_document) stages, persists,
+then installs. A batch copies only the entries it touches, each document's
+map or set copied on its first edit, with None for an entry it removes or
+empties, and checks every record against its staged entries first and the
+committed tables second. The checkpoint is encoded from the committed
+tables with the staged entries laid over them; only once it is written do
+the staged entries replace the committed ones, one assignment or pop per
+table and key. A failed write leaves every committed table as it was, so
+a reader without the lock never sees an entry that is not on disk.
+
 Every section except SCHEMA is document-major in sorted id order (MEMBER by
 collection), so the body is a join of per-document record blocks. A backend
 keeps each block with its CRC32C, and a batch drops the blocks of the
@@ -77,6 +87,7 @@ import re
 import sys
 import threading
 import time
+from collections import ChainMap
 from dataclasses import dataclass
 from datetime import datetime
 from math import copysign
@@ -460,18 +471,6 @@ class ContentRef:
 
 
 @dataclass
-class DocumentData:
-    """Result of one fetch: requested slices' rows plus document metadata."""
-
-    kind: DocumentKind
-    rows: list[PropertyRow]
-    enforcement: list[tuple[str, int]]  # (schema, seq), earliest first
-    assignments: dict[str, int]
-    members: frozenset[DocumentId]
-    content_ref: Optional[ContentRef]
-
-
-@dataclass
 class MetaView:
     """A copy of every committed metadata table."""
 
@@ -564,6 +563,7 @@ class MemoryBackend:
         self._blobs: dict[DocumentId, bytes] = {}
         self._sections = {name: _Section() for name, _ in _LAYOUT}
         self._columns: dict[str, _Column] = {}  # for the properties some query has named
+        self._staged: dict[str, dict] = {}  # table -> key -> entry (None: removed), while a batch is written
         self.fetch_count = 0
         self.batch_count = 0
         self.scan_count = 0
@@ -573,7 +573,7 @@ class MemoryBackend:
         self.checksummed_bytes = 0  # bytes passed to crc32c, by open and by encodes
         self.fail_next_persist = False
 
-    # ---- batches ----
+    # ---- batches: stage, persist, install ----
 
     def put_rows(
         self,
@@ -586,7 +586,63 @@ class MemoryBackend:
         rows, deletes = list(rows), [tuple(k) for k in deletes]
         meta, meta_deletes = list(meta), list(meta_deletes)
         with self._lock:
-            self._validate_batch(rows, deletes, meta, meta_deletes)
+            staged: dict[str, dict] = {}
+            entry = functools.partial(self._entry, staged)
+            edit = functools.partial(self._edit, staged)
+            for record in meta:
+                if isinstance(record, DocumentRecord):
+                    if entry("_docs", record.doc_id) is not None:
+                        raise StorageFailure(f"document {record.doc_id} already exists")
+                    staged.setdefault("_docs", {})[record.doc_id] = record.kind
+                elif isinstance(record, SchemaDef):
+                    name = record.schema.name
+                    if entry("_schemas", name) is not None:
+                        raise StorageFailure(f"schema {name!r} already stored")
+                    staged.setdefault("_schemas", {})[name] = (record.schema, record.slice_id)
+                elif isinstance(record, Enforcement):
+                    if entry("_docs", record.doc_id) is None or entry("_schemas", record.schema) is None:
+                        raise StorageFailure("enforcement references unknown document or schema")
+                    edit("_enforcement", record.doc_id, dict)[record.schema] = record.seq
+                elif isinstance(record, SliceAssignment):
+                    if entry("_docs", record.doc_id) is None:
+                        raise StorageFailure("slice assignment references unknown document")
+                    assigned = edit("_assignments", record.doc_id, dict)
+                    if assigned.setdefault(record.prop, record.slice_id) != record.slice_id:
+                        raise StorageFailure(
+                            f"slice assignment for ({record.doc_id}, {record.prop!r}) is write-once"
+                        )
+                elif isinstance(record, Membership):
+                    if entry("_docs", record.collection) is None or entry("_docs", record.member) is None:
+                        raise StorageFailure("membership references unknown document")
+                    edit("_members", record.collection, set).add(record.member)
+                else:
+                    raise StorageFailure(f"unsupported metadata record {record!r}")
+            for record in meta_deletes:
+                if isinstance(record, Enforcement):
+                    if edit("_enforcement", record.doc_id, dict).pop(record.schema, None) is None:
+                        raise StorageFailure("retracting enforcement that is not stored")
+                elif isinstance(record, Membership):
+                    members = edit("_members", record.collection, set)
+                    if record.member not in members:
+                        raise StorageFailure("retracting membership that is not stored")
+                    members.remove(record.member)
+                else:
+                    raise StorageFailure(f"metadata record {type(record).__name__} cannot be retracted")
+            for key in deletes:
+                if len(key) != 4:
+                    raise StorageFailure(f"malformed row key {key!r}")
+                if edit("_rows", key[0], dict).pop(key[1:], None) is None:
+                    raise StorageFailure(f"deleting unknown row {key!r}")
+            for row in rows:
+                if entry("_docs", row.doc_id) is None:
+                    raise StorageFailure(f"row for unknown document {row.doc_id}")
+                if row.slice_id < 0:
+                    raise StorageFailure("negative slice id")
+                key = row.key()
+                stored = edit("_rows", row.doc_id, dict)
+                if key[1:] in stored:
+                    raise StorageFailure(f"row {key!r} already stored")
+                stored[key[1:]] = row
             # in batch order, not hash order, so a batch files its ids into a
             # section's chunks the same way in every process
             touched = dict.fromkeys(itertools.chain(
@@ -594,140 +650,57 @@ class MemoryBackend:
                 (("props", key[0]) for key in deletes),
                 (record.key()[:2] for record in meta + meta_deletes),
             ))
-            undo: list = []
-            try:
-                for record in meta:
-                    self._apply_meta(record, undo)
-                for record in meta_deletes:
-                    self._apply_meta_delete(record, undo)
-                for key in deletes:
-                    doc_id = key[0]
-                    row = self._rows[doc_id].pop(key[1:])
-                    undo.append(lambda d=doc_id, k=key[1:], r=row: self._rows[d].__setitem__(k, r))
-                for row in rows:
-                    slot = self._rows.setdefault(row.doc_id, {})
-                    slot[row.key()[1:]] = row
-                    undo.append(lambda d=row.doc_id, k=row.key()[1:]: self._rows[d].pop(k, None))
-                self._stale(touched)
-                self._persist()
-            except BaseException:
-                for fn in reversed(undo):
-                    fn()
-                self._stale(touched)  # blocks encoded before a failed write
-                raise
+            self._commit(staged, touched)
             if self._columns:
                 self._refresh_columns([(row.doc_id, row.prop) for row in rows] + [key[:2] for key in deletes])
             self.batch_count += 1
 
-    def _validate_batch(self, rows, deletes, meta, meta_deletes):
-        staged_docs = set(self._docs)
-        staged_schemas = set(self._schemas)
-        for record in meta:
-            if isinstance(record, DocumentRecord):
-                if record.doc_id in staged_docs:
-                    raise StorageFailure(f"document {record.doc_id} already exists")
-                staged_docs.add(record.doc_id)
-            elif isinstance(record, SchemaDef):
-                if record.schema.name in staged_schemas:
-                    raise StorageFailure(f"schema {record.schema.name!r} already stored")
-                staged_schemas.add(record.schema.name)
-            elif isinstance(record, Enforcement):
-                if record.doc_id not in staged_docs or record.schema not in staged_schemas:
-                    raise StorageFailure("enforcement references unknown document or schema")
-            elif isinstance(record, SliceAssignment):
-                if record.doc_id not in staged_docs:
-                    raise StorageFailure("slice assignment references unknown document")
-                existing = self._assignments.get(record.doc_id, {}).get(record.prop)
-                if existing is not None and existing != record.slice_id:
-                    raise StorageFailure(
-                        f"slice assignment for ({record.doc_id}, {record.prop!r}) is write-once"
-                    )
-            elif isinstance(record, Membership):
-                if record.collection not in staged_docs or record.member not in staged_docs:
-                    raise StorageFailure("membership references unknown document")
-            else:
-                raise StorageFailure(f"unsupported metadata record {record!r}")
-        for record in meta_deletes:
-            if isinstance(record, Enforcement):
-                if record.schema not in self._enforcement.get(record.doc_id, {}):
-                    raise StorageFailure("retracting enforcement that is not stored")
-            elif isinstance(record, Membership):
-                if record.member not in self._members.get(record.collection, set()):
-                    raise StorageFailure("retracting membership that is not stored")
-            else:
-                raise StorageFailure(f"metadata record {type(record).__name__} cannot be retracted")
-        seen_deletes = set()
-        for key in deletes:
-            if len(key) != 4:
-                raise StorageFailure(f"malformed row key {key!r}")
-            if key in seen_deletes:
-                raise StorageFailure(f"duplicate delete {key!r} in batch")
-            seen_deletes.add(key)
-            if key[1:] not in self._rows.get(key[0], {}):
-                raise StorageFailure(f"deleting unknown row {key!r}")
-        staged_rows = set()
-        for row in rows:
-            if row.doc_id not in staged_docs:
-                raise StorageFailure(f"row for unknown document {row.doc_id}")
-            if row.slice_id < 0:
-                raise StorageFailure("negative slice id")
-            key = row.key()
-            if key in staged_rows:
-                raise StorageFailure(f"duplicate row {key!r} in batch")
-            staged_rows.add(key)
-            if key[1:] in self._rows.get(row.doc_id, {}) and key not in seen_deletes:
-                raise StorageFailure(f"row {key!r} already stored")
+    def _entry(self, staged: dict[str, dict], name: str, key):
+        """key's entry in table name as the batch staged leaves it, or None."""
+        entries = staged.get(name, {})
+        return entries[key] if key in entries else getattr(self, name).get(key)
 
-    def _apply_meta(self, record: MetadataRecord, undo: list) -> None:
-        if isinstance(record, DocumentRecord):
-            self._docs[record.doc_id] = record.kind
-            undo.append(lambda: self._docs.pop(record.doc_id, None))
-        elif isinstance(record, SchemaDef):
-            self._schemas[record.schema.name] = (record.schema, record.slice_id)
-            undo.append(lambda: self._schemas.pop(record.schema.name, None))
-        elif isinstance(record, Enforcement):
-            slot = self._enforcement.setdefault(record.doc_id, {})
-            old = slot.get(record.schema)
-            slot[record.schema] = record.seq
-            if old is None:
-                undo.append(lambda: slot.pop(record.schema, None))
-            else:
-                undo.append(lambda: slot.__setitem__(record.schema, old))
-        elif isinstance(record, SliceAssignment):
-            slot = self._assignments.setdefault(record.doc_id, {})
-            slot[record.prop] = record.slice_id
-            undo.append(lambda: slot.pop(record.prop, None))
-        elif isinstance(record, Membership):
-            slot = self._members.setdefault(record.collection, set())
-            slot.add(record.member)
-            undo.append(lambda: slot.discard(record.member))
+    def _edit(self, staged: dict[str, dict], name: str, key, container: type):
+        """The batch's own copy of key's map or set in table name, made on its first edit."""
+        entries = staged.setdefault(name, {})
+        if key not in entries:
+            entries[key] = container(getattr(self, name).get(key, ()))
+        return entries[key]
 
-    def _apply_meta_delete(self, record: MetadataRecord, undo: list) -> None:
-        if isinstance(record, Enforcement):
-            slot = self._enforcement.get(record.doc_id, {})
-            old = slot.pop(record.schema)
-            undo.append(lambda: slot.__setitem__(record.schema, old))
-        elif isinstance(record, Membership):
-            self._members[record.collection].discard(record.member)
-            undo.append(lambda: self._members[record.collection].add(record.member))
+    def _commit(self, staged: dict[str, dict], touched: Iterable[tuple]) -> None:
+        """Writes the checkpoint of the tables with staged laid over them, then
+        installs staged; a failed write leaves every table as it was and only
+        files the touched ids by the tables again."""
+        for name in _CONTAINERS:  # an emptied map or set leaves its table
+            entries = staged.get(name, {})
+            for key, entry in entries.items():
+                if not entry:
+                    entries[key] = None
+        self._staged = staged
+        try:
+            self._stale(touched)
+            self._persist()
+        except BaseException:
+            self._staged = {}
+            self._stale(touched)  # blocks encoded from staged before the write failed
+            raise
+        self._staged = {}
+        for name, entries in staged.items():
+            table = getattr(self, name)
+            for key, entry in entries.items():
+                if entry is None:
+                    table.pop(key, None)
+                else:
+                    table[key] = entry
 
     # ---- reads ----
 
-    def fetch_slices(self, doc_id: DocumentId, slice_ids: set[int]) -> DocumentData:
-        """One round trip: rows of the requested slices plus all metadata."""
+    def fetch_slices(self, doc_id: DocumentId, slice_ids: set[int]) -> list[PropertyRow]:
+        """One round trip: the stored rows of the requested slices."""
         with self._lock:
             self.fetch_count += 1
-            kind = self._require(doc_id)
-            rows = [r for r in self._rows.get(doc_id, {}).values() if r.slice_id in slice_ids]
-            enforcement = sorted(self._enforcement.get(doc_id, {}).items(), key=lambda kv: kv[1])
-            return DocumentData(
-                kind=kind,
-                rows=rows,
-                enforcement=enforcement,
-                assignments=dict(self._assignments.get(doc_id, {})),
-                members=frozenset(self._members.get(doc_id, ())),
-                content_ref=self._content.get(doc_id),
-            )
+            self._require(doc_id)
+            return [r for r in self._rows.get(doc_id, {}).values() if r.slice_id in slice_ids]
 
     def stored_matches(self, prop: str, test) -> list[DocumentId]:
         """Stored documents whose bag for prop passes test(bag), in no
@@ -761,11 +734,6 @@ class MemoryBackend:
             if column is not None:
                 column.put(doc_id, _stored_bag(self._rows.get(doc_id, {}), prop))
 
-    def scan_all(self) -> list[tuple[DocumentId, DocumentKind]]:
-        with self._lock:
-            self.scan_count += 1
-            return sorted(self._docs.items())
-
     def scan_rows(self, doc_id: DocumentId) -> list[PropertyRow]:
         """Every stored row for one document, in a stable order. Audit use."""
         with self._lock:
@@ -782,9 +750,9 @@ class MemoryBackend:
             return MetaView(
                 docs=dict(self._docs),
                 schemas=dict(self._schemas),
-                enforcement={d: dict(m) for d, m in self._enforcement.items() if m},
-                assignments={d: dict(m) for d, m in self._assignments.items() if m},
-                members={d: set(m) for d, m in self._members.items() if m},
+                enforcement={d: dict(m) for d, m in self._enforcement.items()},
+                assignments={d: dict(m) for d, m in self._assignments.items()},
+                members={d: set(m) for d, m in self._members.items()},
                 content=dict(self._content),
             )
 
@@ -822,24 +790,12 @@ class MemoryBackend:
             self._require(doc_id)
             data = bytes(data)
             ref = ContentRef(doc_id, len(data), tokenize(data))
-            old_ref = self._content.get(doc_id)
             old_blob = self._blobs.get(doc_id)
             self._persist_blob(doc_id, data)  # replaces the file whole or not at all
-            self._content[doc_id] = ref
-            self._blobs[doc_id] = data
-            touched = {("content", doc_id)}
             try:
-                self._stale(touched)
-                self._persist()
+                self._commit({"_content": {doc_id: ref}, "_blobs": {doc_id: data}}, [("content", doc_id)])
             except BaseException:
-                if old_ref is None:
-                    self._content.pop(doc_id, None)
-                    self._blobs.pop(doc_id, None)
-                else:
-                    self._content[doc_id] = old_ref
-                    self._blobs[doc_id] = old_blob
-                self._stale(touched)  # after the table is restored: it files the id by the table
-                if old_ref is None:
+                if old_blob is None:
                     self._remove_blob_file(doc_id)
                 else:
                     self._persist_blob(doc_id, old_blob)
@@ -857,24 +813,15 @@ class MemoryBackend:
         """Remove rows, metadata, memberships in both directions, and content."""
         with self._lock:
             self._require(doc_id)
-            tables = (self._docs, self._rows, self._enforcement, self._assignments,
-                      self._members, self._content, self._blobs)
-            removed = [(table, table.pop(doc_id)) for table in tables if doc_id in table]
+            staged: dict[str, dict] = {}
             holders = [c for c, members in self._members.items() if doc_id in members]
             for collection in holders:
-                self._members[collection].discard(doc_id)
+                self._edit(staged, "_members", collection, set).discard(doc_id)
+            for name in ("_docs", "_rows", "_enforcement", "_assignments", "_members", "_content", "_blobs"):
+                staged.setdefault(name, {})[doc_id] = None
             touched = {(name, doc_id) for name in _DOC_SECTIONS}
             touched.update(("member", collection) for collection in holders)
-            try:
-                self._stale(touched)
-                self._persist()
-            except BaseException:
-                for table, entry in removed:
-                    table[doc_id] = entry
-                for collection in holders:
-                    self._members[collection].add(doc_id)
-                self._stale(touched)
-                raise
+            self._commit(staged, touched)
             for column in self._columns.values():
                 column.put(doc_id, ())
             try:
@@ -900,12 +847,19 @@ class MemoryBackend:
     def _stale(self, touched: Iterable[tuple]) -> None:
         """Drops the cached encoding of each (section, document or schema name)
         pair, and files the document in or out of its section's chunks by
-        whether the section's table now holds it."""
+        whether the section's table, with the batch being written laid over
+        it, holds it."""
         for name, key in touched:
             section = self._sections[name]
             section.joined = None
             if isinstance(key, DocumentId):
-                section.drop(key.value, key in getattr(self, _DOC_SECTIONS[name][0]))
+                section.drop(key.value, self._entry(self._staged, _DOC_SECTIONS[name][0], key) is not None)
+
+    def _view(self, name: str) -> Mapping:
+        """Table name with the entries of the batch being written (None:
+        removed) laid over it."""
+        entries = self._staged.get(name)
+        return ChainMap(entries, getattr(self, name)) if entries else getattr(self, name)
 
     def _encode_checkpoint(self) -> bytes:
         """The checkpoint bytes, joined from cached record blocks; only the
@@ -933,14 +887,14 @@ class MemoryBackend:
         if name == "schema":
             block = "".join(
                 schema_record(schema, slice_id) + "\n"
-                for schema, slice_id in sorted(self._schemas.values(), key=lambda pair: pair[1])
+                for schema, slice_id in sorted(self._view("_schemas").values(), key=lambda pair: pair[1])
             ).encode("utf-8")
             return [block], self._checksum(block), len(block)
         table_name, encode = _DOC_SECTIONS[name]
-        table = getattr(self, table_name)
+        table = self._view(table_name)
         blocks, crcs = section.blocks, section.crcs
         if section.chunks is None:
-            keys = sorted(doc_id.value for doc_id in table)
+            keys = sorted(doc_id.value for doc_id, entry in table.items() if entry is not None)
             section.chunks = [_Chunk(keys[i : i + _CHUNK]) for i in range(0, len(keys), _CHUNK)]
         parts = [header]
         crc, length = _HEADER_CRCS[name], len(header)
@@ -1206,6 +1160,7 @@ _DOC_SECTIONS = {
     "content": ("_content", _content_block),
 }
 _CHUNK = 32  # target ids per chunk; a chunk splits past twice this
+_CONTAINERS = ("_rows", "_enforcement", "_assignments", "_members")  # tables of maps or sets, never empty
 
 
 def _make_dirs(path: Path) -> None:

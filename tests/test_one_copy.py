@@ -306,7 +306,7 @@ def test_failed_delete_leaves_the_document_readable_from_another_thread(tmp_path
     real_persist = repo.backend._persist
 
     def persist_with_a_reader():
-        # the committed entry is gone until the failure puts it back
+        # the delete is staged beside the committed entry, which stays until a write succeeds
         reader.start()
         reader.join(0.2)
         real_persist()
@@ -323,4 +323,48 @@ def test_failed_delete_leaves_the_document_readable_from_another_thread(tmp_path
     assert repo.flush() == 0  # the failed delete left nothing to write
     collection.delete()
     assert repo.document_ids() == []
+    repo.close()
+
+
+
+@pytest.mark.parametrize("write", ["rows", "content", "delete"])
+def test_reads_during_a_failing_write_see_committed_state(tmp_path, monkeypatch, write):
+    """A reader without the lock, running while the checkpoint write fails,
+    sees what it saw before the write and sees again after it."""
+    repo = Repository.init(tmp_path / "store", config=CacheConfig(auto_flush=False), id_seed=5)
+    for schema in SCHEMAS:
+        repo.define_schema(schema)
+    collection = repo.create_document(DocumentKind.COLLECTION)
+    doc = repo.create_document(DocumentKind.CONTENT)
+    doc.enforce("tag")
+    doc.put_content(b"hello world")
+    collection.add_member(doc)
+    repo.flush()
+    if write == "rows":
+        doc.set_property("n", [Value.integer(2)])
+        doc.enforce("count")
+    write = {"rows": repo.flush, "content": lambda: doc.put_content(b"other words"), "delete": doc.delete}[write]
+
+    def read():
+        return (repo.content_tokens(doc.doc_id), repo.enforced_of(doc.doc_id),
+                repo.members_of(collection.doc_id), repo.document_kind(doc.doc_id))
+
+    before = read()
+    assert before[0] == {"hello", "world"} and before[2] == {doc.doc_id}
+    seen = []
+    real_persist = repo.backend._persist
+
+    def persist_with_a_reader():
+        reader = threading.Thread(target=lambda: seen.append(read()))
+        reader.start()
+        reader.join(5)
+        real_persist()
+
+    monkeypatch.setattr(repo.backend, "_persist", persist_with_a_reader)
+    repo.backend.fail_next_persist = True
+    with pytest.raises(StorageFailure):
+        write()
+    monkeypatch.undo()
+    assert seen == [before]
+    assert read() == before
     repo.close()

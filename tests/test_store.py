@@ -106,18 +106,17 @@ def _seed(backend):
     )
 
 
-def test_fetch_slices_returns_requested_rows_and_meta():
+def test_fetch_slices_returns_requested_rows():
     b = MemoryBackend()
     _seed(b)
     before = b.fetch_count
-    data = b.fetch_slices(D1, {1})
+    rows = b.fetch_slices(D1, {1})
     assert b.fetch_count == before + 1
-    assert {r.prop for r in data.rows} == {"Subject", "Received"}
-    assert data.kind is DocumentKind.PLAIN
-    assert data.enforcement == [("email", 1)]
-    assert data.assignments == {"Subject": 1, "Received": 1, "Deadline": 2}
-    # empty slice set still answers metadata only
-    assert b.fetch_slices(D1, set()).rows == []
+    assert {r.prop for r in rows} == {"Subject", "Received"}
+    assert b.stored_docs()[D1] is DocumentKind.PLAIN
+    assert b.stored_enforcement()[D1] == {"email": 1}
+    assert b.stored_assignments()[D1] == {"Subject": 1, "Received": 1, "Deadline": 2}
+    assert b.fetch_slices(D1, set()) == []
     with pytest.raises(UnknownDocument):
         b.fetch_slices(DocumentId(99), {1})
 
@@ -131,7 +130,7 @@ def test_put_rows_detects_drift():
     with pytest.raises(StorageFailure):
         b.put_rows(rows=[], deletes=[(D1, "Subject", Value.text("no-such"), 0)], meta=[])
     # neither failed batch changed anything
-    assert {r.prop for r in b.fetch_slices(D1, {1}).rows} == {"Subject", "Received"}
+    assert {r.prop for r in b.fetch_slices(D1, {1})} == {"Subject", "Received"}
 
 
 def test_put_rows_replaces_value():
@@ -142,7 +141,7 @@ def test_put_rows_replaces_value():
         deletes=[(D1, "Subject", Value.text("x"), 0)],
         meta=[],
     )
-    rows = b.fetch_slices(D1, {1}).rows
+    rows = b.fetch_slices(D1, {1})
     subject = [r.value for r in rows if r.prop == "Subject"]
     assert subject == [Value.text("y")]
 
@@ -151,15 +150,15 @@ def test_meta_deletes_retract_records():
     b = MemoryBackend()
     _seed(b)
     b.put_rows(rows=[], deletes=[], meta=[], meta_deletes=[Enforcement(D1, "email", 0), Membership(D2, D1)])
-    data = b.fetch_slices(D1, {1})
-    assert data.enforcement == []
-    assert b.fetch_slices(D2, set()).members == frozenset()
+    # an emptied entry leaves its table, as it would across a reopen
+    assert D1 not in b.stored_enforcement()
+    assert D2 not in b.stored_members()
 
 
-def test_scan_all_sorted():
+def test_stored_docs_hold_every_document():
     b = MemoryBackend()
     _seed(b)
-    assert b.scan_all() == [(D1, DocumentKind.PLAIN), (D2, DocumentKind.COLLECTION)]
+    assert b.stored_docs() == {D1: DocumentKind.PLAIN, D2: DocumentKind.COLLECTION}
 
 
 def test_content_round_trip_and_token_coherence():
@@ -168,7 +167,7 @@ def test_content_round_trip_and_token_coherence():
     payload = b"Status report due Friday"
     b.content_write(D1, payload)
     assert b.content_read(D1) == payload
-    ref = b.fetch_slices(D1, set()).content_ref
+    ref = b.stored_content()[D1]
     assert ref.length == len(payload)
     assert ref.tokens == tokenize(payload)
     assert b.content_read(D2) == b""
@@ -181,10 +180,10 @@ def test_delete_document_cascades(tmp_path):
     b.delete_document(D1)
     with pytest.raises(UnknownDocument):
         b.fetch_slices(D1, {1})
-    assert b.fetch_slices(D2, set()).members == frozenset()
-    assert b.scan_all() == [(D2, DocumentKind.COLLECTION)]
+    assert D2 not in b.stored_members()
+    assert b.stored_docs() == {D2: DocumentKind.COLLECTION}
     reopened = DiskBackend.open(tmp_path / "store")
-    assert reopened.scan_all() == [(D2, DocumentKind.COLLECTION)]
+    assert reopened.stored_docs() == {D2: DocumentKind.COLLECTION}
     with pytest.raises(UnknownDocument):
         reopened.fetch_slices(D1, {1})
 
@@ -196,9 +195,9 @@ def test_disk_backend_batches_survive_reopen(tmp_path):
     b = DiskBackend.init(root)
     _seed(b)
     again = DiskBackend.open(root)
-    data = again.fetch_slices(D1, {1, 2})
-    assert {r.prop for r in data.rows} == {"Subject", "Received", "Deadline"}
-    assert data.enforcement == [("email", 1)]
+    rows = again.fetch_slices(D1, {1, 2})
+    assert {r.prop for r in rows} == {"Subject", "Received", "Deadline"}
+    assert again.stored_enforcement()[D1] == {"email": 1}
     assert again.schema_defs()["email"][1] == 1  # slice id survived
 
 
@@ -270,10 +269,10 @@ def test_failed_persist_applies_nothing(tmp_path):
             deletes=[],
             meta=[],
         )
-    subjects = [r.value for r in b.fetch_slices(D1, {1}).rows if r.prop == "Subject"]
+    subjects = [r.value for r in b.fetch_slices(D1, {1}) if r.prop == "Subject"]
     assert subjects == [Value.text("x")]
     reopened = DiskBackend.open(root)
-    subjects = [r.value for r in reopened.fetch_slices(D1, {1}).rows if r.prop == "Subject"]
+    subjects = [r.value for r in reopened.fetch_slices(D1, {1}) if r.prop == "Subject"]
     assert subjects == [Value.text("x")]
 
 
@@ -308,7 +307,7 @@ def test_failed_delete_restores_the_document(tmp_path):
     with pytest.raises(StorageFailure):
         b.delete_document(D1)
     _assert_unchanged(b, root, before, b"keep me")
-    assert b.fetch_slices(D2, set()).members == frozenset({D1})
+    assert b.stored_members()[D2] == {D1}
 
 
 def test_failed_blob_write_changes_nothing(tmp_path, monkeypatch):
@@ -351,4 +350,4 @@ def test_os_errors_surface_as_storage_failures(tmp_path):
         b.put_rows(meta=[DocumentRecord(DocumentId(3), DocumentKind.PLAIN)])
     with pytest.raises(StorageFailure):
         b.checkpoint()
-    assert b.scan_all() == [(D1, DocumentKind.PLAIN), (D2, DocumentKind.COLLECTION)]
+    assert b.stored_docs() == {D1: DocumentKind.PLAIN, D2: DocumentKind.COLLECTION}
