@@ -14,11 +14,13 @@ properties of the same schema arrive for free.
 Writes go to the in-memory document: a value write marks its slice dirty,
 a metadata write changes the pending record. A background flusher (and
 explicit flush()) visits only the documents changed since their last
-successful flush, and ships one atomic batch per document with what its
-live state has that the backend has not committed: its dirty slices'
-rows against the stored rows, its pending record against the committed
-entry. Schema definitions and content writes go through to the backend
-immediately.
+successful flush, collects for each what its live state has that the
+backend has not committed (its dirty slices' rows against the stored
+rows, its pending record against the committed entry), and ships the
+records of all of them as one atomic batch (group commit), so a flush
+writes the checkpoint once, or twice when a membership waits for its
+member's document record. Schema definitions and content writes go
+through to the backend immediately.
 
 Only flushed documents leave the cache, and a new document enters the
 cache before its id becomes live, so a live document outside the cache
@@ -35,22 +37,25 @@ before the committed table, a flush drops it only after its batch has
 installed, and a delete gives the document one before the backend
 installs the delete across its tables. The backend, the schema registry
 and the commit hub have their own locks and never call back into the
-repository under them. flush() takes the repository lock once per
-document, so other work runs between documents of a long flush; close()
-and hub.drain() never run under it, because the dispatcher thread calls
-back into the repository.
+repository under them. flush() collects records under the repository lock
+once per document, so other work runs between documents of a long flush,
+and commits under it; a document changed between the two (its stamp in
+the dirty map moved) is collected again first. close() and hub.drain()
+never run under it, because the dispatcher thread calls back into the
+repository.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import threading
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from harland.coordination import CommitHub, Subscription, SubscriptionMode
 from harland.errors import (
@@ -210,6 +215,20 @@ class _Pending:
         self.members: set[DocumentId] = set(members)
 
 
+class _Writeback(NamedTuple):
+    """What one document's flush writes, and whether a membership of it
+    waits for its member's document record."""
+
+    rows: list
+    deletes: list
+    meta: list
+    meta_deletes: list
+    waiting: bool
+
+    def writes(self) -> bool:
+        return bool(self.rows or self.deletes or self.meta or self.meta_deletes)
+
+
 class Handle:
     """Caller's reference to one document. Stale once the document is
     deleted; every operation re-checks."""
@@ -329,9 +348,10 @@ class Repository:
         # the clean documents of the cache, in its order; eviction takes
         # from the front and never walks past a dirty document
         self._clean: "OrderedDict[DocumentId, None]" = OrderedDict()
-        # every dirty document, in the order it first changed, plus any
-        # flushed since by put_content; flush() walks this, not the cache
-        self._dirty: dict[DocumentId, None] = {}
+        # every dirty document, in the order it first changed, with the
+        # stamp of its last change; flush() walks this, not the cache
+        self._dirty: dict[DocumentId, int] = {}
+        self._stamps = itertools.count(1)
 
         self._hits = 0
         self._misses = 0
@@ -487,7 +507,7 @@ class Repository:
         self._evictions += len(victims)
 
     def _mark_dirty(self, doc_id: DocumentId) -> None:
-        self._dirty[doc_id] = None
+        self._dirty[doc_id] = next(self._stamps)
         self._clean.pop(doc_id, None)
 
     def _file_clean(self, cleaned: Iterable[DocumentId]) -> None:
@@ -592,8 +612,11 @@ class Repository:
             self._cache.pop(doc_id, None)  # and its pending record with it
             self._clean.pop(doc_id, None)
             self._dirty.pop(doc_id, None)
-            for _, pending in self._pending_records():
+            for holder, pending in list(self._pending_records()):
                 pending.members.discard(doc_id)
+                # the delete may have changed its committed members: a flush
+                # that collected its records collects them again
+                self._mark_dirty(holder)
             # re-evaluate the deleted collection's members: their membership
             # test flips when the collection disappears
             self.hub.publish(
@@ -752,8 +775,8 @@ class Repository:
         doc_id = handle.doc_id
         with self._lock:
             idoc = self._load(doc_id, DocumentKind.CONTENT)
-            self._flush_doc_locked(doc_id, idoc)  # the blob needs its document record first
-            self._file_clean((doc_id,))
+            # the blob needs its document record first
+            self._commit_locked({doc_id: (idoc, self._flush_doc_locked(doc_id, idoc))})
             tokens_before = self.content_tokens(doc_id)
             snap = self._snapshot_locked(doc_id, idoc)
             ref = self.backend.content_write(doc_id, data)
@@ -933,42 +956,77 @@ class Repository:
     # ---- writeback ----
 
     def flush(self) -> int:
-        """Writes every dirty document out; returns how many were flushed.
+        """Writes every dirty document out; returns how many wrote records.
 
         Visits only the documents changed since their last successful
-        flush. Two passes, documents without a store record first in each:
-        a membership record needs its member's document record in place, so
-        one whose member is not yet stored waits for the second pass.
+        flush, in at most two passes, and commits each pass as one backend
+        batch (group commit), so a flush writes the checkpoint at most
+        twice. A pass collects each document's records under the repository
+        lock, one document at a time, so other work runs in between; then,
+        under the lock, it collects again the records of any document
+        changed since (its stamp in the dirty map moved) and commits. A
+        membership record needs its member's document record committed, so
+        one whose member has none yet waits for the second pass.
         """
         flushed = 0
-        cleaned: list[DocumentId] = []
         for _ in range(2):
             with self._lock:
-                dirty = sorted(self._dirty, key=self._stored)
-            dirty_left = False
+                dirty = list(self._dirty)
+            collected: dict[DocumentId, tuple[int, _Writeback]] = {}
             for doc_id in dirty:
                 with self._lock:  # once per document: other work runs in between
+                    stamp, idoc = self._dirty.get(doc_id), self._cache.get(doc_id)
+                    if idoc is None:
+                        self._dirty.pop(doc_id, None)
+                    elif stamp is not None:
+                        collected[doc_id] = (stamp, self._flush_doc_locked(doc_id, idoc))
+            with self._lock:
+                batch: dict[DocumentId, tuple[_IDoc, _Writeback]] = {}
+                for doc_id, (stamp, writeback) in collected.items():
                     idoc = self._cache.get(doc_id)
-                    if idoc is not None:
-                        if self._flush_doc_locked(doc_id, idoc):
-                            flushed += 1
-                        if idoc.is_dirty():
-                            dirty_left = True
+                    if self._dirty.get(doc_id) != stamp:  # changed, flushed or deleted since
+                        if doc_id not in self._dirty:
                             continue
-                        cleaned.append(doc_id)
-                    self._dirty.pop(doc_id, None)
-            if not dirty_left:
+                        writeback = self._flush_doc_locked(doc_id, idoc)
+                    batch[doc_id] = (idoc, writeback)
+                flushed += self._commit_locked(batch)
+            if not any(writeback.waiting for _, writeback in batch.values()):
                 break
         with self._lock:
-            self._file_clean(cleaned)
             self._evict_if_needed()
         return flushed
 
-    def _flush_doc_locked(self, doc_id: DocumentId, idoc: _IDoc) -> bool:
-        """Writes in one batch how the live document differs from what the
-        backend has committed, and returns whether it wrote one. The pending
-        record goes once the batch commits, unless a membership waits for
-        its member's document record."""
+    def _commit_locked(self, batch: dict[DocumentId, tuple[_IDoc, _Writeback]]) -> int:
+        """Commits the records of every document in batch as one backend
+        batch; returns how many documents wrote records. Then each document
+        is clean, except that one whose membership waits keeps its pending
+        record and takes a new stamp. A failed batch leaves every document
+        dirty, with its pending record."""
+        writing = [writeback for _, writeback in batch.values() if writeback.writes()]
+        if writing:
+            self.backend.put_rows(
+                rows=[row for w in writing for row in w.rows],
+                deletes=[key for w in writing for key in w.deletes],
+                meta=[record for w in writing for record in w.meta],
+                meta_deletes=[record for w in writing for record in w.meta_deletes],
+            )
+            self._flushes += len(writing)
+        cleaned = []
+        for doc_id, (idoc, writeback) in batch.items():
+            idoc.dirty_slices.clear()
+            if writeback.waiting:
+                self._mark_dirty(doc_id)
+            else:
+                idoc.pending = None
+                self._dirty.pop(doc_id, None)
+                cleaned.append(doc_id)
+        self._file_clean(cleaned)
+        return len(writing)
+
+    def _flush_doc_locked(self, doc_id: DocumentId, idoc: _IDoc) -> _Writeback:
+        """The records that write how the live document differs from what
+        the backend has committed, and whether a membership waits for its
+        member's document record. Changes nothing."""
         pending = idoc.pending
         backend = self.backend
         rows: list[PropertyRow] = []
@@ -999,14 +1057,7 @@ class Repository:
                     waiting = True  # the member has no store record yet
             meta_deletes.extend(Membership(doc_id, m) for m in members - pending.members)
 
-        written = bool(rows or deletes or meta or meta_deletes)
-        if written:
-            backend.put_rows(rows=rows, deletes=deletes, meta=meta, meta_deletes=meta_deletes)
-            self._flushes += 1
-        idoc.dirty_slices.clear()
-        if not waiting:
-            idoc.pending = None
-        return written
+        return _Writeback(rows, deletes, meta, meta_deletes, waiting)
 
     def _flush_loop(self) -> None:
         interval = max(self.config.flush_interval / 2, 0.01)
@@ -1034,6 +1085,8 @@ class Repository:
                 "backend_scans": self.backend.scan_count,
                 "encoded_blocks": self.backend.encoded_blocks,
                 "checksummed_bytes": self.backend.checksummed_bytes,
+                "crc_combines": self.backend.crc_combines,
+                "checkpoint_writes": self.backend.checkpoint_writes,
                 "column_scans": self.backend.column_scans,
                 "column_probes": self.backend.column_probes,
             }

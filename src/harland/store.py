@@ -36,19 +36,25 @@ collection), so the body is a join of per-document record blocks. A backend
 keeps each block with its CRC32C, and a batch drops the blocks of the
 documents it touches, so a write encodes and checksums only what it changed.
 Each section orders its ids in a sorted list of chunks, runs of about
-_CHUNK (32) consecutive ids, and a chunk keeps the (CRC, length) of its
-joined blocks until one of its documents changes, arrives or leaves; END
-folds the chunk CRCs with crc32c_combine, so a write never sorts a section.
+_CHUNK (32) consecutive ids, and a chunk keeps its joined blocks and their
+(CRC, length) until one of its documents changes, arrives or leaves, so
+the file is joined from one part per chunk. CRCs fold through combine
+trees (_Tree, after zlib's crc32_combine): each chunk's over its blocks,
+each section's over its chunks, and END's over the sections and their
+headers. A write re-folds only the tree nodes above what it changed, so a
+one-document write costs O(log chunks) combines; a write never sorts a
+section, and its Python work does not grow with the store.
 
 Opening a store seeds the same cache from the bytes it has just read: each
 document's run of lines is its block, each chunk's span is checksummed once,
 and END is verified by folding those CRCs with the CRCs of the gaps between
 chunks. A seeded block's own CRC is computed when its chunk is next folded,
 so the first write into a chunk after open checksums the chunk's other
-blocks once as well. A section whose runs are out of order, repeat a
-document or hold a duplicate record loads unseeded, and its first encode
-builds it canonically. A backend that never encodes and never opens a file
-builds no cache.
+blocks once as well; the chunks' bytes and the trees are built at the
+first encode, so a store that is only read pays for neither. A section
+whose runs are out of order, repeat a document or hold a duplicate record
+loads unseeded, and its first encode builds it canonically. A backend that
+never encodes and never opens a file builds no cache.
 
 Open decodes in batches of _BATCH (512) lines: one UTF-8 decode and one
 split per batch, marker lines found by substring search, and each
@@ -91,7 +97,7 @@ from collections import ChainMap
 from dataclasses import dataclass
 from datetime import datetime
 from math import copysign
-from operator import itemgetter, lt, ne
+from operator import attrgetter, itemgetter, lt, ne
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -186,15 +192,29 @@ def _make_x2n() -> list[int]:
 _X2N = _make_x2n()
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.cache
+def _x8n_table(k: int) -> tuple[int, ...]:
+    """x^(8 * b * 256^k) modulo the polynomial for each byte b; built on first use."""
+    step = _X2N[3 + 8 * k]  # x^(8 * 256^k)
+    table = [1 << 31]  # x^0
+    for _ in range(255):
+        table.append(_multmodp(step, table[-1]))
+    return tuple(table)
+
+
 def _x8n(n: int) -> int:
-    """x^(8n) modulo the polynomial: moves a CRC past n bytes."""
+    """x^(8n) modulo the polynomial: moves a CRC past n bytes.
+
+    One table factor per nonzero byte of n, so n < 2^32 takes at most three
+    _multmodp calls, whatever n is; nothing is cached per n.
+    """
     p = 1 << 31  # x^0
-    k = 3
+    k = 0
     while n:
-        if n & 1:
-            p = _multmodp(_X2N[k], p)
-        n >>= 1
+        if n & 255:
+            factor = _x8n_table(k)[n & 255]
+            p = factor if p == 1 << 31 else _multmodp(factor, p)
+        n >>= 8
         k += 1
     return p
 
@@ -571,6 +591,9 @@ class MemoryBackend:
         self.column_probes = 0  # leaves answered by a bisect slice of a column's postings
         self.encoded_blocks = 0  # record blocks encoded from the tables, not taken from the cache
         self.checksummed_bytes = 0  # bytes passed to crc32c, by open and by encodes
+        self.crc_combines = 0  # crc32c_combine calls, by open and by encodes
+        self.checkpoint_writes = 0  # whole images written to a file
+        self._image = _Tree()  # END's fold over the headers and sections
         self.fail_next_persist = False
 
     # ---- batches: stage, persist, install ----
@@ -862,27 +885,32 @@ class MemoryBackend:
         return ChainMap(entries, getattr(self, name)) if entries else getattr(self, name)
 
     def _encode_checkpoint(self) -> bytes:
-        """The checkpoint bytes, joined from cached record blocks; only the
+        """The checkpoint bytes, joined from cached chunk bytes; only the
         blocks dropped since the last call are encoded and checksummed again,
-        and END folds cached CRCs with crc32c_combine."""
+        and END re-folds only the CRCs above them (see _Tree)."""
         parts: list[bytes] = []
-        crc = 0
+        folded: list[int] = []
         for name, header in _LAYOUT:
             section = self._sections[name]
             if section.joined is None:
-                section.joined = self._encode_section(name, header, section)
-            section_parts, section_crc, length = section.joined
+                section.joined = self._encode_section(name, section)
+            section_parts, crc, length = section.joined
+            if header:
+                parts.append(header)
+                folded.append(_node(_HEADER_CRCS[name], len(header)))
             parts += section_parts
-            crc = crc32c_combine(crc, section_crc, length)
-        parts.append(f"END {crc}\n".encode("ascii"))
+            folded.append(_node(crc, length))
+        self.crc_combines += self._image.refold(folded)
+        parts.append(f"END {self._image.root()[0]}\n".encode("ascii"))
         return b"".join(parts)
 
-    def _encode_section(self, name: str, header: bytes, section: "_Section") -> tuple[list[bytes], int, int]:
-        """(blocks, CRC, length) of one section, its header first.
+    def _encode_section(self, name: str, section: "_Section") -> tuple[list[bytes], int, int]:
+        """(parts, CRC, length) of one section's records, one part per chunk.
 
-        Chunks go in order; a chunk whose CRC is still set is unchanged since
-        it was folded or seeded, so its blocks are all cached too. A chunk
-        without one encodes its missing blocks and folds its block CRCs.
+        A chunk changed since the last encode joins its blocks again and
+        re-folds its CRC; the section's tree then re-folds the chunk CRCs
+        above it. The first encode joins every chunk, and folds those that
+        open did not seed.
         """
         if name == "schema":
             block = "".join(
@@ -892,36 +920,48 @@ class MemoryBackend:
             return [block], self._checksum(block), len(block)
         table_name, encode = _DOC_SECTIONS[name]
         table = self._view(table_name)
-        blocks, crcs = section.blocks, section.crcs
         if section.chunks is None:
             keys = sorted(doc_id.value for doc_id, entry in table.items() if entry is not None)
             section.chunks = [_Chunk(keys[i : i + _CHUNK]) for i in range(0, len(keys), _CHUNK)]
-        parts = [header]
-        crc, length = _HEADER_CRCS[name], len(header)
-        for chunk in section.chunks:
+        if section.tree is None:
+            section.tree = _Tree()
+            section.changed.update(section.chunks)
+        for chunk in section.changed:
             if chunk.crc is None:
-                chunk_crc = chunk_length = 0
-                for value in chunk.keys:
-                    data = blocks.get(value)
-                    if data is None:
-                        doc_id = DocumentId(value)
-                        data = blocks[value] = encode(str(doc_id), table[doc_id]).encode("utf-8")
-                        self.encoded_blocks += 1
-                    block_crc = crcs.get(value)
-                    if block_crc is None:
-                        block_crc = crcs[value] = self._checksum(data)
-                    chunk_crc = crc32c_combine(chunk_crc, block_crc, len(data))
-                    chunk_length += len(data)
-                chunk.crc, chunk.length = chunk_crc, chunk_length
-            parts += [blocks[value] for value in chunk.keys]
-            crc = crc32c_combine(crc, chunk.crc, chunk.length)
-            length += chunk.length
-        return parts, crc, length
+                self._fold_chunk(chunk, section, table, encode)
+            elif chunk.data is None:  # seeded, and unchanged since
+                chunk.data = b"".join(map(section.blocks.__getitem__, chunk.keys))
+        section.changed.clear()
+        self.crc_combines += section.tree.refold([_node(chunk.crc, chunk.length) for chunk in section.chunks])
+        crc, length = section.tree.root()
+        return list(map(_DATA, section.chunks)), crc, length
+
+    def _fold_chunk(self, chunk: "_Chunk", section: "_Section", table: Mapping, encode) -> None:
+        """Joins a changed chunk's blocks, encoding and checksumming those not
+        cached, and re-folds its CRC from theirs."""
+        blocks, folded, keys = section.blocks, section.folded, chunk.keys
+        for value in itertools.filterfalse(folded.__contains__, keys):
+            data = blocks.get(value)
+            if data is None:
+                doc_id = DocumentId(value)
+                data = blocks[value] = encode(str(doc_id), table[doc_id]).encode("utf-8")
+                self.encoded_blocks += 1
+            folded[value] = _node(self._checksum(data), len(data))
+        chunk.data = b"".join(map(blocks.__getitem__, keys))
+        if chunk.tree is None:
+            chunk.tree = _Tree()
+        self.crc_combines += chunk.tree.refold(list(map(folded.__getitem__, keys)))
+        chunk.crc, chunk.length = chunk.tree.root()
 
     def _checksum(self, data) -> int:
         """crc32c of data, counted in checksummed_bytes."""
         self.checksummed_bytes += len(data)
         return crc32c(data)
+
+    def _combine(self, crc_a: int, crc_b: int, len_b: int) -> int:
+        """crc32c_combine, counted in crc_combines."""
+        self.crc_combines += 1
+        return crc32c_combine(crc_a, crc_b, len_b)
 
     def _load_checkpoint(self, data: bytes) -> None:
         """Decodes a checkpoint into the tables, seeds the block cache from
@@ -963,11 +1003,11 @@ class MemoryBackend:
         view = memoryview(data)
         for start, chunk in sorted(spans, key=lambda span: span[0]):
             if start > pos:
-                crc = crc32c_combine(crc, self._checksum(view[pos:start]), start - pos)
+                crc = self._combine(crc, self._checksum(view[pos:start]), start - pos)
             chunk.crc = self._checksum(view[start : start + chunk.length])
-            crc = crc32c_combine(crc, chunk.crc, chunk.length)
+            crc = self._combine(crc, chunk.crc, chunk.length)
             pos = start + chunk.length
-        crc = crc32c_combine(crc, self._checksum(view[pos:body_end]), body_end - pos)
+        crc = self._combine(crc, self._checksum(view[pos:body_end]), body_end - pos)
         if crc != stated:
             raise CorruptStore("checksum mismatch")
         logger.debug(
@@ -1008,9 +1048,13 @@ class MemoryBackend:
             _make_dirs(root / CONTENT_DIR)
             for doc_id, blob in self._blobs.items():
                 _atomic_write(root / CONTENT_DIR / str(doc_id), blob)
-            target = root / CHECKPOINT_NAME
-            _atomic_write(target, self._encode_checkpoint())
-            return target
+            return self._write_checkpoint(root / CHECKPOINT_NAME)
+
+    def _write_checkpoint(self, target: Path) -> Path:
+        """Writes the whole image to target, counted in checkpoint_writes."""
+        _atomic_write(target, self._encode_checkpoint())
+        self.checkpoint_writes += 1
+        return target
 
     @classmethod
     def open(cls, path) -> "MemoryBackend":
@@ -1051,22 +1095,26 @@ class _Section:
     """Cached encoding of one checkpoint section.
 
     For a document section: each document's record block and, once computed,
-    its CRC32C, and the sorted chunks that order them. Filled by open or by
-    the first encode."""
+    its CRC32C and length; the sorted chunks that order them; the chunks changed since
+    the last encode; and the tree that folds the chunk CRCs. Blocks and
+    chunks are filled by open or by the first encode, which also builds the
+    tree and each chunk's bytes."""
 
-    __slots__ = ("blocks", "crcs", "chunks", "joined")
+    __slots__ = ("blocks", "folded", "chunks", "changed", "tree", "joined")
 
     def __init__(self):
         self.blocks: dict[int, bytes] = {}  # document id value -> record block
-        self.crcs: dict[int, int] = {}  # document id value -> crc32c of its block, once computed
+        self.folded: dict[int, int] = {}  # document id value -> _node of its block, once computed
         self.chunks: Optional[list[_Chunk]] = None  # every id of the section's table, in order
+        self.changed: set[_Chunk] = set()  # chunks whose CRC was cleared since the last encode
+        self.tree: Optional[_Tree] = None  # over the chunks' (CRC, length), from the first encode
         self.joined: Optional[tuple[list[bytes], int, int]] = None  # while nothing changed
 
     def drop(self, value: int, present: bool) -> None:
         """Forgets value's block, files value in or out of the chunks by
         present, and clears the CRC of the chunk that holds or would hold it."""
         self.blocks.pop(value, None)
-        self.crcs.pop(value, None)
+        self.folded.pop(value, None)
         chunks = self.chunks
         if chunks is None:
             return
@@ -1074,6 +1122,7 @@ class _Section:
         if i == len(chunks):
             if present:
                 chunks.append(_Chunk([value]))
+                self.changed.add(chunks[-1])
             return
         chunk = chunks[i]
         keys = chunk.keys
@@ -1083,6 +1132,7 @@ class _Section:
             keys.insert(j, value)
             if len(keys) > 2 * _CHUNK:
                 chunks.insert(i + 1, _Chunk(keys[_CHUNK:]))
+                self.changed.add(chunks[i + 1])
                 del keys[_CHUNK:]
         elif held and not present:
             del keys[j]
@@ -1091,22 +1141,95 @@ class _Section:
         elif not held:
             return  # neither held nor stored: nothing to fold again
         chunk.crc = None
+        self.changed.add(chunk)
 
 
 class _Chunk:
     """A run of consecutive ids of one section, in order, with the (CRC32C,
-    length) of their joined blocks while none of them changed, arrived or left."""
+    length) of their joined blocks while none of them changed, arrived or
+    left; from the first encode on, also those joined bytes, and once it is
+    folded, the tree that folds its block CRCs."""
 
-    __slots__ = ("keys", "crc", "length")
+    __slots__ = ("keys", "crc", "length", "data", "tree")
 
     def __init__(self, keys: list[int]):
         self.keys = keys
         self.crc: Optional[int] = None
         self.length = 0
+        self.data: Optional[bytes] = None
+        self.tree: Optional[_Tree] = None
 
 
 def _first_key(chunk: _Chunk) -> int:
     return chunk.keys[0]
+
+
+_DATA = attrgetter("data")
+
+
+def _node(crc: int, length: int) -> int:
+    """A _Tree node: the CRC32C and length of some bytes, as one int."""
+    return length << 32 | crc
+
+
+class _Tree:
+    """The CRC32C and length of a sequence of parts, from each part's _node:
+    a binary tree of crc32c_combine folds whose bottom level is the parts
+    and whose every level above folds each pair below it, an odd last node
+    carried up as it is. A node is one int (length << 32 | CRC), which
+    keeps a tree of n parts near 2n small ints.
+
+    refold compares new parts with the last ones. When their count is the
+    same, it re-folds only the nodes above the parts that differ, so one
+    changed part of n costs log2(n) combines; when the count changed, it
+    re-folds every node from the first difference on, which for a part
+    added or removed at the end is again log2(n)."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self):
+        self.levels: list[list[int]] = [[]]
+
+    def root(self) -> tuple[int, int]:
+        """(CRC32C, length) of all the parts joined; (0, 0) for none."""
+        top = self.levels[-1]
+        return (top[0] & 0xFFFFFFFF, top[0] >> 32) if top else (0, 0)
+
+    def refold(self, parts: list[int]) -> int:
+        """Makes parts the bottom level; returns the number of combines."""
+        old = self.levels[0]
+        changed: Iterable[int] = list(itertools.compress(itertools.count(), map(ne, old, parts)))
+        if len(parts) != len(old):  # every position from the first difference on may have moved
+            first = changed[0] if changed else min(len(old), len(parts))
+            changed = range(first, max(len(old), len(parts)))
+        level = self.levels[0] = parts
+        combines = depth = 0
+        while len(level) > 1:
+            depth += 1
+            if depth == len(self.levels):
+                self.levels.append([])
+            above = self.levels[depth]
+            size = (len(level) + 1) // 2
+            del above[size:]
+            above += [0] * (size - len(above))
+            # the parents of the changed nodes; one past size is gone, but its parent changed
+            if isinstance(changed, range):
+                changed = range(changed.start >> 1, (changed.stop + 1) >> 1)
+            else:
+                changed = list(dict.fromkeys(i >> 1 for i in changed))
+            for j in changed:
+                if j >= size:
+                    break
+                if 2 * j + 1 < len(level):
+                    a, b = level[2 * j], level[2 * j + 1]
+                    crc = crc32c_combine(a & 0xFFFFFFFF, b & 0xFFFFFFFF, b >> 32)
+                    above[j] = ((a >> 32) + (b >> 32)) << 32 | crc
+                    combines += 1
+                else:
+                    above[j] = level[2 * j]
+            level = above
+        del self.levels[depth + 1 :]
+        return combines
 
 
 def _props_block(doc: str, rows: dict) -> str:
@@ -1384,9 +1507,12 @@ class DiskBackend(MemoryBackend):
     reopen after a crash sees exactly the committed batches.
 
     The file is written whole, but only the records the batch changed are
-    encoded and checksummed again; the rest come from the block cache,
-    which open seeds from the bytes it checked, so the first write after
-    open costs what it changes too. There is no fsync."""
+    encoded and checksummed again, and only the CRC tree nodes above them
+    are folded again; the rest come from the chunk cache, which open seeds
+    from the bytes it checked, so the first write after open costs what it
+    changes too. The engine commits all of a flush's documents in one
+    batch (group commit), so a flush writes the file once or twice,
+    whatever it changed. There is no fsync."""
 
     def __init__(self, root: Path):
         super().__init__()
@@ -1410,7 +1536,7 @@ class DiskBackend(MemoryBackend):
 
     def _persist(self) -> None:
         super()._persist()  # honors injected failures
-        _atomic_write(self.root / CHECKPOINT_NAME, self._encode_checkpoint())
+        self._write_checkpoint(self.root / CHECKPOINT_NAME)
 
     def _persist_blob(self, doc_id: DocumentId, data: bytes) -> None:
         _atomic_write(self.root / CONTENT_DIR / str(doc_id), data)
@@ -1426,7 +1552,5 @@ class DiskBackend(MemoryBackend):
     def checkpoint(self, path=None) -> Path:
         if path is None:
             with self._lock:
-                target = self.root / CHECKPOINT_NAME
-                _atomic_write(target, self._encode_checkpoint())
-                return target
+                return self._write_checkpoint(self.root / CHECKPOINT_NAME)
         return super().checkpoint(path)

@@ -1,0 +1,133 @@
+"""Write-path scaling probe: what a flush costs as the store grows.
+
+    PYTHONPATH=src python tests/probe_write_scaling.py [--sizes 1000,3000,10000] [--repeat 15]
+
+For each size N, a fresh disk store (auto_flush off) gets N new documents
+of two properties each, and the one flush() that writes them is timed.
+The store is then reopened and must hold N documents. At the largest size
+a one-document write (set_property + flush()) is timed --repeat times
+against as many raw writes of the same checkpoint bytes to a temporary
+file plus os.replace onto an existing file, in alternating blocks of five
+of each, and the best and the median of each are compared. The raw
+write's time varies with the file system's writeback state, and its best
+is often a replace that happened to be cheap, so the median ratio is the
+steadier of the two. Counters come from Repository.stats(); one
+the program does not have prints as "-".
+
+It prints one line per measurement and exits non-zero only when a reopen
+disagrees. The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from harland.engine import CacheConfig, Repository
+from harland.model import Value
+from harland.store import CHECKPOINT_NAME
+
+COUNTERS = ("backend_batches", "checkpoint_writes", "crc_combines", "checksummed_bytes")
+
+
+def _counters(repo: Repository) -> dict:
+    stats = repo.stats()
+    return {key: stats.get(key) for key in COUNTERS}
+
+
+def _delta(after: dict, before: dict, per: int = 1) -> str:
+    return ", ".join(
+        f"{key} -" if after[key] is None else f"{key} {(after[key] - before[key]) / per:.10g}" for key in COUNTERS
+    )
+
+
+def _timed(fn) -> float:
+    started = time.perf_counter()
+    fn()
+    return time.perf_counter() - started
+
+
+def _median(times: list) -> float:
+    return sorted(times)[len(times) // 2]
+
+
+def bulk_flush(root: Path, count: int) -> Repository:
+    """A store with count new documents written by one timed flush(); the
+    repository is returned open."""
+    repo = Repository.init(root, CacheConfig(max_docs=count + 16, auto_flush=False), id_seed=count)
+    for i in range(count):
+        handle = repo.create_document()
+        handle.set_property("Subject", [Value.text(f"subject {i}")])
+        handle.set_property("size", [Value.integer(i)])
+    before = _counters(repo)
+    started = time.perf_counter()
+    flushed = repo.flush()
+    elapsed = time.perf_counter() - started
+    size = (root / CHECKPOINT_NAME).stat().st_size
+    print(f"bulk flush of {count} new documents: {elapsed:.3f} s, {flushed} documents, "
+          f"{size} bytes ({_delta(_counters(repo), before)})")
+    with Repository.open(root, CacheConfig(auto_flush=False)) as reopened:
+        if reopened.document_count() != count:
+            sys.exit(f"reopen holds {reopened.document_count()} documents, not {count}")
+    return repo
+
+
+def one_write(repo: Repository, root: Path, repeat: int) -> None:
+    """One-document writes against raw writes of the same bytes, in
+    alternating blocks so that both meet like file system states."""
+    handle = repo.get_document(repo.document_ids()[repo.document_count() // 2])
+    values = iter(range(10**9, 2 * 10**9))
+    target, tmp = root / "raw-copy", root / "raw-copy.tmp"
+
+    def write() -> None:
+        handle.set_property("size", [Value.integer(next(values))])
+        repo.flush()
+
+    def raw() -> None:
+        tmp.write_bytes(data)
+        os.replace(tmp, target)
+
+    write()  # the first write after the bulk flush is not the steady state
+    data = (root / CHECKPOINT_NAME).read_bytes()
+    raw()  # so that every timed raw write replaces a file, as a write does
+    before = _counters(repo)
+    writes, raws = [], []
+    for block in range(0, repeat, 5):
+        runs = min(5, repeat - block)
+        writes += [_timed(write) for _ in range(runs)]
+        raws += [_timed(raw) for _ in range(runs)]
+    per_write = _delta(_counters(repo), before, repeat)
+    target.unlink()
+    best, median, raw_best, raw_median = min(writes), _median(writes), min(raws), _median(raws)
+    print(f"one-document write at {repo.document_count()} documents ({per_write} per write): "
+          f"best {best * 1e3:.2f} ms, median {median * 1e3:.2f} ms of {repeat}; raw write + os.replace "
+          f"of the same {len(data)} bytes: best {raw_best * 1e3:.2f} ms, median {raw_median * 1e3:.2f} ms; "
+          f"ratio {best / raw_best:.2f} (best), {median / raw_median:.2f} (median)")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", default="1000,3000,10000", help="comma-separated document counts")
+    parser.add_argument("--repeat", type=int, default=15, help="timed one-document writes, and raw writes")
+    args = parser.parse_args(argv)
+    sizes = [int(size) for size in args.sizes.split(",")]
+    workdir = Path(tempfile.mkdtemp(prefix="harland-probe-"))
+    try:
+        for count in sizes:
+            root = workdir / f"store-{count}"
+            repo = bulk_flush(root, count)
+            if count == max(sizes):
+                one_write(repo, root, args.repeat)
+            repo.close()
+            shutil.rmtree(root)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()

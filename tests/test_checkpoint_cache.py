@@ -167,6 +167,59 @@ def test_crc32c_combine_matches_crc_of_joined_bytes():
     assert crc32c_combine(crc32c(b"abc"), 0, 0) == crc32c(b"abc")
 
 
+def _square_and_multiply_x8n(n: int) -> int:
+    """x^(8n) modulo the polynomial, one _multmodp per set bit of n."""
+    p, k = 1 << 31, 3
+    while n:
+        if n & 1:
+            p = store._multmodp(store._X2N[k], p)
+        n >>= 1
+        k += 1
+    return p
+
+
+def test_x8n_tables_match_square_and_multiply():
+    rng = random.Random(11)
+    lengths = [0, 1, 255, 256, 257, 65535, 65536, 2**24 - 1, 2**24, 2**32 - 1]
+    lengths += [rng.randrange(2 ** rng.randrange(1, 33)) for _ in range(400)]
+    for n in lengths:
+        assert store._x8n(n) == _square_and_multiply_x8n(n), n
+
+
+def test_crc32c_combine_over_random_splits_including_empty_parts():
+    rng = random.Random(12)
+    for _ in range(200):
+        data = rng.randbytes(rng.choice((0, 1, rng.randrange(300), rng.randrange(70_000))))
+        k = rng.choice((0, len(data), rng.randrange(len(data) + 1)))
+        a, b = data[:k], data[k:]
+        assert crc32c_combine(crc32c(a), crc32c(b), len(b)) == crc32c(data)
+
+
+def test_combine_tree_matches_a_linear_fold():
+    """Random edits of a part list (changes, inserts and deletes anywhere,
+    truncations): the tree's root always equals folding the parts in order."""
+    rng = random.Random(13)
+    tree, parts = store._Tree(), []
+    for _ in range(1500):
+        for _ in range(rng.randrange(1, 4)):
+            part = (rng.randrange(2**32), rng.randrange(200))
+            op = rng.random()
+            if op < 0.4 or not parts:
+                parts.insert(rng.randrange(len(parts) + 1), part)
+            elif op < 0.7:
+                parts[rng.randrange(len(parts))] = part
+            else:
+                del parts[rng.randrange(len(parts))]
+        if rng.random() < 0.05:
+            del parts[rng.randrange(len(parts) + 1) :]
+        tree.refold([store._node(*part) for part in parts])
+        crc = length = 0
+        for part_crc, part_length in parts:
+            crc = crc32c_combine(crc, part_crc, part_length)
+            length += part_length
+        assert tree.root() == (crc, length)
+
+
 
 def test_crc32c_kernel_edges_match_bytewise_reference():
     """Lengths around the table loop's threshold and the fold's block size,

@@ -43,8 +43,8 @@ def test_stats_prints_every_counter_in_sorted_order(capsys, tmp_path):
     assert code == 0
     assert [line.split(" ")[0] for line in out.splitlines()] == [
         "backend_batches", "backend_fetches", "backend_scans", "cache_hits", "cache_misses",
-        "cached_documents", "checksummed_bytes", "column_probes", "column_scans", "documents", "encoded_blocks",
-        "evictions", "flushes",
+        "cached_documents", "checkpoint_writes", "checksummed_bytes", "column_probes", "column_scans",
+        "crc_combines", "documents", "encoded_blocks", "evictions", "flushes",
     ]
 
 
