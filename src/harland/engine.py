@@ -400,6 +400,7 @@ class Repository:
         finally:
             self.hub.stop()
             self.hub.repo = None  # break the cycle: a dropped repository is freed at once
+            self.backend.close()
 
     def _load_metadata(self) -> None:
         for schema, slice_id in sorted(self.backend.schema_defs().values(), key=itemgetter(1)):

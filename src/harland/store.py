@@ -32,29 +32,40 @@ table and key. A failed write leaves every committed table as it was, so
 a reader without the lock never sees an entry that is not on disk.
 
 Every section except SCHEMA is document-major in sorted id order (MEMBER by
-collection), so the body is a join of per-document record blocks. A backend
-keeps each block with its CRC32C, and a batch drops the blocks of the
-documents it touches, so a write encodes and checksums only what it changed.
-Each section orders its ids in a sorted list of chunks, runs of about
-_CHUNK (32) consecutive ids, and a chunk keeps its joined blocks and their
-(CRC, length) until one of its documents changes, arrives or leaves, so
-the file is joined from one part per chunk. CRCs fold through combine
-trees (_Tree, after zlib's crc32_combine): each chunk's over its blocks,
-each section's over its chunks, and END's over the sections and their
-headers. A write re-folds only the tree nodes above what it changed, so a
-one-document write costs O(log chunks) combines; a write never sorts a
-section, and its Python work does not grow with the store.
+collection), so the body is a join of per-document record blocks. Each
+section orders its ids in a sorted list of chunks, runs of about _CHUNK
+(32) consecutive ids, and a chunk keeps its blocks' joined bytes and their
+(CRC, length); each block's bytes are kept once, in its chunk's, with its
+span there and, once computed, its own CRC. A batch drops the blocks of
+the documents it touches, and the next encode joins each changed chunk
+again from slices of its old bytes and the blocks it encodes anew, so a
+write encodes and checksums only what it changed, and the file is written
+from one part per chunk. CRCs fold through combine trees (_Tree, after
+zlib's crc32_combine): each chunk's over its blocks, each section's over
+its chunks, and END's over the sections and their headers. A write
+re-folds only the tree nodes above what it changed, so a one-document
+write costs O(log chunks) combines; a write never sorts a section, and its
+Python work does not grow with the store.
+
+A DiskBackend writes those parts with os.pwritev into the inode of the
+image that its last write replaced, kept as a spare beside the checkpoint
+(store.hl1.old) while the backend is open, and renames the result onto
+store.hl1, so the kernel copies the image once into pages it already holds
+and frees none (see _atomic_write and DiskBackend). store.hl1 always names
+a complete image.
 
 Opening a store seeds the same cache from the bytes it has just read: each
-document's run of lines is its block, each chunk's span is checksummed once,
-and END is verified by folding those CRCs with the CRCs of the gaps between
-chunks. A seeded block's own CRC is computed when its chunk is next folded,
-so the first write into a chunk after open checksums the chunk's other
-blocks once as well; the chunks' bytes and the trees are built at the
-first encode, so a store that is only read pays for neither. A section
-whose runs are out of order, repeat a document or hold a duplicate record
-loads unseeded, and its first encode builds it canonically. A backend that
-never encodes and never opens a file builds no cache.
+chunk's bytes are one slice of the file, each document's run of lines is
+its block, each chunk's span is checksummed once, and END is verified by
+folding those CRCs with the CRCs of the gaps between chunks. A seeded
+block's own CRC is computed when its chunk is next folded, so the first
+write into a chunk after open checksums the chunk's other blocks once as
+well; the trees are built at the first encode, so a store that is only
+read pays for none. A section whose runs are out of order, repeat a
+document or hold a duplicate record loads unseeded, and its first encode
+builds it canonically. A backend that never encodes and never opens a
+file builds no cache. Should open read an image that a writer in another
+process was overwriting, it reads once more (see _load_root).
 
 Open decodes in batches of _BATCH (512) lines: one UTF-8 decode and one
 split per batch, marker lines found by substring search, and each
@@ -84,6 +95,7 @@ scan of every bag.
 from __future__ import annotations
 
 import bisect
+import errno
 import functools
 import io
 import itertools
@@ -94,12 +106,13 @@ import sys
 import threading
 import time
 from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime
 from math import copysign
 from operator import attrgetter, itemgetter, lt, ne
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional, Union
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Union
 
 from harland.errors import CorruptStore, StorageFailure, UnknownDocument
 from harland.model import (
@@ -885,9 +898,14 @@ class MemoryBackend:
         return ChainMap(entries, getattr(self, name)) if entries else getattr(self, name)
 
     def _encode_checkpoint(self) -> bytes:
-        """The checkpoint bytes, joined from cached chunk bytes; only the
-        blocks dropped since the last call are encoded and checksummed again,
-        and END re-folds only the CRCs above them (see _Tree)."""
+        """The checkpoint bytes: _checkpoint_parts() joined."""
+        return b"".join(self._checkpoint_parts())
+
+    def _checkpoint_parts(self) -> list[bytes]:
+        """The checkpoint as a list of cached parts, one per chunk plus the
+        headers and END; only the blocks dropped since the last call are
+        encoded and checksummed again, and END re-folds only the CRCs above
+        them (see _Tree)."""
         parts: list[bytes] = []
         folded: list[int] = []
         for name, header in _LAYOUT:
@@ -902,15 +920,15 @@ class MemoryBackend:
             folded.append(_node(crc, length))
         self.crc_combines += self._image.refold(folded)
         parts.append(f"END {self._image.root()[0]}\n".encode("ascii"))
-        return b"".join(parts)
+        return parts
 
     def _encode_section(self, name: str, section: "_Section") -> tuple[list[bytes], int, int]:
         """(parts, CRC, length) of one section's records, one part per chunk.
 
         A chunk changed since the last encode joins its blocks again and
         re-folds its CRC; the section's tree then re-folds the chunk CRCs
-        above it. The first encode joins every chunk, and folds those that
-        open did not seed.
+        above it. The first encode folds every chunk that open did not
+        seed.
         """
         if name == "schema":
             block = "".join(
@@ -929,25 +947,31 @@ class MemoryBackend:
         for chunk in section.changed:
             if chunk.crc is None:
                 self._fold_chunk(chunk, section, table, encode)
-            elif chunk.data is None:  # seeded, and unchanged since
-                chunk.data = b"".join(map(section.blocks.__getitem__, chunk.keys))
         section.changed.clear()
         self.crc_combines += section.tree.refold([_node(chunk.crc, chunk.length) for chunk in section.chunks])
         crc, length = section.tree.root()
         return list(map(_DATA, section.chunks)), crc, length
 
     def _fold_chunk(self, chunk: "_Chunk", section: "_Section", table: Mapping, encode) -> None:
-        """Joins a changed chunk's blocks, encoding and checksumming those not
-        cached, and re-folds its CRC from theirs."""
-        blocks, folded, keys = section.blocks, section.folded, chunk.keys
-        for value in itertools.filterfalse(folded.__contains__, keys):
-            data = blocks.get(value)
-            if data is None:
+        """Joins a changed chunk's blocks again, its unchanged blocks sliced
+        from its old bytes and the others encoded; checksums the blocks not
+        folded yet, and re-folds the chunk's CRC from theirs."""
+        spans, folded, keys = section.spans, section.folded, chunk.keys
+        old = memoryview(chunk.data) if chunk.data is not None else None
+        parts = []
+        for value in keys:
+            span = spans.get(value)
+            if span is None:
                 doc_id = DocumentId(value)
-                data = blocks[value] = encode(str(doc_id), table[doc_id]).encode("utf-8")
+                block = encode(str(doc_id), table[doc_id]).encode("utf-8")
                 self.encoded_blocks += 1
-            folded[value] = _node(self._checksum(data), len(data))
-        chunk.data = b"".join(map(blocks.__getitem__, keys))
+            else:
+                block = old[span >> 32 : span & 0xFFFFFFFF]
+            if value not in folded:
+                folded[value] = _node(self._checksum(block), len(block))
+            parts.append(block)
+        chunk.data = b"".join(parts)
+        spans.update(zip(keys, _spans(list(itertools.accumulate(map(len, parts), initial=0)))))
         if chunk.tree is None:
             chunk.tree = _Tree()
         self.crc_combines += chunk.tree.refold(list(map(folded.__getitem__, keys)))
@@ -997,11 +1021,11 @@ class MemoryBackend:
                 decoder.feed(batch)
         except (LookupError, ValueError, OverflowError) as exc:
             raise CorruptStore(f"malformed record: {exc}") from exc
-        spans = self._seed_sections(data, decoder.runs, decoder.ends, decoder.unseeded)
+        seeded = self._seed_sections(data, decoder.runs, decoder.ends, decoder.unseeded)
         decoded = time.perf_counter()
         crc = pos = 0
         view = memoryview(data)
-        for start, chunk in sorted(spans, key=lambda span: span[0]):
+        for start, chunk in sorted(seeded, key=itemgetter(0)):
             if start > pos:
                 crc = self._combine(crc, self._checksum(view[pos:start]), start - pos)
             chunk.crc = self._checksum(view[start : start + chunk.length])
@@ -1020,7 +1044,7 @@ class MemoryBackend:
         """Keeps each run of lines of every seedable section as its document's
         block, and chunks the runs; returns (offset, chunk) for every chunk,
         whose CRC the caller fills in."""
-        spans = []
+        seeded = []
         for name, section_runs in runs.items():
             table = getattr(self, _DOC_SECTIONS[name][0])
             records = len(table) if name in ("doc", "content") else sum(map(len, table.values()))
@@ -1030,14 +1054,16 @@ class MemoryBackend:
                 continue  # the first encode builds it from the table
             section = self._sections[name]
             keys = [value for value, _ in section_runs]
-            section.blocks = {value: data[bounds[i] : bounds[i + 1]] for i, value in enumerate(keys)}
             section.chunks = []
             for i in range(0, len(keys), _CHUNK):
+                edges = bounds[i : i + _CHUNK + 1]
                 chunk = _Chunk(keys[i : i + _CHUNK])
-                chunk.length = bounds[min(i + _CHUNK, len(keys))] - bounds[i]
+                chunk.data = data[edges[0] : edges[-1]]
+                chunk.length = len(chunk.data)
+                section.spans.update(zip(chunk.keys, _spans(edges)))
                 section.chunks.append(chunk)
-                spans.append((bounds[i], chunk))
-        return spans
+                seeded.append((edges[0], chunk))
+        return seeded
 
     # ---- checkpoint to / open from a store root directory ----
 
@@ -1047,14 +1073,19 @@ class MemoryBackend:
             root = Path(path)
             _make_dirs(root / CONTENT_DIR)
             for doc_id, blob in self._blobs.items():
-                _atomic_write(root / CONTENT_DIR / str(doc_id), blob)
-            return self._write_checkpoint(root / CHECKPOINT_NAME)
+                _replace_file(root / CONTENT_DIR / str(doc_id), blob)
+            target = self._write_checkpoint(root / CHECKPOINT_NAME)
+            _remove_spare(target)  # a one-shot write keeps no spare image
+            return target
 
     def _write_checkpoint(self, target: Path) -> Path:
         """Writes the whole image to target, counted in checkpoint_writes."""
-        _atomic_write(target, self._encode_checkpoint())
+        _atomic_write(target, self._checkpoint_parts())
         self.checkpoint_writes += 1
         return target
+
+    def close(self) -> None:
+        """Ends the backend's use of files; a memory backend keeps none."""
 
     @classmethod
     def open(cls, path) -> "MemoryBackend":
@@ -1067,7 +1098,19 @@ class MemoryBackend:
         target = root / CHECKPOINT_NAME
         if not target.exists():
             raise StorageFailure(f"no store at {root}")
-        self._load_checkpoint(target.read_bytes())
+        data = target.read_bytes()
+        try:
+            self._load_checkpoint(data)
+        except CorruptStore:
+            # A writer in another process may have overwritten the inode
+            # this read while it read it (a spare image is recycled two
+            # writes on, and can be target's again by then, so the inode
+            # number tells nothing): read once more, and load what changed.
+            again = target.read_bytes()
+            if again == data:
+                raise
+            MemoryBackend.__init__(self)  # start again from empty tables
+            self._load_checkpoint(again)
         for doc_id in self._content:
             blob_path = root / CONTENT_DIR / str(doc_id)
             try:
@@ -1094,16 +1137,19 @@ def schema_record(schema: Schema, slice_id: int) -> str:
 class _Section:
     """Cached encoding of one checkpoint section.
 
-    For a document section: each document's record block and, once computed,
-    its CRC32C and length; the sorted chunks that order them; the chunks changed since
-    the last encode; and the tree that folds the chunk CRCs. Blocks and
-    chunks are filled by open or by the first encode, which also builds the
-    tree and each chunk's bytes."""
+    For a document section: the sorted chunks that order its ids, each with
+    the joined bytes of its documents' record blocks; each cached block's
+    span in the bytes of the chunk that holds it, and once computed its
+    CRC32C and length; the chunks changed since the last encode; and the
+    tree that folds the chunk CRCs. Open or the first encode fills the
+    chunks and spans; the first encode builds the tree. A block's bytes are
+    kept once, in its chunk's; blocks reads them from there."""
 
-    __slots__ = ("blocks", "folded", "chunks", "changed", "tree", "joined")
+    __slots__ = ("spans", "blocks", "folded", "chunks", "changed", "tree", "joined")
 
     def __init__(self):
-        self.blocks: dict[int, bytes] = {}  # document id value -> record block
+        self.spans: dict[int, int] = {}  # document id value -> start << 32 | end of its block in its chunk's data
+        self.blocks = _Blocks(self)
         self.folded: dict[int, int] = {}  # document id value -> _node of its block, once computed
         self.chunks: Optional[list[_Chunk]] = None  # every id of the section's table, in order
         self.changed: set[_Chunk] = set()  # chunks whose CRC was cleared since the last encode
@@ -1113,7 +1159,7 @@ class _Section:
     def drop(self, value: int, present: bool) -> None:
         """Forgets value's block, files value in or out of the chunks by
         present, and clears the CRC of the chunk that holds or would hold it."""
-        self.blocks.pop(value, None)
+        self.spans.pop(value, None)
         self.folded.pop(value, None)
         chunks = self.chunks
         if chunks is None:
@@ -1131,8 +1177,10 @@ class _Section:
         if present and not held:
             keys.insert(j, value)
             if len(keys) > 2 * _CHUNK:
-                chunks.insert(i + 1, _Chunk(keys[_CHUNK:]))
-                self.changed.add(chunks[i + 1])
+                split = _Chunk(keys[_CHUNK:])
+                split.data = chunk.data  # its blocks' spans point into these bytes until it is folded
+                chunks.insert(i + 1, split)
+                self.changed.add(split)
                 del keys[_CHUNK:]
         elif held and not present:
             del keys[j]
@@ -1144,11 +1192,33 @@ class _Section:
         self.changed.add(chunk)
 
 
+class _Blocks(Mapping):
+    """A section's cached record blocks by document id value, each read on
+    demand from the bytes of the chunk that holds it."""
+
+    __slots__ = ("section",)
+
+    def __init__(self, section: _Section):
+        self.section = section
+
+    def __getitem__(self, value: int) -> bytes:
+        span = self.section.spans[value]
+        chunks = self.section.chunks
+        chunk = chunks[bisect.bisect_right(chunks, value, key=_first_key) - 1]
+        return chunk.data[span >> 32 : span & 0xFFFFFFFF]
+
+    def __iter__(self):
+        return iter(self.section.spans)
+
+    def __len__(self) -> int:
+        return len(self.section.spans)
+
+
 class _Chunk:
     """A run of consecutive ids of one section, in order, with the (CRC32C,
     length) of their joined blocks while none of them changed, arrived or
-    left; from the first encode on, also those joined bytes, and once it is
-    folded, the tree that folds its block CRCs."""
+    left; from open or the first encode on, also those joined bytes, and
+    once it is folded, the tree that folds its block CRCs."""
 
     __slots__ = ("keys", "crc", "length", "data", "tree")
 
@@ -1165,6 +1235,13 @@ def _first_key(chunk: _Chunk) -> int:
 
 
 _DATA = attrgetter("data")
+
+
+def _spans(edges: list[int]) -> list[int]:
+    """The span (start << 32 | end) of each block, relative to the first,
+    from the offsets of consecutive blocks and the end of the last."""
+    base = edges[0]
+    return [(start - base) << 32 | (end - base) for start, end in zip(edges, edges[1:])]
 
 
 def _node(crc: int, length: int) -> int:
@@ -1293,13 +1370,85 @@ def _make_dirs(path: Path) -> None:
         raise StorageFailure(f"cannot create {path}: {exc}") from exc
 
 
-def _atomic_write(target: Path, data: bytes) -> None:
+def _replace_file(target: Path, data: bytes) -> None:
+    """Replaces target with data, whole or not at all: a new file, renamed onto it."""
     tmp = target.with_name(target.name + ".tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, target)
     except OSError as exc:
         raise StorageFailure(f"cannot write {target}: {exc}") from exc
+
+
+def _spare(target: Path) -> Path:
+    """Where the image that target named before its last write is kept."""
+    return target.with_name(target.name + ".old")
+
+
+def _atomic_write(target: Path, parts: list[bytes]) -> None:
+    """Replaces target with parts joined, whole or not at all, overwriting
+    the inode of the image that target named before its last write.
+
+    The spare (see _spare) is renamed to the temp name and overwritten in
+    place, then truncated; target's current image is linked as the next
+    spare, and the temp file replaces target. A temp file that is another
+    link to target (a crash between the link and the replace leaves the
+    spare so) is unlinked and created afresh, so target's inode is never
+    written. Without a spare, the temp file is a new one.
+    """
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        try:
+            os.rename(_spare(target), tmp)
+        except FileNotFoundError:
+            pass
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT, 0o666)
+        if os.fstat(fd).st_nlink != 1:  # tmp is also target's image
+            os.close(fd)
+            os.unlink(tmp)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            os.ftruncate(fd, _pwrite_all(fd, parts))
+        finally:
+            os.close(fd)
+        try:
+            os.link(target, _spare(target))
+        except OSError as exc:
+            # no image yet, or a file system without hard links: keep no spare
+            if exc.errno not in (errno.ENOENT, errno.EPERM, errno.EOPNOTSUPP):
+                raise
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise StorageFailure(f"cannot write {target}: {exc}") from exc
+
+
+def _remove_spare(target: Path) -> None:
+    try:
+        os.unlink(_spare(target))
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise StorageFailure(f"cannot remove {_spare(target)}: {exc}") from exc
+
+
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers per pwritev call
+
+
+def _pwrite_all(fd: int, parts: list[bytes]) -> int:
+    """Writes parts joined at offset 0 of fd with os.pwritev, _IOV_MAX
+    buffers a call, resuming after a short write; returns the length."""
+    parts = list(parts)
+    offset = 0
+    while parts:
+        batch = parts[:_IOV_MAX]
+        written = os.pwritev(fd, batch, offset)
+        offset += written
+        ends = list(itertools.accumulate(map(len, batch)))
+        done = bisect.bisect_right(ends, written)  # the parts written whole
+        del parts[:done]
+        if done < len(batch):  # a short write ended inside parts[0]
+            parts[0] = memoryview(parts[0])[written - (ends[done - 1] if done else 0) :]
+    return offset
 
 
 # ---- checkpoint decoding ----
@@ -1512,7 +1661,21 @@ class DiskBackend(MemoryBackend):
     from the bytes it checked, so the first write after open costs what it
     changes too. The engine commits all of a flush's documents in one
     batch (group commit), so a flush writes the file once or twice,
-    whatever it changed. There is no fsync."""
+    whatever it changed.
+
+    A write costs the kernel one copy of the image into pages it already
+    holds. While the backend is open, the image that store.hl1 named before
+    the last write stays beside it as a spare (store.hl1.old, a second
+    link made just before the replace); the next write renames the spare
+    to store.hl1.tmp, writes the cached chunk bytes into it with
+    os.pwritev, truncates it, and replaces store.hl1 with it (see
+    _atomic_write). close() removes the spare, and a one-shot checkpoint
+    to a path keeps none, so a closed store holds store.hl1 and content/
+    only. store.hl1 always names a complete image; a killed process leaves
+    one that passes its CRC check, and open recycles or replaces a spare
+    or temp file it leaves. There is no fsync: after a power loss the file
+    may hold an older image, or a torn one that open reports as
+    CorruptStore."""
 
     def __init__(self, root: Path):
         super().__init__()
@@ -1538,8 +1701,13 @@ class DiskBackend(MemoryBackend):
         super()._persist()  # honors injected failures
         self._write_checkpoint(self.root / CHECKPOINT_NAME)
 
+    def close(self) -> None:
+        """Removes the spare image."""
+        with self._lock:
+            _remove_spare(self.root / CHECKPOINT_NAME)
+
     def _persist_blob(self, doc_id: DocumentId, data: bytes) -> None:
-        _atomic_write(self.root / CONTENT_DIR / str(doc_id), data)
+        _replace_file(self.root / CONTENT_DIR / str(doc_id), data)
 
     def _remove_blob_file(self, doc_id: DocumentId) -> None:
         try:

@@ -6,13 +6,17 @@ For each size N, a fresh disk store (auto_flush off) gets N new documents
 of two properties each, and the one flush() that writes them is timed.
 The store is then reopened and must hold N documents. At the largest size
 a one-document write (set_property + flush()) is timed --repeat times
-against as many raw writes of the same checkpoint bytes to a temporary
-file plus os.replace onto an existing file, in alternating blocks of five
-of each, and the best and the median of each are compared. The raw
-write's time varies with the file system's writeback state, and its best
-is often a replace that happened to be cheap, so the median ratio is the
-steadier of the two. Counters come from Repository.stats(); one
-the program does not have prints as "-".
+against two raw writes of the same checkpoint bytes, in alternating
+blocks of five of each: a fresh file plus os.replace onto an existing
+file, and the store's own file write (store._atomic_write), which
+overwrites the inode of the image replaced two writes before. The best
+and the median of each are compared. The fresh write's time varies with
+the file system's writeback state, and its best is often a replace that
+happened to be cheap, so the median ratio is the steadier of the two.
+It also prints the bytes that the backend's cached encoding holds per
+document (sys.getsizeof over chunk bytes, key lists, span and CRC maps
+and combine trees). Counters come from Repository.stats(); one the
+program does not have prints as "-".
 
 It prints one line per measurement and exits non-zero only when a reopen
 disagrees. The file name keeps pytest from collecting it.
@@ -28,6 +32,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from harland import store
 from harland.engine import CacheConfig, Repository
 from harland.model import Value
 from harland.store import CHECKPOINT_NAME
@@ -56,6 +61,19 @@ def _median(times: list) -> float:
     return sorted(times)[len(times) // 2]
 
 
+def cache_bytes(backend) -> int:
+    """Bytes held by a backend's cached encoding."""
+    total = 0
+    for section in backend._sections.values():
+        for table in (section.spans, section.folded):
+            total += sys.getsizeof(table) + sum(map(sys.getsizeof, table.values()))
+        for chunk in section.chunks or ():
+            total += sys.getsizeof(chunk.data) + sys.getsizeof(chunk.keys)
+            for level in chunk.tree.levels if chunk.tree else ():
+                total += sys.getsizeof(level) + sum(map(sys.getsizeof, level))
+    return total
+
+
 def bulk_flush(root: Path, count: int) -> Repository:
     """A store with count new documents written by one timed flush(); the
     repository is returned open."""
@@ -79,10 +97,11 @@ def bulk_flush(root: Path, count: int) -> Repository:
 
 def one_write(repo: Repository, root: Path, repeat: int) -> None:
     """One-document writes against raw writes of the same bytes, in
-    alternating blocks so that both meet like file system states."""
+    alternating blocks so that all meet like file system states."""
     handle = repo.get_document(repo.document_ids()[repo.document_count() // 2])
     values = iter(range(10**9, 2 * 10**9))
     target, tmp = root / "raw-copy", root / "raw-copy.tmp"
+    recycled = root / "raw-recycled"
 
     def write() -> None:
         handle.set_property("size", [Value.integer(next(values))])
@@ -92,22 +111,32 @@ def one_write(repo: Repository, root: Path, repeat: int) -> None:
         tmp.write_bytes(data)
         os.replace(tmp, target)
 
+    def raw_recycled() -> None:
+        store._atomic_write(recycled, [data])
+
     write()  # the first write after the bulk flush is not the steady state
     data = (root / CHECKPOINT_NAME).read_bytes()
-    raw()  # so that every timed raw write replaces a file, as a write does
+    for _ in range(2):  # so that every timed raw write replaces a file, and recycles a spare
+        raw()
+        raw_recycled()
     before = _counters(repo)
-    writes, raws = [], []
+    writes, raws, recycles = [], [], []
     for block in range(0, repeat, 5):
         runs = min(5, repeat - block)
         writes += [_timed(write) for _ in range(runs)]
         raws += [_timed(raw) for _ in range(runs)]
+        recycles += [_timed(raw_recycled) for _ in range(runs)]
     per_write = _delta(_counters(repo), before, repeat)
-    target.unlink()
-    best, median, raw_best, raw_median = min(writes), _median(writes), min(raws), _median(raws)
+    for path in (target, recycled, recycled.with_name(recycled.name + ".old")):
+        path.unlink()
+    best, median = min(writes), _median(writes)
     print(f"one-document write at {repo.document_count()} documents ({per_write} per write): "
-          f"best {best * 1e3:.2f} ms, median {median * 1e3:.2f} ms of {repeat}; raw write + os.replace "
-          f"of the same {len(data)} bytes: best {raw_best * 1e3:.2f} ms, median {raw_median * 1e3:.2f} ms; "
-          f"ratio {best / raw_best:.2f} (best), {median / raw_median:.2f} (median)")
+          f"best {best * 1e3:.2f} ms, median {median * 1e3:.2f} ms of {repeat}")
+    for name, times in (("fresh file + os.replace", raws), ("recycled-inode write", recycles)):
+        print(f"  raw {name} of the same {len(data)} bytes: best {min(times) * 1e3:.2f} ms, "
+              f"median {_median(times) * 1e3:.2f} ms; ratio {best / min(times):.2f} (best), "
+              f"{median / _median(times):.2f} (median)")
+    print(f"  cached encoding: {cache_bytes(repo.backend) / repo.document_count():.0f} bytes per document")
 
 
 def main(argv=None) -> None:
