@@ -259,16 +259,22 @@ def _run(repo: Repository, args, out) -> int:
         handle = repo.get_document(args.id)
         if args.content_command == "put":
             if args.file and args.file != "-":
-                with open(args.file, "rb") as f:
-                    data = f.read()
+                try:
+                    with open(args.file, "rb") as f:
+                        data = f.read()
+                except OSError as exc:
+                    return _file_error(exc)
             else:
                 data = sys.stdin.buffer.read()
             handle.put_content(data)
         else:
             data = handle.content()
             if args.file and args.file != "-":
-                with open(args.file, "wb") as f:
-                    f.write(data)
+                try:
+                    with open(args.file, "wb") as f:
+                        f.write(data)
+                except OSError as exc:
+                    return _file_error(exc)
             else:
                 sys.stdout.buffer.write(data)
                 sys.stdout.buffer.flush()
@@ -294,6 +300,12 @@ def _run(repo: Repository, args, out) -> int:
             print(f"{key} {value}", file=out)
         return 0
     raise AssertionError(f"unhandled command {cmd!r}")
+
+
+def _file_error(exc: OSError) -> int:
+    """Reports a file that content put or get names and cannot use: a domain error."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def _run_schema(repo: Repository, args, out) -> int:

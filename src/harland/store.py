@@ -34,10 +34,11 @@ a reader without the lock never sees an entry that is not on disk.
 Every section except SCHEMA is document-major in sorted id order (MEMBER by
 collection), so the body is a join of per-document record blocks. Each
 section orders its ids in a sorted list of chunks, runs of about _CHUNK
-(32) consecutive ids, and a chunk keeps its blocks' joined bytes and their
-(CRC, length); each block's bytes are kept once, in its chunk's, with its
-span there and, once computed, its own CRC. A batch drops the blocks of
-the documents it touches, and the next encode joins each changed chunk
+(32) consecutive ids. A chunk is the one home of its blocks: it keeps
+their joined bytes, and beside its list of ids two lists of the same
+length, each block's span in those bytes and, once computed, its (CRC,
+length), plus one (CRC, length) of the whole. A batch clears the entries
+of the documents it touches, and the next encode joins each changed chunk
 again from slices of its old bytes and the blocks it encodes anew, so a
 write encodes and checksums only what it changed, and the file is written
 from one part per chunk. CRCs fold through combine trees (_Tree, after
@@ -56,11 +57,11 @@ a complete image.
 
 Opening a store seeds the same cache from the bytes it has just read: each
 chunk's bytes are one slice of the file, each document's run of lines is
-its block, each chunk's span is checksummed once, and END is verified by
-folding those CRCs with the CRCs of the gaps between chunks. A seeded
-block's own CRC is computed when its chunk is next folded, so the first
-write into a chunk after open checksums the chunk's other blocks once as
-well; the trees are built at the first encode, so a store that is only
+its block and gives its span, each chunk is checksummed once, and END is
+verified by folding those CRCs with the CRCs of the gaps between chunks. A
+seeded block's own CRC is computed when its chunk is next folded, so the
+first write into a chunk after open checksums the chunk's other blocks once
+as well; the trees are built at the first encode, so a store that is only
 read pays for none. A section whose runs are out of order, repeat a
 document or hold a duplicate record loads unseeded, and its first encode
 builds it canonically. A backend that never encodes and never opens a
@@ -945,37 +946,36 @@ class MemoryBackend:
             section.tree = _Tree()
             section.changed.update(section.chunks)
         for chunk in section.changed:
-            if chunk.crc is None:
-                self._fold_chunk(chunk, section, table, encode)
+            if chunk.node is None:
+                self._fold_chunk(chunk, table, encode)
         section.changed.clear()
-        self.crc_combines += section.tree.refold([_node(chunk.crc, chunk.length) for chunk in section.chunks])
+        self.crc_combines += section.tree.refold(list(map(_NODE, section.chunks)))
         crc, length = section.tree.root()
         return list(map(_DATA, section.chunks)), crc, length
 
-    def _fold_chunk(self, chunk: "_Chunk", section: "_Section", table: Mapping, encode) -> None:
+    def _fold_chunk(self, chunk: "_Chunk", table: Mapping, encode) -> None:
         """Joins a changed chunk's blocks again, its unchanged blocks sliced
         from its old bytes and the others encoded; checksums the blocks not
-        folded yet, and re-folds the chunk's CRC from theirs."""
-        spans, folded, keys = section.spans, section.folded, chunk.keys
+        folded yet, and re-folds the chunk's node from theirs."""
         old = memoryview(chunk.data) if chunk.data is not None else None
+        nodes = chunk.nodes
         parts = []
-        for value in keys:
-            span = spans.get(value)
+        for i, (value, span) in enumerate(zip(chunk.keys, chunk.spans)):
             if span is None:
                 doc_id = DocumentId(value)
                 block = encode(str(doc_id), table[doc_id]).encode("utf-8")
                 self.encoded_blocks += 1
             else:
                 block = old[span >> 32 : span & 0xFFFFFFFF]
-            if value not in folded:
-                folded[value] = _node(self._checksum(block), len(block))
+            if nodes[i] is None:
+                nodes[i] = _node(self._checksum(block), len(block))
             parts.append(block)
         chunk.data = b"".join(parts)
-        spans.update(zip(keys, _spans(list(itertools.accumulate(map(len, parts), initial=0)))))
+        chunk.spans = _spans(list(itertools.accumulate(map(len, parts), initial=0)))
         if chunk.tree is None:
             chunk.tree = _Tree()
-        self.crc_combines += chunk.tree.refold(list(map(folded.__getitem__, keys)))
-        chunk.crc, chunk.length = chunk.tree.root()
+        self.crc_combines += chunk.tree.refold(list(nodes))  # a copy: the tree diffs against it
+        chunk.node = _node(*chunk.tree.root())
 
     def _checksum(self, data) -> int:
         """crc32c of data, counted in checksummed_bytes."""
@@ -1028,9 +1028,11 @@ class MemoryBackend:
         for start, chunk in sorted(seeded, key=itemgetter(0)):
             if start > pos:
                 crc = self._combine(crc, self._checksum(view[pos:start]), start - pos)
-            chunk.crc = self._checksum(view[start : start + chunk.length])
-            crc = self._combine(crc, chunk.crc, chunk.length)
-            pos = start + chunk.length
+            length = len(chunk.data)
+            chunk_crc = self._checksum(view[start : start + length])
+            chunk.node = _node(chunk_crc, length)
+            crc = self._combine(crc, chunk_crc, length)
+            pos = start + length
         crc = self._combine(crc, self._checksum(view[pos:body_end]), body_end - pos)
         if crc != stated:
             raise CorruptStore("checksum mismatch")
@@ -1043,7 +1045,7 @@ class MemoryBackend:
     def _seed_sections(self, data: bytes, runs: dict, ends: dict, unseeded: set) -> list[tuple[int, "_Chunk"]]:
         """Keeps each run of lines of every seedable section as its document's
         block, and chunks the runs; returns (offset, chunk) for every chunk,
-        whose CRC the caller fills in."""
+        whose node the caller fills in."""
         seeded = []
         for name, section_runs in runs.items():
             table = getattr(self, _DOC_SECTIONS[name][0])
@@ -1057,10 +1059,8 @@ class MemoryBackend:
             section.chunks = []
             for i in range(0, len(keys), _CHUNK):
                 edges = bounds[i : i + _CHUNK + 1]
-                chunk = _Chunk(keys[i : i + _CHUNK])
+                chunk = _Chunk(keys[i : i + _CHUNK], _spans(edges))
                 chunk.data = data[edges[0] : edges[-1]]
-                chunk.length = len(chunk.data)
-                section.spans.update(zip(chunk.keys, _spans(edges)))
                 section.chunks.append(chunk)
                 seeded.append((edges[0], chunk))
         return seeded
@@ -1098,7 +1098,7 @@ class MemoryBackend:
         target = root / CHECKPOINT_NAME
         if not target.exists():
             raise StorageFailure(f"no store at {root}")
-        data = target.read_bytes()
+        data = _read_file(target)
         try:
             self._load_checkpoint(data)
         except CorruptStore:
@@ -1106,17 +1106,13 @@ class MemoryBackend:
             # this read while it read it (a spare image is recycled two
             # writes on, and can be target's again by then, so the inode
             # number tells nothing): read once more, and load what changed.
-            again = target.read_bytes()
+            again = _read_file(target)
             if again == data:
                 raise
             MemoryBackend.__init__(self)  # start again from empty tables
             self._load_checkpoint(again)
         for doc_id in self._content:
-            blob_path = root / CONTENT_DIR / str(doc_id)
-            try:
-                self._blobs[doc_id] = blob_path.read_bytes()
-            except FileNotFoundError:
-                raise StorageFailure(f"missing content file for {doc_id}") from None
+            self._blobs[doc_id] = _read_file(root / CONTENT_DIR / str(doc_id))
 
 
 def _fields(*parts: str) -> str:
@@ -1135,32 +1131,23 @@ def schema_record(schema: Schema, slice_id: int) -> str:
 # ---- cached checkpoint encoding ----
 
 class _Section:
-    """Cached encoding of one checkpoint section.
+    """Cached encoding of one checkpoint section: for a document section,
+    the sorted chunks that order its ids, the chunks changed since the last
+    encode, and the tree that folds the chunk nodes; every per-block fact
+    lives in the chunk that holds the block. Open or the first encode fills
+    the chunks; the first encode builds the tree."""
 
-    For a document section: the sorted chunks that order its ids, each with
-    the joined bytes of its documents' record blocks; each cached block's
-    span in the bytes of the chunk that holds it, and once computed its
-    CRC32C and length; the chunks changed since the last encode; and the
-    tree that folds the chunk CRCs. Open or the first encode fills the
-    chunks and spans; the first encode builds the tree. A block's bytes are
-    kept once, in its chunk's; blocks reads them from there."""
-
-    __slots__ = ("spans", "blocks", "folded", "chunks", "changed", "tree", "joined")
+    __slots__ = ("chunks", "changed", "tree", "joined")
 
     def __init__(self):
-        self.spans: dict[int, int] = {}  # document id value -> start << 32 | end of its block in its chunk's data
-        self.blocks = _Blocks(self)
-        self.folded: dict[int, int] = {}  # document id value -> _node of its block, once computed
         self.chunks: Optional[list[_Chunk]] = None  # every id of the section's table, in order
-        self.changed: set[_Chunk] = set()  # chunks whose CRC was cleared since the last encode
-        self.tree: Optional[_Tree] = None  # over the chunks' (CRC, length), from the first encode
+        self.changed: set[_Chunk] = set()  # chunks whose node was cleared since the last encode
+        self.tree: Optional[_Tree] = None  # over the chunks' nodes, from the first encode
         self.joined: Optional[tuple[list[bytes], int, int]] = None  # while nothing changed
 
     def drop(self, value: int, present: bool) -> None:
         """Forgets value's block, files value in or out of the chunks by
-        present, and clears the CRC of the chunk that holds or would hold it."""
-        self.spans.pop(value, None)
-        self.folded.pop(value, None)
+        present, and clears the node of the chunk that holds or would hold it."""
         chunks = self.chunks
         if chunks is None:
             return
@@ -1171,61 +1158,46 @@ class _Section:
                 self.changed.add(chunks[-1])
             return
         chunk = chunks[i]
-        keys = chunk.keys
+        keys, spans, nodes = chunk.keys, chunk.spans, chunk.nodes
         j = bisect.bisect_left(keys, value)
         held = j < len(keys) and keys[j] == value
-        if present and not held:
+        if held and present:
+            spans[j] = nodes[j] = None
+        elif present:
             keys.insert(j, value)
+            spans.insert(j, None)
+            nodes.insert(j, None)
             if len(keys) > 2 * _CHUNK:
-                split = _Chunk(keys[_CHUNK:])
-                split.data = chunk.data  # its blocks' spans point into these bytes until it is folded
+                split = _Chunk(keys[_CHUNK:], spans[_CHUNK:], nodes[_CHUNK:])
+                split.data = chunk.data  # its spans point into these bytes until it is folded
                 chunks.insert(i + 1, split)
                 self.changed.add(split)
-                del keys[_CHUNK:]
-        elif held and not present:
-            del keys[j]
+                del keys[_CHUNK:], spans[_CHUNK:], nodes[_CHUNK:]
+        elif held:
+            del keys[j], spans[j], nodes[j]
             if not keys:
                 del chunks[i]
-        elif not held:
+        else:
             return  # neither held nor stored: nothing to fold again
-        chunk.crc = None
+        chunk.node = None
         self.changed.add(chunk)
 
 
-class _Blocks(Mapping):
-    """A section's cached record blocks by document id value, each read on
-    demand from the bytes of the chunk that holds it."""
-
-    __slots__ = ("section",)
-
-    def __init__(self, section: _Section):
-        self.section = section
-
-    def __getitem__(self, value: int) -> bytes:
-        span = self.section.spans[value]
-        chunks = self.section.chunks
-        chunk = chunks[bisect.bisect_right(chunks, value, key=_first_key) - 1]
-        return chunk.data[span >> 32 : span & 0xFFFFFFFF]
-
-    def __iter__(self):
-        return iter(self.section.spans)
-
-    def __len__(self) -> int:
-        return len(self.section.spans)
-
-
 class _Chunk:
-    """A run of consecutive ids of one section, in order, with the (CRC32C,
-    length) of their joined blocks while none of them changed, arrived or
-    left; from open or the first encode on, also those joined bytes, and
-    once it is folded, the tree that folds its block CRCs."""
+    """A run of consecutive ids of one section, in order, and per id its
+    block's span (start << 32 | end) in the chunk's bytes and its block's
+    _node, each None until the block is encoded or checksummed; the _node
+    of the joined blocks while none of them changed, arrived or left; from
+    open or the first encode on, those joined bytes, and once the chunk is
+    folded, the tree that folds its block nodes."""
 
-    __slots__ = ("keys", "crc", "length", "data", "tree")
+    __slots__ = ("keys", "spans", "nodes", "node", "data", "tree")
 
-    def __init__(self, keys: list[int]):
+    def __init__(self, keys: list[int], spans: Optional[list] = None, nodes: Optional[list] = None):
         self.keys = keys
-        self.crc: Optional[int] = None
-        self.length = 0
+        self.spans: list[Optional[int]] = [None] * len(keys) if spans is None else spans
+        self.nodes: list[Optional[int]] = [None] * len(keys) if nodes is None else nodes
+        self.node: Optional[int] = None
         self.data: Optional[bytes] = None
         self.tree: Optional[_Tree] = None
 
@@ -1235,6 +1207,7 @@ def _first_key(chunk: _Chunk) -> int:
 
 
 _DATA = attrgetter("data")
+_NODE = attrgetter("node")
 
 
 def _spans(edges: list[int]) -> list[int]:
@@ -1368,6 +1341,14 @@ def _make_dirs(path: Path) -> None:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StorageFailure(f"cannot create {path}: {exc}") from exc
+
+
+def _read_file(path: Path) -> bytes:
+    """path's bytes; any OSError, a missing file included, is a StorageFailure."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise StorageFailure(f"cannot read {path}: {exc}") from exc
 
 
 def _replace_file(target: Path, data: bytes) -> None:

@@ -14,8 +14,8 @@ and the median of each are compared. The fresh write's time varies with
 the file system's writeback state, and its best is often a replace that
 happened to be cheap, so the median ratio is the steadier of the two.
 It also prints the bytes that the backend's cached encoding holds per
-document (sys.getsizeof over chunk bytes, key lists, span and CRC maps
-and combine trees). Counters come from Repository.stats(); one the
+document (sys.getsizeof over each chunk's bytes, its key, span and node
+lists, and its combine tree). Counters come from Repository.stats(); one the
 program does not have prints as "-".
 
 It prints one line per measurement and exits non-zero only when a reopen
@@ -65,12 +65,10 @@ def cache_bytes(backend) -> int:
     """Bytes held by a backend's cached encoding."""
     total = 0
     for section in backend._sections.values():
-        for table in (section.spans, section.folded):
-            total += sys.getsizeof(table) + sum(map(sys.getsizeof, table.values()))
         for chunk in section.chunks or ():
             total += sys.getsizeof(chunk.data) + sys.getsizeof(chunk.keys)
-            for level in chunk.tree.levels if chunk.tree else ():
-                total += sys.getsizeof(level) + sum(map(sys.getsizeof, level))
+            for column in (chunk.spans, chunk.nodes, *(chunk.tree.levels if chunk.tree else ())):
+                total += sys.getsizeof(column) + sum(map(sys.getsizeof, column))
     return total
 
 

@@ -128,14 +128,16 @@ def load_line_at_a_time(data: bytes) -> MemoryBackend:
             ends[name] = pos
     except (IndexError, ValueError, OverflowError) as exc:
         raise CorruptStore(f"malformed record: {exc}") from exc
-    spans = _seed_sections(backend, data, runs, ends, unseeded)
+    seeded = _seed_sections(backend, data, runs, ends, unseeded)
     crc = pos = 0
-    for start, chunk in sorted(spans, key=lambda span: span[0]):
+    for start, chunk in sorted(seeded, key=lambda pair: pair[0]):
         if start > pos:
             crc = crc32c_combine(crc, crc32c(data[pos:start]), start - pos)
-        chunk.crc = crc32c(data[start : start + chunk.length])
-        crc = crc32c_combine(crc, chunk.crc, chunk.length)
-        pos = start + chunk.length
+        length = len(chunk.data)
+        chunk_crc = crc32c(data[start : start + length])
+        chunk.node = length << 32 | chunk_crc
+        crc = crc32c_combine(crc, chunk_crc, length)
+        pos = start + length
     crc = crc32c_combine(crc, crc32c(data[pos:body_end]), body_end - pos)
     if crc != stated:
         raise CorruptStore("checksum mismatch")
@@ -143,7 +145,7 @@ def load_line_at_a_time(data: bytes) -> MemoryBackend:
 
 
 def _seed_sections(backend, data: bytes, runs: dict, ends: dict, unseeded: set) -> list:
-    spans = []
+    seeded = []
     for name, section_runs in runs.items():
         table = getattr(backend, _DOC_SECTIONS[name][0])
         records = len(table) if name in ("doc", "content") else sum(map(len, table.values()))
@@ -152,14 +154,17 @@ def _seed_sections(backend, data: bytes, runs: dict, ends: dict, unseeded: set) 
             continue
         section = backend._sections[name]
         keys = [value for value, _ in section_runs]
-        section.blocks = {value: data[bounds[i] : bounds[i + 1]] for i, value in enumerate(keys)}
         section.chunks = []
         for i in range(0, len(keys), _CHUNK):
             chunk = _Chunk(keys[i : i + _CHUNK])
-            chunk.length = bounds[min(i + _CHUNK, len(keys))] - bounds[i]
+            start = bounds[i]
+            chunk.data = data[start : bounds[i + len(chunk.keys)]]
+            chunk.spans = [
+                (bounds[k] - start) << 32 | (bounds[k + 1] - start) for k in range(i, i + len(chunk.keys))
+            ]
             section.chunks.append(chunk)
-            spans.append((bounds[i], chunk))
-    return spans
+            seeded.append((start, chunk))
+    return seeded
 
 
 def _load_meta_record(backend, fields: list[str], parse_id):
@@ -189,23 +194,35 @@ def _load_meta_record(backend, fields: list[str], parse_id):
 TABLES = ("_docs", "_rows", "_schemas", "_enforcement", "_assignments", "_members", "_content")
 
 
+def blocks_of(section) -> dict[int, bytes]:
+    """A section's cached record blocks by document id value, each sliced
+    from its chunk's bytes by its span; a block not encoded yet has none."""
+    return {
+        value: bytes(chunk.data[span >> 32 : span & 0xFFFFFFFF])
+        for chunk in section.chunks or ()
+        for value, span in zip(chunk.keys, chunk.spans)
+        if span is not None
+    }
+
+
 def load_outcome(load, data: bytes):
     """("corrupt", None) when load(data) raises CorruptStore, else ("ok",
-    state): every table, and for each section whether it is seeded and
-    its blocks and chunks (keys, length, CRC)."""
+    state): every table, and for each section whether it is seeded and,
+    per chunk, its keys, its blocks' bytes and its node."""
     try:
         backend = load(data)
     except CorruptStore:
         return "corrupt", None
     tables = {name: getattr(backend, name) for name in TABLES}
-    sections = {
-        name: None if section.chunks is None else (
-            section.blocks,
-            [(chunk.keys, chunk.length, chunk.crc) for chunk in section.chunks],
-        )
-        for name, section in backend._sections.items()
-    }
+    sections = {name: _seeded_chunks(section) for name, section in backend._sections.items()}
     return "ok", (tables, sections)
+
+
+def _seeded_chunks(section):
+    if section.chunks is None:
+        return None
+    blocks = blocks_of(section)
+    return [(chunk.keys, [blocks[value] for value in chunk.keys], chunk.node) for chunk in section.chunks]
 
 
 def load_batched(data: bytes) -> MemoryBackend:

@@ -38,6 +38,8 @@ from harland.store import (
     encode_value,
 )
 
+from reference_loader import blocks_of
+
 
 # ---- references ----
 
@@ -512,11 +514,12 @@ def test_open_and_memory_backends_build_no_caches(tmp_path):
             collection.add_member(handle)
             if i % 7 == 0:
                 handle.put_content(b"alpha beta")
-        target = repo.document_ids()[35]
+            if i == 36:
+                target = handle.doc_id  # a plain document: its write changes its PROPS block only
     with Repository.open(root, CacheConfig(auto_flush=False)) as repo:
         sections = repo.backend._sections
         assert all(sections[name].chunks for name in store._DOC_SECTIONS)
-        assert {name: len(s.blocks) for name, s in sections.items()} == {
+        assert {name: len(blocks_of(s)) for name, s in sections.items()} == {
             "props": 70, "doc": 71, "schema": 0, "enforce": 70, "assign": 70, "member": 1, "content": 10,
         }
         handle = repo.get_document(target)
@@ -535,7 +538,7 @@ def test_open_and_memory_backends_build_no_caches(tmp_path):
         handle = repo.create_document()
         handle.set_property("Subject", [Value.text("y")])
     repo.flush()
-    assert all(not s.blocks and s.joined is None for s in repo.backend._sections.values())
+    assert all(not blocks_of(s) and s.joined is None for s in repo.backend._sections.values())
     repo.close()
 
 
@@ -574,9 +577,9 @@ def test_write_after_open_checksums_only_what_it_changed(tmp_path):
         first, second = ids[40], ids[41]
         chunk = next(c for c in props.chunks if first.value in c.keys)
         assert second.value in chunk.keys
-        assert write(first, "changed") == sum(len(props.blocks[v]) for v in chunk.keys)
-        assert write(second, "changed too") == len(props.blocks[second.value])
-        assert write(first, "changed again") == len(props.blocks[first.value])
+        assert write(first, "changed") == sum(len(blocks_of(props)[v]) for v in chunk.keys)
+        assert write(second, "changed too") == len(blocks_of(props)[second.value])
+        assert write(first, "changed again") == len(blocks_of(props)[first.value])
 
 def test_body_that_is_not_utf8_is_a_corrupt_store(tmp_path):
     body = f"{store.MAGIC}\nPROPS\n\xff\nMETA\nCONTENT\n".encode("latin-1")

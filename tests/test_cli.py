@@ -165,6 +165,52 @@ def test_content_round_trip_via_files(capsys, tmp_path):
     assert out.strip() == doc
 
 
+def _content_store(capsys, tmp_path):
+    """A store holding one content document with a blob; returns (store, doc)."""
+    store = str(tmp_path / "s")
+    run(capsys, "--store", store, "init")
+    _, out, _ = run(capsys, "--store", store, "--seed", "2", "create", "--kind", "content")
+    doc = out.strip()
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"receipt")
+    assert run(capsys, "--store", store, "content", "put", doc, str(src))[0] == 0
+    return store, doc
+
+
+def _one_error_line(code, out, err, start):
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(start)
+
+
+@pytest.mark.parametrize("replaced", ["store.hl1", "content blob"])
+def test_a_directory_in_place_of_a_store_file_fails_cleanly(capsys, tmp_path, replaced):
+    store, doc = _content_store(capsys, tmp_path)
+    target = tmp_path / "s" / ("store.hl1" if replaced == "store.hl1" else f"content/{doc}")
+    target.unlink()
+    target.mkdir()
+    _one_error_line(*run(capsys, "--store", store, "stats"), f"error: cannot read {target}")
+
+
+def test_content_put_of_a_missing_file_fails_cleanly(capsys, tmp_path):
+    store, doc = _content_store(capsys, tmp_path)
+    missing = tmp_path / "absent.bin"
+    code, out, err = run(capsys, "--store", store, "content", "put", doc, str(missing))
+    _one_error_line(code, out, err, "error:")
+    assert str(missing) in err
+    assert run(capsys, "--store", store, "content", "get", doc)[:2] == (0, "receipt")
+
+
+def test_content_get_into_a_missing_directory_fails_cleanly(capsys, tmp_path):
+    store, doc = _content_store(capsys, tmp_path)
+    target = tmp_path / "absent" / "out.bin"
+    code, out, err = run(capsys, "--store", store, "content", "get", doc, str(target))
+    _one_error_line(code, out, err, "error:")
+    assert str(target) in err
+    assert not target.parent.exists()
+
+
 def test_demo_pipeline_cli(capsys, tmp_path):
     store = str(tmp_path / "s")
     run(capsys, "--store", store, "init")
