@@ -18,8 +18,9 @@ successful flush, collects for each what its live state has that the
 backend has not committed (its dirty slices' rows against the stored
 rows, its pending record against the committed entry), and ships the
 records of all of them as one atomic batch (group commit), so a flush
-writes the checkpoint once, or twice when a membership waits for its
-member's document record. Schema definitions and content writes go
+writes the checkpoint once. Every live document without a store record is
+dirty, so a membership whose member is new travels in the same batch as
+the member's document record. Schema definitions and content writes go
 through to the backend immediately.
 
 Only flushed documents leave the cache, and a new document enters the
@@ -39,10 +40,10 @@ installs the delete across its tables. The backend, the schema registry
 and the commit hub have their own locks and never call back into the
 repository under them. flush() collects records under the repository lock
 once per document, so other work runs between documents of a long flush,
-and commits under it; a document changed between the two (its stamp in
-the dirty map moved) is collected again first. close() and hub.drain()
-never run under it, because the dispatcher thread calls back into the
-repository.
+and commits under it every document dirty at that moment; one changed
+since its collection (its stamp in the dirty map moved), or dirtied after
+it, is collected then. close() and hub.drain() never run under it,
+because the dispatcher thread calls back into the repository.
 """
 
 from __future__ import annotations
@@ -216,14 +217,12 @@ class _Pending:
 
 
 class _Writeback(NamedTuple):
-    """What one document's flush writes, and whether a membership of it
-    waits for its member's document record."""
+    """What one document's flush writes."""
 
     rows: list
     deletes: list
     meta: list
     meta_deletes: list
-    waiting: bool
 
     def writes(self) -> bool:
         return bool(self.rows or self.deletes or self.meta or self.meta_deletes)
@@ -960,49 +959,41 @@ class Repository:
         """Writes every dirty document out; returns how many wrote records.
 
         Visits only the documents changed since their last successful
-        flush, in at most two passes, and commits each pass as one backend
-        batch (group commit), so a flush writes the checkpoint at most
-        twice. A pass collects each document's records under the repository
-        lock, one document at a time, so other work runs in between; then,
-        under the lock, it collects again the records of any document
-        changed since (its stamp in the dirty map moved) and commits. A
-        membership record needs its member's document record committed, so
-        one whose member has none yet waits for the second pass.
+        flush and commits them as one backend batch (group commit), so a
+        flush writes the checkpoint at most once. It collects each
+        document's records under the repository lock, one document at a
+        time, so other work runs in between; then, under the lock, it
+        commits every document dirty at that moment, collecting again any
+        changed since (its stamp in the dirty map moved) and collecting any
+        dirtied after the walk began.
         """
-        flushed = 0
-        for _ in range(2):
-            with self._lock:
-                dirty = list(self._dirty)
-            collected: dict[DocumentId, tuple[int, _Writeback]] = {}
-            for doc_id in dirty:
-                with self._lock:  # once per document: other work runs in between
-                    stamp, idoc = self._dirty.get(doc_id), self._cache.get(doc_id)
-                    if idoc is None:
-                        self._dirty.pop(doc_id, None)
-                    elif stamp is not None:
-                        collected[doc_id] = (stamp, self._flush_doc_locked(doc_id, idoc))
-            with self._lock:
-                batch: dict[DocumentId, tuple[_IDoc, _Writeback]] = {}
-                for doc_id, (stamp, writeback) in collected.items():
-                    idoc = self._cache.get(doc_id)
-                    if self._dirty.get(doc_id) != stamp:  # changed, flushed or deleted since
-                        if doc_id not in self._dirty:
-                            continue
-                        writeback = self._flush_doc_locked(doc_id, idoc)
-                    batch[doc_id] = (idoc, writeback)
-                flushed += self._commit_locked(batch)
-            if not any(writeback.waiting for _, writeback in batch.values()):
-                break
         with self._lock:
+            dirty = list(self._dirty)
+        collected: dict[DocumentId, tuple[int, _Writeback]] = {}
+        for doc_id in dirty:
+            with self._lock:  # once per document: other work runs in between
+                stamp, idoc = self._dirty.get(doc_id), self._cache.get(doc_id)
+                if idoc is None:
+                    self._dirty.pop(doc_id, None)
+                elif stamp is not None:
+                    collected[doc_id] = (stamp, self._flush_doc_locked(doc_id, idoc))
+        with self._lock:
+            batch: dict[DocumentId, tuple[_IDoc, _Writeback]] = {}
+            for doc_id, stamp in self._dirty.items():
+                idoc = self._cache[doc_id]
+                held = collected.get(doc_id)
+                if held is None or held[0] != stamp:  # changed since, or dirtied after the walk began
+                    held = (stamp, self._flush_doc_locked(doc_id, idoc))
+                batch[doc_id] = (idoc, held[1])
+            flushed = self._commit_locked(batch)
             self._evict_if_needed()
         return flushed
 
     def _commit_locked(self, batch: dict[DocumentId, tuple[_IDoc, _Writeback]]) -> int:
         """Commits the records of every document in batch as one backend
         batch; returns how many documents wrote records. Then each document
-        is clean, except that one whose membership waits keeps its pending
-        record and takes a new stamp. A failed batch leaves every document
-        dirty, with its pending record."""
+        is clean. A failed batch leaves every document dirty, with its
+        pending record."""
         writing = [writeback for _, writeback in batch.values() if writeback.writes()]
         if writing:
             self.backend.put_rows(
@@ -1012,22 +1003,16 @@ class Repository:
                 meta_deletes=[record for w in writing for record in w.meta_deletes],
             )
             self._flushes += len(writing)
-        cleaned = []
-        for doc_id, (idoc, writeback) in batch.items():
+        for doc_id, (idoc, _) in batch.items():
             idoc.dirty_slices.clear()
-            if writeback.waiting:
-                self._mark_dirty(doc_id)
-            else:
-                idoc.pending = None
-                self._dirty.pop(doc_id, None)
-                cleaned.append(doc_id)
-        self._file_clean(cleaned)
+            idoc.pending = None
+            self._dirty.pop(doc_id, None)
+        self._file_clean(batch)
         return len(writing)
 
     def _flush_doc_locked(self, doc_id: DocumentId, idoc: _IDoc) -> _Writeback:
         """The records that write how the live document differs from what
-        the backend has committed, and whether a membership waits for its
-        member's document record. Changes nothing."""
+        the backend has committed. Changes nothing."""
         pending = idoc.pending
         backend = self.backend
         rows: list[PropertyRow] = []
@@ -1041,7 +1026,6 @@ class Repository:
 
         meta: list = []
         meta_deletes: list = []
-        waiting = False
         if pending is not None:
             if not self._stored(doc_id):
                 meta.append(DocumentRecord(doc_id, pending.kind))
@@ -1051,14 +1035,10 @@ class Repository:
             meta.extend(Enforcement(doc_id, n, seq) for n, seq in pending.enforcement.items() if enforced.get(n) != seq)
             meta_deletes.extend(Enforcement(doc_id, n, 0) for n in enforced if n not in pending.enforcement)
             members = backend.stored_members().get(doc_id, frozenset())
-            for member in pending.members - members:
-                if member == doc_id or self._stored(member):
-                    meta.append(Membership(doc_id, member))
-                else:
-                    waiting = True  # the member has no store record yet
+            meta.extend(Membership(doc_id, m) for m in pending.members - members)
             meta_deletes.extend(Membership(doc_id, m) for m in members - pending.members)
 
-        return _Writeback(rows, deletes, meta, meta_deletes, waiting)
+        return _Writeback(rows, deletes, meta, meta_deletes)
 
     def _flush_loop(self) -> None:
         interval = max(self.config.flush_interval / 2, 0.01)

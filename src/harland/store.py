@@ -25,7 +25,9 @@ Every writer (put_rows, content_write, delete_document) stages, persists,
 then installs. A batch copies only the entries it touches, each document's
 map or set copied on its first edit, with None for an entry it removes or
 empties, and checks every record against its staged entries first and the
-committed tables second. The checkpoint is encoded from the committed
+committed tables second. The staged entries are the one record of what a
+batch changes: they name the blocks to encode again and the documents
+whose columns to refresh. The checkpoint is encoded from the committed
 tables with the staged entries laid over them; only once it is written do
 the staged entries replace the committed ones, one assignment or pop per
 table and key. A failed write leaves every committed table as it was, so
@@ -449,20 +451,11 @@ class DocumentRecord:
     doc_id: DocumentId
     kind: DocumentKind
 
-    def key(self):
-        return ("doc", self.doc_id)
-
 
 @dataclass(frozen=True)
 class SchemaDef:
     schema: Schema
     slice_id: int
-
-    def key(self):
-        return ("schema", self.schema.name)
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 @dataclass(frozen=True)
@@ -471,9 +464,6 @@ class Enforcement:
     schema: str
     seq: int
 
-    def key(self):
-        return ("enforce", self.doc_id, self.schema)
-
 
 @dataclass(frozen=True)
 class SliceAssignment:
@@ -481,17 +471,11 @@ class SliceAssignment:
     prop: str
     slice_id: int
 
-    def key(self):
-        return ("assign", self.doc_id, self.prop)
-
 
 @dataclass(frozen=True)
 class Membership:
     collection: DocumentId
     member: DocumentId
-
-    def key(self):
-        return ("member", self.collection, self.member)
 
 
 MetadataRecord = Union[DocumentRecord, SchemaDef, Enforcement, SliceAssignment, Membership]
@@ -554,6 +538,8 @@ class _Column:
 
     def put(self, doc_id: DocumentId, values: tuple[Value, ...]) -> None:
         """Replaces doc_id's stored bag (empty: none), moving only its entries."""
+        if self.bags.get(doc_id, ()) == values:
+            return
         old = self.bags.pop(doc_id, ())
         if values:
             self.bags[doc_id] = values
@@ -619,9 +605,11 @@ class MemoryBackend:
         meta: Iterable[MetadataRecord] = (),
         meta_deletes: Iterable[MetadataRecord] = (),
     ) -> None:
-        """Apply one atomic batch; on any error nothing is applied."""
-        rows, deletes = list(rows), [tuple(k) for k in deletes]
-        meta, meta_deletes = list(meta), list(meta_deletes)
+        """Apply one atomic batch; on any error nothing is applied. Records
+        may come in any order: document records and schema definitions are
+        staged before the records that name them."""
+        deletes = [tuple(k) for k in deletes]
+        meta = sorted(meta, key=lambda record: not isinstance(record, (DocumentRecord, SchemaDef)))
         with self._lock:
             staged: dict[str, dict] = {}
             entry = functools.partial(self._entry, staged)
@@ -680,16 +668,7 @@ class MemoryBackend:
                 if key[1:] in stored:
                     raise StorageFailure(f"row {key!r} already stored")
                 stored[key[1:]] = row
-            # in batch order, not hash order, so a batch files its ids into a
-            # section's chunks the same way in every process
-            touched = dict.fromkeys(itertools.chain(
-                (("props", row.doc_id) for row in rows),
-                (("props", key[0]) for key in deletes),
-                (record.key()[:2] for record in meta + meta_deletes),
-            ))
-            self._commit(staged, touched)
-            if self._columns:
-                self._refresh_columns([(row.doc_id, row.prop) for row in rows] + [key[:2] for key in deletes])
+            self._commit(staged)
             self.batch_count += 1
 
     def _entry(self, staged: dict[str, dict], name: str, key):
@@ -704,10 +683,11 @@ class MemoryBackend:
             entries[key] = container(getattr(self, name).get(key, ()))
         return entries[key]
 
-    def _commit(self, staged: dict[str, dict], touched: Iterable[tuple]) -> None:
+    def _commit(self, staged: dict[str, dict]) -> None:
         """Writes the checkpoint of the tables with staged laid over them, then
-        installs staged; a failed write leaves every table as it was and only
-        files the touched ids by the tables again."""
+        installs staged and refreshes each column for the documents whose
+        rows it staged; a failed write leaves every table as it was and only
+        files the staged ids by the tables again."""
         for name in _CONTAINERS:  # an emptied map or set leaves its table
             entries = staged.get(name, {})
             for key, entry in entries.items():
@@ -715,11 +695,11 @@ class MemoryBackend:
                     entries[key] = None
         self._staged = staged
         try:
-            self._stale(touched)
+            self._stale(staged)
             self._persist()
         except BaseException:
             self._staged = {}
-            self._stale(touched)  # blocks encoded from staged before the write failed
+            self._stale(staged)  # blocks encoded from staged before the write failed
             raise
         self._staged = {}
         for name, entries in staged.items():
@@ -729,6 +709,11 @@ class MemoryBackend:
                     table.pop(key, None)
                 else:
                     table[key] = entry
+        if self._columns:
+            for doc_id in staged.get("_rows", ()):
+                rows = self._rows.get(doc_id, {})
+                for prop, column in self._columns.items():
+                    column.put(doc_id, _stored_bag(rows, prop))
 
     # ---- reads ----
 
@@ -762,14 +747,6 @@ class MemoryBackend:
         if column is None:
             column = self._columns[prop] = _Column(prop, self._rows)
         return column
-
-    def _refresh_columns(self, changed: Iterable[tuple]) -> None:
-        """Re-reads the stored bag of each committed (document, prop) pair
-        into prop's column, if it has one."""
-        for doc_id, prop in dict.fromkeys(changed):
-            column = self._columns.get(prop)
-            if column is not None:
-                column.put(doc_id, _stored_bag(self._rows.get(doc_id, {}), prop))
 
     def scan_rows(self, doc_id: DocumentId) -> list[PropertyRow]:
         """Every stored row for one document, in a stable order. Audit use."""
@@ -830,7 +807,7 @@ class MemoryBackend:
             old_blob = self._blobs.get(doc_id)
             self._persist_blob(doc_id, data)  # replaces the file whole or not at all
             try:
-                self._commit({"_content": {doc_id: ref}, "_blobs": {doc_id: data}}, [("content", doc_id)])
+                self._commit({"_content": {doc_id: ref}, "_blobs": {doc_id: data}})
             except BaseException:
                 if old_blob is None:
                     self._remove_blob_file(doc_id)
@@ -856,11 +833,7 @@ class MemoryBackend:
                 self._edit(staged, "_members", collection, set).discard(doc_id)
             for name in ("_docs", "_rows", "_enforcement", "_assignments", "_members", "_content", "_blobs"):
                 staged.setdefault(name, {})[doc_id] = None
-            touched = {(name, doc_id) for name in _DOC_SECTIONS}
-            touched.update(("member", collection) for collection in holders)
-            self._commit(staged, touched)
-            for column in self._columns.values():
-                column.put(doc_id, ())
+            self._commit(staged)
             try:
                 self._remove_blob_file(doc_id)
             except StorageFailure:
@@ -881,16 +854,21 @@ class MemoryBackend:
 
     # ---- checkpoint codec ----
 
-    def _stale(self, touched: Iterable[tuple]) -> None:
-        """Drops the cached encoding of each (section, document or schema name)
-        pair, and files the document in or out of its section's chunks by
+    def _stale(self, staged: dict[str, dict]) -> None:
+        """Drops the cached encoding of each staged entry, in staged order, so
+        a batch files its ids into a section's chunks the same way in every
+        process: each document goes in or out of its section's chunks by
         whether the section's table, with the batch being written laid over
         it, holds it."""
-        for name, key in touched:
-            section = self._sections[name]
+        for name, entries in staged.items():
+            section_name = _SECTION_OF.get(name)
+            if section_name is None:
+                continue
+            section = self._sections[section_name]
             section.joined = None
-            if isinstance(key, DocumentId):
-                section.drop(key.value, self._entry(self._staged, _DOC_SECTIONS[name][0], key) is not None)
+            if section_name != "schema":
+                for doc_id in entries:
+                    section.drop(doc_id.value, self._entry(self._staged, name, doc_id) is not None)
 
     def _view(self, name: str) -> Mapping:
         """Table name with the entries of the batch being written (None:
@@ -1332,6 +1310,8 @@ _DOC_SECTIONS = {
     "member": ("_members", _member_block),
     "content": ("_content", _content_block),
 }
+# the section that encodes each table; _blobs live outside the checkpoint
+_SECTION_OF = {table: name for name, (table, _) in _DOC_SECTIONS.items()} | {"_schemas": "schema"}
 _CHUNK = 32  # target ids per chunk; a chunk splits past twice this
 _CONTAINERS = ("_rows", "_enforcement", "_assignments", "_members")  # tables of maps or sets, never empty
 

@@ -4,19 +4,22 @@
 
 For each size N, a fresh disk store (auto_flush off) gets N new documents
 of two properties each, and the one flush() that writes them is timed.
-The store is then reopened and must hold N documents. At the largest size
-a one-document write (set_property + flush()) is timed --repeat times
-against two raw writes of the same checkpoint bytes, in alternating
-blocks of five of each: a fresh file plus os.replace onto an existing
-file, and the store's own file write (store._atomic_write), which
-overwrites the inode of the image replaced two writes before. The best
-and the median of each are compared. The fresh write's time varies with
-the file system's writeback state, and its best is often a replace that
-happened to be cheap, so the median ratio is the steadier of the two.
-It also prints the bytes that the backend's cached encoding holds per
-document (sys.getsizeof over each chunk's bytes, its key, span and node
-lists, and its combine tree). Counters come from Repository.stats(); one the
-program does not have prints as "-".
+The store is then reopened and must hold N documents. A second fresh
+store gets a new collection with N - 1 new members, and the counters of
+the one flush() that writes them are printed; reopened, the collection
+must hold those members. At the largest size a one-document write
+(set_property + flush()) is timed --repeat times against two raw writes
+of the same checkpoint bytes, in alternating blocks of five of each: a
+fresh file plus os.replace onto an existing file, and the store's own
+file write (store._atomic_write), which overwrites the inode of the image
+replaced two writes before. The best and the median of each are
+compared. The fresh write's time varies with the file system's writeback
+state, and its best is often a replace that happened to be cheap, so the
+median ratio is the steadier of the two. It also prints the bytes that
+the backend's cached encoding holds per document (sys.getsizeof over
+each chunk's bytes, its key, span and node lists, and its combine tree,
+each object counted once). Counters come from Repository.stats(); one
+the program does not have prints as "-".
 
 It prints one line per measurement and exits non-zero only when a reopen
 disagrees. The file name keeps pytest from collecting it.
@@ -34,7 +37,7 @@ from pathlib import Path
 
 from harland import store
 from harland.engine import CacheConfig, Repository
-from harland.model import Value
+from harland.model import DocumentKind, Value
 from harland.store import CHECKPOINT_NAME
 
 COUNTERS = ("backend_batches", "checkpoint_writes", "crc_combines", "checksummed_bytes")
@@ -62,14 +65,19 @@ def _median(times: list) -> float:
 
 
 def cache_bytes(backend) -> int:
-    """Bytes held by a backend's cached encoding."""
-    total = 0
+    """Bytes held by a backend's cached encoding. A chunk's tree shares its
+    bottom level's ints with the chunk's nodes, so each object is counted
+    once, by id()."""
+    sizes: dict[int, int] = {}
     for section in backend._sections.values():
         for chunk in section.chunks or ():
-            total += sys.getsizeof(chunk.data) + sys.getsizeof(chunk.keys)
+            objects = [chunk.data, chunk.keys]
             for column in (chunk.spans, chunk.nodes, *(chunk.tree.levels if chunk.tree else ())):
-                total += sys.getsizeof(column) + sum(map(sys.getsizeof, column))
-    return total
+                objects.append(column)
+                objects.extend(column)
+            for obj in objects:
+                sizes.setdefault(id(obj), sys.getsizeof(obj))
+    return sum(sizes.values())
 
 
 def bulk_flush(root: Path, count: int) -> Repository:
@@ -91,6 +99,24 @@ def bulk_flush(root: Path, count: int) -> Repository:
         if reopened.document_count() != count:
             sys.exit(f"reopen holds {reopened.document_count()} documents, not {count}")
     return repo
+
+
+def collection_flush(root: Path, count: int) -> None:
+    """A store with a new collection of count - 1 new members, written by
+    one flush(); prints its counters and checks the members after a reopen."""
+    with Repository.init(root, CacheConfig(max_docs=count + 16, auto_flush=False), id_seed=count) as repo:
+        collection = repo.create_document(DocumentKind.COLLECTION)
+        for i in range(count - 1):
+            member = repo.create_document()
+            member.set_property("size", [Value.integer(i)])
+            collection.add_member(member)
+        before = _counters(repo)
+        flushed = repo.flush()
+        print(f"flush of a new collection with {count - 1} new members: {flushed} documents "
+              f"({_delta(_counters(repo), before)})")
+    with Repository.open(root, CacheConfig(auto_flush=False)) as reopened:
+        if len(reopened.members_of(collection.doc_id)) != count - 1:
+            sys.exit(f"reopened collection holds {len(reopened.members_of(collection.doc_id))} members, not {count - 1}")
 
 
 def one_write(repo: Repository, root: Path, repeat: int) -> None:
@@ -152,6 +178,8 @@ def main(argv=None) -> None:
                 one_write(repo, root, args.repeat)
             repo.close()
             shutil.rmtree(root)
+            collection_flush(workdir / f"collection-{count}", count)
+            shutil.rmtree(workdir / f"collection-{count}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -570,14 +570,14 @@ def test_failed_flush_keeps_document_dirty_and_cached(tmp_path):
         assert reopened.get_document(h.doc_id).values("n") == (Value.integer(2),)
 
 
-def test_deferred_membership_lands_on_second_pass(tmp_path, monkeypatch):
+def test_membership_of_a_new_member_lands_in_the_same_pass(tmp_path, monkeypatch):
     repo = fresh(tmp_path)
     collection = repo.create_document(DocumentKind.COLLECTION)
     member = repo.create_document()
     collection.add_member(member)
     calls = _count_flush_calls(repo, monkeypatch)
-    assert repo.flush() == 3  # the collection twice: its record, then the membership
-    assert calls == [collection.doc_id, member.doc_id, collection.doc_id]
+    assert repo.flush() == 2
+    assert calls == [collection.doc_id, member.doc_id]
     assert repo._dirty == {}
     repo.close()
     with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:

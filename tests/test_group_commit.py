@@ -1,7 +1,7 @@
 """Group commit and the write path's cost, checked by counters.
 
-A flush commits each of its passes as one backend batch, so it writes the
-checkpoint at most twice however many documents are dirty; a failed batch
+A flush commits its documents as one backend batch, so it writes the
+checkpoint once however many documents are dirty; a failed batch
 leaves every document in it dirty with its pending record; a document
 changed, flushed or deleted between the collection of its records and the
 commit is collected again. A one-document write re-folds O(log chunks)
@@ -52,15 +52,15 @@ def _populate(repo: Repository, count: int) -> list:
     return handles
 
 
-def test_flush_of_200_dirty_documents_writes_the_checkpoint_at_most_twice(tmp_path):
+def test_flush_of_200_dirty_documents_writes_the_checkpoint_once(tmp_path):
     live, shadow = _pair(tmp_path)
     for repo in (live, shadow):
         _populate(repo, 200)
     before = live.stats()
-    assert live.flush() == 200 + 1  # the collection again: its memberships wait for their members
+    assert live.flush() == 200
     after = live.stats()
-    assert after["backend_batches"] - before["backend_batches"] <= 2
-    assert after["checkpoint_writes"] - before["checkpoint_writes"] <= 2
+    assert after["backend_batches"] - before["backend_batches"] == 1
+    assert after["checkpoint_writes"] - before["checkpoint_writes"] == 1
     assert live._dirty == {}
     shadow.flush()
     assert (tmp_path / "store" / CHECKPOINT_NAME).read_bytes() == shadow.backend._encode_checkpoint()
@@ -94,7 +94,7 @@ def test_failed_group_commit_keeps_every_document_dirty_with_its_pending_record(
     assert {doc_id: live._cache[doc_id].pending for doc_id in dirty} == pending
     assert (tmp_path / "store" / CHECKPOINT_NAME).read_bytes() == committed
 
-    assert live.flush() == 45 + 1
+    assert live.flush() == 45
     assert live._dirty == {}
     shadow.flush()
     expected = shadow.backend._encode_checkpoint()
@@ -155,6 +155,61 @@ def test_document_changed_after_its_collection_is_collected_again(tmp_path, monk
     live.close()
     with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
         assert reopened.backend._encode_checkpoint() == expected
+    shadow.close()
+
+
+@pytest.mark.parametrize("members_first", [False, True], ids=["collection-first", "members-first"])
+def test_new_collection_with_new_members_flushes_as_one_batch(tmp_path, members_first):
+    live, shadow = _pair(tmp_path)
+    for repo in (live, shadow):
+        members = [repo.create_document() for _ in range(50)] if members_first else []
+        collection = repo.create_document(DocumentKind.COLLECTION)
+        members = members or [repo.create_document() for _ in range(50)]
+        for i, member in enumerate(members):
+            member.set_property("title", [Value.text(f"m{i}")])
+            collection.add_member(member)
+        collection.add_member(collection)
+    before = live.stats()
+    assert live.flush() == 51
+    after = live.stats()
+    assert after["backend_batches"] - before["backend_batches"] == 1
+    assert after["checkpoint_writes"] - before["checkpoint_writes"] == 1
+    assert live._dirty == {}
+    shadow.flush()
+    expected = shadow.backend._encode_checkpoint()
+    assert (tmp_path / "store" / CHECKPOINT_NAME).read_bytes() == expected
+    live.close()
+    with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
+        assert reopened.members_of(collection.doc_id) == {collection.doc_id, *(m.doc_id for m in members)}
+    shadow.close()
+
+
+def test_member_added_while_the_flush_collects_lands_in_the_same_batch(tmp_path, monkeypatch):
+    live, shadow = _pair(tmp_path)
+    arrivals = []
+    for repo in (live, shadow):
+        collection, other = repo.create_document(DocumentKind.COLLECTION), repo.create_document()
+        repo.flush()
+        collection.set_property("title", [Value.text("one")])
+        other.set_property("title", [Value.text("one")])
+
+        def arrive(repo=repo, collection=collection):
+            member = repo.create_document()
+            member.set_property("title", [Value.text("late")])
+            collection.add_member(member)
+
+        arrivals.append(arrive)
+    _hook_collection(live, monkeypatch, 2, arrivals[0])  # after the collection is collected
+    before = live.stats()
+    assert live.flush() == 3
+    after = live.stats()
+    assert after["backend_batches"] - before["backend_batches"] == 1
+    assert after["checkpoint_writes"] - before["checkpoint_writes"] == 1
+    assert live._dirty == {}
+    arrivals[1]()
+    shadow.flush()
+    assert (tmp_path / "store" / CHECKPOINT_NAME).read_bytes() == shadow.backend._encode_checkpoint()
+    live.close()
     shadow.close()
 
 

@@ -102,7 +102,7 @@ def test_enforce_then_unenforce_leaves_no_record(tmp_path):
     m.close()
 
 
-def test_membership_of_an_unstored_member_lands_on_a_later_flush(tmp_path):
+def test_membership_of_an_unstored_member_lands_in_the_same_flush(tmp_path):
     m = _Mirror(tmp_path)
     stored = m.create(DocumentKind.COLLECTION)
     m.check()
@@ -112,13 +112,12 @@ def test_membership_of_an_unstored_member_lands_on_a_later_flush(tmp_path):
     m.check()
 
     # both new, the collection ahead of its member in the flush order: the
-    # first pass writes the collection without the membership, the second
-    # pass adds it once the member has its document record
+    # membership and the member's document record travel in one batch
     fresh = m.create(DocumentKind.COLLECTION)
     late = m.create()
     m.apply(fresh, lambda h: h.add_member(late))
     m.live.get_document(late).snapshot()
-    assert m.live.flush() == 3
+    assert m.live.flush() == 2
     assert f"MEMBER\t{fresh}\t{late}\n".encode() in m.check()
     m.close()
 

@@ -161,6 +161,23 @@ def test_stored_docs_hold_every_document():
     assert b.stored_docs() == {D1: DocumentKind.PLAIN, D2: DocumentKind.COLLECTION}
 
 
+def test_put_rows_takes_records_before_the_documents_they_name():
+    meta = [
+        DocumentRecord(D1, DocumentKind.PLAIN),
+        DocumentRecord(D2, DocumentKind.COLLECTION),
+        SchemaDef(Schema("marker", {}), 1),
+        Enforcement(D1, "marker", 1),
+        Membership(D2, D1),
+    ]
+    forward, backward = MemoryBackend(), MemoryBackend()
+    forward.put_rows(meta=meta)
+    backward.put_rows(meta=meta[::-1])
+    assert backward.batch_count == 1
+    assert backward.stored_members() == {D2: {D1}}
+    assert backward.stored_enforcement() == {D1: {"marker": 1}}
+    assert backward._encode_checkpoint() == forward._encode_checkpoint()
+
+
 def test_content_round_trip_and_token_coherence():
     b = MemoryBackend()
     _seed(b)
