@@ -84,6 +84,7 @@ from harland.query import (
     MemberOf,
     QueryExpr,
     QueryPlan,
+    Range,
     bag_matches,
     candidates,
     execute,
@@ -856,45 +857,54 @@ class Repository:
             return self._snapshot_locked(doc_id, self._load(doc_id))
 
     def leaf_candidates(self, preds) -> dict:
-        """Each positive leaf's candidate source: leaf -> (source, ids, exact).
+        """Each positive leaf's candidate source: leaf -> (source, ids, unsure),
+        where ids is a superset of the live documents that match the leaf
+        and every id outside unsure matches it.
 
-        No source fetches a slice or touches the cache. Schema, membership and
-        content leaves are exact: a walk of the committed enforcement table
+        No source fetches a slice or touches the cache, and each costs its
+        matches plus a bisect. Schema, membership and content leaves are
+        exact (unsure is empty): the backend's inverted file of enforcement
         with the pending records laid over it, the collection's live members
-        (in id order, which keeps the final sort of the candidates cheap), and
-        a walk of the committed content tokens. A value leaf reads the
+        (in id order, which keeps the final sort of the candidates cheap),
+        and the inverted file of content tokens. A value leaf reads the
         documents whose stored bag passes it from the backend's column for
         its property: `=`, `<`, `<=`, `>` and `>=` against a literal of an
-        ordered type by a bisect slice of the sorted postings, any other leaf
-        by a scan of the column. The dirty documents are added, since their
-        values in memory may differ from the store. All of it is read under
-        the repository lock, so no flush moves a document from the dirty set
-        to the store in between.
+        ordered type by a bisect slice of the sorted postings, any other
+        leaf by a scan of the column. A Range (several such comparisons of
+        one And on one property) reads the one slice where theirs overlap,
+        plus the column's multi-valued documents, which are unsure.
+        The dirty documents are added and are unsure, since their values in
+        memory may differ from the store; a clean document's stored bag is
+        its live bag. All of it is read under the repository lock, so no
+        flush moves a document from the dirty set to the store in between.
         """
         served = {}
         with self._lock:
+            dirty = list(self._dirty)
             for pred in preds:
                 if isinstance(pred, HasSchema):
-                    hits = [d for d, entry in self.backend.stored_enforcement().items() if pred.name in entry]
+                    hits = self.backend.stored_enforcing(pred.name)
                     pending = dict(self._pending_records())
                     if pending:  # their pending records replace their committed entries
                         hits = [d for d in hits if d not in pending]
                         hits.extend(d for d, record in pending.items() if pred.name in record.enforcement)
-                    served[pred] = ("schema", hits, True)
+                    served[pred] = ("schema", hits, ())
                 elif isinstance(pred, MemberOf):
                     members = sorted(self._members_of(pred.collection), key=itemgetter(0))
-                    served[pred] = ("members", members, True)
+                    served[pred] = ("members", members, ())
                 elif isinstance(pred, ContentContains):
-                    token = pred.token.casefold()
-                    hits = [d for d, ref in self.backend.stored_content().items() if token in ref.tokens]
-                    served[pred] = ("content", hits, True)
+                    served[pred] = ("content", self.backend.stored_containing(pred.token.casefold()), ())
+                elif isinstance(pred, Range):
+                    bounds = [(leaf.literal, PASSING_SIGNS[leaf.op]) for leaf in pred.leaves]
+                    stored, multi = self.backend.stored_compared(pred.prop, bounds)
+                    served[pred] = ("column", stored + multi + dirty, multi + dirty)
                 else:
                     signs = PASSING_SIGNS.get(pred.op) if isinstance(pred, Cmp) else None
                     if signs is not None and pred.literal.vtype in ORDERED_TYPES:
-                        stored = self.backend.stored_compared(pred.prop, pred.literal, signs)
+                        stored, _ = self.backend.stored_compared(pred.prop, [(pred.literal, signs)])
                     else:
                         stored = self.backend.stored_matches(pred.prop, functools.partial(bag_matches, pred))
-                    served[pred] = ("column", stored + list(self._dirty), False)
+                    served[pred] = ("column", stored + dirty, dirty)
         return served
 
     # ---- queries ----
@@ -911,9 +921,10 @@ class Repository:
 
     def explain(self, query: Union[str, QueryExpr]) -> dict:
         """How query() would find its matches, without evaluating any document:
-        the source of each leaf used (schema, members, content, column, or
-        scan for a full scan), the candidate count, whether the candidates
-        are the answer, and whether the plan fell back to a full scan."""
+        the source of each leaf or Range used (schema, members, content,
+        column, or scan for a full scan), the candidate count, whether the
+        candidates are the answer (no candidate is evaluated), and whether
+        the plan fell back to a full scan."""
         self._check_open()
         expr = self._as_expr(query)
         validate_references(expr, self)
@@ -1007,6 +1018,10 @@ class Repository:
             idoc.dirty_slices.clear()
             idoc.pending = None
             self._dirty.pop(doc_id, None)
+        if len(batch) > len(self._dirty):
+            # a dict keeps its table as entries leave, and iterating it
+            # walks every slot: every source reads the dirty set
+            self._dirty = dict(self._dirty)
         self._file_clean(batch)
         return len(writing)
 

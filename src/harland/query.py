@@ -3,25 +3,29 @@
 Two evaluation paths exist on purpose. naive_eval is the reference: a full
 scan over complete snapshots with inline predicate logic. plan/execute is
 the production path: the rewritten expression with shared leaves, evaluated
-only on candidate documents. A view that serves leaf sources (the
-repository does) gives each positive leaf a superset of its matches without
-loading any document: the schema enforcement map, a collection's members,
-the content token sets, or for a value leaf the stored rows of its property
-united with the documents changed since their last flush. An And
-intersects its children's sources and keeps the rest as residual filters,
-an Or unions them when every child has one, and anything else, a negated
-leaf on its own for one, scans every document. When every leaf used has an
-exact source and no residual filter remains, the candidates are the answer;
-otherwise each candidate is evaluated with short-circuiting and loads only
-the slices of the properties the query references. Tests hold the two
-paths equal on randomized inputs.
+only on candidate documents it cannot vouch for. A view that serves leaf
+sources (the repository does) gives each positive leaf a superset of its
+matches without loading any document, and names the ids among them that
+may not match: the documents enforcing a schema, a collection's members,
+the documents holding a content token, or for a value leaf the stored
+documents whose bag passes it, united with the documents changed since
+their last flush, which are unsure. The comparison leaves of one And on one
+property with a lower and an upper bound are served together as one Range,
+one slice of the property's postings plus its multi-valued documents,
+which are unsure. An And intersects its parts' sources and keeps the rest
+as residual filters, an Or unions them when every child has one, and
+anything else, a negated leaf on its own for one, scans every document.
+A candidate is sure when its sources vouch for it and no residual filter
+remains; only the unsure ones are evaluated, with short-circuiting, and
+load only the slices of the properties the query references. Tests hold
+the two paths equal on randomized inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import AbstractSet, Iterator, Optional
 
 from harland.errors import UnknownCollection, UnknownSchema
 from harland.model import (
@@ -258,11 +262,51 @@ class SliceFilter:
 
 
 class BooleanCombine:
-    __slots__ = ("op", "children")
+    __slots__ = ("op", "children", "parts")
 
     def __init__(self, op: str, children: tuple):
         self.op = op  # "and" | "or"
         self.children = children
+        # what candidates draws sources from: the children, with each Range
+        # of an And in place of the leaves it merges
+        self.parts = _merge_ranges(children) if op == "and" else children
+
+
+@dataclass(frozen=True)
+class Range:
+    """Comparison leaves of one And on one property, each `=`, `<`, `<=`,
+    `>` or `>=` against a literal of one ordered type, with a lower and an
+    upper bound among them: one source, the documents holding one value
+    that passes them all. A bag may pass each leaf by a different value (x
+    = {1, 10} passes x > 5 AND x < 3), so its multi-valued documents are
+    candidates too. Never evaluated: the And still evaluates its leaves."""
+
+    prop: str
+    leaves: tuple
+
+
+_LOWER = frozenset({CmpOp.EQ, CmpOp.GT, CmpOp.GE})
+_UPPER = frozenset({CmpOp.EQ, CmpOp.LT, CmpOp.LE})
+
+
+def _merge_ranges(children: tuple) -> tuple:
+    """children with each group of positive comparison leaves on one
+    property and one ordered literal type that has a lower and an upper
+    bound replaced, where its first leaf stood, by one leaf node of their
+    Range."""
+    groups: dict[tuple, list[SliceFilter]] = {}
+    for child in children:
+        pred = child.pred if isinstance(child, SliceFilter) and not child.negated else None
+        if isinstance(pred, Cmp) and pred.op in PASSING_SIGNS and pred.literal.vtype in ORDERED_TYPES:
+            groups.setdefault((pred.prop, pred.literal.vtype), []).append(child)
+    parts = list(children)
+    for group in groups.values():
+        ops = {node.pred.op for node in group}
+        if len(group) > 1 and ops & _LOWER and ops & _UPPER:
+            parts[parts.index(group[0])] = SliceFilter(Range(group[0].pred.prop, tuple(n.pred for n in group)), False)
+            for node in group[1:]:
+                parts.remove(node)
+    return tuple(parts)
 
 
 @dataclass
@@ -296,7 +340,9 @@ def plan(expr: QueryExpr, registry=None) -> QueryPlan:
     The prefetch set covers every schema the query touches: schemas named
     by HasSchema plus, when a registry is supplied, registered schemas
     containing any referenced property. Within And/Or, children that need
-    no stored rows (schema, membership, content tests) run first.
+    no stored rows (schema, membership, content tests) run first. Each
+    And's range pairs become one Range part for candidates (see
+    _merge_ranges).
     """
     normalized = rewrite(expr)
     leaves: dict[tuple, SliceFilter] = {}
@@ -324,6 +370,7 @@ def plan(expr: QueryExpr, registry=None) -> QueryPlan:
         for prop in props:
             prefetch.update(registry.schemas_containing(prop))
     return QueryPlan(expr, root, frozenset(prefetch), props)
+
 
 
 def _node_cost(node) -> int:
@@ -428,20 +475,26 @@ def execute(query_plan: QueryPlan, view) -> list[DocumentId]:
     """
     validate_references(query_plan.expr, view)
     found = candidates(query_plan, view)
-    if found.exact:
+    unsure = found.unsure
+    if not unsure:
         return found.ids
-    return [d for d in found.ids if evaluate_doc(query_plan, view, d)]
+    return [d for d in found.ids if d not in unsure or evaluate_doc(query_plan, view, d)]
 
 
 # ---- candidate sources ----
 
 @dataclass
 class Candidates:
-    """The documents execute evaluates, and where they came from."""
+    """The candidate documents of a plan, and where they came from."""
 
-    ids: list[DocumentId]  # sorted
-    exact: bool            # ids is the match set itself: no document is evaluated
-    sources: list[tuple]   # (source, leaf, candidate count) per leaf used; ("scan", None, n) for a full scan
+    ids: list[DocumentId]  # sorted; a superset of the matches
+    unsure: AbstractSet[DocumentId]  # the ids execute evaluates; every other id matches
+    sources: list[tuple]   # (source, leaf, candidate count) per leaf or Range used; ("scan", None, n) for a full scan
+
+    @property
+    def exact(self) -> bool:
+        """Whether ids is the match set itself: no document is evaluated."""
+        return not self.unsure
 
     @property
     def full_scan(self) -> bool:
@@ -449,62 +502,80 @@ class Candidates:
 
 
 def candidates(query_plan: QueryPlan, view) -> Candidates:
-    """A superset of the plan's matches, drawn from the view's leaf sources.
+    """A superset of the plan's matches, drawn from the view's leaf sources,
+    with the ids it cannot vouch for.
 
-    A view with leaf_candidates(preds) maps each positive leaf it can serve
-    to (source, ids, exact): ids is a superset of the live documents that
-    match the leaf, and exactly that set when exact. An And intersects the
-    sources of its sourced children and leaves the rest (negated leaves, for
-    one) as residual filters; an Or unions its children's sources only when
-    every child has one. Anything else, and any view without sources, falls
-    back to every document. The answer is exact when no residual filter
-    remains anywhere and every source used is exact.
+    A view with leaf_candidates(preds) maps each positive leaf and Range of
+    the plan's parts that it can serve to (source, ids, unsure): ids is a
+    superset of the live documents that match it, and each id outside
+    unsure matches it. An And intersects the sources of its sourced parts
+    (a Range in place of the leaves it merges) and leaves the rest (negated
+    leaves, for one) as residual filters; an Or unions its children's
+    sources only when every child has one. Anything else, and any view
+    without sources, falls back to every document, all of them unsure. See
+    _combine for which ids stay sure.
     """
     sources: list[tuple] = []
     found = None
     serve = getattr(view, "leaf_candidates", None)
     if serve is not None:
-        positive = {node.pred for node in query_plan.leaf_nodes() if not node.negated}
-        found = _combine(query_plan.root, serve(positive), sources)
+        found = _combine(query_plan.root, serve(set(_sourced(query_plan.root))), sources)
     if found is None:
         ids = sorted(view.document_ids())
-        return Candidates(ids, False, [("scan", None, len(ids))])
-    ids, exact = found
-    return Candidates(sorted(ids), exact, sources)
+        return Candidates(ids, set(ids), [("scan", None, len(ids))])
+    ids, unsure = found
+    return Candidates(sorted(ids), unsure, sources)
 
 
-def _combine(node, served: dict, sources: list) -> Optional[tuple[dict, bool]]:
-    """(ids, a superset of node's matches as dict keys in source order;
-    whether exact), or None when node has no source. Appends each leaf
-    source used to sources. Sources mostly list ids in id order, and
-    keeping that order makes the final sort nearly free."""
+def _combine(node, served: dict, sources: list) -> Optional[tuple[dict, set]]:
+    """(ids, a superset of node's matches as dict keys in source order; the
+    ids among them that may not match), or None when node has no source.
+    Appends each leaf source used to sources. An id is sure in an And when
+    it is sure in every part and no part is a residual filter, and sure in
+    an Or when it is sure in some child. Sources mostly list ids in id
+    order, and keeping that order makes the final sort nearly free."""
     if isinstance(node, SliceFilter):
         got = None if node.negated else served.get(node.pred)
         if got is None:
             return None
-        source, ids, exact = got
+        source, ids, unsure = got
         ids = dict.fromkeys(ids)
         sources.append((source, node.pred, len(ids)))
-        return ids, exact
+        return ids, set(unsure)
     mark = len(sources)
     parts = []
-    for child in node.children:
-        part = _combine(child, served, sources)
-        if part is None and node.op == "or":
+    for part in node.parts:
+        got = _combine(part, served, sources)
+        if got is None and node.op == "or":
             del sources[mark:]
             return None
-        parts.append(part)
+        parts.append(got)
     sourced = [p for p in parts if p is not None]
     if not sourced:
         return None
-    exact = len(sourced) == len(parts) and all(e for _, e in sourced)
     if node.op == "or":
         merged: dict = {}
         for ids, _ in sourced:
             merged.update(ids)
-        return merged, exact
+
+        def sure(doc_id) -> bool:
+            return any(doc_id in ids and doc_id not in maybe for ids, maybe in sourced)
+
+        return merged, {d for _, maybe in sourced for d in maybe if not sure(d)}
     sourced.sort(key=lambda part: len(part[0]))
     ids = sourced[0][0]
     for other, _ in sourced[1:]:
         ids = dict.fromkeys(filter(other.__contains__, ids))
-    return ids, exact
+    if len(sourced) < len(parts):  # a residual filter decides every id
+        return ids, set(ids)
+    return ids, {d for _, maybe in sourced for d in maybe if d in ids}
+
+
+def _sourced(node) -> Iterator[QueryExpr]:
+    """The pred of each positive leaf node that _combine may ask for."""
+    if isinstance(node, SliceFilter):
+        if not node.negated:
+            yield node.pred
+    else:
+        for part in node.parts:
+            yield from _sourced(part)

@@ -92,7 +92,14 @@ sorted postings, one (key, document) entry per stored value, where the
 Python order of the keys is the order of compare_values. A committed batch
 or delete moves only the entries of the bags it changed (bisect.insort and
 exact removal), so a comparison is answered by a bisect slice instead of a
-scan of every bag.
+scan of every bag, and several comparisons of one And on one property by
+the one slice where their slices overlap. A column also keeps the set of
+its multi-valued documents: a bag whose leaves pass by different values
+lies in no such overlap. Likewise inverted files (Zobel and Moffat, ACM
+Computing Surveys 2006) map each schema to the documents enforcing it,
+each content token to the documents holding it, and each member to the
+collections holding it, built from the tables the first time a reader
+names them and kept current by the install step.
 """
 
 from __future__ import annotations
@@ -516,19 +523,33 @@ def _stored_bag(rows: dict, prop: str) -> tuple[Value, ...]:
     return tuple(row.value for row in rows.values() if row.prop == prop)
 
 
-class _Column:
-    """One property's stored bags by document, and per ordered value type the
-    sorted postings: one (key, document) entry per stored value."""
+def _edges(posting: list[tuple], literal: Value, signs: tuple[int, ...]) -> tuple[int, int]:
+    """The slice of posting whose entries compare to literal by one of signs,
+    a contiguous run of -1, 0 and 1."""
+    key = _posting_key(literal)
+    below = bisect.bisect_left(posting, key, key=itemgetter(0))
+    above = bisect.bisect_right(posting, key, lo=below, key=itemgetter(0))
+    bounds = (0, below, above, len(posting))
+    return bounds[min(signs) + 1], bounds[max(signs) + 2]
 
-    __slots__ = ("bags", "postings")
+
+class _Column:
+    """One property's stored bags by document, the documents whose bag holds
+    several values, and per ordered value type the sorted postings: one
+    (key, document) entry per stored value."""
+
+    __slots__ = ("bags", "multi", "postings")
 
     def __init__(self, prop: str, rows: dict[DocumentId, dict]):
         self.bags: dict[DocumentId, tuple[Value, ...]] = {}
+        self.multi: set[DocumentId] = set()
         self.postings: dict[ValueType, list[tuple]] = {}
         for doc_id, doc_rows in rows.items():
             values = _stored_bag(doc_rows, prop)
             if values:
                 self.bags[doc_id] = values
+                if len(values) > 1:
+                    self.multi.add(doc_id)
                 for value in values:
                     key = _posting_key(value)
                     if key is not None:
@@ -543,6 +564,10 @@ class _Column:
         old = self.bags.pop(doc_id, ())
         if values:
             self.bags[doc_id] = values
+        if len(values) > 1:
+            self.multi.add(doc_id)
+        else:
+            self.multi.discard(doc_id)
         for value in old:
             key = _posting_key(value)
             if key is not None:
@@ -555,16 +580,49 @@ class _Column:
             if key is not None:
                 bisect.insort(self.postings.setdefault(value.vtype, []), (key, doc_id))
 
-    def compared(self, literal: Value, signs: tuple[int, ...]) -> list[DocumentId]:
-        """The document of each entry whose compare_values against literal is
-        in signs, a contiguous run of -1, 0 and 1; a multi-valued bag's
-        document repeats."""
-        posting = self.postings.get(literal.vtype, ())
-        key = _posting_key(literal)
-        below = bisect.bisect_left(posting, key, key=itemgetter(0))
-        above = bisect.bisect_right(posting, key, lo=below, key=itemgetter(0))
-        bounds = (0, below, above, len(posting))
-        return list(map(itemgetter(1), posting[bounds[min(signs) + 1]:bounds[max(signs) + 2]]))
+    def compared(self, bounds: list[tuple[Value, tuple[int, ...]]]) -> list[DocumentId]:
+        """The document of each entry whose compare_values against every
+        (literal, signs) of bounds is in signs, the literals all of one
+        ordered type: one slice, where the slices of the bounds overlap. A
+        multi-valued bag's document repeats."""
+        posting = self.postings.get(bounds[0][0].vtype, [])
+        edges = [_edges(posting, literal, signs) for literal, signs in bounds]
+        start, end = max(map(itemgetter(0), edges)), min(map(itemgetter(1), edges))
+        return list(map(itemgetter(1), posting[start:end]))
+
+
+def _terms(entry) -> AbstractSet:
+    """The terms an inverted file files an entry under: the schemas of an
+    enforcement map, a collection's members, a content document's tokens;
+    none for a removed entry."""
+    if entry is None:
+        return frozenset()
+    return entry.tokens if isinstance(entry, ContentRef) else entry
+
+
+def _invert(table: Mapping) -> dict:
+    """An inverted file of table: each term of an entry -> {document: None},
+    the documents in table order."""
+    index: dict = {}
+    for doc_id, entry in table.items():
+        for term in _terms(entry):
+            index.setdefault(term, {})[doc_id] = None
+    return index
+
+
+def _repost(index: dict, doc_id: DocumentId, old, new) -> None:
+    """Moves doc_id in index from the postings of the terms old to those of
+    the terms new; a term left with no document leaves index."""
+    for term in old:
+        if term not in new:
+            posting = index[term]
+            del posting[doc_id]
+            if not posting:
+                del index[term]
+    for term in new:
+        if term not in old:
+            index.setdefault(term, {})[doc_id] = None
+
 
 
 class MemoryBackend:
@@ -583,6 +641,7 @@ class MemoryBackend:
         self._blobs: dict[DocumentId, bytes] = {}
         self._sections = {name: _Section() for name, _ in _LAYOUT}
         self._columns: dict[str, _Column] = {}  # for the properties some query has named
+        self._inverted: dict[str, dict] = {}  # table name -> term -> {document: None}, once some reader names it
         self._staged: dict[str, dict] = {}  # table -> key -> entry (None: removed), while a batch is written
         self.fetch_count = 0
         self.batch_count = 0
@@ -685,9 +744,10 @@ class MemoryBackend:
 
     def _commit(self, staged: dict[str, dict]) -> None:
         """Writes the checkpoint of the tables with staged laid over them, then
-        installs staged and refreshes each column for the documents whose
-        rows it staged; a failed write leaves every table as it was and only
-        files the staged ids by the tables again."""
+        installs staged, moving each staged key in its table's inverted file,
+        and refreshes each column for the documents whose rows it staged; a
+        failed write leaves every table, inverted file and column as it was
+        and only files the staged ids by the tables again."""
         for name in _CONTAINERS:  # an emptied map or set leaves its table
             entries = staged.get(name, {})
             for key, entry in entries.items():
@@ -704,7 +764,10 @@ class MemoryBackend:
         self._staged = {}
         for name, entries in staged.items():
             table = getattr(self, name)
+            index = self._inverted.get(name)
             for key, entry in entries.items():
+                if index is not None:
+                    _repost(index, key, _terms(table.get(key)), _terms(entry))
                 if entry is None:
                     table.pop(key, None)
                 else:
@@ -731,14 +794,20 @@ class MemoryBackend:
             self.column_scans += 1
             return [doc_id for doc_id, values in self._column(prop).bags.items() if test(values)]
 
-    def stored_compared(self, prop: str, literal: Value, signs: tuple[int, ...]) -> list[DocumentId]:
-        """Stored documents holding a prop value whose compare_values against
-        literal, a value of an ordered type, is in signs (a contiguous run of
-        -1, 0 and 1), by a bisect slice of prop's postings. A document holding
-        several such values repeats."""
+    def stored_compared(
+        self, prop: str, bounds: list[tuple[Value, tuple[int, ...]]]
+    ) -> tuple[list[DocumentId], list[DocumentId]]:
+        """The stored documents holding a prop value whose compare_values
+        against each (literal, signs) of bounds is in signs (a contiguous run
+        of -1, 0 and 1; the literals all of one ordered type), by one bisect
+        slice of prop's postings, and, when bounds holds several, the
+        documents whose bag holds several values: those may pass each bound
+        by a different value. A document holding several values in the slice
+        repeats."""
         with self._lock:
             self.column_probes += 1
-            return self._column(prop).compared(literal, signs)
+            column = self._column(prop)
+            return column.compared(bounds), list(column.multi) if len(bounds) > 1 else []
 
     def _column(self, prop: str) -> _Column:
         """prop's column, built from the rows the first time a caller names
@@ -747,6 +816,26 @@ class MemoryBackend:
         if column is None:
             column = self._columns[prop] = _Column(prop, self._rows)
         return column
+
+    def stored_enforcing(self, schema: str) -> list[DocumentId]:
+        """The stored documents that enforce schema, from its inverted file."""
+        with self._lock:
+            return list(self._index("_enforcement").get(schema, ()))
+
+    def stored_containing(self, token: str) -> list[DocumentId]:
+        """The stored content documents whose tokens hold token (casefolded),
+        from their inverted file."""
+        with self._lock:
+            return list(self._index("_content").get(token, ()))
+
+    def _index(self, name: str) -> dict:
+        """The inverted file of table name (_enforcement, _content or
+        _members), built from the table the first time a caller names it
+        and kept current by every committed batch and delete."""
+        index = self._inverted.get(name)
+        if index is None:
+            index = self._inverted[name] = _invert(getattr(self, name))
+        return index
 
     def scan_rows(self, doc_id: DocumentId) -> list[PropertyRow]:
         """Every stored row for one document, in a stable order. Audit use."""
@@ -828,8 +917,7 @@ class MemoryBackend:
         with self._lock:
             self._require(doc_id)
             staged: dict[str, dict] = {}
-            holders = [c for c, members in self._members.items() if doc_id in members]
-            for collection in holders:
+            for collection in self._index("_members").get(doc_id, ()):
                 self._edit(staged, "_members", collection, set).discard(doc_id)
             for name in ("_docs", "_rows", "_enforcement", "_assignments", "_members", "_content", "_blobs"):
                 staged.setdefault(name, {})[doc_id] = None

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from harland.model import DocumentId, Value
+from harland.model import ORDERED_TYPES, DocumentId, Value
 from harland.query import (
     And,
     Card,
@@ -84,3 +84,34 @@ def gen_expr(rng: random.Random, pools: ExprPools, depth: int = 5) -> QueryExpr:
     width = rng.randrange(2, 4)
     children = tuple(gen_expr(rng, pools, depth - 1) for _ in range(width))
     return And(children) if kind == "and" else Or(children)
+
+
+LOWER_OPS = (CmpOp.GT, CmpOp.GE, CmpOp.EQ)
+UPPER_OPS = (CmpOp.LT, CmpOp.LE, CmpOp.EQ)
+
+
+def gen_range(rng: random.Random, pools: ExprPools) -> QueryExpr:
+    """An And of a lower and an upper bound on one property against literals
+    of one ordered type, drawn independently, so the interval is often
+    empty (reversed), a point (`=`, or two inclusive bounds on one literal),
+    or a touching pair; now and then with a third bound, another leaf (maybe
+    negated) beside them, or inside an Or. pools.literals must hold a value
+    of an ordered type."""
+    ordered = [v for v in pools.literals if v.vtype in ORDERED_TYPES]
+    first = rng.choice(ordered)
+    same = [v for v in ordered if v.vtype is first.vtype]
+    prop = rng.choice(pools.prop_names)
+    leaves: list[QueryExpr] = [
+        Cmp(prop, rng.choice(LOWER_OPS), first),
+        Cmp(prop, rng.choice(UPPER_OPS), rng.choice(same)),
+    ]
+    if rng.random() < 0.2:
+        leaves.append(Cmp(prop, rng.choice(LOWER_OPS + UPPER_OPS), rng.choice(same)))
+    if rng.random() < 0.3:
+        leaf = gen_leaf(rng, pools)
+        leaves.append(Not(leaf) if rng.random() < 0.3 else leaf)
+    rng.shuffle(leaves)
+    expr: QueryExpr = And(tuple(leaves))
+    if rng.random() < 0.2:
+        expr = Or((expr, gen_leaf(rng, pools)))
+    return expr

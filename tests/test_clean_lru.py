@@ -94,7 +94,7 @@ def test_replay_gives_the_counters_of_a_whole_cache_walk(tmp_path):
     stats = repo.stats()
     repo.close()
     assert {key: stats[key] for key in ("backend_fetches", "cache_hits", "cache_misses", "evictions", "flushes")} == {
-        "backend_fetches": 3282, "cache_hits": 4251, "cache_misses": 3402, "evictions": 3738, "flushes": 1269,
+        "backend_fetches": 1696, "cache_hits": 1031, "cache_misses": 1809, "evictions": 2145, "flushes": 1269,
     }
 
 
