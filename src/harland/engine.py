@@ -6,22 +6,22 @@ document whose metadata differs from its committed entry (new, or changed
 since its last flush) carries one pending record with its whole live
 entry, copied from the committed entry on its first metadata change; reads
 take the pending record when there is one, else the committed entry.
-Property values live in per-document slice maps that are materialized on
-demand: reading any property of a document fetches the whole slice that
-property is assigned to, in one backend round trip, so the other
+A cached document holds one value bag per property, filled a slice at a
+time on demand: reading any property of a document fetches the whole slice
+that property is assigned to, in one backend round trip, so the other
 properties of the same schema arrive for free.
 
-Writes go to the in-memory document: a value write marks its slice dirty,
-a metadata write changes the pending record. A background flusher (and
-explicit flush()) visits only the documents changed since their last
+Writes go to the in-memory document: a value write marks its property
+dirty, a metadata write changes the pending record. A background flusher
+(and explicit flush()) visits only the documents changed since their last
 successful flush, collects for each what its live state has that the
-backend has not committed (its dirty slices' rows against the stored
+backend has not committed (its dirty properties' rows against the stored
 rows, its pending record against the committed entry), and ships the
 records of all of them as one atomic batch (group commit), so a flush
 writes the checkpoint once. Every live document without a store record is
 dirty, so a membership whose member is new travels in the same batch as
-the member's document record. Schema definitions and content writes go
-through to the backend immediately.
+the member's document record. Schema definitions (through the schema
+registry) and content writes go through to the backend immediately.
 
 Only flushed documents leave the cache, and a new document enters the
 cache before its id becomes live, so a live document outside the cache
@@ -100,7 +100,6 @@ from harland.store import (
     Membership,
     MemoryBackend,
     PropertyRow,
-    SchemaDef,
     SliceAssignment,
 )
 
@@ -187,20 +186,23 @@ class _IdGen:
 # ---- cached document state ----
 
 class _IDoc:
-    """In-memory image of one document's values, plus what its next flush
-    must write: the dirty slices, and the pending record while its metadata
-    differs from the committed entry. Guarded by the repository lock."""
+    """In-memory image of one document's values: the bag of each property
+    of the slices loaded so far (a property without values has none), plus
+    what its next flush must write: the dirty properties, and the pending
+    record while its metadata differs from the committed entry. Guarded by
+    the repository lock."""
 
-    __slots__ = ("doc_id", "bags", "dirty_slices", "pending")
+    __slots__ = ("doc_id", "bags", "loaded", "dirty_props", "pending")
 
     def __init__(self, doc_id: DocumentId, pending: Optional["_Pending"] = None):
         self.doc_id = doc_id
-        self.bags: dict[int, dict[str, tuple[Value, ...]]] = {}  # slice id -> {prop -> value bag}
-        self.dirty_slices: set[int] = set()
+        self.bags: dict[str, tuple[Value, ...]] = {}  # prop -> value bag
+        self.loaded: set[int] = set()  # slice ids
+        self.dirty_props: set[str] = set()
         self.pending = pending
 
     def is_dirty(self) -> bool:
-        return self.pending is not None or bool(self.dirty_slices)
+        return self.pending is not None or bool(self.dirty_props)
 
 
 class _Pending:
@@ -340,7 +342,7 @@ class Repository:
     def __init__(self, backend: MemoryBackend, config: Optional[CacheConfig] = None, id_seed: Optional[int] = None):
         self.backend = backend
         self.config = config or CacheConfig()
-        self.registry = SchemaRegistry()
+        self.registry = SchemaRegistry(backend)
         self._ids = _IdGen(id_seed)
         self._lock = threading.RLock()
 
@@ -358,7 +360,7 @@ class Repository:
         self._evictions = 0
         self._flushes = 0
 
-        self._load_metadata()
+        self._ids.prime(backend.stored_docs())
         self.hub = CommitHub(self)
 
         self._closed = False
@@ -401,11 +403,6 @@ class Repository:
             self.hub.stop()
             self.hub.repo = None  # break the cycle: a dropped repository is freed at once
             self.backend.close()
-
-    def _load_metadata(self) -> None:
-        for schema, slice_id in sorted(self.backend.schema_defs().values(), key=itemgetter(1)):
-            self.registry.define(schema, slice_id=slice_id)
-        self._ids.prime(self.backend.stored_docs())
 
     # ---- live metadata: the pending record, else the committed entry ----
 
@@ -532,33 +529,27 @@ class Repository:
             self._clean[doc_id] = None
 
     def _materialize(self, idoc: _IDoc, slices: set[int]) -> None:
-        """Fetch absent slices in one backend round trip."""
-        missing = {s for s in slices if s not in idoc.bags}
+        """Fetch absent slices in one backend round trip. They count as
+        loaded only once it returns, so a failed fetch is tried again."""
+        missing = slices - idoc.loaded
         if not missing:
             return
-        if not self._stored(idoc.doc_id):
-            for s in missing:
-                idoc.bags[s] = {}
-            return
-        grouped: dict[int, dict[str, list[Value]]] = {s: {} for s in missing}
-        for row in self.backend.fetch_slices(idoc.doc_id, missing):
-            grouped[row.slice_id].setdefault(row.prop, []).append(row.value)
-        for s, props in grouped.items():
-            idoc.bags[s] = {p: bag(vals) for p, vals in props.items()}
+        if self._stored(idoc.doc_id):
+            fetched: dict[str, list[Value]] = {}
+            for row in self.backend.fetch_slices(idoc.doc_id, missing):
+                fetched.setdefault(row.prop, []).append(row.value)
+            for prop, values in fetched.items():
+                idoc.bags[prop] = bag(values)
+        idoc.loaded |= missing
 
     def _snapshot_locked(self, doc_id: DocumentId, idoc: _IDoc) -> DocumentSnapshot:
         kind = self._kind_of(doc_id)
         members = frozenset(self._members_of(doc_id))
         self._materialize(idoc, set(self._assignments_of(doc_id).values()))
-        props: dict[str, tuple[Value, ...]] = {}
-        for slice_bags in idoc.bags.values():
-            for prop, values in slice_bags.items():
-                if values:
-                    props[prop] = values
         return DocumentSnapshot(
             doc_id=doc_id,
             kind=kind,
-            properties=props,
+            properties=dict(idoc.bags),
             enforced=frozenset(self._enforcement_of(doc_id)),
             members=members,
         )
@@ -668,12 +659,11 @@ class Repository:
             if slice_id is None:
                 slice_id = self._pending_of(idoc).assignments[prop] = self._assign_slice(doc_id, prop)
             self._materialize(idoc, {slice_id})
-            slice_bags = idoc.bags.setdefault(slice_id, {})
             if new:
-                slice_bags[prop] = new
+                idoc.bags[prop] = new
             else:
-                slice_bags.pop(prop, None)
-            idoc.dirty_slices.add(slice_id)
+                idoc.bags.pop(prop, None)
+            idoc.dirty_props.add(prop)
             self._mark_dirty(doc_id)
             self.hub.publish(doc_id=doc_id, before=before, after=after, changed_props=frozenset({prop}))
 
@@ -801,13 +791,7 @@ class Repository:
     def define_schema(self, schema: Schema) -> int:
         """Schema definitions are write-through: durable before returning."""
         self._check_open()
-        slice_id = self.registry.define(schema)
-        try:
-            self.backend.put_rows(meta=(SchemaDef(schema, slice_id),))
-        except StorageFailure:
-            self.registry.undefine(schema.name)
-            raise
-        return slice_id
+        return self.registry.define(schema)
 
     # ---- reads ----
 
@@ -845,12 +829,7 @@ class Repository:
                 return {}
             idoc = self._idoc(doc_id)
             self._materialize(idoc, set(wanted.values()))
-            out = {}
-            for p, s in wanted.items():
-                values = idoc.bags.get(s, {}).get(p, ())
-                if values:
-                    out[p] = values
-            return out
+            return {p: idoc.bags[p] for p in wanted if p in idoc.bags}
 
     def snapshot(self, doc_id: DocumentId) -> DocumentSnapshot:
         with self._lock:
@@ -914,9 +893,7 @@ class Repository:
 
     def query(self, query: Union[str, QueryExpr]) -> Cursor:
         self._check_open()
-        expr = self._as_expr(query)
-        validate_references(expr, self)
-        compiled = plan(expr, self.registry)
+        compiled = plan(self._as_expr(query), self.registry)
         return Cursor(self, compiled, execute(compiled, self))
 
     def explain(self, query: Union[str, QueryExpr]) -> dict:
@@ -941,9 +918,7 @@ class Repository:
 
     def match_now(self, query: Union[str, QueryExpr]) -> set[DocumentId]:
         """Reference evaluation: full scan, no planner."""
-        expr = self._as_expr(query)
-        validate_references(expr, self)
-        return naive_eval(expr, self)
+        return naive_eval(self._as_expr(query), self)
 
     def _prefetch(self, doc_id: DocumentId, compiled: QueryPlan) -> None:
         slices: set[int] = set()
@@ -1015,7 +990,7 @@ class Repository:
             )
             self._flushes += len(writing)
         for doc_id, (idoc, _) in batch.items():
-            idoc.dirty_slices.clear()
+            idoc.dirty_props.clear()
             idoc.pending = None
             self._dirty.pop(doc_id, None)
         if len(batch) > len(self._dirty):
@@ -1032,12 +1007,17 @@ class Repository:
         backend = self.backend
         rows: list[PropertyRow] = []
         deletes: list[tuple] = []
-        stored_rows = backend.stored_rows().get(doc_id, {})
-        for slice_id in sorted(idoc.dirty_slices):
-            old = {key for key, row in stored_rows.items() if row.slice_id == slice_id}
-            new = {row.key()[1:]: row for row in _bag_rows(doc_id, slice_id, idoc.bags.get(slice_id, {}))}
-            deletes.extend((doc_id, *key) for key in old if key not in new)
-            rows.extend(row for key, row in new.items() if key not in old)
+        dirty = idoc.dirty_props
+        if dirty:  # each dirty property's rows, at its slice, against its stored rows
+            assigned = self._assignments_of(doc_id)
+            new = {
+                row.key()[1:]: row
+                for prop in sorted(dirty)
+                for row in _bag_rows(doc_id, assigned[prop], prop, idoc.bags.get(prop, ()))
+            }
+            stored_rows = backend.stored_rows().get(doc_id, {})
+            rows = [row for key, row in new.items() if key not in stored_rows]
+            deletes = [(doc_id, *key) for key in stored_rows if key[0] in dirty and key not in new]
 
         meta: list = []
         meta_deletes: list = []
@@ -1092,13 +1072,10 @@ class Repository:
             raise StorageFailure("repository is closed")
 
 
-def _bag_rows(doc_id: DocumentId, slice_id: int, bags: dict[str, tuple[Value, ...]]) -> list[PropertyRow]:
+def _bag_rows(doc_id: DocumentId, slice_id: int, prop: str, values: tuple[Value, ...]) -> Iterator[PropertyRow]:
     """One vertical row per bag occurrence; equal values get serial ordinals."""
-    rows: list[PropertyRow] = []
-    for prop, values in bags.items():
-        seen: dict = {}
-        for value in values:
-            ordinal = seen.get(value, 0)
-            seen[value] = ordinal + 1
-            rows.append(PropertyRow(doc_id, slice_id, prop, value, ordinal))
-    return rows
+    seen: dict = {}
+    for value in values:
+        ordinal = seen.get(value, 0)
+        seen[value] = ordinal + 1
+        yield PropertyRow(doc_id, slice_id, prop, value, ordinal)

@@ -1,9 +1,10 @@
 """Schema registry: definitions and conformance checks.
 
-The registry is the in-memory authority for which schemas exist and which
-slice each one owns. Which documents a schema is enforced on is document
-metadata, held by the store's committed tables and the engine's pending
-records; the registry only validates documents against schemas.
+Which schemas exist and which slice each one owns is held by the store's
+committed schema table alone; the registry checks and writes definitions
+into it and reads them back. Which documents a schema is enforced on is
+document metadata, held by the store's committed tables and the engine's
+pending records; the registry only validates documents against schemas.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Optional
 
 from harland.errors import DuplicateSchema, InconsistentSchema, UnknownSchema
 from harland.model import DocumentSnapshot, Schema
+from harland.store import MemoryBackend, SchemaDef
 
 DEFAULT_SLICE = 0
 
@@ -37,71 +40,65 @@ class Violation:
 
 
 class SchemaRegistry:
-    """Registered schemas and their slices.
+    """The schemas of one store, read from the backend's committed schema
+    table, which is their only record.
 
-    Each schema gets a slice id equal to its registration ordinal (1-based;
-    slice 0 is the default slice for properties outside every schema), so
-    "earliest registered" and "lowest slice id" coincide.
+    define() writes a definition through the backend, so a schema exists
+    once its batch has installed and not before. Each schema gets the slice
+    id one past the highest in the table (slice 0 is the default slice for
+    properties outside every schema), so "earliest registered" and "lowest
+    slice id" coincide. A registry built without a backend keeps its
+    definitions in a MemoryBackend of its own.
     """
 
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._schemas: dict[str, Schema] = {}
-        self._slice_ids: dict[str, int] = {}
-        self._next_slice = 1
+    def __init__(self, backend: Optional[MemoryBackend] = None):
+        self._backend = MemoryBackend() if backend is None else backend
+        self._lock = threading.Lock()  # one define at a time
+
+    def _defined(self) -> list[tuple[Schema, int]]:
+        """(schema, slice id) of each definition, in slice id order. Copied
+        first: the backend installs definitions under its own lock."""
+        return sorted(dict(self._backend.schema_defs()).values(), key=itemgetter(1))
 
     # ---- definitions ----
 
-    def define(self, schema: Schema, slice_id: Optional[int] = None) -> int:
-        """Register a schema and return its slice id.
-
-        slice_id is only passed when reloading persisted definitions.
-        """
+    def define(self, schema: Schema) -> int:
+        """Register a schema, durable before this returns, and return its slice id."""
         with self._lock:
-            if schema.name in self._schemas:
+            if self.has(schema.name):
                 raise DuplicateSchema(f"schema {schema.name!r} is already defined")
-            for other in self._schemas.values():
+            defined = self._defined()
+            for other, _ in defined:
                 for prop, constraint in schema.constraints.items():
                     theirs = other.constraints.get(prop)
                     if theirs is not None and theirs != constraint:
                         raise InconsistentSchema(other.name, prop)
-            if slice_id is None:
-                slice_id = self._next_slice
-            self._schemas[schema.name] = schema
-            self._slice_ids[schema.name] = slice_id
-            self._next_slice = max(self._next_slice, slice_id + 1)
+            slice_id = max((s for _, s in defined), default=DEFAULT_SLICE) + 1
+            self._backend.put_rows(meta=(SchemaDef(schema, slice_id),))
             return slice_id
 
-    def undefine(self, name: str) -> None:
-        """Rolls back a definition that failed to persist. Not a general
-        drop: enforcement referencing the name must not exist yet."""
-        with self._lock:
-            self._schemas.pop(name, None)
-            self._slice_ids.pop(name, None)
-
-    def get(self, name: str) -> Schema:
+    def _entry(self, name: str) -> tuple[Schema, int]:
         try:
-            return self._schemas[name]
+            return self._backend.schema_defs()[name]
         except KeyError:
             raise UnknownSchema(f"schema {name!r} is not defined") from None
 
+    def get(self, name: str) -> Schema:
+        return self._entry(name)[0]
+
     def has(self, name: str) -> bool:
-        return name in self._schemas
+        return name in self._backend.schema_defs()
 
     def names(self) -> list[str]:
         """All registered names in registration (slice id) order."""
-        with self._lock:
-            return sorted(self._schemas, key=self._slice_ids.__getitem__)
+        return [schema.name for schema, _ in self._defined()]
 
     def slice_of_schema(self, name: str) -> int:
-        self.get(name)
-        return self._slice_ids[name]
+        return self._entry(name)[1]
 
     def schemas_containing(self, prop: str) -> list[str]:
         """Schemas that constrain prop, earliest registered first."""
-        with self._lock:
-            hits = [n for n, s in self._schemas.items() if prop in s.constraints]
-            return sorted(hits, key=self._slice_ids.__getitem__)
+        return [schema.name for schema, _ in self._defined() if prop in schema.constraints]
 
     # ---- conformance ----
 

@@ -844,10 +844,6 @@ class MemoryBackend:
             rows = self._rows.get(doc_id, {}).values()
             return sorted(rows, key=lambda r: (r.slice_id, r.prop, sort_key(r.value), r.ordinal))
 
-    def schema_defs(self) -> dict[str, tuple[Schema, int]]:
-        with self._lock:
-            return dict(self._schemas)
-
     def meta_view(self) -> MetaView:
         with self._lock:
             return MetaView(
@@ -859,8 +855,12 @@ class MemoryBackend:
                 content=dict(self._content),
             )
 
-    # The committed tables, for the engine to read without the lock. Each is
-    # the table itself, not a copy, and a caller never changes it.
+    # The committed tables, for the engine and the schema registry to read
+    # without the lock. Each is the table itself, not a copy, and a caller
+    # never changes it.
+
+    def schema_defs(self) -> Mapping[str, tuple[Schema, int]]:
+        return self._schemas
 
     def stored_docs(self) -> Mapping[DocumentId, DocumentKind]:
         return self._docs

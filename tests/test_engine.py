@@ -9,6 +9,7 @@ from harland.engine import CacheConfig, Repository
 from harland.errors import (
     NotConforming,
     SchemaViolation,
+    StorageFailure,
     UnknownDocument,
     WrongKind,
 )
@@ -208,6 +209,23 @@ def test_cold_read_fetches_whole_slice_once(tmp_path):
         assert repo.backend.fetch_count - base == 1
 
 
+def test_failed_slice_fetch_leaves_the_slice_unloaded(tmp_path, monkeypatch):
+    with fresh(tmp_path) as repo:
+        doc_id = seed_todo(repo).doc_id
+    with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as repo:
+        h = repo.get_document(doc_id)
+        fetch = repo.backend.fetch_slices
+
+        def failing(*args):
+            monkeypatch.setattr(repo.backend, "fetch_slices", fetch)
+            raise StorageFailure("injected fetch failure")
+
+        monkeypatch.setattr(repo.backend, "fetch_slices", failing)
+        with pytest.raises(StorageFailure):
+            h.values("Subject")
+        assert h.values("Subject")[0].payload == "write the report"  # fetched again
+
+
 def test_lru_evicts_only_clean_documents():
     with fresh(config=CacheConfig(max_docs=4, auto_flush=False)) as repo:
         handles = [repo.create_document() for _ in range(10)]
@@ -280,6 +298,36 @@ def test_schema_definition_is_write_through(tmp_path):
     assert reopened.registry.slice_of_schema("todo") == 1
     reopened.close()
     repo.close()
+
+
+def test_schema_definition_is_invisible_until_durable(tmp_path):
+    repo = fresh(tmp_path)
+    seen = []
+    persist = repo.backend._persist
+
+    def watched():
+        seen.append(repo.registry.has("todo"))
+        persist()
+
+    repo.backend._persist = watched
+    repo.define_schema(todo_schema())
+    assert seen == [False]
+    assert repo.registry.has("todo")
+    repo.close()
+
+
+def test_failed_schema_definition_takes_no_slice(tmp_path):
+    repo = fresh(tmp_path)
+    assert repo.define_schema(Schema("a", {})) == 1
+    repo.backend.fail_next_persist = True
+    with pytest.raises(StorageFailure):
+        repo.define_schema(Schema("b", {}))
+    assert not repo.registry.has("b")
+    assert repo.define_schema(Schema("c", {})) == 2
+    repo.close()
+    with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
+        assert reopened.registry.names() == ["a", "c"]
+        assert reopened.registry.slice_of_schema("c") == 2
 
 
 def test_content_round_trip_and_kind_checks():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from harland.errors import DuplicateSchema, InconsistentSchema, UnknownSchema
@@ -74,6 +77,51 @@ def test_inconsistent_shared_property_rejected():
     assert exc.value.prop == "Subject"
     # identical constraint on the shared name is fine
     reg.define(Schema("memo", {"Subject": Constraint.from_text("text", "1..1")}))
+
+
+def test_concurrent_definitions_take_distinct_slices():
+    """Definers race one another and readers of the table they install into:
+    every definition gets its own slice, and names() lists them by slice."""
+    reg = SchemaRegistry()
+    got: dict[str, int] = {}
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def define(worker: int) -> None:
+        try:
+            for i in range(25):
+                name = f"s{worker}-{i}"
+                got[name] = reg.define(Schema(name, {"shared": Constraint.from_text("text", "0..*")}))
+        except BaseException as exc:
+            errors.append(exc)
+
+    def read() -> None:
+        try:
+            while not done.is_set():
+                listed = reg.names()
+                assert [reg.slice_of_schema(n) for n in listed] == list(range(1, len(listed) + 1))
+                assert reg.schemas_containing("shared")[: len(listed)] == listed  # later: more at the end
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        definers = [threading.Thread(target=define, args=(w,)) for w in range(8)]
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        for t in definers + readers:
+            t.start()
+        for t in definers:
+            t.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in definers + readers)
+    assert errors == []
+    assert sorted(got.values()) == list(range(1, 201))
+    assert reg.names() == sorted(got, key=got.__getitem__)
 
 
 def test_conformance_missing_required():

@@ -22,6 +22,7 @@ import random
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -219,9 +220,15 @@ def test_killed_writer_leaves_a_committed_image(tmp_path):
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
-            reported = [child.stdout.readline() for _ in range(rng.randrange(5, 40))]
+            # the child runs ahead of the reads: lines wait in the pipe and
+            # in the text wrapper's buffer, so the rest is read through the
+            # wrapper (communicate() would read past it, and lose them)
+            reported = [child.stdout.readline()]
+            time.sleep(0.1)
+            reported += [child.stdout.readline() for _ in range(rng.randrange(5, 40))]
             child.send_signal(signal.SIGKILL)
-            out, err = child.communicate(timeout=30)
+            out, err = child.stdout.read(), child.stderr.read()
+            child.wait(timeout=30)
         finally:
             if child.poll() is None:
                 child.kill()
