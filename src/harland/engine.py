@@ -851,7 +851,8 @@ class Repository:
         ordered type by a bisect slice of the sorted postings, any other
         leaf by a scan of the column. A Range (several such comparisons of
         one And on one property) reads the one slice where theirs overlap,
-        plus the column's multi-valued documents, which are unsure.
+        plus the column's multi-valued documents whose stored bags pass
+        every bound, each tested in place.
         The dirty documents are added and are unsure, since their values in
         memory may differ from the store; a clean document's stored bag is
         its live bag. All of it is read under the repository lock, so no
@@ -875,12 +876,11 @@ class Repository:
                     served[pred] = ("content", self.backend.stored_containing(pred.token.casefold()), ())
                 elif isinstance(pred, Range):
                     bounds = [(leaf.literal, PASSING_SIGNS[leaf.op]) for leaf in pred.leaves]
-                    stored, multi = self.backend.stored_compared(pred.prop, bounds)
-                    served[pred] = ("column", stored + multi + dirty, multi + dirty)
+                    served[pred] = ("column", self.backend.stored_compared(pred.prop, bounds) + dirty, dirty)
                 else:
                     signs = PASSING_SIGNS.get(pred.op) if isinstance(pred, Cmp) else None
                     if signs is not None and pred.literal.vtype in ORDERED_TYPES:
-                        stored, _ = self.backend.stored_compared(pred.prop, [(pred.literal, signs)])
+                        stored = self.backend.stored_compared(pred.prop, [(pred.literal, signs)])
                     else:
                         stored = self.backend.stored_matches(pred.prop, functools.partial(bag_matches, pred))
                     served[pred] = ("column", stored + dirty, dirty)

@@ -10,11 +10,12 @@ may not match: the documents enforcing a schema, a collection's members,
 the documents holding a content token, or for a value leaf the stored
 documents whose bag passes it, united with the documents changed since
 their last flush, which are unsure. The comparison leaves of one And on one
-property with a lower and an upper bound are served together as one Range,
-one slice of the property's postings plus its multi-valued documents,
-which are unsure. An And intersects its parts' sources and keeps the rest
-as residual filters, an Or unions them when every child has one, and
-anything else, a negated leaf on its own for one, scans every document.
+property with a lower and an upper bound are served together as one Range:
+one slice of the property's postings, plus the multi-valued stored bags
+that pass every bound by different values, tested in place. An And
+intersects its parts' sources and keeps the rest as residual filters, an
+Or unions them when every child has one, and anything else, a negated
+leaf on its own for one, scans every document.
 A candidate is sure when its sources vouch for it and no residual filter
 remains; only the unsure ones are evaluated, with short-circuiting, and
 load only the slices of the properties the query references. Tests hold
@@ -278,8 +279,9 @@ class Range:
     `>` or `>=` against a literal of one ordered type, with a lower and an
     upper bound among them: one source, the documents holding one value
     that passes them all. A bag may pass each leaf by a different value (x
-    = {1, 10} passes x > 5 AND x < 3), so its multi-valued documents are
-    candidates too. Never evaluated: the And still evaluates its leaves."""
+    = {1, 10} passes x > 5 AND x < 3), so a source tests the multi-valued
+    bags against every bound too. Never evaluated: the And still evaluates
+    its leaves."""
 
     prop: str
     leaves: tuple

@@ -78,13 +78,16 @@ parsed once; a canonical id or timestamp takes a fast path. Besides the
 file's bytes and the tables it fills, open holds one batch's lines and
 columns at a time, so its extra memory does not grow with the store.
 
-The CRC32C kernel is bit-parallel. The CRC is linear over GF(2): from a zero
-register, each set message bit adds a fixed 32-bit term that depends only
-on its distance from the end of the block. So a 16 KB block, read as one
-big integer, folds into the register with 32 C-level ANDs and bit counts
-against masks built once per process (512 KB), one per register bit.
-Inputs shorter than about 48 bytes, where a fold's fixed cost dominates,
-take a loop over one 256-entry table instead.
+The CRC32C kernel reduces the message modulo the polynomial by folding
+with precomputed constants x^d mod P, as Gopal et al. do with a carry-less
+multiply (*Fast CRC Computation for Generic Polynomials Using PCLMULQDQ*,
+Intel, 2009), here with big-integer shifts and XORs: the input, read as
+one integer, is halved again and again by moving its first half onto its
+second as a product with a constant of few set bits, about a dozen C-level
+operations per halving. The constants are built once per process for each
+size class of a fixed chain, never per input length (a few KB in all).
+Inputs of at most 28 bytes, and what the folds leave, take a loop over one
+256-entry table.
 
 For queries, a backend keeps a column per property that some query has
 named: each stored document's value bag, and per ordered value type the
@@ -95,7 +98,8 @@ exact removal), so a comparison is answered by a bisect slice instead of a
 scan of every bag, and several comparisons of one And on one property by
 the one slice where their slices overlap. A column also keeps the set of
 its multi-valued documents: a bag whose leaves pass by different values
-lies in no such overlap. Likewise inverted files (Zobel and Moffat, ACM
+lies in no such overlap, so each of those bags is tested against the
+bounds in place. Likewise inverted files (Zobel and Moffat, ACM
 Computing Surveys 2006) map each schema to the documents enforcing it,
 each content token to the documents holding it, and each member to the
 collections holding it, built from the tables the first time a reader
@@ -135,6 +139,7 @@ from harland.model import (
     Schema,
     Value,
     ValueType,
+    compare_values,
     sort_key,
 )
 
@@ -145,11 +150,11 @@ CHECKPOINT_NAME = "store.hl1"
 CONTENT_DIR = "content"
 
 
-# ---- CRC32C (Castagnoli): bit-parallel kernel, table loop for short inputs, and combine ----
+# ---- CRC32C (Castagnoli): polynomial folds for long inputs, a table loop for the rest, and combine ----
 
 _POLY = 0x82F63B78  # bit-reflected
-_BLOCK = 16384  # bytes per fold; each of the 32 fold masks has 8 * _BLOCK bits
-_SHORT = 48  # inputs and head fragments shorter than this take the table loop, which is faster there
+_SLACK = 96  # fold class c holds up to _SLACK + 2^(c + 7) bits, and picks its constant from _SLACK - 30 candidates
+_TAIL = (_SLACK + 128) // 8  # 28 bytes: inputs this short, and what the folds leave of longer ones, take the table loop
 
 
 def _make_crc_table() -> list[int]:
@@ -243,72 +248,65 @@ def _x8n(n: int) -> int:
 
 
 @functools.cache
-def _fold_masks() -> tuple[int, ...]:
-    """The 32 fold masks, register bit 31 first; built on first use, once per process.
+def _folds(c: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The folds that take a message of class c down to _TAIL bytes, largest
+    first, as (k, shifts) pairs; built on first use, once per class.
 
-    Read a block big-endian, and bit p of the integer is the message bit at
-    distance d = p ^ 7 from the block's end (bytes are read LSB first). From
-    a zero register, a set bit at distance d adds c_d = x^(d+32) mod P to the
-    final register, so mask j has bit p set when bit j of c_(p^7) is. The
-    first byte's eight c_d are shifted out one bit at a time; then the masks
-    double in length, since c_(d+L) = x^L * c_d, and x^L is a linear map of
-    the register: 32 columns of big-integer XORs per doubling, not a loop
-    over the bits.
+    Class c holds up to L = _SLACK + 2^(c + 7) bits. Read little-endian and
+    padded with leading zero bits to exactly L bits (zero bits ahead of a
+    message do not change its polynomial), a message is an integer r whose
+    bit i is the coefficient of x^(L-1-i). Its low k = 2^(c + 6) bits h
+    stand for h'(x) * x^(L-k), h' of degree below k, which for any d <= L - k
+    is congruent mod P to h'(x) * (x^d mod P) * x^(L-k-d). With d >= k + 31
+    that product lies within the L - k bits above h, where in bit-reflected
+    order it is h times the reflected constant, shifted by d - k - 31. So a
+    fold is r = (r >> k) ^ (h << s1) ^ (h << s2) ^ ..., one term per s in
+    shifts, and leaves _SLACK + 2^(c + 6) bits: the length of class c - 1. Of the _SLACK - 30
+    admissible d, the one whose constant has the fewest set bits is kept
+    (9 to 13 of 32), so a fold costs about a dozen C-level big-integer
+    shifts and XORs over half the message.
     """
-    c = [_POLY]  # c_0 = x^32 mod P
-    for _ in range(7):
-        c.append((c[-1] >> 1) ^ _POLY if c[-1] & 1 else c[-1] >> 1)  # times x
-    masks = [sum(1 << p for p in range(8) if c[p ^ 7] >> j & 1) for j in range(32)]
-    bits = 8
-    while bits < 8 * _BLOCK:
-        shift = _x8n(bits // 8)
-        moved = [0] * 32
-        for k, mask in enumerate(masks):
-            column = _multmodp(shift, 1 << k)  # x^L times register bit k
-            for j in range(32):
-                if column >> j & 1:
-                    moved[j] ^= mask
-        masks = [mask | high << bits for mask, high in zip(masks, moved)]
-        bits *= 2
-    return tuple(reversed(masks))
-
-
-def _fold(block: memoryview, crc: int) -> int:
-    """The CRC register after block (4 to _BLOCK bytes), from register crc.
-
-    A register's contribution equals XORing it into the block's first four
-    bytes, so the fold starts from zero: register bit j is the parity of the
-    block's bits under mask j, one big-integer AND and bit count each.
-    """
-    prefix = int.from_bytes(crc.to_bytes(4, "little"), "big")
-    a = int.from_bytes(block, "big") ^ prefix << (8 * len(block) - 32)
-    out = 0
-    for mask in _fold_masks():
-        out = out << 1 | (a & mask).bit_count() & 1
-    return out
+    if c == 0:
+        return ()
+    consts = [_multmodp(_X2N[c + 6], 1)]  # x^k * x^31, the constant of d = k + 31, k = 2^(c + 6)
+    for _ in range(_SLACK - 31):
+        const = consts[-1]
+        consts.append((const >> 1) ^ _POLY if const & 1 else const >> 1)  # times x
+    shift = min(range(len(consts)), key=lambda i: consts[i].bit_count())  # d - k - 31
+    shifts = tuple(shift + t for t in range(32) if consts[shift] >> t & 1)
+    return ((1 << (c + 6), shifts),) + _folds(c - 1)
 
 
 def crc32c(data: bytes, value: int = 0) -> int:
     """CRC32C of data, continuing from `value`, the CRC of the bytes before it.
 
-    The CRC is linear over GF(2), so each 16 KB block folds in 32 C-level
-    big-integer ANDs and bit counts, one per register bit (see _fold_masks);
-    the head fragment of len(data) % _BLOCK bytes goes first. Inputs and
-    head fragments shorter than _SHORT bytes, where a fold's fixed cost
-    dominates, take a loop over one 256-entry table instead.
+    The register after a message is the message's polynomial times x^32
+    modulo P, so any rewrite of the message that keeps its polynomial mod P
+    keeps the CRC. An input longer than _TAIL bytes is read as one integer,
+    with the starting register XORed into its first four bytes, and folded
+    down a fixed chain of size classes (see _folds): each fold moves the
+    first part of the message, its highest-degree terms, onto the rest as
+    a product with a constant x^d mod P, which halves the message with
+    about a dozen big-integer shifts and XORs. The constants depend on the
+    class, not on the input's length. The 28 bytes the folds leave, and any
+    input of at most that many bytes, go through a loop over one 256-entry
+    table.
     """
     crc = value ^ 0xFFFFFFFF
-    view = memoryview(data)
-    n = len(view)
-    head = n % _BLOCK
-    if head < _SHORT:
-        table = _CRC_TABLE
-        for byte in view[:head]:
-            crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    else:
-        crc = _fold(view[:head], crc)
-    for start in range(head, n, _BLOCK):
-        crc = _fold(view[start : start + _BLOCK], crc)
+    bits = 8 * len(data)
+    if bits > 8 * _TAIL:
+        c = ((bits - _SLACK - 1) >> 7).bit_length()  # the smallest class that holds the input
+        r = (int.from_bytes(data, "little") ^ crc) << (_SLACK + (1 << (c + 7)) - bits)
+        for k, shifts in _folds(c):
+            h = r & ((1 << k) - 1)
+            r >>= k
+            for s in shifts:
+                r ^= h << s
+        data = r.to_bytes(_TAIL, "little")
+        crc = 0
+    table = _CRC_TABLE
+    for byte in data:
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF
 
 
@@ -581,14 +579,24 @@ class _Column:
                 bisect.insort(self.postings.setdefault(value.vtype, []), (key, doc_id))
 
     def compared(self, bounds: list[tuple[Value, tuple[int, ...]]]) -> list[DocumentId]:
-        """The document of each entry whose compare_values against every
-        (literal, signs) of bounds is in signs, the literals all of one
-        ordered type: one slice, where the slices of the bounds overlap. A
-        multi-valued bag's document repeats."""
+        """The documents whose stored bag passes every (literal, signs) of
+        bounds, the literals all of one ordered type: each bound by some
+        value whose compare_values against its literal is in its signs. The
+        documents of one slice, where the slices of the bounds overlap, and
+        when bounds holds several, each multi-valued bag tested in place,
+        since it may pass each bound by a different value. A document may
+        repeat."""
         posting = self.postings.get(bounds[0][0].vtype, [])
         edges = [_edges(posting, literal, signs) for literal, signs in bounds]
         start, end = max(map(itemgetter(0), edges)), min(map(itemgetter(1), edges))
-        return list(map(itemgetter(1), posting[start:end]))
+        hits = list(map(itemgetter(1), posting[start:end]))
+        if len(bounds) > 1:
+            bags = self.bags
+            hits += [
+                doc_id for doc_id in self.multi
+                if all(any(compare_values(v, literal) in signs for v in bags[doc_id]) for literal, signs in bounds)
+            ]
+        return hits
 
 
 def _terms(entry) -> AbstractSet:
@@ -794,20 +802,17 @@ class MemoryBackend:
             self.column_scans += 1
             return [doc_id for doc_id, values in self._column(prop).bags.items() if test(values)]
 
-    def stored_compared(
-        self, prop: str, bounds: list[tuple[Value, tuple[int, ...]]]
-    ) -> tuple[list[DocumentId], list[DocumentId]]:
-        """The stored documents holding a prop value whose compare_values
-        against each (literal, signs) of bounds is in signs (a contiguous run
-        of -1, 0 and 1; the literals all of one ordered type), by one bisect
-        slice of prop's postings, and, when bounds holds several, the
-        documents whose bag holds several values: those may pass each bound
-        by a different value. A document holding several values in the slice
-        repeats."""
+    def stored_compared(self, prop: str, bounds: list[tuple[Value, tuple[int, ...]]]) -> list[DocumentId]:
+        """The stored documents whose prop bag passes each (literal, signs) of
+        bounds (signs a contiguous run of -1, 0 and 1; the literals all of
+        one ordered type), by some value whose compare_values against the
+        literal is in signs: one bisect slice of prop's postings, plus, when
+        bounds holds several, the multi-valued bags that pass them by
+        different values, tested in place (see _Column.compared). A
+        document may repeat."""
         with self._lock:
             self.column_probes += 1
-            column = self._column(prop)
-            return column.compared(bounds), list(column.multi) if len(bounds) > 1 else []
+            return self._column(prop).compared(bounds)
 
     def _column(self, prop: str) -> _Column:
         """prop's column, built from the rows the first time a caller names

@@ -1,0 +1,166 @@
+"""Open-path probe: what opening a disk store costs, and what its checksum costs.
+
+    PYTHONPATH=src python tests/probe_open.py [--sizes 500] [--repeat 30]
+
+For each size N, the benchmark's corpus generator (`bench/corpus.py`, seed
+1) builds an N-document disk store; at N = 500 that is the store of the
+benchmark's cli workload. The probe then prints:
+
+- `DiskBackend.open` of that store, best and median of --repeat opens,
+  with the decode and checksum times of the DEBUG record open logs;
+- `crc32c` of 100 B, 450 B, 2 KB and 15 KB of random bytes and of the
+  whole store file, best of --repeat calls of each after one untimed call;
+- the first `crc32c` of the store file in a fresh interpreter (best of
+  three processes), which pays for whatever the kernel builds once per
+  process, the second call in that process, and the traced memory that
+  the first call leaves allocated (tracemalloc).
+
+Every timing runs in this process on this host, so compare two commits by
+running both here. It prints one line per measurement and exits non-zero
+only when the fresh interpreter fails or disagrees on the checksum. The
+file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import logging
+import os
+import random
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))  # bench.corpus
+
+from bench import corpus  # noqa: E402
+from harland import store  # noqa: E402
+from harland.store import CHECKPOINT_NAME, DiskBackend, crc32c  # noqa: E402
+
+SPLIT = re.compile(r"decode ([\d.]+) ms, checksum ([\d.]+) ms")
+KERNEL_SIZES = (("100 B", 100), ("450 B", 450), ("2 KB", 2048), ("15 KB", 15360))
+
+# the first crc32c of a file in a fresh interpreter: timed, then timed again;
+# with "memory", untimed under tracemalloc, which slows allocation
+FRESH = """
+import sys, time, tracemalloc
+data = open(sys.argv[1], "rb").read()
+from harland.store import crc32c
+if sys.argv[2] == "memory":
+    tracemalloc.start()
+    print(crc32c(data), tracemalloc.get_traced_memory()[0])
+else:
+    t0 = time.perf_counter()
+    first = crc32c(data)
+    t1 = time.perf_counter()
+    crc32c(data)
+    print(first, (t1 - t0) * 1e3, (time.perf_counter() - t1) * 1e3)
+"""
+
+
+class _Split(logging.Handler):
+    """Keeps the decode and checksum times of each open's DEBUG record."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.splits: list[tuple[float, float]] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        found = SPLIT.search(record.getMessage())
+        if found:
+            self.splits.append((float(found[1]), float(found[2])))
+
+
+def _best_median(values: list) -> str:
+    return f"best {min(values):.2f} median {statistics.median(values):.2f}"
+
+
+def _best_us(fn, data, repeat: int) -> float:
+    fn(data)
+    times = []
+    for _ in range(repeat):
+        started = time.perf_counter()
+        fn(data)
+        times.append(time.perf_counter() - started)
+    return min(times) * 1e6
+
+
+def probe_open(path: Path, repeat: int) -> None:
+    logger = logging.getLogger(store.__name__)
+    handler, level = _Split(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    times = []
+    try:
+        for _ in range(repeat):
+            started = time.perf_counter()
+            backend = DiskBackend.open(path)
+            times.append((time.perf_counter() - started) * 1e3)
+            backend.close()
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    print(f"  DiskBackend.open  {_best_median(times)} ms of {repeat}")
+    if handler.splits:
+        decode, checksum = zip(*handler.splits)
+        print(f"    decode   {_best_median(decode)} ms")
+        print(f"    checksum {_best_median(checksum)} ms")
+
+
+def probe_kernel(data: bytes, repeat: int) -> None:
+    rng = random.Random(2)
+    for label, size in KERNEL_SIZES:
+        print(f"  crc32c {label:<12} best {_best_us(crc32c, rng.randbytes(size), repeat):9.1f} us of {repeat}")
+    label = f"{len(data)} B"
+    print(f"  crc32c {label:<12} best {_best_us(crc32c, data, repeat):9.1f} us of {repeat} (the store file)")
+
+
+def _fresh(file: Path, data: bytes, mode: str) -> list[float]:
+    """FRESH's numbers after the checksum, from a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(store.__file__).resolve().parent.parent))  # this src/
+    done = subprocess.run([sys.executable, "-c", FRESH, str(file), mode], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if done.returncode != 0:
+        sys.exit(f"fresh interpreter failed: {done.stderr.strip()}")
+    first, *numbers = done.stdout.split()
+    if int(first) != crc32c(data):
+        sys.exit(f"fresh interpreter computed crc32c {first}, this one {crc32c(data)}")
+    return [float(n) for n in numbers]
+
+
+def probe_fresh(file: Path, data: bytes) -> None:
+    first_ms, second_ms = min(_fresh(file, data, "time") for _ in range(3))
+    (held,) = _fresh(file, data, "memory")
+    print(f"  fresh process: first crc32c of the file {first_ms:.2f} ms, second {second_ms:.2f} ms, "
+          f"once-per-process set-up {first_ms - second_ms:.2f} ms (best of 3 processes); "
+          f"the first call leaves {held / 1024:.1f} KiB allocated (tracemalloc)")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", default="500", help="comma-separated document counts")
+    parser.add_argument("--repeat", type=int, default=30, help="timed opens and crc32c calls; best and median")
+    args = parser.parse_args(argv)
+    work = Path(tempfile.mkdtemp(prefix="probe-open-"))
+    try:
+        for count in (int(size) for size in args.sizes.split(",")):
+            path = work / f"store-{count}"
+            corpus.build_store(corpus.make_docs(random.Random(1), count), path)
+            file = path / CHECKPOINT_NAME
+            data = file.read_bytes()
+            print(f"{count} documents, {CHECKPOINT_NAME} {len(data)} bytes")
+            probe_open(path, args.repeat)
+            probe_kernel(data, args.repeat)
+            probe_fresh(file, data)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -224,13 +224,16 @@ def test_combine_tree_matches_a_linear_fold():
 
 
 def test_crc32c_kernel_edges_match_bytewise_reference():
-    """Lengths around the table loop's threshold and the fold's block size,
-    continuation values, and the buffers the loader passes (offset views)."""
+    """Lengths 0 to 8, and one byte either side of every size-class boundary
+    of the fold chain: class c holds up to store._SLACK + 2^(c + 7) bits,
+    and the first boundary, store._TAIL bytes, is the crossover from the
+    table loop to the folds. Each with a random continuation value, and as
+    bytes, bytearray and the offset views the loader passes."""
     assert crc32c(b"123456789") == 0xE3069283
     rng = random.Random(9)
-    short, block = store._SHORT, store._BLOCK
-    lengths = [short + k for k in range(-2, 3)]
-    lengths += [block - 1, block, block + 1, block + short, 2 * block, 3 * block + 7]
+    edges = [(store._SLACK + (1 << (c + 7))) // 8 for c in range(15)]
+    assert edges[0] == store._TAIL
+    lengths = list(range(9)) + [edge + k for edge in edges for k in (-1, 0, 1)]
     for n in lengths:
         data = rng.randbytes(n)
         padded = rng.randbytes(5) + data + rng.randbytes(3)
@@ -240,6 +243,65 @@ def test_crc32c_kernel_edges_match_bytewise_reference():
         for form in (data, bytearray(data), memoryview(padded)[5 : 5 + n]):
             assert crc32c(form) == expected, n
             assert crc32c(form, value) == continued, n
+
+
+def _text_digits(data: bytes, start: int, end: int) -> list[int]:
+    """Offsets of the ASCII digits in the hex of the PROPS text values whose
+    lines lie in data[start:end]. Flipping bit 0 of one leaves a hex digit,
+    and of a text that was ASCII, an ASCII text: the record still decodes."""
+    offsets = []
+    pos = start
+    for line in data[start:end].split(b"\n"):
+        fields = line.split(b"\t")
+        if len(fields) == 5 and fields[3].startswith(b"text:"):
+            at = pos + len(b"\t".join(fields[:3])) + len(b"\ttext:")
+            offsets += [at + i for i, byte in enumerate(fields[3][len(b"text:") :]) if byte in b"0123456789"]
+        pos += len(line) + 1
+    return offsets
+
+
+def test_a_flipped_bit_in_a_long_chunk_a_short_chunk_or_a_gap_fails_the_checksum_at_open(tmp_path):
+    """Open checksums each seeded chunk (here up to 35 KB, so the long fold
+    chains run) and each gap between chunks. A bit flipped in a text value
+    of the largest or the smallest PROPS chunk, or in a SCHEMA line's arity
+    (1..1 to 0..1) between chunks, leaves every record decodable, so only
+    the checksum can catch it."""
+    root = tmp_path / "store"
+    rng = random.Random(5)
+    repo = Repository.in_memory(CacheConfig(max_docs=200, auto_flush=False), id_seed=5)
+    repo.define_schema(Schema("note", {"Body": Constraint.from_text("text", "1..1")}))
+    for i in range(100):
+        handle = repo.create_document()
+        handle.set_property("Body", [Value.text("".join(rng.choice("abc xyz 0123456789") for _ in range(500)))])
+        handle.set_property("n", [Value.integer(i)])
+        handle.enforce("note")
+    repo.flush()
+    repo.backend.checkpoint(root)
+    repo.close()
+    data = (root / CHECKPOINT_NAME).read_bytes()
+    backend = DiskBackend.open(root)
+    spans = sorted(
+        (data.index(chunk.data), len(chunk.data))
+        for section in backend._sections.values() for chunk in section.chunks or ()
+    )
+    props = sorted(backend._sections["props"].chunks, key=lambda chunk: len(chunk.data))
+    assert len(props[-1].data) >= 15 * 1024 and len(props[0].data) < len(props[-1].data) // 4
+    offsets = []
+    for chunk in (props[-1], props[0]):
+        start = data.index(chunk.data)
+        offsets += rng.sample(_text_digits(data, start, start + len(chunk.data)), 4)
+    arity = data.index(b"Body:text:1..1") + len(b"Body:text:")
+    assert not any(start <= arity < start + length for start, length in spans)  # in a gap
+    offsets.append(arity)
+    for offset in offsets:
+        flipped = bytearray(data)
+        flipped[offset] ^= 1
+        (root / CHECKPOINT_NAME).write_bytes(flipped)
+        with pytest.raises(CorruptStore, match="checksum mismatch"):
+            DiskBackend.open(root)
+    (root / CHECKPOINT_NAME).write_bytes(data)
+    DiskBackend.open(root)
+
 
 # ---- random batches against the reference encoder ----
 

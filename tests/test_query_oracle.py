@@ -3,10 +3,11 @@
 The planner answers a schema or content leaf from an inverted file kept at
 install, the lower and upper bounds of one And on one property from one
 slice of the property's postings, and evaluates only the candidates its
-sources cannot vouch for: the dirty documents, and the multi-valued
-documents of a merged range. Here a disk repository with a tiny cache
-takes random writes of multi-valued, mixed-type bags (signed zeros among
-them), enforcements, memberships and content, and flushes, failed flushes,
+sources cannot vouch for: the dirty documents (a merged range tests each
+clean multi-valued bag against its bounds in place). Here a disk
+repository with a tiny cache takes random writes of multi-valued,
+mixed-type bags (signed zeros among them), enforcements, memberships and
+content, and flushes, failed flushes,
 failed content writes, failed and real deletes and reopens in between; a
 failed flush is often followed by putting back everything changed since
 the last good flush, so the next flush writes nothing and the documents
@@ -24,8 +25,8 @@ import pytest
 import qgen
 from harland.engine import CacheConfig, Repository
 from harland.errors import StorageFailure
-from harland.model import DocumentId, DocumentKind, Schema, Value
-from harland.query import Cmp, CmpOp, Range, naive_eval
+from harland.model import ORDERED_TYPES, DocumentId, DocumentKind, Schema, Value
+from harland.query import Cmp, CmpOp, Range, bag_matches, naive_eval
 from harland.store import DiskBackend, DocumentRecord, Membership, MemoryBackend
 
 SCHEMAS = ("a", "b")
@@ -228,7 +229,9 @@ def test_exact_sources_match_naive_through_failures_put_backs_deletes_and_reopen
 
 
 def test_a_range_pair_passed_by_two_values_of_one_bag():
-    """x = {1, 10} lies in no interval of x > 5 AND x < 3, yet matches it."""
+    """x = {1, 10} lies in no interval of x > 5 AND x < 3, yet matches it:
+    the source tests its stored bag against each bound in place and vouches
+    for it, until a pending write makes it unsure."""
     repo = Repository.in_memory(CacheConfig(auto_flush=False), id_seed=3)
     spread, inside, outside = (repo.create_document() for _ in range(3))
     spread.set_property("x", [Value.integer(1), Value.integer(10)])
@@ -242,8 +245,53 @@ def test_a_range_pair_passed_by_two_values_of_one_bag():
         "source": "column", "candidates": 1,
         "leaf": repr(Range("x", (Cmp("x", CmpOp.GT, Value.integer(5)), Cmp("x", CmpOp.LT, Value.integer(3))))),
     }]
-    assert plan["exact"] is False  # the multi-valued document is evaluated
-    assert repo.explain("x = 4 AND x < 7")["exact"] is False
+    assert plan["exact"] is True  # the multi-valued bag passed in place: nothing is evaluated
+    plan = repo.explain("x = 4 AND x < 7")  # {1, 10} fails x = 4, so it is no candidate
+    assert [s["candidates"] for s in plan["sources"]] == [1] and plan["exact"] is True
+    spread.set_property("x", [Value.integer(1), Value.integer(2)])  # pending: evaluated, and now out
+    assert repo.explain("x > 5 AND x < 3")["exact"] is False
+    assert repo.query("x > 5 AND x < 3").ids() == []
+    repo.close()
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_range_pairs_over_multi_valued_bags_match_naive_with_pending_writes(seed):
+    """Bags of one to four values of mixed types, signed zeros among them,
+    with writes left pending between flushes. After every step each range
+    pair returns what naive evaluation returns, and its source vouches
+    (outside unsure) only for documents whose live bag passes every bound,
+    and misses none that does."""
+    rng = random.Random(seed)
+    repo = Repository.in_memory(CacheConfig(auto_flush=False), id_seed=seed)
+    handles = [repo.create_document() for _ in range(40)]
+
+    def bag() -> list[Value]:
+        return [rng.choice(POOL["x"]) for _ in range(rng.choice((1, 2, 2, 3, 4)))]
+
+    for handle in handles:
+        handle.set_property("x", bag())
+    repo.flush()
+    pools = qgen.ExprPools(schema_names=[], prop_names=["x"], collections=[], tokens=[], literals=POOL["x"])
+    ordered = [v for v in POOL["x"] if v.vtype in ORDERED_TYPES]
+    for _ in range(150):
+        handle = rng.choice(handles)
+        rng.choice([
+            lambda: handle.set_property("x", bag()),
+            lambda: handle.add_values("x", bag()),
+            lambda: handle.remove_values("x", handle.values("x")[:1]),
+            lambda: handle.remove_property("x"),
+        ])()
+        if rng.random() < 0.3:
+            repo.flush()
+        expr = qgen.gen_range(rng, pools)
+        assert repo.query(expr).ids() == sorted(naive_eval(expr, repo)), expr
+        low = rng.choice(ordered)
+        high = rng.choice([v for v in ordered if v.vtype is low.vtype])
+        leaves = (Cmp("x", rng.choice(qgen.LOWER_OPS), low), Cmp("x", rng.choice(qgen.UPPER_OPS), high))
+        _, ids, unsure = repo.leaf_candidates([Range("x", leaves)])[Range("x", leaves)]
+        passing = {h.doc_id for h in handles if all(bag_matches(leaf, h.values("x")) for leaf in leaves)}
+        assert passing <= set(ids), leaves
+        assert set(ids) - set(unsure) <= passing, leaves
     repo.close()
 
 
