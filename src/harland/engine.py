@@ -1015,7 +1015,7 @@ class Repository:
                 for prop in sorted(dirty)
                 for row in _bag_rows(doc_id, assigned[prop], prop, idoc.bags.get(prop, ()))
             }
-            stored_rows = backend.stored_rows().get(doc_id, {})
+            stored_rows = backend.stored_rows_of(doc_id)
             rows = [row for key, row in new.items() if key not in stored_rows]
             deletes = [(doc_id, *key) for key in stored_rows if key[0] in dirty and key not in new]
 
@@ -1062,6 +1062,7 @@ class Repository:
                 "encoded_blocks": self.backend.encoded_blocks,
                 "checksummed_bytes": self.backend.checksummed_bytes,
                 "crc_combines": self.backend.crc_combines,
+                "decoded_chunks": self.backend.decoded_chunks,
                 "checkpoint_writes": self.backend.checkpoint_writes,
                 "column_scans": self.backend.column_scans,
                 "column_probes": self.backend.column_probes,

@@ -51,6 +51,42 @@ TEXT, INTEGER, FLOAT, BOOLEAN, TIMESTAMP, BYTES = (
 )
 
 
+def check_payload(t: ValueType, p) -> None:
+    """Raises ValueError unless p is a valid payload of a Value of type t:
+    Integer in the signed 64-bit range, Float not NaN, Timestamp within
+    datetime's range, and each payload of its type's Python type. Value
+    checks every payload it is built with through this, and so does open
+    for each value text it reads without building its Value."""
+    if t is TEXT:
+        if not isinstance(p, str):
+            raise ValueError("Text payload must be str")
+        try:
+            p.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"Text payload is not valid Unicode: {exc}") from exc
+    elif t is INTEGER:
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError("Integer payload must be int")
+        if not _INT64_MIN <= p <= _INT64_MAX:
+            raise ValueError("Integer payload out of signed 64-bit range")
+    elif t is FLOAT:
+        if not isinstance(p, float):
+            raise ValueError("Float payload must be float")
+        if p != p:
+            raise ValueError("NaN is rejected at ingestion")
+    elif t is BOOLEAN:
+        if not isinstance(p, bool):
+            raise ValueError("Boolean payload must be bool")
+    elif t is TIMESTAMP:
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError("Timestamp payload must be epoch milliseconds (int)")
+        if not _TS_MIN <= p <= _TS_MAX:
+            raise ValueError("Timestamp out of representable range")
+    elif t is BYTES:
+        if not isinstance(p, bytes):
+            raise ValueError("Bytes payload must be bytes")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Value:
     """One typed value. Equality is bit-exact: Float compares by IEEE bits."""
@@ -59,35 +95,7 @@ class Value:
     payload: object
 
     def __post_init__(self):
-        t, p = self.vtype, self.payload
-        if t is TEXT:
-            if not isinstance(p, str):
-                raise ValueError("Text payload must be str")
-            try:
-                p.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValueError(f"Text payload is not valid Unicode: {exc}") from exc
-        elif t is INTEGER:
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise ValueError("Integer payload must be int")
-            if not _INT64_MIN <= p <= _INT64_MAX:
-                raise ValueError("Integer payload out of signed 64-bit range")
-        elif t is FLOAT:
-            if not isinstance(p, float):
-                raise ValueError("Float payload must be float")
-            if p != p:
-                raise ValueError("NaN is rejected at ingestion")
-        elif t is BOOLEAN:
-            if not isinstance(p, bool):
-                raise ValueError("Boolean payload must be bool")
-        elif t is TIMESTAMP:
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise ValueError("Timestamp payload must be epoch milliseconds (int)")
-            if not _TS_MIN <= p <= _TS_MAX:
-                raise ValueError("Timestamp out of representable range")
-        elif t is BYTES:
-            if not isinstance(p, bytes):
-                raise ValueError("Bytes payload must be bytes")
+        check_payload(self.vtype, self.payload)
 
     # ---- constructors ----
 

@@ -78,6 +78,20 @@ parsed once; a canonical id or timestamp takes a fast path. Besides the
 file's bytes and the tables it fills, open holds one batch's lines and
 columns at a time, so its extra memory does not grow with the store.
 
+Open checks every record that it could fail on later, but it builds the
+rows of a seeded PROPS section late (Abadi et al., *Materialization
+Strategies in a Column-Oriented DBMS*, ICDE 2007): it parses each value
+text into its payload and checks it as Value does, builds no Value or
+row, and leaves each chunk's bytes the one home of its documents' rows.
+The first read of any of them (a fetch, a scan, a write or delete of one,
+a column build, the engine's flush diff) builds the chunk's rows with the
+same decoder, under the lock; a batch builds every chunk it drops a block
+from before it drops it, so no span is cleared while its rows live only
+in the bytes it names. The rows of an unseeded PROPS section, or of one
+with a value or ordinal text that the encoder would not write (two texts
+could then read as one, and only rows tell duplicates apart), are built
+at open.
+
 The CRC32C kernel reduces the message modulo the polynomial by folding
 with precomputed constants x^d mod P, as Gopal et al. do with a carry-less
 multiply (*Fast CRC Computation for Generic Polynomials Using PCLMULQDQ*,
@@ -119,26 +133,30 @@ import re
 import sys
 import threading
 import time
-from collections import ChainMap
+from collections import ChainMap, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from math import copysign
-from operator import attrgetter, itemgetter, lt, ne
+from operator import add, attrgetter, floordiv, itemgetter, lt, ne, sub
 from pathlib import Path
-from typing import AbstractSet, Iterable, NamedTuple, Optional, Union
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Union
 
 from harland.errors import CorruptStore, StorageFailure, UnknownDocument
 from harland.model import (
     BOOLEAN,
     BYTES,
     FLOAT,
+    INTEGER,
+    TEXT,
+    TIMESTAMP,
     Constraint,
     DocumentId,
     DocumentKind,
     Schema,
     Value,
     ValueType,
+    check_payload,
     compare_values,
     sort_key,
 )
@@ -367,48 +385,102 @@ def encode_value(value: Value) -> str:
     return f"{t.value}:{body}"
 
 
-def _decode_text(body: str) -> Value:
-    return Value.text(bytes.fromhex(body).decode("utf-8"))
-
-
-def _decode_boolean(body: str) -> Value:
+def _boolean_payload(body: str) -> bool:
     if body not in ("true", "false"):
         raise ValueError(body)
-    return Value.boolean(body == "true")
+    return body == "true"
 
 
 _CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
 _NAIVE_EPOCH = datetime(1970, 1, 1)
+_ONE_MS = timedelta(milliseconds=1)
+
+
+def _timestamp_payloads(bodies: list[str]) -> list[int]:
+    """[Value.timestamp_text(body).payload for body in bodies], in C-level
+    maps when every body has the canonical form that encode_value writes
+    (YYYY-MM-DDTHH:MM:SS.mmmZ, in UTC)."""
+    if not all(map(_CANONICAL_TIMESTAMP.fullmatch, bodies)):
+        return [Value.timestamp_text(body).payload for body in bodies]
+    seconds = map(datetime.fromisoformat, map(itemgetter(slice(19)), bodies))
+    millis = map(floordiv, map(sub, seconds, itertools.repeat(_NAIVE_EPOCH)), itertools.repeat(_ONE_MS))
+    return list(map(add, millis, map(int, map(itemgetter(slice(20, 23)), bodies))))
 
 
 def decode_timestamp(body: str) -> Value:
-    """Value.timestamp_text(body), with a fast path for the canonical form
-    that encode_value writes (YYYY-MM-DDTHH:MM:SS.mmmZ, in UTC)."""
-    if _CANONICAL_TIMESTAMP.fullmatch(body) is None:
-        return Value.timestamp_text(body)
-    delta = datetime.fromisoformat(body[:19]) - _NAIVE_EPOCH
-    return Value.timestamp(delta.days * 86_400_000 + delta.seconds * 1000 + int(body[20:23]))
+    """Value.timestamp_text(body), with a fast path for the canonical form."""
+    return Value.timestamp(_timestamp_payloads([body])[0])
 
 
-_DECODERS = {
-    ValueType.TEXT.value: _decode_text,
-    ValueType.BYTES.value: lambda body: Value.binary(bytes.fromhex(body)),
-    ValueType.INTEGER.value: lambda body: Value.integer(int(body)),
-    ValueType.FLOAT.value: lambda body: Value.floating(float(body)),
-    ValueType.BOOLEAN.value: _decode_boolean,
-    ValueType.TIMESTAMP.value: decode_timestamp,
+# value tag -> (type, the payloads of a list of bodies), each step a C-level map where it can be
+_PAYLOADS = {
+    TEXT.value: (TEXT, lambda bodies: list(map(bytes.decode, map(bytes.fromhex, bodies)))),
+    BYTES.value: (BYTES, lambda bodies: list(map(bytes.fromhex, bodies))),
+    INTEGER.value: (INTEGER, lambda bodies: list(map(int, bodies))),
+    FLOAT.value: (FLOAT, lambda bodies: list(map(float, bodies))),
+    BOOLEAN.value: (BOOLEAN, lambda bodies: list(map(_boolean_payload, bodies))),
+    TIMESTAMP.value: (TIMESTAMP, _timestamp_payloads),
 }
 
 
-def decode_value(text: str) -> Value:
+def _checked_payload(text: str) -> tuple[ValueType, object]:
+    """(type, payload) of an encoded value, checked as Value checks it
+    (check_payload) but without building the Value; malformed text
+    raises CorruptStore."""
     tag, sep, body = text.partition(":")
-    decode = _DECODERS.get(tag) if sep else None
-    if decode is None:
+    parse = _PAYLOADS.get(tag) if sep else None
+    if parse is None:
         raise CorruptStore(f"malformed value encoding {text!r}")
+    vtype, payloads_of = parse
     try:
-        return decode(body)
+        (payload,) = payloads_of([body])
+        check_payload(vtype, payload)
     except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp offset past year 1 or 9999
         raise CorruptStore(f"malformed value encoding {text!r}: {exc}") from exc
+    return vtype, payload
+
+
+def decode_value(text: str) -> Value:
+    return Value(*_checked_payload(text))
+
+
+def _parsed_by_tag(texts: Iterable[str]) -> Iterator[tuple[ValueType, list[str], list[str], list]]:
+    """(type, texts, bodies, payloads) for each tag among the encoded values
+    texts: the texts of that tag, the body of each and its payload, parsed
+    a type at a time and checked as Value checks them. A malformed text
+    raises CorruptStore, as _checked_payload does."""
+    groups: dict[str, list[str]] = {}
+    for text in texts:
+        tag, sep, _ = text.partition(":")
+        if not sep:
+            _checked_payload(text)  # raises
+        groups.setdefault(tag, []).append(text)
+    for tag, group in groups.items():
+        bodies = list(map(itemgetter(slice(len(tag) + 1, None)), group))
+        try:
+            vtype, payloads_of = _PAYLOADS[tag]
+            payloads = payloads_of(bodies)
+            deque(map(check_payload, itertools.repeat(vtype), payloads), 0)
+        except (LookupError, ValueError, OverflowError):
+            for text in group:
+                _checked_payload(text)  # raises, naming the first malformed text
+            raise
+        yield vtype, group, bodies, payloads
+
+
+def _canonical(vtype: ValueType, bodies: list[str], payloads: list) -> bool:
+    """Whether each body is the one encode_value writes for its payload."""
+    if vtype is TEXT:
+        return list(map(bytes.hex, map(str.encode, payloads))) == bodies
+    if vtype is BYTES:
+        return list(map(bytes.hex, payloads)) == bodies
+    if vtype is INTEGER:
+        return list(map(str, payloads)) == bodies
+    if vtype is FLOAT:
+        return list(map(repr, payloads)) == bodies
+    if vtype is TIMESTAMP:  # the fast path's form: it reads back exactly
+        return all(map(_CANONICAL_TIMESTAMP.fullmatch, bodies))
+    return True  # Boolean: only "true" and "false" parse
 
 
 # ---- content tokenization ----
@@ -660,6 +732,9 @@ class MemoryBackend:
         self.checksummed_bytes = 0  # bytes passed to crc32c, by open and by encodes
         self.crc_combines = 0  # crc32c_combine calls, by open and by encodes
         self.checkpoint_writes = 0  # whole images written to a file
+        self.decoded_chunks = 0  # seeded PROPS chunks whose rows were built after open
+        self._unbuilt: set[_Chunk] = set()  # seeded PROPS chunks whose rows are not built yet
+        self._builder: Optional[_Decoder] = None  # builds their rows; its caches go with the last of them
         self._image = _Tree()  # END's fold over the headers and sections
         self.fail_next_persist = False
 
@@ -747,7 +822,8 @@ class MemoryBackend:
         """The batch's own copy of key's map or set in table name, made on its first edit."""
         entries = staged.setdefault(name, {})
         if key not in entries:
-            entries[key] = container(getattr(self, name).get(key, ()))
+            held = self._doc_rows(key) if name == "_rows" else getattr(self, name).get(key)
+            entries[key] = container(held or ())
         return entries[key]
 
     def _commit(self, staged: dict[str, dict]) -> None:
@@ -793,7 +869,7 @@ class MemoryBackend:
         with self._lock:
             self.fetch_count += 1
             self._require(doc_id)
-            return [r for r in self._rows.get(doc_id, {}).values() if r.slice_id in slice_ids]
+            return [r for r in (self._doc_rows(doc_id) or {}).values() if r.slice_id in slice_ids]
 
     def stored_matches(self, prop: str, test) -> list[DocumentId]:
         """Stored documents whose bag for prop passes test(bag), in no
@@ -819,6 +895,7 @@ class MemoryBackend:
         prop and kept current by every committed batch and delete."""
         column = self._columns.get(prop)
         if column is None:
+            self._build_all()
             column = self._columns[prop] = _Column(prop, self._rows)
         return column
 
@@ -846,7 +923,7 @@ class MemoryBackend:
         """Every stored row for one document, in a stable order. Audit use."""
         with self._lock:
             self.scan_count += 1
-            rows = self._rows.get(doc_id, {}).values()
+            rows = (self._doc_rows(doc_id) or {}).values()
             return sorted(rows, key=lambda r: (r.slice_id, r.prop, sort_key(r.value), r.ordinal))
 
     def meta_view(self) -> MetaView:
@@ -882,8 +959,42 @@ class MemoryBackend:
     def stored_content(self) -> Mapping[DocumentId, ContentRef]:
         return self._content
 
-    def stored_rows(self) -> Mapping[DocumentId, Mapping[tuple, PropertyRow]]:
-        return self._rows
+    def stored_rows_of(self, doc_id: DocumentId) -> Mapping[tuple, PropertyRow]:
+        """doc_id's committed rows by (prop, value, ordinal); built from its
+        chunk's bytes, under the lock, if nothing has read them since open."""
+        rows = self._doc_rows(doc_id)
+        return {} if rows is None else rows
+
+    # ---- rows built when first read ----
+
+    def _doc_rows(self, doc_id: DocumentId) -> Optional[dict]:
+        """doc_id's committed rows, or None for none. Until something reads
+        them, the rows of a seeded PROPS chunk live only in its bytes: the
+        first read builds every document of the chunk, under the lock."""
+        unbuilt = bool(self._unbuilt)  # read first: once empty, it stays so
+        rows = self._rows.get(doc_id)
+        if rows is None and unbuilt:
+            with self._lock:
+                self._build_chunk(self._sections["props"].holder(doc_id.value))
+                rows = self._rows.get(doc_id)
+        return rows
+
+    def _build_chunk(self, chunk: Optional["_Chunk"]) -> None:
+        """Builds the rows of chunk's documents from its bytes, unless they
+        are built already; the caller holds the lock."""
+        if chunk in self._unbuilt:
+            self._builder.build(chunk.data)
+            self._unbuilt.remove(chunk)
+            self.decoded_chunks += 1
+            if not self._unbuilt:
+                self._builder = None
+
+    def _build_all(self) -> None:
+        """Builds every row still unbuilt, chunk by chunk in id order."""
+        with self._lock:
+            if self._unbuilt:
+                for chunk in self._sections["props"].chunks:
+                    self._build_chunk(chunk)
 
     def _require(self, doc_id: DocumentId) -> DocumentKind:
         kind = self._docs.get(doc_id)
@@ -961,6 +1072,8 @@ class MemoryBackend:
             section.joined = None
             if section_name != "schema":
                 for doc_id in entries:
+                    if section_name == "props":  # a chunk's bytes must outlive its unbuilt rows
+                        self._build_chunk(section.holder(doc_id.value))
                     section.drop(doc_id.value, self._entry(self._staged, name, doc_id) is not None)
 
     def _view(self, name: str) -> Mapping:
@@ -1067,6 +1180,12 @@ class MemoryBackend:
         order with one record per line. Every body byte is checksummed once:
         each seeded chunk's span, and each gap between them (headers, SCHEMA
         lines, unseeded sections); END must equal the fold of those CRCs.
+
+        Every record is checked here, each PROPS record as the rows built
+        from it will read it, but the PROPS rows of a seeded section are
+        deferred: they are built a chunk at a time on first read (see
+        _doc_rows). Everything else, the metadata tables included, is
+        decoded now.
         """
         started = time.perf_counter()
         try:
@@ -1092,7 +1211,7 @@ class MemoryBackend:
                 decoder.feed(batch)
         except (LookupError, ValueError, OverflowError) as exc:
             raise CorruptStore(f"malformed record: {exc}") from exc
-        seeded = self._seed_sections(data, decoder.runs, decoder.ends, decoder.unseeded)
+        seeded = self._seed_sections(data, decoder)
         decoded = time.perf_counter()
         crc = pos = 0
         view = memoryview(data)
@@ -1109,21 +1228,29 @@ class MemoryBackend:
             raise CorruptStore("checksum mismatch")
         logger.debug(
             "opened checkpoint: %d bytes, %d records, %d distinct values, decode %.2f ms, checksum %.2f ms",
-            len(data), decoder.records, len(decoder.values),
+            len(data), decoder.records, len(decoder.checked),
             (decoded - started) * 1e3, (time.perf_counter() - decoded) * 1e3,
         )
 
-    def _seed_sections(self, data: bytes, runs: dict, ends: dict, unseeded: set) -> list[tuple[int, "_Chunk"]]:
+    def _seed_sections(self, data: bytes, decoder: "_Decoder") -> list[tuple[int, "_Chunk"]]:
         """Keeps each run of lines of every seedable section as its document's
         block, and chunks the runs; returns (offset, chunk) for every chunk,
-        whose node the caller fills in."""
+        whose node the caller fills in. The rows of a seeded PROPS section
+        stay in its chunks' bytes until something reads them (_doc_rows);
+        those of an unseeded or not canonical one (see _Decoder) are built now."""
         seeded = []
-        for name, section_runs in runs.items():
-            table = getattr(self, _DOC_SECTIONS[name][0])
-            records = len(table) if name in ("doc", "content") else sum(map(len, table.values()))
-            bounds = [start for _, start in section_runs] + [ends.get(name, 0)]
+        built = not decoder.canonical  # only rows tell its duplicate records apart
+        if built:
+            decoder.build_lines(data)
+        for name, section_runs in decoder.runs.items():
+            if name == "props" and not built:
+                records = decoder.prop_records
+            else:
+                table = getattr(self, _DOC_SECTIONS[name][0])
+                records = len(table) if name in ("doc", "content") else sum(map(len, table.values()))
+            bounds = [start for _, start in section_runs] + [decoder.ends.get(name, 0)]
             # more lines than records: a duplicate record, or other lines inside the section
-            if name in unseeded or (section_runs and records != data.count(b"\n", bounds[0], bounds[-1])):
+            if name in decoder.unseeded or (section_runs and records != data.count(b"\n", bounds[0], bounds[-1])):
                 continue  # the first encode builds it from the table
             section = self._sections[name]
             keys = [value for value, _ in section_runs]
@@ -1134,6 +1261,13 @@ class MemoryBackend:
                 chunk.data = data[edges[0] : edges[-1]]
                 section.chunks.append(chunk)
                 seeded.append((edges[0], chunk))
+        chunks = self._sections["props"].chunks
+        if chunks is None and not built:
+            decoder.build_lines(data)
+        elif chunks and not built:
+            self._unbuilt.update(chunks)
+            self._builder = _Decoder(self, 0)
+            self._builder.ids = decoder.ids
         return seeded
 
     # ---- checkpoint to / open from a store root directory ----
@@ -1216,13 +1350,22 @@ class _Section:
         self.tree: Optional[_Tree] = None  # over the chunks' nodes, from the first encode
         self.joined: Optional[tuple[list[bytes], int, int]] = None  # while nothing changed
 
+    def _at(self, value: int) -> int:
+        """The index of the chunk that holds or would hold value; 0 when
+        there is none."""
+        return max(bisect.bisect_right(self.chunks, value, key=_first_key) - 1, 0)
+
+    def holder(self, value: int) -> Optional["_Chunk"]:
+        """The chunk that holds or would hold value, or None when there is none."""
+        return self.chunks[self._at(value)] if self.chunks else None
+
     def drop(self, value: int, present: bool) -> None:
         """Forgets value's block, files value in or out of the chunks by
         present, and clears the node of the chunk that holds or would hold it."""
         chunks = self.chunks
         if chunks is None:
             return
-        i = max(bisect.bisect_right(chunks, value, key=_first_key) - 1, 0)
+        i = self._at(value)
         if i == len(chunks):
             if present:
                 chunks.append(_Chunk([value]))
@@ -1513,8 +1656,9 @@ _KINDS = {kind.value: kind for kind in DocumentKind}
 
 
 class _Decoder:
-    """Decodes checkpoint lines into a backend's tables, a batch at a time,
-    and notes each document section's runs of lines for seeding.
+    """Checks checkpoint lines and decodes them into a backend's tables, a
+    batch at a time, noting each document section's runs of lines for
+    seeding; later, builds PROPS rows from whole lines (build).
 
     A batch is decoded with one UTF-8 decode and one split. Its marker lines
     cut it into segments, a META segment is cut into groups of one record
@@ -1523,6 +1667,19 @@ class _Decoder:
     and the records of each run are filed in one dict or set per run. A run
     is a stretch of consecutive records of one section that name the same
     id text; marker lines do not end one, and one may span batches.
+
+    The pass over the file checks every PROPS record as build would read
+    it, but builds no Value or row: it parses each distinct id, slice and
+    ordinal text, parses each distinct value text into its payload a type
+    at a time and checks it (check_payload, as Value does), and counts the
+    distinct (id, prop, value, ordinal) texts of each run, one group's
+    runs at a time. That is the section's count of records, as a row map
+    per document counts them, while every value and ordinal text is the
+    one the encoder writes (canonical): no two texts then read as one.
+    When one is not, only built rows tell duplicates apart. build runs
+    over a seeded chunk's bytes when something first reads them, and over
+    every PROPS line at the end of open when the section is unseeded or
+    not canonical.
     Malformed input raises CorruptStore, LookupError or ValueError.
     """
 
@@ -1533,7 +1690,14 @@ class _Decoder:
         self.current: Optional[str] = None  # the section of the last record
         self.run_text: Optional[str] = None  # the id text of the last record (None for SCHEMA)
         self.ids: dict[str, DocumentId] = {}
-        self.values: dict[str, Value] = {}
+        self.values: dict[str, Value] = {}  # value text -> Value, for build
+        self.checked: set[str] = set()  # the value texts whose payload is checked
+        self.slices: set[str] = set()  # the slice texts read as ints
+        self.ordinals: set[str] = set()  # the ordinal texts read as ints
+        self.canonical = True  # every PROPS value and ordinal text so far is the encoder's
+        self.prop_records = 0  # distinct PROPS records of each run, summed
+        self.last_run: set[tuple] = set()  # the PROPS records of the last run so far
+        self.prop_lines: list[tuple[int, int]] = []  # offsets of each PROPS segment's lines
         # per document section: (id value, offset of its first line) for each run
         self.runs: dict[str, list[tuple[int, int]]] = {name: [] for name in _DOC_SECTIONS}
         self.ends: dict[str, int] = {}  # section -> offset just past its last line so far
@@ -1560,9 +1724,7 @@ class _Decoder:
         if self.marker is None:
             raise CorruptStore(f"record outside any section: {lines[0]!r}")
         self.records += len(lines)
-        rows = list(map(str.split, lines, itertools.repeat("\t")))
-        if escaped:
-            rows = [list(map(unescape_field, fields)) for fields in rows]
+        rows = _split_fields(lines, escaped)
         if self.marker == "PROPS":
             self._props(rows, starts)
         elif self.marker == "CONTENT":
@@ -1580,6 +1742,35 @@ class _Decoder:
 
     def _props(self, rows, starts) -> None:
         texts, slices, props, encoded, ordinals = _columns(rows, 5)
+        self._parse_ids(texts)
+        _check_ints(slices, self.slices)
+        if not _check_ints(ordinals, self.ordinals):
+            self.canonical = False
+        self._check_values(encoded)
+        continued = self.current == "props" and texts[0] == self.run_text
+        bounds = self._runs("props", texts, starts)
+        # records of different runs name different ids, so a group counts its
+        # runs' distinct records at once; one that continues the last run
+        # counts those it does not share with it
+        records = set(zip(texts, props, encoded, ordinals))
+        self.prop_records += len(records) - (len(records & self.last_run) if continued else 0)
+        last = bounds[-2]
+        tail = set(zip(texts[last:], props[last:], encoded[last:], ordinals[last:]))
+        self.last_run = tail | self.last_run if continued and last == 0 else tail
+        self.prop_lines.append((starts[0], starts[-1]))
+
+    def build_lines(self, data: bytes) -> None:
+        """Builds the rows of every PROPS line of data, the whole file."""
+        for start, end in self.prop_lines:
+            self.build(data[start:end])
+
+    def build(self, data: bytes) -> None:
+        """Files the PROPS records of data, whole lines that open has
+        checked, into the backend's rows: one UTF-8 decode and one split,
+        then columns, and one row map per run of one document's lines."""
+        text = data.decode("utf-8")
+        rows = _split_fields(text.split("\n")[:-1], "\\" in text)
+        texts, slices, props, encoded, ordinals = _columns(rows, 5)
         docs = self._parse_ids(texts)
         values = self._decode_values(encoded)
         props = list(map(sys.intern, props))
@@ -1587,8 +1778,7 @@ class _Decoder:
         built = list(map(tuple.__new__, itertools.repeat(PropertyRow),
                          zip(docs, map(int, slices), props, values, ordinals)))
         keys = list(zip(props, values, ordinals))
-        bounds = self._runs("props", texts, starts)
-        _merge(self.backend._rows, docs, bounds, lambda a, b: dict(zip(keys[a:b], built[a:b])))
+        _merge(self.backend._rows, docs, _changes(texts), lambda a, b: dict(zip(keys[a:b], built[a:b])))
 
     def _doc(self, rows, starts) -> None:
         _, texts, kinds = _columns(rows, 3)
@@ -1646,9 +1836,18 @@ class _Decoder:
 
     def _decode_values(self, texts) -> list[Value]:
         values = self.values
-        for text in set(texts).difference(values):
-            values[text] = decode_value(text)
+        for vtype, group, _, payloads in _parsed_by_tag(set(texts).difference(values)):
+            values.update(zip(group, map(Value, itertools.repeat(vtype), payloads)))
         return list(map(values.__getitem__, texts))
+
+    def _check_values(self, texts) -> None:
+        """Parses and checks the payload of each value text not seen before
+        (see _parsed_by_tag), and notes one that is not canonical."""
+        fresh = set(texts).difference(self.checked)
+        self.checked.update(fresh)
+        for vtype, _, bodies, payloads in _parsed_by_tag(fresh):
+            if not _canonical(vtype, bodies, payloads):
+                self.canonical = False
 
     def _runs(self, name: str, texts, starts: list[int]) -> list[int]:
         """The bounds of the group's runs of equal id text (see _changes);
@@ -1679,6 +1878,22 @@ def _marker_lines(text: str) -> list[int]:
             found.append(padded.count("\n", 0, at))
             at = padded.find(needle, at + 1)
     return sorted(found)
+
+
+def _check_ints(texts, seen: set[str]) -> bool:
+    """Reads each text not in seen as an int (ValueError if one is not) and
+    files it in seen; whether each of them is the int's canonical text."""
+    fresh = set(texts).difference(seen)
+    seen.update(fresh)
+    return all([str(int(text)) == text for text in fresh])
+
+
+def _split_fields(lines: list[str], escaped: bool) -> list[list[str]]:
+    """Each line's tab-separated fields, unescaped when escaped is set."""
+    rows = list(map(str.split, lines, itertools.repeat("\t")))
+    if escaped:
+        rows = [list(map(unescape_field, fields)) for fields in rows]
+    return rows
 
 
 def _changes(column) -> list[int]:
@@ -1713,7 +1928,9 @@ class DiskBackend(MemoryBackend):
     encoded and checksummed again, and only the CRC tree nodes above them
     are folded again; the rest come from the chunk cache, which open seeds
     from the bytes it checked, so the first write after open costs what it
-    changes too. The engine commits all of a flush's documents in one
+    changes too. Open checks every record but leaves the property rows of
+    each seeded chunk in its bytes until something reads one of its
+    documents, so a command pays to build only the chunks it reads. The engine commits all of a flush's documents in one
     batch (group commit), so a flush writes the file once or twice,
     whatever it changed.
 

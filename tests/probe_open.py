@@ -1,4 +1,5 @@
-"""Open-path probe: what opening a disk store costs, and what its checksum costs.
+"""Open-path probe: what opening a disk store costs, what its checksum costs,
+and what the first reads after open cost.
 
     PYTHONPATH=src python tests/probe_open.py [--sizes 500] [--repeat 30]
 
@@ -8,6 +9,13 @@ benchmark's cli workload. The probe then prints:
 
 - `DiskBackend.open` of that store, best and median of --repeat opens,
   with the decode and checksum times of the DEBUG record open logs;
+- open plus one `fetch_slices` of every slice of one document (what a
+  `get` reads; it builds one PROPS chunk's rows), and open plus the build
+  of the `From` column (what a query on it reads; it builds every
+  chunk's rows), best and median of --repeat each;
+- whether open, with every document then read in a random order, holds
+  the tables that `reference_loader.load_line_at_a_time` loads from the
+  same bytes;
 - `crc32c` of 100 B, 450 B, 2 KB and 15 KB of random bytes and of the
   whole store file, best of --repeat calls of each after one untimed call;
 - the first `crc32c` of the store file in a fresh interpreter (best of
@@ -17,8 +25,9 @@ benchmark's cli workload. The probe then prints:
 
 Every timing runs in this process on this host, so compare two commits by
 running both here. It prints one line per measurement and exits non-zero
-only when the fresh interpreter fails or disagrees on the checksum. The
-file name keeps pytest from collecting it.
+only when the walked tables differ from the reference loader's, or the
+fresh interpreter fails or disagrees on the checksum. The file name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ sys.path.insert(0, str(ROOT))  # bench.corpus
 from bench import corpus  # noqa: E402
 from harland import store  # noqa: E402
 from harland.store import CHECKPOINT_NAME, DiskBackend, crc32c  # noqa: E402
+from reference_loader import TABLES, load_line_at_a_time  # noqa: E402  (this directory)
 
 SPLIT = re.compile(r"decode ([\d.]+) ms, checksum ([\d.]+) ms")
 KERNEL_SIZES = (("100 B", 100), ("450 B", 450), ("2 KB", 2048), ("15 KB", 15360))
@@ -113,6 +123,46 @@ def probe_open(path: Path, repeat: int) -> None:
         print(f"    checksum {_best_median(checksum)} ms")
 
 
+def _timed_ms(fn) -> float:
+    started = time.perf_counter()
+    fn()
+    return (time.perf_counter() - started) * 1e3
+
+
+def probe_reads(path: Path, repeat: int) -> None:
+    ids = sorted(DiskBackend.open(path).stored_docs())
+    rng = random.Random(4)
+    fetches, columns = [], []
+    for _ in range(repeat):
+        doc_id = rng.choice(ids)
+
+        def fetch():
+            backend = DiskBackend.open(path)
+            backend.fetch_slices(doc_id, set(backend.stored_assignments().get(doc_id, {}).values()))
+
+        fetches.append(_timed_ms(fetch))
+        columns.append(_timed_ms(lambda: DiskBackend.open(path).stored_matches("From", bool)))
+    print(f"  open + fetch_slices of one document  {_best_median(fetches)} ms of {repeat}")
+    print(f"  open + the From column build        {_best_median(columns)} ms of {repeat}")
+
+
+def check_walk(path: Path, data: bytes) -> None:
+    """Exits 1 unless open, with every document then read in a random
+    order, holds the reference loader's tables and has built every chunk."""
+    backend = DiskBackend.open(path)
+    ids = list(backend.stored_docs())
+    random.Random(5).shuffle(ids)
+    for doc_id in ids:
+        backend.fetch_slices(doc_id, set(backend.stored_assignments().get(doc_id, {}).values()))
+    reference = load_line_at_a_time(data)
+    differ = [name for name in TABLES if getattr(backend, name) != getattr(reference, name)]
+    chunks = len(backend._sections["props"].chunks or ())
+    print(f"  walked open: {backend.decoded_chunks} of {chunks} PROPS chunks built, "
+          f"tables {'differ: ' + ', '.join(differ) if differ else 'equal the line-at-a-time loader'}")
+    if differ or backend._unbuilt:
+        sys.exit(1)
+
+
 def probe_kernel(data: bytes, repeat: int) -> None:
     rng = random.Random(2)
     for label, size in KERNEL_SIZES:
@@ -156,6 +206,8 @@ def main(argv=None) -> None:
             data = file.read_bytes()
             print(f"{count} documents, {CHECKPOINT_NAME} {len(data)} bytes")
             probe_open(path, args.repeat)
+            probe_reads(path, args.repeat)
+            check_walk(path, data)
             probe_kernel(data, args.repeat)
             probe_fresh(file, data)
     finally:

@@ -207,12 +207,14 @@ def blocks_of(section) -> dict[int, bytes]:
 
 def load_outcome(load, data: bytes):
     """("corrupt", None) when load(data) raises CorruptStore, else ("ok",
-    state): every table, and for each section whether it is seeded and,
+    state): every table, its rows built first (a seeded PROPS chunk builds
+    them when first read), and for each section whether it is seeded and,
     per chunk, its keys, its blocks' bytes and its node."""
     try:
         backend = load(data)
     except CorruptStore:
         return "corrupt", None
+    backend._build_all()
     tables = {name: getattr(backend, name) for name in TABLES}
     sections = {name: _seeded_chunks(section) for name, section in backend._sections.items()}
     return "ok", (tables, sections)

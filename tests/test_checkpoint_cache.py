@@ -142,7 +142,9 @@ class Shadow:
 
 def cold_encode(backend) -> bytes:
     """The checkpoint encoded from the backend's tables alone, with no cached
-    block, chunk or CRC, as a backend that never opened a file encodes it."""
+    block, chunk or CRC, as a backend that never opened a file encodes it.
+    Its rows are built first: a seeded PROPS chunk holds them until read."""
+    backend._build_all()
     backend._sections = {name: store._Section() for name, _ in store._LAYOUT}
     return backend._encode_checkpoint()
 
@@ -529,6 +531,7 @@ def test_live_tables_equal_a_reopened_backends(tmp_path, monkeypatch):
     for _ in range(200):
         writer.step()
         reopened = DiskBackend.open(writer.root)
+        reopened._build_all()
         for name in ("_docs", "_rows", "_enforcement", "_assignments", "_members", "_content"):
             assert getattr(writer.backend, name) == getattr(reopened, name), name
     assert len(writer.shadow.docs) > 30
