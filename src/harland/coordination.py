@@ -1,8 +1,13 @@
 """Commit events, subscriptions, and queue-style worker coordination.
 
-Every committed change publishes one event. A single dispatcher thread
-fans events out to subscriptions in commit order, so per-subscription
-delivery order matches the commit sequence. Transition subscriptions
+Every committed change gets the next commit sequence number. While an
+active transition subscription exists, the hub is watched: each commit
+also queues one event, and a single dispatcher thread, started with the
+first transition subscription, fans events out to subscriptions in commit
+order, so per-subscription delivery order matches the commit sequence.
+A commit nobody watches is numbered and nothing more: no event is built,
+queued or dispatched, since no subscription could see it. Match
+subscriptions poll and read no events. Transition subscriptions
 deliver a document exactly when its match status flips false -> true for
 that commit; membership changes re-evaluate the affected member documents,
 which is sound because no predicate joins across documents.
@@ -135,43 +140,61 @@ class CommitHub:
 
     def __init__(self, repo):
         self.repo = repo
-        self._cond = threading.Condition()
+        self._cond = threading.Condition()  # guards everything below
         self._pending: deque[CommitEvent] = deque()
         self._seq = 0
+        self._queued = 0  # events ever queued for dispatch
         self._in_flight = 0
         self._stopped = False
-        self._subs_lock = threading.Lock()
-        self._subs: list[Subscription] = []
-        self._thread = threading.Thread(target=self._dispatch_loop, name="harland-dispatch", daemon=True)
-        self._thread.start()
+        self._subs: list[Subscription] = []  # the active transition subscriptions
+        # whether any exists; the repository reads it under its lock to
+        # decide what a commit publishes
+        self.watched = False
+        self._thread: Optional[threading.Thread] = None  # the dispatcher, once watched
 
     def subscribe(self, expr: QueryExpr, mode: SubscriptionMode, compiled: QueryPlan) -> Subscription:
+        """Registers a subscription; commits numbered after its start_seq
+        are its own. Callers hold the repository lock, under which every
+        commit is published, so each commit lands at or before start_seq,
+        or after it with the events this subscription reads."""
         with self._cond:
-            start_seq = self._seq
-        sub = Subscription(self, expr, mode, compiled, start_seq)
-        with self._subs_lock:
-            self._subs.append(sub)
+            sub = Subscription(self, expr, mode, compiled, self._seq)
+            if mode is SubscriptionMode.TRANSITION:
+                self._subs.append(sub)
+                self.watched = True
+                if self._thread is None and not self._stopped:
+                    self._thread = threading.Thread(target=self._dispatch_loop, name="harland-dispatch", daemon=True)
+                    self._thread.start()
         return sub
 
     def _remove(self, sub: Subscription) -> None:
-        with self._subs_lock:
+        with self._cond:
             if sub in self._subs:
                 self._subs.remove(sub)
+            self.watched = bool(self._subs)
 
     def publish(self, **fields) -> int:
         """Record a commit; returns its sequence number. Called with the
-        repository lock held, so sequence order is commit order."""
+        repository lock held, so sequence order is commit order. The event
+        is queued only while the hub is watched; an unwatched commit's
+        caller passes its doc_id alone."""
         with self._cond:
             if self._stopped:
                 return self._seq
             self._seq += 1
-            event = CommitEvent(seq=self._seq, **fields)
-            self._pending.append(event)
-            self._cond.notify_all()
+            if self.watched:
+                self._pending.append(CommitEvent(seq=self._seq, **fields))
+                self._queued += 1
+                self._cond.notify_all()
             return self._seq
 
+    def counts(self) -> dict[str, int]:
+        """Commits numbered, and of those the ones queued for dispatch."""
+        with self._cond:
+            return {"commits": self._seq, "commits_dispatched": self._queued}
+
     def drain(self, timeout: float = 10.0) -> bool:
-        """Wait until every published event has been dispatched."""
+        """Wait until every queued event has been dispatched."""
         deadline = time.monotonic() + timeout
         with self._cond:
             while self._pending or self._in_flight:
@@ -185,7 +208,8 @@ class CommitHub:
         with self._cond:
             self._stopped = True
             self._cond.notify_all()
-        self._thread.join(timeout=5)
+        if self._thread is not None:
+            self._thread.join(timeout=5)
 
     # ---- dispatch ----
 
@@ -208,11 +232,8 @@ class CommitHub:
                     self._cond.notify_all()
 
     def _dispatch(self, event: CommitEvent) -> None:
-        with self._subs_lock:
-            subs = [
-                s for s in self._subs
-                if s.active and s.mode is SubscriptionMode.TRANSITION and event.seq > s.start_seq
-            ]
+        with self._cond:
+            subs = [s for s in self._subs if event.seq > s.start_seq]
         if not subs:
             return
         affected = {event.doc_id} | set(event.members_added) | set(event.members_removed)

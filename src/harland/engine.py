@@ -44,6 +44,13 @@ and commits under it every document dirty at that moment; one changed
 since its collection (its stamp in the dirty map moved), or dirtied after
 it, is collected then. close() and hub.drain() never run under it,
 because the dispatcher thread calls back into the repository.
+
+A commit builds the before and after snapshots of its event only while the
+hub is watched (an active transition subscription exists); otherwise it
+publishes its document id alone, which is numbered and not queued. A
+mutation checks only the property it changes. subscribe() registers under
+the repository lock, so the hub cannot become watched between a commit's
+look at it and its publish.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import logging
 import threading
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -92,7 +99,7 @@ from harland.query import (
     plan,
     validate_references,
 )
-from harland.schemas import DEFAULT_SLICE, SchemaRegistry
+from harland.schemas import SchemaRegistry
 from harland.store import (
     DiskBackend,
     DocumentRecord,
@@ -554,6 +561,35 @@ class Repository:
             members=members,
         )
 
+    def _check_snapshot(self, doc_id: DocumentId, idoc: _IDoc, props: Iterable[str]) -> DocumentSnapshot:
+        """What a schema check reads of the live document: its kind and
+        enforcement, and the bags of props alone, their slices loaded."""
+        assigned = self._assignments_of(doc_id)
+        self._materialize(idoc, {assigned[p] for p in props if p in assigned})
+        return DocumentSnapshot(
+            doc_id=doc_id,
+            kind=self._kind_of(doc_id),
+            properties={p: idoc.bags[p] for p in props if p in idoc.bags},
+            enforced=frozenset(self._enforcement_of(doc_id)),
+            members=frozenset(),
+        )
+
+    def _published(self, doc_id: DocumentId, before: Optional[DocumentSnapshot], **fields) -> None:
+        """Publishes a commit that changed a live document's enforcement,
+        members or content: with the snapshots around the change when before
+        was taken, because the hub was watched, else its number alone."""
+        if before is None:
+            self.hub.publish(doc_id=doc_id)
+            return
+        after = DocumentSnapshot(
+            doc_id=doc_id,
+            kind=before.kind,
+            properties=before.properties,
+            enforced=frozenset(self._enforcement_of(doc_id)),
+            members=frozenset(self._members_of(doc_id)),
+        )
+        self.hub.publish(doc_id=doc_id, before=before, after=after, **fields)
+
     # ---- document lifecycle ----
 
     def create_document(self, kind: DocumentKind = DocumentKind.PLAIN) -> Handle:
@@ -564,11 +600,14 @@ class Repository:
             self._cache[doc_id] = _IDoc(doc_id, _Pending(kind))
             self._mark_dirty(doc_id)
             self._evict_if_needed(exclude=doc_id)
-            after = DocumentSnapshot(
-                doc_id=doc_id, kind=kind, properties={},
-                enforced=frozenset(), members=frozenset(),
-            )
-            self.hub.publish(doc_id=doc_id, before=None, after=after)
+            if self.hub.watched:
+                after = DocumentSnapshot(
+                    doc_id=doc_id, kind=kind, properties={},
+                    enforced=frozenset(), members=frozenset(),
+                )
+                self.hub.publish(doc_id=doc_id, before=None, after=after)
+            else:
+                self.hub.publish(doc_id=doc_id)
         return Handle(self, doc_id)
 
     def get_document(self, ref: Union[DocumentId, str, Handle]) -> Handle:
@@ -595,7 +634,7 @@ class Repository:
         doc_id = handle.doc_id
         with self._lock:
             idoc = self._load(doc_id)
-            before = self._snapshot_locked(doc_id, idoc)
+            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
             if self._stored(doc_id):
                 # lock-free readers take it while the backend installs the
                 # delete one table at a time
@@ -609,6 +648,9 @@ class Repository:
                 # the delete may have changed its committed members: a flush
                 # that collected its records collects them again
                 self._mark_dirty(holder)
+            if before is None:
+                self.hub.publish(doc_id=doc_id)
+                return
             # re-evaluate the deleted collection's members: their membership
             # test flips when the collection disappears
             self.hub.publish(
@@ -620,18 +662,6 @@ class Repository:
                 members_removed=frozenset(before.members),
             )
 
-    # ---- slice assignment ----
-
-    def _assign_slice(self, doc_id: DocumentId, prop: str) -> int:
-        """First write of a property picks its slice, permanently."""
-        for name, _ in self.enforcement_seqs(doc_id):
-            if prop in self.registry.get(name).constraints:
-                return self.registry.slice_of_schema(name)
-        containing = self.registry.schemas_containing(prop)
-        if containing:
-            return self.registry.slice_of_schema(containing[0])
-        return DEFAULT_SLICE
-
     # ---- mutation ----
 
     def mutate(self, handle: Handle, change: Change) -> None:
@@ -639,25 +669,29 @@ class Repository:
         doc_id = handle.doc_id
         with self._lock:
             idoc = self._load(doc_id)
-            before = self._snapshot_locked(doc_id, idoc)
             prop = change.prop
+            # the whole document only for the commit event; the check reads prop alone
+            watched = self.hub.watched
+            before = self._snapshot_locked(doc_id, idoc) if watched else self._check_snapshot(doc_id, idoc, (prop,))
             old = before.values_of(prop)
             new = self._apply_change(old, change)
             if new == old:
                 return
-            proposed = dict(before.properties)
+            properties = dict(before.properties)
             if new:
-                proposed[prop] = new
+                properties[prop] = new
             else:
-                proposed.pop(prop, None)
-            after = replace(before, properties=proposed)
-            violations = self.registry.validate_mutation(before, after)
+                properties.pop(prop, None)
+            proposed = DocumentSnapshot(doc_id, before.kind, properties, before.enforced, before.members)
+            violations = self.registry.validate_mutation(before, proposed)
             if violations:
                 raise SchemaViolation(violations)
 
             slice_id = self._assignments_of(doc_id).get(prop)
             if slice_id is None:
-                slice_id = self._pending_of(idoc).assignments[prop] = self._assign_slice(doc_id, prop)
+                # the first write of a property picks its slice, permanently
+                slice_id = self.registry.slice_for(prop, self._enforcement_of(doc_id))
+                self._pending_of(idoc).assignments[prop] = slice_id
             self._materialize(idoc, {slice_id})
             if new:
                 idoc.bags[prop] = new
@@ -665,7 +699,10 @@ class Repository:
                 idoc.bags.pop(prop, None)
             idoc.dirty_props.add(prop)
             self._mark_dirty(doc_id)
-            self.hub.publish(doc_id=doc_id, before=before, after=after, changed_props=frozenset({prop}))
+            if watched:
+                self.hub.publish(doc_id=doc_id, before=before, after=proposed, changed_props=frozenset({prop}))
+            else:
+                self.hub.publish(doc_id=doc_id)
 
     @staticmethod
     def _apply_change(old: tuple[Value, ...], change: Change) -> tuple[Value, ...]:
@@ -694,14 +731,14 @@ class Repository:
             if schema_name in self._enforcement_of(doc_id):
                 return
             idoc = self._idoc(doc_id)
-            before = self._snapshot_locked(doc_id, idoc)
+            watched = self.hub.watched
+            before = self._snapshot_locked(doc_id, idoc) if watched else self._check_snapshot(doc_id, idoc, schema.constraints)
             violations = self.registry.violations(before, schema.name)
             if violations:
                 raise NotConforming(violations)
             enforcement = self._pending_of(idoc).enforcement
             enforcement[schema_name] = max(enforcement.values(), default=0) + 1
-            after = replace(before, enforced=before.enforced | {schema_name})
-            self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_added=frozenset({schema_name}))
+            self._published(doc_id, before if watched else None, schemas_added=frozenset({schema_name}))
 
     def unenforce(self, handle: Handle, schema_name: str) -> None:
         """Stops enforcement; property values are retained untouched."""
@@ -713,10 +750,9 @@ class Repository:
             if schema_name not in self._enforcement_of(doc_id):
                 return
             idoc = self._idoc(doc_id)
-            before = self._snapshot_locked(doc_id, idoc)
+            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
             del self._pending_of(idoc).enforcement[schema_name]
-            after = replace(before, enforced=before.enforced - {schema_name})
-            self.hub.publish(doc_id=doc_id, before=before, after=after, schemas_removed=frozenset({schema_name}))
+            self._published(doc_id, before, schemas_removed=frozenset({schema_name}))
 
     def enforcement_seqs(self, doc_id: DocumentId) -> list[tuple[str, int]]:
         """(schema, enforcement seq) of each schema enforced on the live
@@ -735,10 +771,9 @@ class Repository:
                 raise UnknownDocument(f"member {member_id} does not exist")
             if member_id in self._members_of(doc_id):
                 return
-            before = self._snapshot_locked(doc_id, idoc)
+            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
             self._pending_of(idoc).members.add(member_id)
-            after = replace(before, members=before.members | {member_id})
-            self.hub.publish(doc_id=doc_id, before=before, after=after, members_added=frozenset({member_id}))
+            self._published(doc_id, before, members_added=frozenset({member_id}))
 
     def remove_member(self, handle: Handle, member_id: DocumentId) -> None:
         self._check_open()
@@ -747,10 +782,9 @@ class Repository:
             idoc = self._load(doc_id, DocumentKind.COLLECTION)
             if member_id not in self._members_of(doc_id):
                 return
-            before = self._snapshot_locked(doc_id, idoc)
+            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
             self._pending_of(idoc).members.discard(member_id)
-            after = replace(before, members=before.members - {member_id})
-            self.hub.publish(doc_id=doc_id, before=before, after=after, members_removed=frozenset({member_id}))
+            self._published(doc_id, before, members_removed=frozenset({member_id}))
 
     def members_of_handle(self, handle: Handle) -> frozenset[DocumentId]:
         if self._kind(handle.doc_id) is not DocumentKind.COLLECTION:
@@ -769,15 +803,9 @@ class Repository:
             # the blob needs its document record first
             self._commit_locked({doc_id: (idoc, self._flush_doc_locked(doc_id, idoc))})
             tokens_before = self.content_tokens(doc_id)
-            snap = self._snapshot_locked(doc_id, idoc)
+            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
             ref = self.backend.content_write(doc_id, data)
-            self.hub.publish(
-                doc_id=doc_id,
-                before=snap,
-                after=snap,
-                tokens_before=tokens_before,
-                tokens_after=ref.tokens,
-            )
+            self._published(doc_id, before, tokens_before=tokens_before, tokens_after=ref.tokens)
 
     def get_content(self, handle: Handle) -> bytes:
         with self._lock:
@@ -937,7 +965,8 @@ class Repository:
         expr = self._as_expr(query)
         validate_references(expr, self)
         compiled = plan(expr, self.registry)
-        return self.hub.subscribe(expr, mode, compiled)
+        with self._lock:  # orders it with every commit: see CommitHub.subscribe
+            return self.hub.subscribe(expr, mode, compiled)
 
     # ---- writeback ----
 
@@ -1066,6 +1095,7 @@ class Repository:
                 "checkpoint_writes": self.backend.checkpoint_writes,
                 "column_scans": self.backend.column_scans,
                 "column_probes": self.backend.column_probes,
+                **self.hub.counts(),
             }
 
     def _check_open(self) -> None:

@@ -13,10 +13,10 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Optional
+from typing import Mapping, Optional
 
 from harland.errors import DuplicateSchema, InconsistentSchema, UnknownSchema
-from harland.model import DocumentSnapshot, Schema
+from harland.model import Constraint, DocumentSnapshot, Schema, Value
 from harland.store import MemoryBackend, SchemaDef
 
 DEFAULT_SLICE = 0
@@ -100,35 +100,67 @@ class SchemaRegistry:
         """Schemas that constrain prop, earliest registered first."""
         return [schema.name for schema, _ in self._defined() if prop in schema.constraints]
 
+    def slice_for(self, prop: str, enforcement: Mapping[str, int]) -> int:
+        """The slice a property's first write assigns it, permanently: that of
+        the earliest enforced schema (by enforcement seq, from the document's
+        schema -> seq map) that constrains it, else of the earliest
+        registered schema that does, else the default slice."""
+        best = (2, DEFAULT_SLICE)
+        for schema, slice_id in dict(self._backend.schema_defs()).values():
+            if prop in schema.constraints:
+                seq = enforcement.get(schema.name)
+                best = min(best, (1, slice_id) if seq is None else (0, seq, slice_id))
+        return best[-1]
+
     # ---- conformance ----
 
     def violations(self, doc: DocumentSnapshot, name: str) -> list[Violation]:
         """All constraint violations of doc against one schema; empty when it conforms."""
-        schema = self.get(name)
-        found: list[Violation] = []
-        for prop in sorted(schema.constraints):
-            constraint = schema.constraints[prop]
-            values = doc.values_of(prop)
-            n = len(values)
-            if n == 0 and constraint.min_count > 0:
-                found.append(Violation(name, prop, Reason.MISSING_REQUIRED))
-            elif constraint.max_count is not None and n > constraint.max_count:
-                found.append(Violation(name, prop, Reason.TOO_MANY_VALUES))
-            if any(v.vtype is not constraint.value_type for v in values):
-                found.append(Violation(name, prop, Reason.WRONG_TYPE))
-        return found
+        constraints = self.get(name).constraints
+        return [
+            Violation(name, prop, reason)
+            for prop in sorted(constraints)
+            for reason in _reasons(constraints[prop], doc.values_of(prop))
+        ]
 
     def validate_mutation(self, before: DocumentSnapshot, proposed: DocumentSnapshot) -> list[Violation]:
         """Violations the proposed state would cause under before's enforced schemas.
+
+        Only the properties whose bags differ between the two are checked,
+        against the enforced schemas that constrain them: before conforms
+        to each schema enforced on it (enforce checked it, and every
+        mutation since), so no other property can violate one. The two
+        snapshots may therefore hold the changed properties alone.
 
         An absent required property reads as MissingRequired in a plain
         conformance check; here, when the property held values before the
         mutation, the reason refines to TooFewValues: the mutation drained it.
         """
+        if not before.enforced:
+            return []
+        changed = [
+            prop for prop in before.properties.keys() | proposed.properties.keys()
+            if before.values_of(prop) != proposed.values_of(prop)
+        ]
         found: list[Violation] = []
         for name in sorted(before.enforced):
-            for v in self.violations(proposed, name):
-                if v.reason is Reason.MISSING_REQUIRED and before.values_of(v.prop):
-                    v = Violation(v.schema, v.prop, Reason.TOO_FEW_VALUES)
-                found.append(v)
+            constraints = self.get(name).constraints
+            for prop in sorted(p for p in changed if p in constraints):
+                for reason in _reasons(constraints[prop], proposed.values_of(prop)):
+                    if reason is Reason.MISSING_REQUIRED and before.values_of(prop):
+                        reason = Reason.TOO_FEW_VALUES
+                    found.append(Violation(name, prop, reason))
         return found
+
+
+def _reasons(constraint: Constraint, values: tuple[Value, ...]) -> list[Reason]:
+    """How one property's bag violates its constraint, in report order."""
+    found = []
+    n = len(values)
+    if n == 0 and constraint.min_count > 0:
+        found.append(Reason.MISSING_REQUIRED)
+    elif constraint.max_count is not None and n > constraint.max_count:
+        found.append(Reason.TOO_MANY_VALUES)
+    if any(v.vtype is not constraint.value_type for v in values):
+        found.append(Reason.WRONG_TYPE)
+    return found

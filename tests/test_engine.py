@@ -636,6 +636,7 @@ def test_close_whose_flush_fails_still_stops_the_dispatcher():
     from harland.errors import StorageFailure
 
     repo = fresh()
+    repo.subscribe("x = 1")  # the dispatcher starts with the first transition subscription
     h = repo.create_document()
     h.set_property("x", [Value.integer(1)])
     repo.backend.fail_next_persist = True
