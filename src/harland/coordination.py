@@ -154,10 +154,14 @@ class CommitHub:
 
     def subscribe(self, expr: QueryExpr, mode: SubscriptionMode, compiled: QueryPlan) -> Subscription:
         """Registers a subscription; commits numbered after its start_seq
-        are its own. Callers hold the repository lock, under which every
-        commit is published, so each commit lands at or before start_seq,
-        or after it with the events this subscription reads."""
-        with self._cond:
+        are its own. It registers under the repository lock, under which
+        every commit looks at watched and is published, so the hub cannot
+        become watched between the two: each commit lands at or before
+        start_seq, or after it with the events this subscription reads."""
+        repo = self.repo
+        if repo is None:
+            raise StorageFailure("repository is closed")
+        with repo._lock, self._cond:  # the repository lock first, as every commit takes them
             sub = Subscription(self, expr, mode, compiled, self._seq)
             if mode is SubscriptionMode.TRANSITION:
                 self._subs.append(sub)

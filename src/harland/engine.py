@@ -15,13 +15,14 @@ Writes go to the in-memory document: a value write marks its property
 dirty, a metadata write changes the pending record. A background flusher
 (and explicit flush()) visits only the documents changed since their last
 successful flush, collects for each what its live state has that the
-backend has not committed (its dirty properties' rows against the stored
-rows, its pending record against the committed entry), and ships the
-records of all of them as one atomic batch (group commit), so a flush
-writes the checkpoint once. Every live document without a store record is
-dirty, so a membership whose member is new travels in the same batch as
-the member's document record. Schema definitions (through the schema
-registry) and content writes go through to the backend immediately.
+backend has not committed (the rows that turn each dirty property's stored
+bag into its live one, its pending record against the committed entry),
+and ships the records of all of them as one atomic batch (group commit),
+so a flush writes the checkpoint once. Every live document without a
+store record is dirty, so a membership whose member is new travels in the
+same batch as the member's document record. Schema definitions (through
+the schema registry) and content writes go through to the backend
+immediately.
 
 Only flushed documents leave the cache, and a new document enters the
 cache before its id becomes live, so a live document outside the cache
@@ -48,9 +49,9 @@ because the dispatcher thread calls back into the repository.
 A commit builds the before and after snapshots of its event only while the
 hub is watched (an active transition subscription exists); otherwise it
 publishes its document id alone, which is numbered and not queued. A
-mutation checks only the property it changes. subscribe() registers under
-the repository lock, so the hub cannot become watched between a commit's
-look at it and its publish.
+mutation checks only the property it changes. The hub registers a
+subscription under the repository lock, so it cannot become watched
+between a commit's look at it and its publish.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import threading
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from harland.coordination import CommitHub, Subscription, SubscriptionMode
@@ -81,6 +82,7 @@ from harland.model import (
     Schema,
     Value,
     bag,
+    occurrences,
 )
 from harland.parsing import parse_query
 from harland.query import (
@@ -111,6 +113,7 @@ from harland.store import (
 )
 
 logger = logging.getLogger(__name__)
+_PROP, _VALUE = attrgetter("prop"), attrgetter("value")
 
 
 # ---- change descriptions ----
@@ -542,11 +545,9 @@ class Repository:
         if not missing:
             return
         if self._stored(idoc.doc_id):
-            fetched: dict[str, list[Value]] = {}
-            for row in self.backend.fetch_slices(idoc.doc_id, missing):
-                fetched.setdefault(row.prop, []).append(row.value)
-            for prop, values in fetched.items():
-                idoc.bags[prop] = bag(values)
+            # a property's rows come together, in its bag's order
+            for prop, rows in itertools.groupby(self.backend.fetch_slices(idoc.doc_id, missing), _PROP):
+                idoc.bags[prop] = tuple(map(_VALUE, rows))
         idoc.loaded |= missing
 
     def _snapshot_locked(self, doc_id: DocumentId, idoc: _IDoc) -> DocumentSnapshot:
@@ -964,9 +965,7 @@ class Repository:
         self._check_open()
         expr = self._as_expr(query)
         validate_references(expr, self)
-        compiled = plan(expr, self.registry)
-        with self._lock:  # orders it with every commit: see CommitHub.subscribe
-            return self.hub.subscribe(expr, mode, compiled)
+        return self.hub.subscribe(expr, mode, plan(expr, self.registry))
 
     # ---- writeback ----
 
@@ -1036,17 +1035,18 @@ class Repository:
         backend = self.backend
         rows: list[PropertyRow] = []
         deletes: list[tuple] = []
-        dirty = idoc.dirty_props
-        if dirty:  # each dirty property's rows, at its slice, against its stored rows
+        if idoc.dirty_props:  # each dirty property's bag against its stored bag
             assigned = self._assignments_of(doc_id)
-            new = {
-                row.key()[1:]: row
-                for prop in sorted(dirty)
-                for row in _bag_rows(doc_id, assigned[prop], prop, idoc.bags.get(prop, ()))
-            }
-            stored_rows = backend.stored_rows_of(doc_id)
-            rows = [row for key, row in new.items() if key not in stored_rows]
-            deletes = [(doc_id, *key) for key in stored_rows if key[0] in dirty and key not in new]
+            stored = backend.stored_bags_of(doc_id)
+            for prop in sorted(idoc.dirty_props):
+                live = list(occurrences(idoc.bags.get(prop, ())))
+                held = list(occurrences(stored.get(prop, (None, ()))[1]))
+                if live == held:
+                    continue
+                # with serial ordinals, a value gains or loses its top ones
+                live_rows, held_rows = set(live), set(held)
+                rows += [PropertyRow(doc_id, assigned[prop], prop, *row) for row in live if row not in held_rows]
+                deletes += [(doc_id, prop, *row) for row in held if row not in live_rows]
 
         meta: list = []
         meta_deletes: list = []
@@ -1102,11 +1102,3 @@ class Repository:
         if self._closed:
             raise StorageFailure("repository is closed")
 
-
-def _bag_rows(doc_id: DocumentId, slice_id: int, prop: str, values: tuple[Value, ...]) -> Iterator[PropertyRow]:
-    """One vertical row per bag occurrence; equal values get serial ordinals."""
-    seen: dict = {}
-    for value in values:
-        ordinal = seen.get(value, 0)
-        seen[value] = ordinal + 1
-        yield PropertyRow(doc_id, slice_id, prop, value, ordinal)

@@ -12,7 +12,7 @@ import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _INT64_MIN = -(2**63)
@@ -191,6 +191,17 @@ def sort_key(value: Value):
 def bag(values: Iterable[Value]) -> tuple[Value, ...]:
     """Canonical form of a value bag: a tuple sorted by sort_key, duplicates kept."""
     return tuple(sorted(values, key=sort_key))
+
+
+def occurrences(values: tuple[Value, ...]) -> Iterator[tuple[Value, int]]:
+    """Each value of a canonical bag with its ordinal: 0 for the value's
+    first occurrence, 1 for its second, and so on. Equal values of a bag
+    are adjacent, since sort_key tells unequal values apart."""
+    ordinal, last = 0, None
+    for value in values:
+        ordinal = ordinal + 1 if value == last else 0
+        last = value
+        yield value, ordinal
 
 
 def compare_values(a: Value, b: Value) -> Optional[int]:

@@ -1,5 +1,14 @@
 """Vertical-row persistence: one row per property value, plus metadata.
 
+Rows are the records of the checkpoint file and of the backend's API
+(put_rows, fetch_slices, scan_rows). In memory a backend keeps each
+document's values as {prop: (slice, bag)}, bag the canonical model.bag
+tuple, and makes rows from bags only where those need them. Ordinals are
+serial: a value held n times by a property of a document has the
+ordinals 0 to n - 1, and the property has one slice. put_rows refuses a
+batch whose result breaks either, and open raises CorruptStore for a
+file that does.
+
 Two reference backends share one checkpoint format:
 
     HARLAND-STORE v1
@@ -78,19 +87,20 @@ parsed once; a canonical id or timestamp takes a fast path. Besides the
 file's bytes and the tables it fills, open holds one batch's lines and
 columns at a time, so its extra memory does not grow with the store.
 
-Open checks every record that it could fail on later, but it builds the
-rows of a seeded PROPS section late (Abadi et al., *Materialization
-Strategies in a Column-Oriented DBMS*, ICDE 2007): it parses each value
-text into its payload and checks it as Value does, builds no Value or
-row, and leaves each chunk's bytes the one home of its documents' rows.
-The first read of any of them (a fetch, a scan, a write or delete of one,
-a column build, the engine's flush diff) builds the chunk's rows with the
-same decoder, under the lock; a batch builds every chunk it drops a block
-from before it drops it, so no span is cleared while its rows live only
-in the bytes it names. The rows of an unseeded PROPS section, or of one
-with a value or ordinal text that the encoder would not write (two texts
-could then read as one, and only rows tell duplicates apart), are built
-at open.
+Open checks every record that it could fail on later, an ordinal gap and
+a property in two slices included, but it builds the bags of a seeded
+PROPS section late (Abadi et al., *Materialization Strategies in a
+Column-Oriented DBMS*, ICDE 2007): it parses each value text into its
+payload and checks it as Value does, builds no Value or bag, and leaves
+each chunk's bytes the one home of its documents' values. The first read
+of any of them (a fetch, a scan, a write or delete of one, a column
+build, the engine's flush diff) builds the chunk's bags with the same
+decoder, under the lock; a batch builds every chunk it drops a block from
+before it drops it, so no span is cleared while its values live only in
+the bytes it names. The bags of an unseeded PROPS section, or of one with
+a value, ordinal or slice text that the encoder would not write (two
+texts could then read as one, and only Values tell duplicates and gaps
+apart), are built at open.
 
 The CRC32C kernel reduces the message modulo the polynomial by folding
 with precomputed constants x^d mod P, as Gopal et al. do with a carry-less
@@ -156,9 +166,10 @@ from harland.model import (
     Schema,
     Value,
     ValueType,
+    bag,
     check_payload,
     compare_values,
-    sort_key,
+    occurrences,
 )
 
 logger = logging.getLogger(__name__)
@@ -520,7 +531,9 @@ class PropertyRow(NamedTuple):
         return (self.doc_id, self.prop, self.value, self.ordinal)
 
 
+_new_row = tuple.__new__  # _new_row(PropertyRow, fields) skips the Python-level __new__
 RowKey = tuple  # (doc_id, prop, value, ordinal)
+Homes = dict  # one document's values, prop -> (slice, bag)
 
 
 @dataclass(frozen=True)
@@ -589,8 +602,39 @@ def _posting_key(value: Value):
     return value.payload
 
 
-def _stored_bag(rows: dict, prop: str) -> tuple[Value, ...]:
-    return tuple(row.value for row in rows.values() if row.prop == prop)
+def _rows_of(doc_id: DocumentId, homes: Iterable[tuple[str, tuple]], slice_ids=None) -> list[PropertyRow]:
+    """The rows of each (prop, (slice, bag)) of homes, in that order, or of
+    those in slice_ids."""
+    rows: list[PropertyRow] = []
+    append = rows.append
+    for prop, (slice_id, values) in homes:
+        if slice_ids is not None and slice_id not in slice_ids:
+            continue
+        if len(values) == 1:  # the usual bag: no ordinal to count
+            append(_new_row(PropertyRow, (doc_id, slice_id, prop, values[0], 0)))
+        else:
+            for value, ordinal in occurrences(values):
+                append(_new_row(PropertyRow, (doc_id, slice_id, prop, value, ordinal)))
+    return rows
+
+
+def _home(doc_id: DocumentId, prop: str, held: dict[tuple[Value, int], int],
+          error: type[Exception] = StorageFailure) -> Optional[tuple[int, tuple[Value, ...]]]:
+    """The (slice, bag) of one property of doc_id from its rows, (value,
+    ordinal) -> slice, or None for none; error unless each value's
+    ordinals are serial and every row has one slice."""
+    if len(held) == 1:  # the usual property: one row
+        ((value, ordinal), slice_id), = held.items()
+        if ordinal:
+            raise error(f"ordinals of ({doc_id}, {prop!r}) are not serial")
+        return slice_id, (value,)
+    values = bag(value for value, _ in held)
+    if not all(row in held for row in occurrences(values)):  # as many rows: the same ones
+        raise error(f"ordinals of ({doc_id}, {prop!r}) are not serial")
+    slices = set(held.values())
+    if len(slices) > 1:
+        raise error(f"property ({doc_id}, {prop!r}) stored in {len(slices)} slices")
+    return (slices.pop(), values) if values else None
 
 
 def _edges(posting: list[tuple], literal: Value, signs: tuple[int, ...]) -> tuple[int, int]:
@@ -610,14 +654,14 @@ class _Column:
 
     __slots__ = ("bags", "multi", "postings")
 
-    def __init__(self, prop: str, rows: dict[DocumentId, dict]):
+    def __init__(self, prop: str, homes: dict[DocumentId, Homes]):
         self.bags: dict[DocumentId, tuple[Value, ...]] = {}
         self.multi: set[DocumentId] = set()
         self.postings: dict[ValueType, list[tuple]] = {}
-        for doc_id, doc_rows in rows.items():
-            values = _stored_bag(doc_rows, prop)
-            if values:
-                self.bags[doc_id] = values
+        for doc_id, doc_homes in homes.items():
+            home = doc_homes.get(prop)
+            if home is not None:
+                values = self.bags[doc_id] = home[1]
                 if len(values) > 1:
                     self.multi.add(doc_id)
                 for value in values:
@@ -712,7 +756,7 @@ class MemoryBackend:
     def __init__(self):
         self._lock = threading.RLock()
         self._docs: dict[DocumentId, DocumentKind] = {}
-        self._rows: dict[DocumentId, dict[RowKey, PropertyRow]] = {}
+        self._rows: dict[DocumentId, Homes] = {}  # bags, named for the rows they stand for
         self._schemas: dict[str, tuple[Schema, int]] = {}
         self._enforcement: dict[DocumentId, dict[str, int]] = {}
         self._assignments: dict[DocumentId, dict[str, int]] = {}
@@ -732,9 +776,9 @@ class MemoryBackend:
         self.checksummed_bytes = 0  # bytes passed to crc32c, by open and by encodes
         self.crc_combines = 0  # crc32c_combine calls, by open and by encodes
         self.checkpoint_writes = 0  # whole images written to a file
-        self.decoded_chunks = 0  # seeded PROPS chunks whose rows were built after open
-        self._unbuilt: set[_Chunk] = set()  # seeded PROPS chunks whose rows are not built yet
-        self._builder: Optional[_Decoder] = None  # builds their rows; its caches go with the last of them
+        self.decoded_chunks = 0  # seeded PROPS chunks whose bags were built after open
+        self._unbuilt: set[_Chunk] = set()  # seeded PROPS chunks whose bags are not built yet
+        self._builder: Optional[_Decoder] = None  # builds their bags; its caches go with the last of them
         self._image = _Tree()  # END's fold over the headers and sections
         self.fail_next_persist = False
 
@@ -749,7 +793,13 @@ class MemoryBackend:
     ) -> None:
         """Apply one atomic batch; on any error nothing is applied. Records
         may come in any order: document records and schema definitions are
-        staged before the records that name them."""
+        staged before the records that name them, and deletes before rows.
+
+        A row is stored when its property's bag holds its value at least
+        ordinal + 1 times, so the batch's result must keep ordinals serial
+        (a value held n times has the ordinals 0 to n - 1) and every
+        property of a document in one slice; either failing raises
+        StorageFailure."""
         deletes = [tuple(k) for k in deletes]
         meta = sorted(meta, key=lambda record: not isinstance(record, (DocumentRecord, SchemaDef)))
         with self._lock:
@@ -795,21 +845,36 @@ class MemoryBackend:
                     members.remove(record.member)
                 else:
                     raise StorageFailure(f"metadata record {type(record).__name__} cannot be retracted")
+            touched: dict[tuple, dict[tuple, int]] = {}  # (doc, prop) -> its rows, (value, ordinal) -> slice
+
+            def touch(doc_id: DocumentId, prop: str) -> dict[tuple, int]:
+                held = touched.get((doc_id, prop))
+                if held is None:
+                    slice_id, values = edit("_rows", doc_id, dict).get(prop, (0, ()))
+                    held = touched[doc_id, prop] = dict.fromkeys(occurrences(values), slice_id)
+                return held
+
             for key in deletes:
                 if len(key) != 4:
                     raise StorageFailure(f"malformed row key {key!r}")
-                if edit("_rows", key[0], dict).pop(key[1:], None) is None:
+                if touch(*key[:2]).pop(key[2:], None) is None:
                     raise StorageFailure(f"deleting unknown row {key!r}")
             for row in rows:
                 if entry("_docs", row.doc_id) is None:
                     raise StorageFailure(f"row for unknown document {row.doc_id}")
                 if row.slice_id < 0:
                     raise StorageFailure("negative slice id")
-                key = row.key()
-                stored = edit("_rows", row.doc_id, dict)
-                if key[1:] in stored:
-                    raise StorageFailure(f"row {key!r} already stored")
-                stored[key[1:]] = row
+                held = touch(row.doc_id, row.prop)
+                size = len(held)
+                held.setdefault((row.value, row.ordinal), row.slice_id)  # one hash of the value, not two
+                if len(held) == size:
+                    raise StorageFailure(f"row {row.key()!r} already stored")
+            for (doc_id, prop), held in touched.items():
+                home = _home(doc_id, prop, held)
+                if home is None:
+                    staged["_rows"][doc_id].pop(prop, None)
+                else:
+                    staged["_rows"][doc_id][prop] = home
             self._commit(staged)
             self.batch_count += 1
 
@@ -819,17 +884,18 @@ class MemoryBackend:
         return entries[key] if key in entries else getattr(self, name).get(key)
 
     def _edit(self, staged: dict[str, dict], name: str, key, container: type):
-        """The batch's own copy of key's map or set in table name, made on its first edit."""
+        """The batch's own copy of key's map or set in table name, made on its
+        first edit; a document's property map is copied, not its bags."""
         entries = staged.setdefault(name, {})
         if key not in entries:
-            held = self._doc_rows(key) if name == "_rows" else getattr(self, name).get(key)
+            held = self.stored_bags_of(key) if name == "_rows" else getattr(self, name).get(key)
             entries[key] = container(held or ())
         return entries[key]
 
     def _commit(self, staged: dict[str, dict]) -> None:
         """Writes the checkpoint of the tables with staged laid over them, then
-        installs staged, moving each staged key in its table's inverted file,
-        and refreshes each column for the documents whose rows it staged; a
+        moves each column's entries for the bags staged anew and installs
+        staged, moving each staged key in its table's inverted file; a
         failed write leaves every table, inverted file and column as it was
         and only files the staged ids by the tables again."""
         for name in _CONTAINERS:  # an emptied map or set leaves its table
@@ -846,6 +912,13 @@ class MemoryBackend:
             self._stale(staged)  # blocks encoded from staged before the write failed
             raise
         self._staged = {}
+        if self._columns:  # a staged map shares the bags it did not change
+            for doc_id, homes in staged.get("_rows", {}).items():
+                held, homes = self._rows.get(doc_id) or {}, homes or {}
+                for prop, column in self._columns.items():
+                    home = homes.get(prop)
+                    if home is not held.get(prop):
+                        column.put(doc_id, home[1] if home else ())
         for name, entries in staged.items():
             table = getattr(self, name)
             index = self._inverted.get(name)
@@ -856,20 +929,16 @@ class MemoryBackend:
                     table.pop(key, None)
                 else:
                     table[key] = entry
-        if self._columns:
-            for doc_id in staged.get("_rows", ()):
-                rows = self._rows.get(doc_id, {})
-                for prop, column in self._columns.items():
-                    column.put(doc_id, _stored_bag(rows, prop))
 
     # ---- reads ----
 
     def fetch_slices(self, doc_id: DocumentId, slice_ids: set[int]) -> list[PropertyRow]:
-        """One round trip: the stored rows of the requested slices."""
+        """One round trip: the stored rows of the requested slices, a
+        property's rows together and in its bag's order."""
         with self._lock:
             self.fetch_count += 1
             self._require(doc_id)
-            return [r for r in (self._doc_rows(doc_id) or {}).values() if r.slice_id in slice_ids]
+            return _rows_of(doc_id, self.stored_bags_of(doc_id).items(), slice_ids)
 
     def stored_matches(self, prop: str, test) -> list[DocumentId]:
         """Stored documents whose bag for prop passes test(bag), in no
@@ -891,7 +960,7 @@ class MemoryBackend:
             return self._column(prop).compared(bounds)
 
     def _column(self, prop: str) -> _Column:
-        """prop's column, built from the rows the first time a caller names
+        """prop's column, built from the bags the first time a caller names
         prop and kept current by every committed batch and delete."""
         column = self._columns.get(prop)
         if column is None:
@@ -920,11 +989,12 @@ class MemoryBackend:
         return index
 
     def scan_rows(self, doc_id: DocumentId) -> list[PropertyRow]:
-        """Every stored row for one document, in a stable order. Audit use."""
+        """Every stored row for one document, ordered by slice, property,
+        sort_key of the value and ordinal. Audit use."""
         with self._lock:
             self.scan_count += 1
-            rows = (self._doc_rows(doc_id) or {}).values()
-            return sorted(rows, key=lambda r: (r.slice_id, r.prop, sort_key(r.value), r.ordinal))
+            homes = self.stored_bags_of(doc_id).items()
+            return _rows_of(doc_id, sorted(homes, key=lambda item: (item[1][0], item[0])))
 
     def meta_view(self) -> MetaView:
         with self._lock:
@@ -959,28 +1029,22 @@ class MemoryBackend:
     def stored_content(self) -> Mapping[DocumentId, ContentRef]:
         return self._content
 
-    def stored_rows_of(self, doc_id: DocumentId) -> Mapping[tuple, PropertyRow]:
-        """doc_id's committed rows by (prop, value, ordinal); built from its
-        chunk's bytes, under the lock, if nothing has read them since open."""
-        rows = self._doc_rows(doc_id)
-        return {} if rows is None else rows
+    # ---- bags built when first read ----
 
-    # ---- rows built when first read ----
-
-    def _doc_rows(self, doc_id: DocumentId) -> Optional[dict]:
-        """doc_id's committed rows, or None for none. Until something reads
-        them, the rows of a seeded PROPS chunk live only in its bytes: the
-        first read builds every document of the chunk, under the lock."""
+    def stored_bags_of(self, doc_id: DocumentId) -> Homes:
+        """doc_id's committed (slice, bag) by property. Until something reads
+        them, the bags of a seeded PROPS chunk live only in its rows' bytes:
+        the first read builds every document of the chunk, under the lock."""
         unbuilt = bool(self._unbuilt)  # read first: once empty, it stays so
-        rows = self._rows.get(doc_id)
-        if rows is None and unbuilt:
+        homes = self._rows.get(doc_id)
+        if homes is None and unbuilt:
             with self._lock:
                 self._build_chunk(self._sections["props"].holder(doc_id.value))
-                rows = self._rows.get(doc_id)
-        return rows
+                homes = self._rows.get(doc_id)
+        return homes or {}
 
     def _build_chunk(self, chunk: Optional["_Chunk"]) -> None:
-        """Builds the rows of chunk's documents from its bytes, unless they
+        """Builds the bags of chunk's documents from its bytes, unless they
         are built already; the caller holds the lock."""
         if chunk in self._unbuilt:
             self._builder.build(chunk.data)
@@ -990,7 +1054,7 @@ class MemoryBackend:
                 self._builder = None
 
     def _build_all(self) -> None:
-        """Builds every row still unbuilt, chunk by chunk in id order."""
+        """Builds every bag still unbuilt, chunk by chunk in id order."""
         with self._lock:
             if self._unbuilt:
                 for chunk in self._sections["props"].chunks:
@@ -1029,7 +1093,7 @@ class MemoryBackend:
     # ---- deletion ----
 
     def delete_document(self, doc_id: DocumentId) -> None:
-        """Remove rows, metadata, memberships in both directions, and content."""
+        """Remove values, metadata, memberships in both directions, and content."""
         with self._lock:
             self._require(doc_id)
             staged: dict[str, dict] = {}
@@ -1072,7 +1136,7 @@ class MemoryBackend:
             section.joined = None
             if section_name != "schema":
                 for doc_id in entries:
-                    if section_name == "props":  # a chunk's bytes must outlive its unbuilt rows
+                    if section_name == "props":  # a chunk's bytes must outlive its unbuilt bags
                         self._build_chunk(section.holder(doc_id.value))
                     section.drop(doc_id.value, self._entry(self._staged, name, doc_id) is not None)
 
@@ -1181,11 +1245,12 @@ class MemoryBackend:
         each seeded chunk's span, and each gap between them (headers, SCHEMA
         lines, unseeded sections); END must equal the fold of those CRCs.
 
-        Every record is checked here, each PROPS record as the rows built
-        from it will read it, but the PROPS rows of a seeded section are
-        deferred: they are built a chunk at a time on first read (see
-        _doc_rows). Everything else, the metadata tables included, is
-        decoded now.
+        Every record is checked here, each PROPS record as the bags built
+        from it will read it: ordinals serial, one slice per property, so
+        a file with an ordinal gap raises CorruptStore here, wherever the
+        gap sits. The bags of a seeded PROPS section are deferred: they are
+        built a chunk at a time on first read (see stored_bags_of). Everything
+        else, the metadata tables included, is decoded now.
         """
         started = time.perf_counter()
         try:
@@ -1235,16 +1300,19 @@ class MemoryBackend:
     def _seed_sections(self, data: bytes, decoder: "_Decoder") -> list[tuple[int, "_Chunk"]]:
         """Keeps each run of lines of every seedable section as its document's
         block, and chunks the runs; returns (offset, chunk) for every chunk,
-        whose node the caller fills in. The rows of a seeded PROPS section
-        stay in its chunks' bytes until something reads them (_doc_rows);
-        those of an unseeded or not canonical one (see _Decoder) are built now."""
+        whose node the caller fills in. The bags of a seeded PROPS section
+        stay in its chunks' bytes until something reads them (stored_bags_of);
+        those of an unseeded or not canonical one (see _Decoder) are built
+        now, which checks them."""
         seeded = []
-        built = not decoder.canonical  # only rows tell its duplicate records apart
+        built = not decoder.canonical  # only Values tell its duplicate records and gaps apart
         if built:
             decoder.build_lines(data)
         for name, section_runs in decoder.runs.items():
             if name == "props" and not built:
                 records = decoder.prop_records
+            elif name == "props":
+                records = sum(len(values) for homes in self._rows.values() for _, values in homes.values())
             else:
                 table = getattr(self, _DOC_SECTIONS[name][0])
                 records = len(table) if name in ("doc", "content") else sum(map(len, table.values()))
@@ -1265,6 +1333,11 @@ class MemoryBackend:
         if chunks is None and not built:
             decoder.build_lines(data)
         elif chunks and not built:
+            # exact here: one run per document, one text per value, ordinal and slice
+            if decoder.wanted:
+                raise CorruptStore(f"ordinal gap: no PROPS record {min(decoder.wanted)!r}")
+            if not decoder.one_slice:
+                raise CorruptStore("a property of a document stored in two slices")
             self._unbuilt.update(chunks)
             self._builder = _Decoder(self, 0)
             self._builder.ids = decoder.ids
@@ -1496,9 +1569,11 @@ class _Tree:
         return combines
 
 
-def _props_block(doc: str, rows: dict) -> str:
+def _props_block(doc: str, homes: Homes) -> str:
     encoded = sorted(
-        (r.slice_id, r.prop, encode_value(r.value), r.ordinal) for r in rows.values()
+        (slice_id, prop, encode_value(value), ordinal)
+        for prop, (slice_id, values) in homes.items()
+        for value, ordinal in occurrences(values)
     )
     return "".join(_fields(doc, str(s), prop, value, str(o)) + "\n" for s, prop, value, o in encoded)
 
@@ -1658,7 +1733,7 @@ _KINDS = {kind.value: kind for kind in DocumentKind}
 class _Decoder:
     """Checks checkpoint lines and decodes them into a backend's tables, a
     batch at a time, noting each document section's runs of lines for
-    seeding; later, builds PROPS rows from whole lines (build).
+    seeding; later, builds PROPS bags from whole lines (build).
 
     A batch is decoded with one UTF-8 decode and one split. Its marker lines
     cut it into segments, a META segment is cut into groups of one record
@@ -1669,17 +1744,21 @@ class _Decoder:
     id text; marker lines do not end one, and one may span batches.
 
     The pass over the file checks every PROPS record as build would read
-    it, but builds no Value or row: it parses each distinct id, slice and
+    it, but builds no Value or bag: it parses each distinct id, slice and
     ordinal text, parses each distinct value text into its payload a type
     at a time and checks it (check_payload, as Value does), and counts the
     distinct (id, prop, value, ordinal) texts of each run, one group's
-    runs at a time. That is the section's count of records, as a row map
-    per document counts them, while every value and ordinal text is the
-    one the encoder writes (canonical): no two texts then read as one.
-    When one is not, only built rows tell duplicates apart. build runs
-    over a seeded chunk's bytes when something first reads them, and over
-    every PROPS line at the end of open when the section is unseeded or
-    not canonical.
+    runs at a time. That is the section's count of records, as its bags
+    count them, while every value, ordinal and slice text is the one the
+    encoder writes (canonical): no two texts then read as one. On the same
+    texts it looks, for each record of ordinal other than 0, for the one
+    below it, and for an (id, prop) with two slices; in a seeded section
+    (one run per document) of canonical texts that is exact, and a gap
+    or a second slice fails open. When a text is not canonical, only
+    Values tell duplicates and gaps apart. build runs over a seeded
+    chunk's bytes when something first reads them, and over every PROPS
+    line at the end of open, checking them, when the section is unseeded
+    or not canonical.
     Malformed input raises CorruptStore, LookupError or ValueError.
     """
 
@@ -1694,9 +1773,11 @@ class _Decoder:
         self.checked: set[str] = set()  # the value texts whose payload is checked
         self.slices: set[str] = set()  # the slice texts read as ints
         self.ordinals: set[str] = set()  # the ordinal texts read as ints
-        self.canonical = True  # every PROPS value and ordinal text so far is the encoder's
+        self.canonical = True  # every PROPS value, ordinal and slice text so far is the encoder's
         self.prop_records = 0  # distinct PROPS records of each run, summed
         self.last_run: set[tuple] = set()  # the PROPS records of the last run so far
+        self.wanted: set[tuple] = set()  # the record below each one of ordinal other than 0, not seen yet
+        self.one_slice = True  # no (id, prop) texts so far with two slice texts
         self.prop_lines: list[tuple[int, int]] = []  # offsets of each PROPS segment's lines
         # per document section: (id value, offset of its first line) for each run
         self.runs: dict[str, list[tuple[int, int]]] = {name: [] for name in _DOC_SECTIONS}
@@ -1743,8 +1824,7 @@ class _Decoder:
     def _props(self, rows, starts) -> None:
         texts, slices, props, encoded, ordinals = _columns(rows, 5)
         self._parse_ids(texts)
-        _check_ints(slices, self.slices)
-        if not _check_ints(ordinals, self.ordinals):
+        if not (_check_ints(slices, self.slices) & _check_ints(ordinals, self.ordinals)):
             self.canonical = False
         self._check_values(encoded)
         continued = self.current == "props" and texts[0] == self.run_text
@@ -1752,33 +1832,63 @@ class _Decoder:
         # records of different runs name different ids, so a group counts its
         # runs' distinct records at once; one that continues the last run
         # counts those it does not share with it
-        records = set(zip(texts, props, encoded, ordinals))
-        self.prop_records += len(records) - (len(records & self.last_run) if continued else 0)
+        records = set(zip(texts, props, slices, encoded, ordinals))
+        if continued:
+            self.prop_records -= len(self.last_run)
+            records |= self.last_run
+        self.prop_records += len(records)
+        # a record of ordinal other than 0 needs the one below it, which a
+        # later group of its run may hold
+        for i in itertools.compress(itertools.count(), map(ne, ordinals, itertools.repeat("0"))):
+            below = (texts[i], props[i], slices[i], encoded[i], str(int(ordinals[i]) - 1))
+            if below not in records:
+                self.wanted.add(below)
+        if self.wanted:
+            self.wanted -= records
+        homes = set(map(itemgetter(0, 1, 2), records))
+        if len(homes) != len(set(map(itemgetter(0, 1), homes))):
+            self.one_slice = False
         last = bounds[-2]
-        tail = set(zip(texts[last:], props[last:], encoded[last:], ordinals[last:]))
-        self.last_run = tail | self.last_run if continued and last == 0 else tail
+        self.last_run = records if last == 0 else set(
+            zip(texts[last:], props[last:], slices[last:], encoded[last:], ordinals[last:])
+        )
         self.prop_lines.append((starts[0], starts[-1]))
 
     def build_lines(self, data: bytes) -> None:
-        """Builds the rows of every PROPS line of data, the whole file."""
-        for start, end in self.prop_lines:
-            self.build(data[start:end])
+        """Builds the bags of every PROPS line of data, the whole file."""
+        self.build(b"".join(data[start:end] for start, end in self.prop_lines))
 
     def build(self, data: bytes) -> None:
         """Files the PROPS records of data, whole lines that open has
-        checked, into the backend's rows: one UTF-8 decode and one split,
-        then columns, and one row map per run of one document's lines."""
+        checked and every record of each document they name, into the
+        backend's table: one UTF-8 decode and one split, then columns, and
+        one bag map per document. A property with two slices, or a value
+        whose ordinals are not 0 to n - 1, raises CorruptStore, which
+        open's checks rule out for the chunks built after it."""
         text = data.decode("utf-8")
         rows = _split_fields(text.split("\n")[:-1], "\\" in text)
         texts, slices, props, encoded, ordinals = _columns(rows, 5)
         docs = self._parse_ids(texts)
         values = self._decode_values(encoded)
-        props = list(map(sys.intern, props))
-        ordinals = list(map(int, ordinals))
-        built = list(map(tuple.__new__, itertools.repeat(PropertyRow),
-                         zip(docs, map(int, slices), props, values, ordinals)))
-        keys = list(zip(props, values, ordinals))
-        _merge(self.backend._rows, docs, _changes(texts), lambda a, b: dict(zip(keys[a:b], built[a:b])))
+        slices, props, ordinals = list(map(int, slices)), list(map(sys.intern, props)), list(map(int, ordinals))
+        held: dict[DocumentId, dict[str, list[int]]] = {}  # the lines of each property
+        for i, doc_id, prop in zip(itertools.count(), docs, props):
+            homes = held.get(doc_id)
+            if homes is None:
+                homes = held[doc_id] = {}
+            homes.setdefault(prop, []).append(i)
+        table = self.backend._rows
+        for doc_id, homes in held.items():
+            for prop, lines in homes.items():
+                if len(lines) == 1 and not ordinals[lines[0]]:  # the usual case
+                    homes[prop] = (slices[lines[0]], (values[lines[0]],))
+                    continue
+                rows: dict[tuple, int] = {}  # a record repeated counts once
+                for i in lines:
+                    if rows.setdefault((values[i], ordinals[i]), slices[i]) != slices[i]:
+                        raise CorruptStore(f"property ({doc_id}, {prop!r}) stored in 2 slices")
+                homes[prop] = _home(doc_id, prop, rows, CorruptStore)
+            table[doc_id] = homes
 
     def _doc(self, rows, starts) -> None:
         _, texts, kinds = _columns(rows, 3)
@@ -1928,7 +2038,7 @@ class DiskBackend(MemoryBackend):
     encoded and checksummed again, and only the CRC tree nodes above them
     are folded again; the rest come from the chunk cache, which open seeds
     from the bytes it checked, so the first write after open costs what it
-    changes too. Open checks every record but leaves the property rows of
+    changes too. Open checks every record but leaves the property values of
     each seeded chunk in its bytes until something reads one of its
     documents, so a command pays to build only the chunks it reads. The engine commits all of a flush's documents in one
     batch (group commit), so a flush writes the file once or twice,

@@ -21,8 +21,24 @@ each chunk's bytes, its key, span and node lists, and its combine tree,
 each object counted once). Counters come from Repository.stats(); one
 the program does not have prints as "-".
 
-It prints one line per measurement and exits non-zero only when a reopen
-disagrees. The file name keeps pytest from collecting it.
+Then, for one document whose 10 properties hold 10, 1,000 and 10,000 rows
+in all, three writes that change one small property are timed, each the
+best of its runs:
+
+- a one-row put_rows into an 11th property of a MemoryBackend (best of
+  200), the row deleted again untimed after each run;
+- the same write with the columns of 4 properties built, the written one
+  among them (best of 200);
+- Repository.in_memory flush() of a set_property on the 11th property
+  (best of 100).
+
+A write that changes one property should cost what that property holds,
+not what the document holds, so each case at 10,000 rows must cost at
+most 4 times its cost at 10 rows.
+
+It prints one line per measurement and exits non-zero when a reopen
+disagrees or a 10,000-row write costs more than 4 times its 10-row
+case. The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -37,10 +53,12 @@ from pathlib import Path
 
 from harland import store
 from harland.engine import CacheConfig, Repository
-from harland.model import DocumentKind, Value
-from harland.store import CHECKPOINT_NAME
+from harland.model import DocumentId, DocumentKind, Value
+from harland.store import CHECKPOINT_NAME, DocumentRecord, MemoryBackend, PropertyRow
 
 COUNTERS = ("backend_batches", "checkpoint_writes", "crc_combines", "checksummed_bytes")
+ROW_COUNTS = (10, 1000, 10000)  # rows of the one document, over 10 properties
+FLAT = 4  # the most a 10,000-row write may cost against its 10-row case
 
 
 def _counters(repo: Repository) -> dict:
@@ -163,6 +181,65 @@ def one_write(repo: Repository, root: Path, repeat: int) -> None:
     print(f"  cached encoding: {cache_bytes(repo.backend) / repo.document_count():.0f} bytes per document")
 
 
+def _document_backend(rows: int) -> tuple[MemoryBackend, DocumentId]:
+    """A MemoryBackend holding one document of rows rows in properties p0 to p9."""
+    backend = MemoryBackend()
+    doc_id = DocumentId(1)
+    backend.put_rows(
+        meta=[DocumentRecord(doc_id, DocumentKind.PLAIN)],
+        rows=[PropertyRow(doc_id, 0, f"p{i % 10}", Value.integer(i), 0) for i in range(rows)],
+    )
+    return backend, doc_id
+
+
+def one_row_put(rows: int, repeat: int, columns: bool) -> float:
+    """Best time of a one-row put_rows into property p10, optionally with
+    the columns of p0, p1, p2 and p10 built."""
+    backend, doc_id = _document_backend(rows)
+    if columns:
+        for prop in ("p0", "p1", "p2", "p10"):
+            backend.stored_matches(prop, bool)
+    times = []
+    for k in range(repeat):
+        row = PropertyRow(doc_id, 0, "p10", Value.integer(-1 - k), 0)
+        times.append(_timed(lambda: backend.put_rows(rows=[row])))
+        backend.put_rows(deletes=[(doc_id, "p10", row.value, 0)])
+    return min(times)
+
+
+def one_property_flush(rows: int, repeat: int) -> float:
+    """Best time of Repository.in_memory flush() after a set_property on p10."""
+    with Repository.in_memory(CacheConfig(auto_flush=False), id_seed=1) as repo:
+        handle = repo.create_document()
+        for p in range(10):
+            handle.set_property(f"p{p}", [Value.integer(i) for i in range(p, rows, 10)])
+        repo.flush()
+        times = []
+        for k in range(repeat):
+            handle.set_property("p10", [Value.integer(k)])
+            times.append(_timed(repo.flush))
+    return min(times)
+
+
+def row_scaling() -> bool:
+    """Times the three one-property writes at each of ROW_COUNTS; whether
+    each stays within FLAT times its cost at the fewest rows."""
+    cases = (
+        ("one-row put_rows into an 11th property", lambda rows: one_row_put(rows, 200, False)),
+        ("the same with 4 columns built", lambda rows: one_row_put(rows, 200, True)),
+        ("Repository.in_memory flush() of one changed property", lambda rows: one_property_flush(rows, 100)),
+    )
+    flat = True
+    for name, case in cases:
+        best = [case(rows) for rows in ROW_COUNTS]
+        ratio = best[-1] / best[0]
+        flat = flat and ratio <= FLAT
+        times = " / ".join(f"{t * 1e6:.1f}" for t in best)
+        print(f"{name} at {' / '.join(f'{r:,}' for r in ROW_COUNTS)} rows: {times} us (best); "
+              f"{ROW_COUNTS[-1]:,} / {ROW_COUNTS[0]:,} rows: {ratio:.1f}x")
+    return flat
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", default="1000,3000,10000", help="comma-separated document counts")
@@ -182,6 +259,8 @@ def main(argv=None) -> None:
             shutil.rmtree(workdir / f"collection-{count}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    if not row_scaling():
+        sys.exit(f"a {ROW_COUNTS[-1]:,}-row write costs more than {FLAT}x its {ROW_COUNTS[0]:,}-row case")
 
 
 if __name__ == "__main__":

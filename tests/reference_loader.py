@@ -3,10 +3,14 @@ batched columnar decoder in `harland.store`.
 
 `load_line_at_a_time(data)` decodes a checkpoint one line at a time: it
 parses every id with `DocumentId.parse`, every value with the original
-`ValueType(tag)` dispatch and `Value.timestamp_text`, and builds each row
-and metadata entry one record at a time. It seeds the returned backend's
-block cache and checks END exactly as `MemoryBackend._load_checkpoint`
-specifies. Stdlib only, so the stdlib check script imports it too.
+`ValueType(tag)` dispatch and `Value.timestamp_text`, and files each row
+and metadata entry one record at a time. A row goes into its property's
+(slice, value -> ordinals); a second slice for one property is corrupt,
+and once every line is read each value's ordinals must run 0, 1, 2, ...
+with no gap, one at a time, before the values become the property's bag.
+It seeds the returned backend's block cache and checks END exactly as
+`MemoryBackend._load_checkpoint` specifies. Stdlib only, so the stdlib
+check script imports it too.
 """
 
 from __future__ import annotations
@@ -16,12 +20,11 @@ import itertools
 import sys
 
 from harland.errors import CorruptStore
-from harland.model import Constraint, DocumentId, DocumentKind, Schema, Value, ValueType
+from harland.model import Constraint, DocumentId, DocumentKind, Schema, Value, ValueType, bag
 from harland.store import (
     MAGIC,
     ContentRef,
     MemoryBackend,
-    PropertyRow,
     _Chunk,
     _CHUNK,
     _DOC_SECTIONS,
@@ -84,6 +87,7 @@ def load_line_at_a_time(data: bytes) -> MemoryBackend:
             doc_id = ids[text] = DocumentId.parse(text)
         return doc_id
 
+    props: dict[DocumentId, dict[str, tuple[int, dict[Value, set[int]]]]] = {}
     runs: dict[str, list[tuple[int, int]]] = {name: [] for name in _DOC_SECTIONS}
     ends: dict[str, int] = {}
     unseeded: set[str] = set()
@@ -105,8 +109,11 @@ def load_line_at_a_time(data: bytes) -> MemoryBackend:
                 value = values.get(fields[3])
                 if value is None:
                     value = values[fields[3]] = decode_value_reference(fields[3])
-                row = PropertyRow(doc_id, int(fields[1]), sys.intern(fields[2]), value, int(fields[4]))
-                backend._rows.setdefault(doc_id, {})[row.key()[1:]] = row
+                slice_id, prop, ordinal = int(fields[1]), sys.intern(fields[2]), int(fields[4])
+                home = props.setdefault(doc_id, {}).setdefault(prop, (slice_id, {}))
+                if home[0] != slice_id:
+                    raise CorruptStore(f"({doc_id}, {prop!r}) in slices {home[0]} and {slice_id}")
+                home[1].setdefault(value, set()).add(ordinal)
             elif marker == "META":
                 name, id_text = _load_meta_record(backend, fields, parse_id)
             elif marker == "CONTENT":
@@ -128,6 +135,16 @@ def load_line_at_a_time(data: bytes) -> MemoryBackend:
             ends[name] = pos
     except (IndexError, ValueError, OverflowError) as exc:
         raise CorruptStore(f"malformed record: {exc}") from exc
+    for doc_id, homes in props.items():
+        for prop, (slice_id, ordinals_of) in homes.items():
+            for value, ordinals in ordinals_of.items():
+                expected = 0
+                for ordinal in sorted(ordinals):
+                    if ordinal != expected:
+                        raise CorruptStore(f"({doc_id}, {prop!r}, {value!r}) has no ordinal {expected}")
+                    expected += 1
+            values = [value for value, ordinals in ordinals_of.items() for _ in ordinals]
+            backend._rows.setdefault(doc_id, {})[prop] = (slice_id, bag(values))
     seeded = _seed_sections(backend, data, runs, ends, unseeded)
     crc = pos = 0
     for start, chunk in sorted(seeded, key=lambda pair: pair[0]):
@@ -148,7 +165,10 @@ def _seed_sections(backend, data: bytes, runs: dict, ends: dict, unseeded: set) 
     seeded = []
     for name, section_runs in runs.items():
         table = getattr(backend, _DOC_SECTIONS[name][0])
-        records = len(table) if name in ("doc", "content") else sum(map(len, table.values()))
+        if name == "props":
+            records = sum(len(values) for homes in table.values() for _, values in homes.values())
+        else:
+            records = len(table) if name in ("doc", "content") else sum(map(len, table.values()))
         bounds = [start for _, start in section_runs] + [ends.get(name, 0)]
         if name in unseeded or (section_runs and records != data.count(b"\n", bounds[0], bounds[-1])):
             continue

@@ -360,10 +360,14 @@ class RandomWriter:
     def _value_rows(self, doc_id: DocumentId) -> tuple[list, list, list]:
         """Rows to add and row keys to delete for one document, plus new assignments."""
         rng = self.rng
-        existing = list(self.shadow.rows.get(doc_id, {}).values())
-        deletes = [r.key() for r in existing if rng.random() < 0.4]
+        stored = self.shadow.rows.get(doc_id, {})
+        # only a value's top ordinal, so that ordinals stay serial
+        deletes = [
+            r.key() for r in stored.values()
+            if rng.random() < 0.4 and (r.prop, r.value, r.ordinal + 1) not in stored
+        ]
         assigned = self.shadow.assignments.get(doc_id, {})
-        rows, meta, taken = [], [], set(self.shadow.rows.get(doc_id, {}))
+        rows, meta, taken = [], [], set(stored)
         taken -= {key[1:] for key in deletes}
         for _ in range(rng.randrange(4)):
             prop = rng.choice(PROPS)

@@ -134,9 +134,25 @@ def _move_run(rng, lines):
     return kept[:at] + moved + kept[at:]
 
 
+def _other_slice(rng, lines):
+    """Moves one PROPS record (five fields, a slice number second) to the
+    next slice: corrupt unless it was the only record of its property."""
+    records = [
+        i for i, line in enumerate(lines)
+        if line.count(b"\t") == 4 and not line.startswith(b"SCHEMA\t") and line.split(b"\t")[1].isdigit()
+    ]
+    if records:
+        i = rng.choice(records)
+        fields = lines[i].split(b"\t")
+        fields[1] = str(int(fields[1]) + 1).encode("ascii")
+        lines[i] = b"\t".join(fields)
+    return lines
+
+
 EDITS = (
     _duplicate, _move, _drop, _swap_neighbours, _fewer_fields, _more_fields, _marker, _empty_line,
-    _id_text, _move_run,
+    _id_text, _move_run, _other_slice,
+    _replace_once(b"\t0\n", b"\t1\n"),  # an ordinal gap, or a slice moved
     _replace_once(b"\ttext:", b"\ttexx:"),
     _replace_once(b"\tinteger:", b"\tinteger:+"),
     _replace_once(b"\tboolean:true", b"\tboolean:yes"),

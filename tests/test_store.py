@@ -133,6 +133,25 @@ def test_put_rows_detects_drift():
     assert {r.prop for r in b.fetch_slices(D1, {1})} == {"Subject", "Received"}
 
 
+@pytest.mark.parametrize("rows,deletes", [
+    ([PropertyRow(D1, 1, "Subject", Value.text("x"), 3)], []),  # x at 0 and 1: no ordinal 2
+    ([], [(D1, "Subject", Value.text("x"), 0)]),  # leaves x at ordinal 1 alone
+    ([PropertyRow(D1, 2, "Subject", Value.text("z"), 0)], []),  # Subject's rows are in slice 1
+])
+def test_put_rows_keeps_ordinals_serial_and_one_slice_per_property(tmp_path, rows, deletes):
+    root = tmp_path / "store"
+    b = DiskBackend.init(root)
+    _seed(b)
+    b.put_rows(rows=[PropertyRow(D1, 1, "Subject", Value.text("x"), 1)])
+    image = (root / "store.hl1").read_bytes()
+    stored = b.scan_rows(D1)
+    with pytest.raises(StorageFailure):
+        b.put_rows(rows=rows, deletes=deletes)
+    assert b.scan_rows(D1) == stored
+    assert (root / "store.hl1").read_bytes() == image
+    assert DiskBackend.open(root).scan_rows(D1) == stored
+
+
 def test_put_rows_replaces_value():
     b = MemoryBackend()
     _seed(b)
@@ -239,8 +258,9 @@ def test_checkpoint_deterministic_under_insertion_order(tmp_path):
     ]
     a.put_rows(rows=rows, deletes=[], meta=[DocumentRecord(D1, DocumentKind.PLAIN)])
     z.put_rows(rows=[], deletes=[], meta=[DocumentRecord(D1, DocumentKind.PLAIN)])
-    for r in reversed(rows):
-        z.put_rows(rows=[r], deletes=[], meta=[])
+    # the other order, in batches whose results keep ordinals serial
+    for batch in ([rows[2], rows[1]], [rows[0]]):
+        z.put_rows(rows=batch, deletes=[], meta=[])
     pa, pz = tmp_path / "a", tmp_path / "z"
     a.checkpoint(pa)
     z.checkpoint(pz)
@@ -282,7 +302,7 @@ def test_failed_persist_applies_nothing(tmp_path):
     b.fail_next_persist = True
     with pytest.raises(StorageFailure):
         b.put_rows(
-            rows=[PropertyRow(D1, 1, "Subject", Value.text("y"), 1)],
+            rows=[PropertyRow(D1, 1, "Subject", Value.text("y"), 0)],
             deletes=[],
             meta=[],
         )

@@ -15,6 +15,8 @@ import time
 from harland.coordination import SubscriptionMode
 from harland.engine import CacheConfig, Repository
 from harland.model import DocumentKind, Schema, Value
+from harland.parsing import parse_query
+from harland.query import plan
 
 
 def fresh(**kw):
@@ -246,5 +248,48 @@ def test_a_subscription_that_makes_the_hub_watched_misses_no_commit():
                 writer.join(10.0)
             assert not writer.is_alive()
             assert delivered == 150  # every subscription saw enforces land
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_hub_subscribe_racing_commits_raises_nothing_and_misses_nothing():
+    """CommitHub.subscribe called directly, without the repository lock,
+    while another thread commits: it takes that lock itself, so no commit
+    that the engine found unwatched is published after the hub became
+    watched (its event would lack the snapshots, a TypeError in the
+    committing thread), and the subscription receives every commit
+    numbered after its start_seq."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to hit the window
+    rng = random.Random(8)
+    try:
+        for _ in range(30):
+            with fresh() as repo:
+                repo.define_schema(Schema("ready", {}))
+                expr = parse_query('schema:"ready"')
+                compiled = plan(expr, repo.registry)
+                enforced: dict = {}  # doc id -> seq of its enforce
+                errors = []
+
+                def enforce_fresh_documents():
+                    try:
+                        for _ in range(60):
+                            doc = repo.create_document()
+                            doc.enforce("ready")
+                            enforced[doc.doc_id] = repo.hub.counts()["commits"]
+                    except Exception as exc:  # reported below
+                        errors.append(exc)
+
+                writer = threading.Thread(target=enforce_fresh_documents)
+                writer.start()
+                target = rng.randrange(1, 100)
+                while repo.hub.counts()["commits"] < target and writer.is_alive():
+                    pass
+                sub = repo.hub.subscribe(expr, SubscriptionMode.TRANSITION, compiled)
+                writer.join(10.0)
+                assert not writer.is_alive()
+                assert not errors, errors
+                got = {d.doc_id for d in take_all(sub, repo)}
+                assert got == {d for d, seq in enforced.items() if seq > sub.start_seq}, sub.start_seq
     finally:
         sys.setswitchinterval(interval)
