@@ -46,18 +46,18 @@ Every section except SCHEMA is document-major in sorted id order (MEMBER by
 collection), so the body is a join of per-document record blocks. Each
 section orders its ids in a sorted list of chunks, runs of about _CHUNK
 (32) consecutive ids. A chunk is the one home of its blocks: it keeps
-their joined bytes, and beside its list of ids two lists of the same
-length, each block's span in those bytes and, once computed, its (CRC,
-length), plus one (CRC, length) of the whole. A batch clears the entries
+their joined bytes, beside its list of ids a list of each block's span in
+those bytes, and one (CRC, length) of the whole. A batch clears the spans
 of the documents it touches, and the next encode joins each changed chunk
-again from slices of its old bytes and the blocks it encodes anew, so a
-write encodes and checksums only what it changed, and the file is written
-from one part per chunk. CRCs fold through combine trees (_Tree, after
-zlib's crc32_combine): each chunk's over its blocks, each section's over
-its chunks, and END's over the sections and their headers. A write
-re-folds only the tree nodes above what it changed, so a one-document
-write costs O(log chunks) combines; a write never sorts a section, and its
-Python work does not grow with the store.
+again from slices of its old bytes and the blocks it encodes anew, and
+checksums the joined bytes whole: a write encodes only the blocks it
+changed and checksums only the chunks it changed, and the file is written
+from one part per chunk. Chunk CRCs fold through combine trees (_Tree,
+after zlib's crc32_combine): each section's over its chunks, and END's
+over the sections and their headers. A write re-folds only the tree nodes
+above the chunks it changed, so a one-document write costs O(log chunks)
+combines; a write never sorts a section, and its Python work does not
+grow with the store.
 
 A DiskBackend writes those parts with os.pwritev into the inode of the
 image that its last write replaced, kept as a spare beside the checkpoint
@@ -68,16 +68,15 @@ a complete image.
 
 Opening a store seeds the same cache from the bytes it has just read: each
 chunk's bytes are one slice of the file, each document's run of lines is
-its block and gives its span, each chunk is checksummed once, and END is
-verified by folding those CRCs with the CRCs of the gaps between chunks. A
-seeded block's own CRC is computed when its chunk is next folded, so the
-first write into a chunk after open checksums the chunk's other blocks once
-as well; the trees are built at the first encode, so a store that is only
-read pays for none. A section whose runs are out of order, repeat a
-document or hold a duplicate record loads unseeded, and its first encode
-builds it canonically. A backend that never encodes and never opens a
-file builds no cache. Should open read an image that a writer in another
-process was overwriting, it reads once more (see _load_root).
+its block and gives its span, each chunk is checksummed whole, as an
+encode checksums it, and END is verified by folding those CRCs with the
+CRCs of the gaps between chunks. The trees are built at the first
+encode, so a store that is only read pays for none. A section whose runs
+are out of order, repeat a document or hold a duplicate record loads
+unseeded, and its first encode builds it canonically. A backend that
+never encodes and never opens a file builds no cache. Should open read an
+image that a writer in another process was overwriting, it reads once
+more (see _load_root).
 
 Open decodes in batches of _BATCH (512) lines: one UTF-8 decode and one
 split per batch, marker lines found by substring search, and each
@@ -1153,8 +1152,8 @@ class MemoryBackend:
     def _checkpoint_parts(self) -> list[bytes]:
         """The checkpoint as a list of cached parts, one per chunk plus the
         headers and END; only the blocks dropped since the last call are
-        encoded and checksummed again, and END re-folds only the CRCs above
-        them (see _Tree)."""
+        encoded again, only the chunks that hold them are checksummed again,
+        and END re-folds only the CRCs above those chunks (see _Tree)."""
         parts: list[bytes] = []
         folded: list[int] = []
         for name, header in _LAYOUT:
@@ -1175,9 +1174,9 @@ class MemoryBackend:
         """(parts, CRC, length) of one section's records, one part per chunk.
 
         A chunk changed since the last encode joins its blocks again and
-        re-folds its CRC; the section's tree then re-folds the chunk CRCs
-        above it. The first encode folds every chunk that open did not
-        seed.
+        checksums its bytes again; the section's tree then re-folds the
+        chunk CRCs above it. The first encode folds every chunk that open
+        did not seed.
         """
         if name == "schema":
             block = "".join(
@@ -1203,27 +1202,20 @@ class MemoryBackend:
 
     def _fold_chunk(self, chunk: "_Chunk", table: Mapping, encode) -> None:
         """Joins a changed chunk's blocks again, its unchanged blocks sliced
-        from its old bytes and the others encoded; checksums the blocks not
-        folded yet, and re-folds the chunk's node from theirs."""
+        from its old bytes and the others encoded, and checksums the joined
+        bytes whole, as open does."""
         old = memoryview(chunk.data) if chunk.data is not None else None
-        nodes = chunk.nodes
         parts = []
-        for i, (value, span) in enumerate(zip(chunk.keys, chunk.spans)):
+        for value, span in zip(chunk.keys, chunk.spans):
             if span is None:
                 doc_id = DocumentId(value)
-                block = encode(str(doc_id), table[doc_id]).encode("utf-8")
+                parts.append(encode(str(doc_id), table[doc_id]).encode("utf-8"))
                 self.encoded_blocks += 1
             else:
-                block = old[span >> 32 : span & 0xFFFFFFFF]
-            if nodes[i] is None:
-                nodes[i] = _node(self._checksum(block), len(block))
-            parts.append(block)
+                parts.append(old[span >> 32 : span & 0xFFFFFFFF])
         chunk.data = b"".join(parts)
         chunk.spans = _spans(list(itertools.accumulate(map(len, parts), initial=0)))
-        if chunk.tree is None:
-            chunk.tree = _Tree()
-        self.crc_combines += chunk.tree.refold(list(nodes))  # a copy: the tree diffs against it
-        chunk.node = _node(*chunk.tree.root())
+        chunk.node = _node(self._checksum(chunk.data), len(chunk.data))
 
     def _checksum(self, data) -> int:
         """crc32c of data, counted in checksummed_bytes."""
@@ -1411,9 +1403,9 @@ def schema_record(schema: Schema, slice_id: int) -> str:
 class _Section:
     """Cached encoding of one checkpoint section: for a document section,
     the sorted chunks that order its ids, the chunks changed since the last
-    encode, and the tree that folds the chunk nodes; every per-block fact
-    lives in the chunk that holds the block. Open or the first encode fills
-    the chunks; the first encode builds the tree."""
+    encode, and the tree that folds the chunk nodes; a block's span lives
+    in the chunk that holds the block, and a CRC only per chunk. Open or
+    the first encode fills the chunks; the first encode builds the tree."""
 
     __slots__ = ("chunks", "changed", "tree", "joined")
 
@@ -1445,23 +1437,22 @@ class _Section:
                 self.changed.add(chunks[-1])
             return
         chunk = chunks[i]
-        keys, spans, nodes = chunk.keys, chunk.spans, chunk.nodes
+        keys, spans = chunk.keys, chunk.spans
         j = bisect.bisect_left(keys, value)
         held = j < len(keys) and keys[j] == value
         if held and present:
-            spans[j] = nodes[j] = None
+            spans[j] = None
         elif present:
             keys.insert(j, value)
             spans.insert(j, None)
-            nodes.insert(j, None)
             if len(keys) > 2 * _CHUNK:
-                split = _Chunk(keys[_CHUNK:], spans[_CHUNK:], nodes[_CHUNK:])
+                split = _Chunk(keys[_CHUNK:], spans[_CHUNK:])
                 split.data = chunk.data  # its spans point into these bytes until it is folded
                 chunks.insert(i + 1, split)
                 self.changed.add(split)
-                del keys[_CHUNK:], spans[_CHUNK:], nodes[_CHUNK:]
+                del keys[_CHUNK:], spans[_CHUNK:]
         elif held:
-            del keys[j], spans[j], nodes[j]
+            del keys[j], spans[j]
             if not keys:
                 del chunks[i]
         else:
@@ -1472,21 +1463,18 @@ class _Section:
 
 class _Chunk:
     """A run of consecutive ids of one section, in order, and per id its
-    block's span (start << 32 | end) in the chunk's bytes and its block's
-    _node, each None until the block is encoded or checksummed; the _node
-    of the joined blocks while none of them changed, arrived or left; from
-    open or the first encode on, those joined bytes, and once the chunk is
-    folded, the tree that folds its block nodes."""
+    block's span (start << 32 | end) in the chunk's bytes, None until the
+    block is encoded; from open or the first encode on, those joined bytes;
+    and the _node (CRC32C and length) of the joined bytes while none of its
+    blocks changed, arrived or left."""
 
-    __slots__ = ("keys", "spans", "nodes", "node", "data", "tree")
+    __slots__ = ("keys", "spans", "node", "data")
 
-    def __init__(self, keys: list[int], spans: Optional[list] = None, nodes: Optional[list] = None):
+    def __init__(self, keys: list[int], spans: Optional[list] = None):
         self.keys = keys
         self.spans: list[Optional[int]] = [None] * len(keys) if spans is None else spans
-        self.nodes: list[Optional[int]] = [None] * len(keys) if nodes is None else nodes
         self.node: Optional[int] = None
         self.data: Optional[bytes] = None
-        self.tree: Optional[_Tree] = None
 
 
 def _first_key(chunk: _Chunk) -> int:
@@ -2035,14 +2023,15 @@ class DiskBackend(MemoryBackend):
     reopen after a crash sees exactly the committed batches.
 
     The file is written whole, but only the records the batch changed are
-    encoded and checksummed again, and only the CRC tree nodes above them
-    are folded again; the rest come from the chunk cache, which open seeds
-    from the bytes it checked, so the first write after open costs what it
-    changes too. Open checks every record but leaves the property values of
-    each seeded chunk in its bytes until something reads one of its
-    documents, so a command pays to build only the chunks it reads. The engine commits all of a flush's documents in one
-    batch (group commit), so a flush writes the file once or twice,
-    whatever it changed.
+    encoded again, only the chunks that hold them are checksummed again,
+    and only the CRC tree nodes above those chunks are folded again; the
+    rest come from the chunk cache, which open seeds from the bytes it
+    checked, so the first write after open costs what it changes too. Open
+    checks every record but leaves the property values of each seeded
+    chunk in its bytes until something reads one of its documents, so a
+    command pays to build only the chunks it reads. The engine commits all
+    of a flush's documents in one batch (group commit), so a flush writes
+    the file once or twice, whatever it changed.
 
     A write costs the kernel one copy of the image into pages it already
     holds. While the backend is open, the image that store.hl1 named before

@@ -7,7 +7,7 @@ of two properties each, and the one flush() that writes them is timed.
 The store is then reopened and must hold N documents. A second fresh
 store gets a new collection with N - 1 new members, and the counters of
 the one flush() that writes them are printed; reopened, the collection
-must hold those members. At the largest size a one-document write
+must hold those members. At each size a one-document write
 (set_property + flush()) is timed --repeat times against two raw writes
 of the same checkpoint bytes, in alternating blocks of five of each: a
 fresh file plus os.replace onto an existing file, and the store's own
@@ -15,11 +15,14 @@ file write (store._atomic_write), which overwrites the inode of the image
 replaced two writes before. The best and the median of each are
 compared. The fresh write's time varies with the file system's writeback
 state, and its best is often a replace that happened to be cheap, so the
-median ratio is the steadier of the two. It also prints the bytes that
-the backend's cached encoding holds per document (sys.getsizeof over
-each chunk's bytes, its key, span and node lists, and its combine tree,
-each object counted once). Counters come from Repository.stats(); one
-the program does not have prints as "-".
+median ratio is the steadier of the two. A chunk's CRC is the CRC of its
+joined bytes, so each of those writes must checksum at most the bytes of
+the store's largest chunk; the most that one write checksummed is printed
+beside that bound. It also prints the bytes that the backend's cached
+encoding holds per document (sys.getsizeof over each chunk's bytes, its
+key and span lists and their ints, and its node, each object counted
+once). Counters come from Repository.stats(); one the program does not
+have prints as "-".
 
 Then, for one document whose 10 properties hold 10, 1,000 and 10,000 rows
 in all, three writes that change one small property are timed, each the
@@ -37,8 +40,9 @@ not what the document holds, so each case at 10,000 rows must cost at
 most 4 times its cost at 10 rows.
 
 It prints one line per measurement and exits non-zero when a reopen
-disagrees or a 10,000-row write costs more than 4 times its 10-row
-case. The file name keeps pytest from collecting it.
+disagrees, a one-document write checksums more than the largest chunk,
+or a 10,000-row write costs more than 4 times its 10-row case. The file
+name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -83,19 +87,20 @@ def _median(times: list) -> float:
 
 
 def cache_bytes(backend) -> int:
-    """Bytes held by a backend's cached encoding. A chunk's tree shares its
-    bottom level's ints with the chunk's nodes, so each object is counted
-    once, by id()."""
+    """Bytes held by a backend's cached encoding: each chunk's bytes, its
+    key list, its span list and the spans, and its node. Small ints are
+    shared, so each object is counted once, by id()."""
     sizes: dict[int, int] = {}
     for section in backend._sections.values():
         for chunk in section.chunks or ():
-            objects = [chunk.data, chunk.keys]
-            for column in (chunk.spans, chunk.nodes, *(chunk.tree.levels if chunk.tree else ())):
-                objects.append(column)
-                objects.extend(column)
-            for obj in objects:
+            for obj in (chunk.data, chunk.keys, chunk.spans, *chunk.spans, chunk.node):
                 sizes.setdefault(id(obj), sys.getsizeof(obj))
     return sum(sizes.values())
+
+
+def largest_chunk(backend) -> int:
+    """The bytes of the backend's largest cached chunk."""
+    return max(len(chunk.data) for section in backend._sections.values() for chunk in section.chunks or ())
 
 
 def bulk_flush(root: Path, count: int) -> Repository:
@@ -137,17 +142,21 @@ def collection_flush(root: Path, count: int) -> None:
             sys.exit(f"reopened collection holds {len(reopened.members_of(collection.doc_id))} members, not {count - 1}")
 
 
-def one_write(repo: Repository, root: Path, repeat: int) -> None:
+def one_write(repo: Repository, root: Path, repeat: int) -> bool:
     """One-document writes against raw writes of the same bytes, in
-    alternating blocks so that all meet like file system states."""
+    alternating blocks so that all meet like file system states; whether
+    no write checksummed more than the largest chunk holds."""
     handle = repo.get_document(repo.document_ids()[repo.document_count() // 2])
     values = iter(range(10**9, 2 * 10**9))
     target, tmp = root / "raw-copy", root / "raw-copy.tmp"
     recycled = root / "raw-recycled"
+    checksummed = []
 
     def write() -> None:
+        before = repo.stats()["checksummed_bytes"]
         handle.set_property("size", [Value.integer(next(values))])
         repo.flush()
+        checksummed.append(repo.stats()["checksummed_bytes"] - before)
 
     def raw() -> None:
         tmp.write_bytes(data)
@@ -179,6 +188,9 @@ def one_write(repo: Repository, root: Path, repeat: int) -> None:
               f"median {_median(times) * 1e3:.2f} ms; ratio {best / min(times):.2f} (best), "
               f"{median / _median(times):.2f} (median)")
     print(f"  cached encoding: {cache_bytes(repo.backend) / repo.document_count():.0f} bytes per document")
+    bound = largest_chunk(repo.backend)
+    print(f"  most checksummed by one write: {max(checksummed)} bytes; largest chunk: {bound} bytes")
+    return max(checksummed) <= bound
 
 
 def _document_backend(rows: int) -> tuple[MemoryBackend, DocumentId]:
@@ -247,18 +259,20 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     sizes = [int(size) for size in args.sizes.split(",")]
     workdir = Path(tempfile.mkdtemp(prefix="harland-probe-"))
+    within_a_chunk = True
     try:
         for count in sizes:
             root = workdir / f"store-{count}"
             repo = bulk_flush(root, count)
-            if count == max(sizes):
-                one_write(repo, root, args.repeat)
+            within_a_chunk = one_write(repo, root, args.repeat) and within_a_chunk
             repo.close()
             shutil.rmtree(root)
             collection_flush(workdir / f"collection-{count}", count)
             shutil.rmtree(workdir / f"collection-{count}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    if not within_a_chunk:
+        sys.exit("a one-document write checksummed more bytes than the largest chunk holds")
     if not row_scaling():
         sys.exit(f"a {ROW_COUNTS[-1]:,}-row write costs more than {FLAT}x its {ROW_COUNTS[0]:,}-row case")
 

@@ -497,7 +497,9 @@ class RandomWriter:
         assert self.backend._encode_checkpoint() == on_disk
         reopened = self.backend_class.open(self.root)
         assert all(reopened._sections[name].chunks is not None for name in store._DOC_SECTIONS)
+        _assert_chunk_nodes_checksum_their_bytes(self.backend)
         assert reopened._encode_checkpoint() == on_disk
+        _assert_chunk_nodes_checksum_their_bytes(reopened)
         assert cold_encode(self.backend_class.open(self.root)) == on_disk
         self.checks += 1
         if self.backend_class is DiskBackend and self.checks % 4 == 0:
@@ -506,6 +508,14 @@ class RandomWriter:
         for _ in range(3):
             k = self.rng.randrange(len(body) + 1)
             assert crc32c_combine(crc32c(body[:k]), crc32c(body[k:]), len(body) - k) == reference_crc32c(body)
+
+
+def _assert_chunk_nodes_checksum_their_bytes(backend) -> None:
+    """Each chunk whose node is set holds the CRC32C and length of its bytes."""
+    for section in backend._sections.values():
+        for chunk in section.chunks or ():
+            if chunk.node is not None:
+                assert chunk.node == store._node(crc32c(chunk.data), len(chunk.data))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -625,10 +635,10 @@ def test_open_checksums_the_body_once(tmp_path):
         assert repo.stats()["checksummed_bytes"] == data.rindex(b"\nEND ") + 1
 
 
-def test_write_after_open_checksums_only_what_it_changed(tmp_path):
-    """Open defers each seeded block's own CRC, so the first write into a
-    chunk checksums that chunk's other blocks once; after that a write
-    checksums only the blocks it changed."""
+def test_every_write_checksums_exactly_the_chunk_it_changed(tmp_path):
+    """A chunk's CRC is the CRC of its joined bytes, so every write after
+    open, the first into a seeded chunk or a later one, checksums the bytes
+    of the chunk it changed: fewer than the section holds."""
     root = tmp_path / "store"
     with Repository.init(root, id_seed=3) as repo:
         for i in range(100):
@@ -645,10 +655,9 @@ def test_write_after_open_checksums_only_what_it_changed(tmp_path):
 
         first, second = ids[40], ids[41]
         chunk = next(c for c in props.chunks if first.value in c.keys)
-        assert second.value in chunk.keys
-        assert write(first, "changed") == sum(len(blocks_of(props)[v]) for v in chunk.keys)
-        assert write(second, "changed too") == len(blocks_of(props)[second.value])
-        assert write(first, "changed again") == len(blocks_of(props)[first.value])
+        assert second.value in chunk.keys and len(props.chunks) > 1
+        for doc_id, text in ((first, "changed"), (second, "changed too"), (first, "changed again")):
+            assert write(doc_id, text) == len(chunk.data) < sum(map(len, blocks_of(props).values()))
 
 def test_body_that_is_not_utf8_is_a_corrupt_store(tmp_path):
     body = f"{store.MAGIC}\nPROPS\n\xff\nMETA\nCONTENT\n".encode("latin-1")

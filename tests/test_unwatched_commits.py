@@ -170,9 +170,10 @@ def test_every_commit_after_a_subscriptions_start_seq_reaches_it():
 
                 writer = threading.Thread(target=enforce_fresh_documents)
                 subs = []
-                writer.start()
                 while not done.is_set() and len(subs) < 40:
                     subs.append(repo.subscribe('schema:"ready"'))
+                    if len(subs) == 1:  # a writer started sooner could finish before any subscribe
+                        writer.start()
                     for _ in range(rng.randrange(200)):
                         pass
                 writer.join(10.0)
