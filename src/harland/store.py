@@ -52,12 +52,15 @@ of the documents it touches, and the next encode joins each changed chunk
 again from slices of its old bytes and the blocks it encodes anew, and
 checksums the joined bytes whole: a write encodes only the blocks it
 changed and checksums only the chunks it changed, and the file is written
-from one part per chunk. Chunk CRCs fold through combine trees (_Tree,
-after zlib's crc32_combine): each section's over its chunks, and END's
-over the sections and their headers. A write re-folds only the tree nodes
-above the chunks it changed, so a one-document write costs O(log chunks)
-combines; a write never sorts a section, and its Python work does not
-grow with the store.
+from one part per chunk. END is the root of one combine tree (_Tree, after
+zlib's crc32_combine), the backend's image tree, whose leaves are the
+parts the file is written from, in file order: each header, every chunk
+of every section, and the SCHEMA block. Each document section's leaves
+are padded with empty leaves to a multiple of _RUN (128), so a chunk that
+one section gains or loses moves no other section's leaves. A write
+re-folds only the tree nodes above the leaves it changed, so a
+one-document write costs O(log chunks) combines; a write never sorts a
+section, and its Python work does not grow with the store.
 
 A DiskBackend writes those parts with os.pwritev into the inode of the
 image that its last write replaced, kept as a spare beside the checkpoint
@@ -68,11 +71,14 @@ a complete image.
 
 Opening a store seeds the same cache from the bytes it has just read: each
 chunk's bytes are one slice of the file, each document's run of lines is
-its block and gives its span, each chunk is checksummed whole, as an
-encode checksums it, and END is verified by folding those CRCs with the
-CRCs of the gaps between chunks. The trees are built at the first
-encode, so a store that is only read pays for none. A section whose runs
-are out of order, repeat a document or hold a duplicate record loads
+its block and gives its span, and each chunk is checksummed whole, as an
+encode checksums it. END is verified by folding, through the same image
+tree, the leaves open checksums: each gap between seeded chunks, each
+seeded chunk, and after each seeded section the same padding a write
+adds. In a file the encoder wrote, the gaps are the headers and the SCHEMA
+block, so open's leaves are the leaves of a write, and the first write
+after open re-folds only the nodes above what it changed. A section whose
+runs are out of order, repeat a document or hold a duplicate record loads
 unseeded, and its first encode builds it canonically. A backend that
 never encodes and never opens a file builds no cache. Should open read an
 image that a writer in another process was overwriting, it reads once
@@ -147,7 +153,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from math import copysign
-from operator import add, attrgetter, floordiv, itemgetter, lt, ne, sub
+from operator import add, attrgetter, floordiv, is_, itemgetter, lt, ne, sub
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -778,7 +784,7 @@ class MemoryBackend:
         self.decoded_chunks = 0  # seeded PROPS chunks whose bags were built after open
         self._unbuilt: set[_Chunk] = set()  # seeded PROPS chunks whose bags are not built yet
         self._builder: Optional[_Decoder] = None  # builds their bags; its caches go with the last of them
-        self._image = _Tree()  # END's fold over the headers and sections
+        self._image = _Tree()  # END's fold over the parts of the file, from open or the first encode
         self.fail_next_persist = False
 
     # ---- batches: stage, persist, install ----
@@ -1132,12 +1138,13 @@ class MemoryBackend:
             if section_name is None:
                 continue
             section = self._sections[section_name]
-            section.joined = None
-            if section_name != "schema":
-                for doc_id in entries:
-                    if section_name == "props":  # a chunk's bytes must outlive its unbuilt bags
-                        self._build_chunk(section.holder(doc_id.value))
-                    section.drop(doc_id.value, self._entry(self._staged, name, doc_id) is not None)
+            if section_name == "schema":
+                section.chunks = None  # the next encode encodes the block again
+                continue
+            for doc_id in entries:
+                if section_name == "props":  # a chunk's bytes must outlive its unbuilt bags
+                    self._build_chunk(section.holder(doc_id.value))
+                section.drop(doc_id.value, self._entry(self._staged, name, doc_id) is not None)
 
     def _view(self, name: str) -> Mapping:
         """Table name with the entries of the batch being written (None:
@@ -1150,55 +1157,56 @@ class MemoryBackend:
         return b"".join(self._checkpoint_parts())
 
     def _checkpoint_parts(self) -> list[bytes]:
-        """The checkpoint as a list of cached parts, one per chunk plus the
-        headers and END; only the blocks dropped since the last call are
-        encoded again, only the chunks that hold them are checksummed again,
-        and END re-folds only the CRCs above those chunks (see _Tree)."""
+        """The checkpoint as a list of cached parts, in file order: each
+        header, each chunk of each section, then END. Only the blocks
+        dropped since the last call are encoded again, only the chunks that
+        hold them are checksummed again, and END re-folds only the nodes of
+        the image tree above the leaves that changed (see _Tree)."""
         parts: list[bytes] = []
-        folded: list[int] = []
+        leaves: list[int] = []
         for name, header in _LAYOUT:
-            section = self._sections[name]
-            if section.joined is None:
-                section.joined = self._encode_section(name, section)
-            section_parts, crc, length = section.joined
             if header:
                 parts.append(header)
-                folded.append(_node(_HEADER_CRCS[name], len(header)))
-            parts += section_parts
-            folded.append(_node(crc, length))
-        self.crc_combines += self._image.refold(folded)
+                leaves.append(_HEADER_NODES[name])
+            section = self._sections[name]
+            nodes = self._nodes(name, section)
+            parts += map(_DATA, section.chunks)
+            leaves += nodes
+            if name != "schema":
+                leaves += [0] * (-len(nodes) % _RUN)
+        self.crc_combines += self._image.refold(leaves)
         parts.append(f"END {self._image.root()[0]}\n".encode("ascii"))
         return parts
 
-    def _encode_section(self, name: str, section: "_Section") -> tuple[list[bytes], int, int]:
-        """(parts, CRC, length) of one section's records, one part per chunk.
-
-        A chunk changed since the last encode joins its blocks again and
-        checksums its bytes again; the section's tree then re-folds the
-        chunk CRCs above it. The first encode folds every chunk that open
-        did not seed.
-        """
+    def _nodes(self, name: str, section: "_Section") -> list[int]:
+        """The node of each of the section's chunks, in order, once each
+        chunk has its bytes and node. The SCHEMA block is one chunk, or
+        none when it is empty, encoded again after any batch that stages a
+        schema. A document section is cut into chunks by the first encode
+        that finds it has none; after that, a chunk whose node a batch
+        cleared joins its blocks and checksums its bytes again, and the
+        others are taken as they are."""
         if name == "schema":
-            block = "".join(
-                schema_record(schema, slice_id) + "\n"
-                for schema, slice_id in sorted(self._view("_schemas").values(), key=lambda pair: pair[1])
-            ).encode("utf-8")
-            return [block], self._checksum(block), len(block)
+            if section.chunks is None:
+                block = "".join(
+                    schema_record(schema, slice_id) + "\n"
+                    for schema, slice_id in sorted(self._view("_schemas").values(), key=lambda pair: pair[1])
+                ).encode("utf-8")
+                chunk = _Chunk([])
+                chunk.data, chunk.node = block, self._leaf(block)
+                section.chunks = [chunk] if block else []
+            return list(map(_NODE, section.chunks))
         table_name, encode = _DOC_SECTIONS[name]
         table = self._view(table_name)
         if section.chunks is None:
             keys = sorted(doc_id.value for doc_id, entry in table.items() if entry is not None)
             section.chunks = [_Chunk(keys[i : i + _CHUNK]) for i in range(0, len(keys), _CHUNK)]
-        if section.tree is None:
-            section.tree = _Tree()
-            section.changed.update(section.chunks)
-        for chunk in section.changed:
-            if chunk.node is None:
+        nodes = list(map(_NODE, section.chunks))
+        if None in nodes:  # chunks that a batch changed
+            for chunk in itertools.compress(section.chunks, map(is_, nodes, itertools.repeat(None))):
                 self._fold_chunk(chunk, table, encode)
-        section.changed.clear()
-        self.crc_combines += section.tree.refold(list(map(_NODE, section.chunks)))
-        crc, length = section.tree.root()
-        return list(map(_DATA, section.chunks)), crc, length
+            nodes = list(map(_NODE, section.chunks))
+        return nodes
 
     def _fold_chunk(self, chunk: "_Chunk", table: Mapping, encode) -> None:
         """Joins a changed chunk's blocks again, its unchanged blocks sliced
@@ -1215,17 +1223,12 @@ class MemoryBackend:
                 parts.append(old[span >> 32 : span & 0xFFFFFFFF])
         chunk.data = b"".join(parts)
         chunk.spans = _spans(list(itertools.accumulate(map(len, parts), initial=0)))
-        chunk.node = _node(self._checksum(chunk.data), len(chunk.data))
+        chunk.node = self._leaf(chunk.data)
 
-    def _checksum(self, data) -> int:
-        """crc32c of data, counted in checksummed_bytes."""
+    def _leaf(self, data) -> int:
+        """The _node of data, its bytes counted in checksummed_bytes."""
         self.checksummed_bytes += len(data)
-        return crc32c(data)
-
-    def _combine(self, crc_a: int, crc_b: int, len_b: int) -> int:
-        """crc32c_combine, counted in crc_combines."""
-        self.crc_combines += 1
-        return crc32c_combine(crc_a, crc_b, len_b)
+        return _node(crc32c(data), len(data))
 
     def _load_checkpoint(self, data: bytes) -> None:
         """Decodes a checkpoint into the tables, seeds the block cache from
@@ -1235,7 +1238,9 @@ class MemoryBackend:
         runs of lines, one per document, arrive in strictly increasing id
         order with one record per line. Every body byte is checksummed once:
         each seeded chunk's span, and each gap between them (headers, SCHEMA
-        lines, unseeded sections); END must equal the fold of those CRCs.
+        lines, unseeded sections). Those are the leaves of the image tree,
+        each seeded section's chunks padded as a write pads them, and END
+        must equal the tree's root.
 
         Every record is checked here, each PROPS record as the bags built
         from it will read it: ordinals serial, one slice per property, so
@@ -1270,18 +1275,19 @@ class MemoryBackend:
             raise CorruptStore(f"malformed record: {exc}") from exc
         seeded = self._seed_sections(data, decoder)
         decoded = time.perf_counter()
-        crc = pos = 0
+        leaves: list[int] = []
+        pos = 0
         view = memoryview(data)
-        for start, chunk in sorted(seeded, key=itemgetter(0)):
+        for start, end, chunks in sorted(seeded, key=itemgetter(0)) + [(body_end, body_end, [])]:
             if start > pos:
-                crc = self._combine(crc, self._checksum(view[pos:start]), start - pos)
-            length = len(chunk.data)
-            chunk_crc = self._checksum(view[start : start + length])
-            chunk.node = _node(chunk_crc, length)
-            crc = self._combine(crc, chunk_crc, length)
-            pos = start + length
-        crc = self._combine(crc, self._checksum(view[pos:body_end]), body_end - pos)
-        if crc != stated:
+                leaves.append(self._leaf(view[pos:start]))
+            for chunk in chunks:
+                chunk.node = self._leaf(chunk.data)
+            leaves += map(_NODE, chunks)
+            leaves += [0] * (-len(chunks) % _RUN)
+            pos = end
+        self.crc_combines += self._image.refold(leaves)
+        if self._image.root()[0] != stated:
             raise CorruptStore("checksum mismatch")
         logger.debug(
             "opened checkpoint: %d bytes, %d records, %d distinct values, decode %.2f ms, checksum %.2f ms",
@@ -1289,13 +1295,14 @@ class MemoryBackend:
             (decoded - started) * 1e3, (time.perf_counter() - decoded) * 1e3,
         )
 
-    def _seed_sections(self, data: bytes, decoder: "_Decoder") -> list[tuple[int, "_Chunk"]]:
+    def _seed_sections(self, data: bytes, decoder: "_Decoder") -> list[tuple[int, int, list["_Chunk"]]]:
         """Keeps each run of lines of every seedable section as its document's
-        block, and chunks the runs; returns (offset, chunk) for every chunk,
-        whose node the caller fills in. The bags of a seeded PROPS section
-        stay in its chunks' bytes until something reads them (stored_bags_of);
-        those of an unseeded or not canonical one (see _Decoder) are built
-        now, which checks them."""
+        block, and chunks the runs; returns (start, end, chunks) for every
+        seeded section that holds a document, whose chunk nodes the caller
+        fills in. The bags of a seeded PROPS section stay in its chunks'
+        bytes until something reads them (stored_bags_of); those of an
+        unseeded or not canonical one (see _Decoder) are built now, which
+        checks them."""
         seeded = []
         built = not decoder.canonical  # only Values tell its duplicate records and gaps apart
         if built:
@@ -1320,7 +1327,8 @@ class MemoryBackend:
                 chunk = _Chunk(keys[i : i + _CHUNK], _spans(edges))
                 chunk.data = data[edges[0] : edges[-1]]
                 section.chunks.append(chunk)
-                seeded.append((edges[0], chunk))
+            if keys:
+                seeded.append((bounds[0], bounds[-1], section.chunks))
         chunks = self._sections["props"].chunks
         if chunks is None and not built:
             decoder.build_lines(data)
@@ -1401,23 +1409,20 @@ def schema_record(schema: Schema, slice_id: int) -> str:
 # ---- cached checkpoint encoding ----
 
 class _Section:
-    """Cached encoding of one checkpoint section: for a document section,
-    the sorted chunks that order its ids, the chunks changed since the last
-    encode, and the tree that folds the chunk nodes; a block's span lives
-    in the chunk that holds the block, and a CRC only per chunk. Open or
-    the first encode fills the chunks; the first encode builds the tree."""
+    """Cached encoding of one checkpoint section: the sorted chunks that
+    order a document section's ids, or the SCHEMA block as one chunk. A
+    block's span lives in the chunk that holds the block, and a CRC only
+    per chunk; a chunk whose node is None is folded again at the next
+    encode. Open or the first encode fills the chunks."""
 
-    __slots__ = ("chunks", "changed", "tree", "joined")
+    __slots__ = ("chunks",)
 
     def __init__(self):
         self.chunks: Optional[list[_Chunk]] = None  # every id of the section's table, in order
-        self.changed: set[_Chunk] = set()  # chunks whose node was cleared since the last encode
-        self.tree: Optional[_Tree] = None  # over the chunks' nodes, from the first encode
-        self.joined: Optional[tuple[list[bytes], int, int]] = None  # while nothing changed
 
     def _at(self, value: int) -> int:
-        """The index of the chunk that holds or would hold value; 0 when
-        there is none."""
+        """The index of the chunk that holds or would hold value, of a
+        section that has chunks."""
         return max(bisect.bisect_right(self.chunks, value, key=_first_key) - 1, 0)
 
     def holder(self, value: int) -> Optional["_Chunk"]:
@@ -1426,16 +1431,17 @@ class _Section:
 
     def drop(self, value: int, present: bool) -> None:
         """Forgets value's block, files value in or out of the chunks by
-        present, and clears the node of the chunk that holds or would hold it."""
+        present, and clears the node of the chunk that holds or would hold
+        it. An id past the last one starts a new chunk once the last chunk
+        holds _CHUNK ids; any other chunk splits past twice that."""
         chunks = self.chunks
         if chunks is None:
             return
-        i = self._at(value)
-        if i == len(chunks):
+        if not chunks or (value > chunks[-1].keys[-1] and len(chunks[-1].keys) >= _CHUNK):
             if present:
                 chunks.append(_Chunk([value]))
-                self.changed.add(chunks[-1])
             return
+        i = self._at(value)
         chunk = chunks[i]
         keys, spans = chunk.keys, chunk.spans
         j = bisect.bisect_left(keys, value)
@@ -1449,7 +1455,6 @@ class _Section:
                 split = _Chunk(keys[_CHUNK:], spans[_CHUNK:])
                 split.data = chunk.data  # its spans point into these bytes until it is folded
                 chunks.insert(i + 1, split)
-                self.changed.add(split)
                 del keys[_CHUNK:], spans[_CHUNK:]
         elif held:
             del keys[j], spans[j]
@@ -1458,7 +1463,6 @@ class _Section:
         else:
             return  # neither held nor stored: nothing to fold again
         chunk.node = None
-        self.changed.add(chunk)
 
 
 class _Chunk:
@@ -1466,7 +1470,8 @@ class _Chunk:
     block's span (start << 32 | end) in the chunk's bytes, None until the
     block is encoded; from open or the first encode on, those joined bytes;
     and the _node (CRC32C and length) of the joined bytes while none of its
-    blocks changed, arrived or left."""
+    blocks changed, arrived or left: its leaf in the image tree. The SCHEMA
+    block is a chunk of no ids."""
 
     __slots__ = ("keys", "spans", "node", "data")
 
@@ -1502,7 +1507,9 @@ class _Tree:
     a binary tree of crc32c_combine folds whose bottom level is the parts
     and whose every level above folds each pair below it, an odd last node
     carried up as it is. A node is one int (length << 32 | CRC), which
-    keeps a tree of n parts near 2n small ints.
+    keeps a tree of n parts near 2n small ints. Node 0 is an empty part:
+    folded with another node, it carries that node up without a combine,
+    so empty leaves cost only their place.
 
     refold compares new parts with the last ones. When their count is the
     same, it re-folds only the nodes above the parts that differ, so one
@@ -1523,9 +1530,12 @@ class _Tree:
     def refold(self, parts: list[int]) -> int:
         """Makes parts the bottom level; returns the number of combines."""
         old = self.levels[0]
-        changed: Iterable[int] = list(itertools.compress(itertools.count(), map(ne, old, parts)))
+        n = min(len(old), len(parts))
+        # each block of 64 parts is compared whole first: one C-level list compare
+        changed: Iterable[int] = [i for lo in range(0, n, 64) if old[lo : lo + 64] != parts[lo : lo + 64]
+                                  for i in range(lo, min(lo + 64, n)) if old[i] != parts[i]]
         if len(parts) != len(old):  # every position from the first difference on may have moved
-            first = changed[0] if changed else min(len(old), len(parts))
+            first = changed[0] if changed else n
             changed = range(first, max(len(old), len(parts)))
         level = self.levels[0] = parts
         combines = depth = 0
@@ -1545,13 +1555,14 @@ class _Tree:
             for j in changed:
                 if j >= size:
                     break
-                if 2 * j + 1 < len(level):
-                    a, b = level[2 * j], level[2 * j + 1]
+                a = level[2 * j]
+                b = level[2 * j + 1] if 2 * j + 1 < len(level) else 0
+                if a and b:
                     crc = crc32c_combine(a & 0xFFFFFFFF, b & 0xFFFFFFFF, b >> 32)
                     above[j] = ((a >> 32) + (b >> 32)) << 32 | crc
                     combines += 1
                 else:
-                    above[j] = level[2 * j]
+                    above[j] = a or b
             level = above
         del self.levels[depth + 1 :]
         return combines
@@ -1599,7 +1610,7 @@ _LAYOUT = (
     ("member", b""),
     ("content", b"CONTENT\n"),
 )
-_HEADER_CRCS = {name: crc32c(header) for name, header in _LAYOUT}
+_HEADER_NODES = {name: _node(crc32c(header), len(header)) for name, header in _LAYOUT}
 # the sections made of per-document blocks: the backend table each reads, and its block encoder
 _DOC_SECTIONS = {
     "props": ("_rows", _props_block),
@@ -1611,7 +1622,10 @@ _DOC_SECTIONS = {
 }
 # the section that encodes each table; _blobs live outside the checkpoint
 _SECTION_OF = {table: name for name, (table, _) in _DOC_SECTIONS.items()} | {"_schemas": "schema"}
-_CHUNK = 32  # target ids per chunk; a chunk splits past twice this
+_CHUNK = 32  # ids per chunk: the last one takes new last ids up to this, any chunk splits past twice this
+# a document section's leaves in the image tree, padded with empty ones to a
+# multiple of this, so that a chunk gained or lost moves no other section's
+_RUN = 128
 _CONTAINERS = ("_rows", "_enforcement", "_assignments", "_members")  # tables of maps or sets, never empty
 
 
@@ -2024,12 +2038,12 @@ class DiskBackend(MemoryBackend):
 
     The file is written whole, but only the records the batch changed are
     encoded again, only the chunks that hold them are checksummed again,
-    and only the CRC tree nodes above those chunks are folded again; the
-    rest come from the chunk cache, which open seeds from the bytes it
-    checked, so the first write after open costs what it changes too. Open
-    checks every record but leaves the property values of each seeded
-    chunk in its bytes until something reads one of its documents, so a
-    command pays to build only the chunks it reads. The engine commits all
+    and only the image tree's nodes above those chunks are folded again;
+    the rest come from the chunk cache and the image tree, which open seeds
+    from the bytes it checked, so the first write after open costs what it
+    changes too. Open checks every record but leaves the property values of
+    each seeded chunk in its bytes until something reads one of its
+    documents, so a command pays to build only the chunks it reads. The engine commits all
     of a flush's documents in one batch (group commit), so a flush writes
     the file once or twice, whatever it changed.
 

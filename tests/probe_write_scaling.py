@@ -21,7 +21,13 @@ the store's largest chunk; the most that one write checksummed is printed
 beside that bound. It also prints the bytes that the backend's cached
 encoding holds per document (sys.getsizeof over each chunk's bytes, its
 key and span lists and their ints, and its node, each object counted
-once). Counters come from Repository.stats(); one the program does not
+once). Then 64 new documents, each with the same two properties, are
+written one flush() each, ids in increasing order, and the mean and the
+most time of one such write are printed with its counters. Last, the
+store is reopened and two one-document writes are made: open folds the
+same leaves into the image CRC tree that a write folds, so the first
+write after the reopen must make at most twice the crc_combines of the
+second. Counters come from Repository.stats(); one the program does not
 have prints as "-".
 
 Then, for one document whose 10 properties hold 10, 1,000 and 10,000 rows
@@ -41,8 +47,9 @@ most 4 times its cost at 10 rows.
 
 It prints one line per measurement and exits non-zero when a reopen
 disagrees, a one-document write checksums more than the largest chunk,
-or a 10,000-row write costs more than 4 times its 10-row case. The file
-name keeps pytest from collecting it.
+the first write after a reopen folds more than twice what the next one
+folds, or a 10,000-row write costs more than 4 times its 10-row case. The
+file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -63,6 +70,8 @@ from harland.store import CHECKPOINT_NAME, DocumentRecord, MemoryBackend, Proper
 COUNTERS = ("backend_batches", "checkpoint_writes", "crc_combines", "checksummed_bytes")
 ROW_COUNTS = (10, 1000, 10000)  # rows of the one document, over 10 properties
 FLAT = 4  # the most a 10,000-row write may cost against its 10-row case
+APPENDS = 64  # new-document writes timed at each size: two chunks' worth
+REOPENED = 2  # the most the first write after a reopen may fold against a later one
 
 
 def _counters(repo: Repository) -> dict:
@@ -193,6 +202,38 @@ def one_write(repo: Repository, root: Path, repeat: int) -> bool:
     return max(checksummed) <= bound
 
 
+def appends(repo: Repository, count: int) -> None:
+    """count new-document writes, each a new document with the two
+    properties of the bulk flush and one flush(); prints the mean and the
+    most time of one, and the counters per write."""
+    times = []
+    before = _counters(repo)
+    for i in range(count):
+        handle = repo.create_document()
+        handle.set_property("Subject", [Value.text(f"appended {i}")])
+        handle.set_property("size", [Value.integer(-1 - i)])
+        times.append(_timed(repo.flush))
+    print(f"  {count} new-document writes ({_delta(_counters(repo), before, count)} per write): "
+          f"mean {sum(times) / count * 1e3:.2f} ms, max {max(times) * 1e3:.2f} ms")
+
+
+def first_write_after_reopen(root: Path) -> bool:
+    """The first one-document write after a reopen of the store, and the
+    one after it; whether the first makes at most REOPENED times the
+    crc_combines of the later one."""
+    with Repository.open(root, CacheConfig(auto_flush=False)) as repo:
+        handle = repo.get_document(repo.document_ids()[repo.document_count() // 2])
+        combines, times = [], []
+        for k in range(2):
+            before = repo.stats()["crc_combines"]
+            handle.set_property("size", [Value.integer(-1 - k)])
+            times.append(_timed(repo.flush))
+            combines.append(repo.stats()["crc_combines"] - before)
+    print(f"  first write after a reopen: crc_combines {combines[0]}, {times[0] * 1e3:.2f} ms; "
+          f"the next: crc_combines {combines[1]}, {times[1] * 1e3:.2f} ms")
+    return combines[0] <= REOPENED * combines[1]
+
+
 def _document_backend(rows: int) -> tuple[MemoryBackend, DocumentId]:
     """A MemoryBackend holding one document of rows rows in properties p0 to p9."""
     backend = MemoryBackend()
@@ -259,13 +300,15 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     sizes = [int(size) for size in args.sizes.split(",")]
     workdir = Path(tempfile.mkdtemp(prefix="harland-probe-"))
-    within_a_chunk = True
+    within_a_chunk = reopen_folds_its_change = True
     try:
         for count in sizes:
             root = workdir / f"store-{count}"
             repo = bulk_flush(root, count)
             within_a_chunk = one_write(repo, root, args.repeat) and within_a_chunk
+            appends(repo, APPENDS)
             repo.close()
+            reopen_folds_its_change = first_write_after_reopen(root) and reopen_folds_its_change
             shutil.rmtree(root)
             collection_flush(workdir / f"collection-{count}", count)
             shutil.rmtree(workdir / f"collection-{count}")
@@ -273,6 +316,8 @@ def main(argv=None) -> None:
         shutil.rmtree(workdir, ignore_errors=True)
     if not within_a_chunk:
         sys.exit("a one-document write checksummed more bytes than the largest chunk holds")
+    if not reopen_folds_its_change:
+        sys.exit(f"the first write after a reopen made more than {REOPENED}x the crc_combines of a later one")
     if not row_scaling():
         sys.exit(f"a {ROW_COUNTS[-1]:,}-row write costs more than {FLAT}x its {ROW_COUNTS[0]:,}-row case")
 

@@ -201,12 +201,13 @@ def test_crc32c_combine_over_random_splits_including_empty_parts():
 
 def test_combine_tree_matches_a_linear_fold():
     """Random edits of a part list (changes, inserts and deletes anywhere,
-    truncations): the tree's root always equals folding the parts in order."""
+    truncations), some parts empty (node 0): the tree's root always equals
+    folding the parts in order."""
     rng = random.Random(13)
     tree, parts = store._Tree(), []
     for _ in range(1500):
         for _ in range(rng.randrange(1, 4)):
-            part = (rng.randrange(2**32), rng.randrange(200))
+            part = (0, 0) if rng.random() < 0.3 else (rng.randrange(2**32), rng.randrange(200))
             op = rng.random()
             if op < 0.4 or not parts:
                 parts.insert(rng.randrange(len(parts) + 1), part)
@@ -617,7 +618,8 @@ def test_open_and_memory_backends_build_no_caches(tmp_path):
         handle = repo.create_document()
         handle.set_property("Subject", [Value.text("y")])
     repo.flush()
-    assert all(not blocks_of(s) and s.joined is None for s in repo.backend._sections.values())
+    assert all(not blocks_of(s) and s.chunks is None for s in repo.backend._sections.values())
+    assert repo.backend._image.levels == [[]]  # an empty image tree
     repo.close()
 
 

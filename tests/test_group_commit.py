@@ -213,10 +213,12 @@ def test_member_added_while_the_flush_collects_lands_in_the_same_batch(tmp_path,
     shadow.close()
 
 
-def _combines_of_one_write(tmp_path, count: int) -> tuple[int, int]:
+def _combines_of_one_write(tmp_path, count: int) -> tuple[int, int, int]:
     """crc_combines of a one-property update and of a new document, each
-    the second of its kind, on a disk store of count documents."""
-    repo = Repository.init(tmp_path / f"store-{count}", CacheConfig(max_docs=count + 8, auto_flush=False), id_seed=3)
+    the second of its kind, on a disk store of count documents; then of
+    the same update as the first write after the store is reopened."""
+    root = tmp_path / f"store-{count}"
+    repo = Repository.init(root, CacheConfig(max_docs=count + 8, auto_flush=False), id_seed=3)
     repo.define_schema(NOTE)
     handles = [repo.create_document() for _ in range(count)]
     for i, handle in enumerate(handles):
@@ -242,14 +244,24 @@ def _combines_of_one_write(tmp_path, count: int) -> tuple[int, int]:
         write(1)
         counts.append(repo.stats()["crc_combines"] - before)
     repo.close()
+    repo = Repository.open(root, CacheConfig(max_docs=count + 8, auto_flush=False))
+    target = repo.get_document(target.doc_id)
+    before = repo.stats()["crc_combines"]
+    update(2)
+    counts.append(repo.stats()["crc_combines"] - before)
+    repo.close()
     return tuple(counts)
 
 
 def test_one_document_write_combines_grow_with_log_of_the_store(tmp_path):
+    """Open seeds the image tree with the leaves a write folds, so the
+    first write after a reopen re-folds only the nodes above its chunk."""
     small = _combines_of_one_write(tmp_path, 640)
     large = _combines_of_one_write(tmp_path, 6400)
     assert all(0 < s for s in small)
     assert all(l <= 2 * s for l, s in zip(large, small)), (small, large)
+    for update, new, first_after_reopen in (small, large):
+        assert first_after_reopen <= 2 * update, (small, large)
 
 
 def test_randomized_writes_keep_the_file_equal_to_a_cold_encode(tmp_path):
