@@ -5,7 +5,9 @@ kind, slice assignments, enforcement, membership and content tokens. A
 document whose metadata differs from its committed entry (new, or changed
 since its last flush) carries one pending record with its whole live
 entry, copied from the committed entry on its first metadata change; reads
-take the pending record when there is one, else the committed entry.
+take the pending record when there is one, else the committed entry. A
+read looks its document up in the cache once and takes its whole metadata
+entry from there (_load, _entry).
 A cached document holds one value bag per property, filled a slice at a
 time on demand: reading any property of a document fetches the whole slice
 that property is assigned to, in one backend round trip, so the other
@@ -63,8 +65,8 @@ import threading
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from operator import itemgetter
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from harland.coordination import CommitHub, Subscription, SubscriptionMode
 from harland.errors import (
@@ -113,7 +115,6 @@ from harland.store import (
 )
 
 logger = logging.getLogger(__name__)
-_PROP, _VALUE = attrgetter("prop"), attrgetter("value")
 
 
 # ---- change descriptions ----
@@ -418,7 +419,7 @@ class Repository:
 
     def _kind(self, doc_id: DocumentId) -> DocumentKind:
         """The live document's kind; raises UnknownDocument once it is deleted."""
-        kind = self.document_kind(doc_id)
+        kind = self._kind_of(doc_id)
         if kind is None:
             raise UnknownDocument(f"document {doc_id} does not exist")
         return kind
@@ -474,18 +475,41 @@ class Repository:
 
     # ---- cache (callers hold the repository lock) ----
 
-    def _load(self, doc_id: DocumentId, kind: Optional[DocumentKind] = None) -> _IDoc:
-        """The live document's cached image. With kind given, a document of
-        another kind raises WrongKind after the load, which the cache counts."""
-        actual = self._kind(doc_id)
-        idoc = self._idoc(doc_id)
-        if kind is not None and actual is not kind:
-            raise WrongKind(f"document {doc_id} is not a {_KIND_NOUNS[kind]}")
-        return idoc
-
-    def _idoc(self, doc_id: DocumentId) -> _IDoc:
-        """Cache lookup of a live document, counted as a hit or a miss."""
+    def _load(self, doc_id: DocumentId, kind: Optional[DocumentKind] = None) -> tuple[_IDoc, tuple]:
+        """The live document's cached image and its metadata entry (see
+        _entry), from one cache lookup, counted as a hit or a miss. With kind
+        given, a document of another kind raises WrongKind after the load,
+        which the cache counts."""
         idoc = self._cache.get(doc_id)
+        entry = self._entry(doc_id, idoc)
+        idoc = self._counted(doc_id, idoc)
+        if kind is not None and entry[0] is not kind:
+            raise WrongKind(f"document {doc_id} is not a {_KIND_NOUNS[kind]}")
+        return idoc, entry
+
+    def _entry(self, doc_id: DocumentId, idoc: Optional[_IDoc]) -> tuple:
+        """The live document's metadata, (kind, assignments, enforcement,
+        members), read once: from its pending record when its cached image
+        idoc (None: not cached) has one, else from its committed entries.
+        Raises UnknownDocument for a document that is not live."""
+        pending = None if idoc is None else idoc.pending
+        if pending is not None:
+            return pending.kind, pending.assignments, pending.enforcement, pending.members
+        backend = self.backend
+        kind = backend.stored_docs().get(doc_id)
+        if kind is None:
+            raise UnknownDocument(f"document {doc_id} does not exist")
+        return (
+            kind,
+            backend.stored_assignments().get(doc_id, {}),
+            backend.stored_enforcement().get(doc_id, {}),
+            backend.stored_members().get(doc_id, frozenset()),
+        )
+
+    def _counted(self, doc_id: DocumentId, idoc: Optional[_IDoc]) -> _IDoc:
+        """Counts a cache lookup of a live document that found idoc: a hit,
+        which moves it to the recent end, or a miss (None), which caches an
+        empty image. Returns the cached image."""
         if idoc is not None:
             self._cache.move_to_end(doc_id)
             if doc_id in self._clean:
@@ -538,29 +562,23 @@ class Repository:
             self._clean.pop(doc_id, None)
             self._clean[doc_id] = None
 
-    def _materialize(self, idoc: _IDoc, slices: set[int]) -> None:
-        """Fetch absent slices in one backend round trip. They count as
-        loaded only once it returns, so a failed fetch is tried again."""
-        missing = slices - idoc.loaded
-        if not missing:
+    def _materialize(self, idoc: _IDoc, slices: Collection[int]) -> None:
+        """Fetch absent slices in one backend round trip, keeping the bags the
+        backend hands over. They count as loaded only once it returns, so a
+        failed fetch is tried again."""
+        if idoc.loaded.issuperset(slices):
             return
+        missing = set(slices).difference(idoc.loaded)
         if self._stored(idoc.doc_id):
-            # a property's rows come together, in its bag's order
-            for prop, rows in itertools.groupby(self.backend.fetch_slices(idoc.doc_id, missing), _PROP):
-                idoc.bags[prop] = tuple(map(_VALUE, rows))
+            idoc.bags.update(self.backend.fetch_slices(idoc.doc_id, missing))
         idoc.loaded |= missing
 
-    def _snapshot_locked(self, doc_id: DocumentId, idoc: _IDoc) -> DocumentSnapshot:
-        kind = self._kind_of(doc_id)
-        members = frozenset(self._members_of(doc_id))
-        self._materialize(idoc, set(self._assignments_of(doc_id).values()))
-        return DocumentSnapshot(
-            doc_id=doc_id,
-            kind=kind,
-            properties=dict(idoc.bags),
-            enforced=frozenset(self._enforcement_of(doc_id)),
-            members=members,
-        )
+    def _snapshot_locked(self, idoc: _IDoc, entry: tuple) -> DocumentSnapshot:
+        """The whole live document, from its cached image and its metadata
+        entry (see _entry), its slices loaded."""
+        kind, assignments, enforcement, members = entry
+        self._materialize(idoc, assignments.values())
+        return DocumentSnapshot.trusted(idoc.doc_id, kind, dict(idoc.bags), frozenset(enforcement), frozenset(members))
 
     def _check_snapshot(self, doc_id: DocumentId, idoc: _IDoc, props: Iterable[str]) -> DocumentSnapshot:
         """What a schema check reads of the live document: its kind and
@@ -634,8 +652,8 @@ class Repository:
         self._check_open()
         doc_id = handle.doc_id
         with self._lock:
-            idoc = self._load(doc_id)
-            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
+            idoc, entry = self._load(doc_id)
+            before = self._snapshot_locked(idoc, entry) if self.hub.watched else None
             if self._stored(doc_id):
                 # lock-free readers take it while the backend installs the
                 # delete one table at a time
@@ -669,11 +687,11 @@ class Repository:
         self._check_open()
         doc_id = handle.doc_id
         with self._lock:
-            idoc = self._load(doc_id)
+            idoc, entry = self._load(doc_id)
             prop = change.prop
             # the whole document only for the commit event; the check reads prop alone
             watched = self.hub.watched
-            before = self._snapshot_locked(doc_id, idoc) if watched else self._check_snapshot(doc_id, idoc, (prop,))
+            before = self._snapshot_locked(idoc, entry) if watched else self._check_snapshot(doc_id, idoc, (prop,))
             old = before.values_of(prop)
             new = self._apply_change(old, change)
             if new == old:
@@ -731,9 +749,12 @@ class Repository:
             schema = self.registry.get(schema_name)  # raises UnknownSchema
             if schema_name in self._enforcement_of(doc_id):
                 return
-            idoc = self._idoc(doc_id)
+            idoc = self._counted(doc_id, self._cache.get(doc_id))
             watched = self.hub.watched
-            before = self._snapshot_locked(doc_id, idoc) if watched else self._check_snapshot(doc_id, idoc, schema.constraints)
+            before = (
+                self._snapshot_locked(idoc, self._entry(doc_id, idoc)) if watched
+                else self._check_snapshot(doc_id, idoc, schema.constraints)
+            )
             violations = self.registry.violations(before, schema.name)
             if violations:
                 raise NotConforming(violations)
@@ -750,8 +771,8 @@ class Repository:
             self.registry.get(schema_name)
             if schema_name not in self._enforcement_of(doc_id):
                 return
-            idoc = self._idoc(doc_id)
-            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
+            idoc = self._counted(doc_id, self._cache.get(doc_id))
+            before = self._snapshot_locked(idoc, self._entry(doc_id, idoc)) if self.hub.watched else None
             del self._pending_of(idoc).enforcement[schema_name]
             self._published(doc_id, before, schemas_removed=frozenset({schema_name}))
 
@@ -767,12 +788,12 @@ class Repository:
         self._check_open()
         doc_id = handle.doc_id
         with self._lock:
-            idoc = self._load(doc_id, DocumentKind.COLLECTION)
+            idoc, entry = self._load(doc_id, DocumentKind.COLLECTION)
             if self._kind_of(member_id) is None:
                 raise UnknownDocument(f"member {member_id} does not exist")
             if member_id in self._members_of(doc_id):
                 return
-            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
+            before = self._snapshot_locked(idoc, entry) if self.hub.watched else None
             self._pending_of(idoc).members.add(member_id)
             self._published(doc_id, before, members_added=frozenset({member_id}))
 
@@ -780,10 +801,10 @@ class Repository:
         self._check_open()
         doc_id = handle.doc_id
         with self._lock:
-            idoc = self._load(doc_id, DocumentKind.COLLECTION)
+            idoc, entry = self._load(doc_id, DocumentKind.COLLECTION)
             if member_id not in self._members_of(doc_id):
                 return
-            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
+            before = self._snapshot_locked(idoc, entry) if self.hub.watched else None
             self._pending_of(idoc).members.discard(member_id)
             self._published(doc_id, before, members_removed=frozenset({member_id}))
 
@@ -800,11 +821,11 @@ class Repository:
             raise TypeError("content must be bytes")
         doc_id = handle.doc_id
         with self._lock:
-            idoc = self._load(doc_id, DocumentKind.CONTENT)
+            idoc, _ = self._load(doc_id, DocumentKind.CONTENT)
             # the blob needs its document record first
             self._commit_locked({doc_id: (idoc, self._flush_doc_locked(doc_id, idoc))})
             tokens_before = self.content_tokens(doc_id)
-            before = self._snapshot_locked(doc_id, idoc) if self.hub.watched else None
+            before = self._snapshot_locked(idoc, self._entry(doc_id, idoc)) if self.hub.watched else None
             ref = self.backend.content_write(doc_id, data)
             self._published(doc_id, before, tokens_before=tokens_before, tokens_after=ref.tokens)
 
@@ -851,18 +872,18 @@ class Repository:
 
     def bags_of(self, doc_id: DocumentId, props: Sequence[str]) -> dict[str, tuple[Value, ...]]:
         with self._lock:
-            self._kind(doc_id)
-            assigned = self._assignments_of(doc_id)
+            idoc = self._cache.get(doc_id)
+            assigned = self._entry(doc_id, idoc)[1]
             wanted = {p: assigned[p] for p in props if p in assigned}
-            if not wanted:
+            if not wanted:  # no property to read: the cache is not touched
                 return {}
-            idoc = self._idoc(doc_id)
+            idoc = self._counted(doc_id, idoc)
             self._materialize(idoc, set(wanted.values()))
             return {p: idoc.bags[p] for p in wanted if p in idoc.bags}
 
     def snapshot(self, doc_id: DocumentId) -> DocumentSnapshot:
         with self._lock:
-            return self._snapshot_locked(doc_id, self._load(doc_id))
+            return self._snapshot_locked(*self._load(doc_id))
 
     def leaf_candidates(self, preds) -> dict:
         """Each positive leaf's candidate source: leaf -> (source, ids, unsure),
@@ -955,11 +976,11 @@ class Repository:
             if self.registry.has(name):
                 slices.add(self.registry.slice_of_schema(name))
         with self._lock:
-            self._kind(doc_id)
-            assigned = self._assignments_of(doc_id)
+            idoc = self._cache.get(doc_id)
+            assigned = self._entry(doc_id, idoc)[1]
             slices.update(assigned[p] for p in compiled.props if p in assigned)
             if slices:
-                self._materialize(self._idoc(doc_id), slices)
+                self._materialize(self._counted(doc_id, idoc), slices)
 
     def subscribe(self, query: Union[str, QueryExpr], mode: SubscriptionMode = SubscriptionMode.TRANSITION) -> Subscription:
         self._check_open()

@@ -347,6 +347,16 @@ class DocumentSnapshot:
             if not values:
                 raise ValueError(f"property {name!r} has an empty bag; drop it instead")
 
+    @classmethod
+    def trusted(cls, doc_id: DocumentId, kind: DocumentKind, properties: Mapping[str, tuple[Value, ...]],
+                enforced: frozenset[str], members: frozenset[DocumentId]) -> "DocumentSnapshot":
+        """A snapshot built without __post_init__'s checks, for a caller that
+        guarantees them: the engine, which never keeps an empty bag and
+        gives members only to collections."""
+        snapshot = object.__new__(cls)
+        snapshot.__dict__.update(doc_id=doc_id, kind=kind, properties=properties, enforced=enforced, members=members)
+        return snapshot
+
     def values_of(self, prop_name: str) -> tuple[Value, ...]:
         """The property's value bag; absent property reads as the empty bag."""
         return self.properties.get(prop_name, ())

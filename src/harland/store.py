@@ -1,9 +1,11 @@
 """Vertical-row persistence: one row per property value, plus metadata.
 
-Rows are the records of the checkpoint file and of the backend's API
-(put_rows, fetch_slices, scan_rows). In memory a backend keeps each
+Rows are the records of the checkpoint file and of the backend's write
+and audit API (put_rows, scan_rows). In memory a backend keeps each
 document's values as {prop: (slice, bag)}, bag the canonical model.bag
-tuple, and makes rows from bags only where those need them. Ordinals are
+tuple, and makes rows from bags only where those need them; a read
+(fetch_slices) hands over (prop, bag) pairs, each bag the backend's own
+tuple, so the engine caches a reference, not a copy. Ordinals are
 serial: a value held n times by a property of a document has the
 ordinals 0 to n - 1, and the property has one slice. put_rows refuses a
 batch whose result breaks either, and open raises CorruptStore for a
@@ -73,11 +75,14 @@ Opening a store seeds the same cache from the bytes it has just read: each
 chunk's bytes are one slice of the file, each document's run of lines is
 its block and gives its span, and each chunk is checksummed whole, as an
 encode checksums it. END is verified by folding, through the same image
-tree, the leaves open checksums: each gap between seeded chunks, each
-seeded chunk, and after each seeded section the same padding a write
-adds. In a file the encoder wrote, the gaps are the headers and the SCHEMA
-block, so open's leaves are the leaves of a write, and the first write
-after open re-folds only the nodes above what it changed. A section whose
+tree, the leaves open checksums: each seeded chunk, after each seeded
+section the same padding a write adds, and the bytes between seeded
+chunks, broken where a write's leaves break: at the edges of each header
+and of the SCHEMA lines. So in a file the encoder wrote, an empty section
+included, open's leaves are the leaves of a write, and the first write
+after open re-folds only the nodes above what it changed. SCHEMA lines
+that are the canonical block are seeded as that section's chunk, so the
+first write neither encodes nor checksums them again. A section whose
 runs are out of order, repeat a document or hold a duplicate record loads
 unseeded, and its first encode builds it canonically. A backend that
 never encodes and never opens a file builds no cache. Should open read an
@@ -607,14 +612,11 @@ def _posting_key(value: Value):
     return value.payload
 
 
-def _rows_of(doc_id: DocumentId, homes: Iterable[tuple[str, tuple]], slice_ids=None) -> list[PropertyRow]:
-    """The rows of each (prop, (slice, bag)) of homes, in that order, or of
-    those in slice_ids."""
+def _rows_of(doc_id: DocumentId, homes: Iterable[tuple[str, tuple]]) -> list[PropertyRow]:
+    """The rows of each (prop, (slice, bag)) of homes, in that order."""
     rows: list[PropertyRow] = []
     append = rows.append
     for prop, (slice_id, values) in homes:
-        if slice_ids is not None and slice_id not in slice_ids:
-            continue
         if len(values) == 1:  # the usual bag: no ordinal to count
             append(_new_row(PropertyRow, (doc_id, slice_id, prop, values[0], 0)))
         else:
@@ -937,13 +939,14 @@ class MemoryBackend:
 
     # ---- reads ----
 
-    def fetch_slices(self, doc_id: DocumentId, slice_ids: set[int]) -> list[PropertyRow]:
-        """One round trip: the stored rows of the requested slices, a
-        property's rows together and in its bag's order."""
+    def fetch_slices(self, doc_id: DocumentId, slice_ids: AbstractSet[int]) -> list[tuple[str, tuple[Value, ...]]]:
+        """One round trip: (prop, bag) for each stored property of the
+        requested slices, the bag the backend's own tuple, not a copy."""
         with self._lock:
             self.fetch_count += 1
             self._require(doc_id)
-            return _rows_of(doc_id, self.stored_bags_of(doc_id).items(), slice_ids)
+            return [(prop, values) for prop, (slice_id, values) in self.stored_bags_of(doc_id).items()
+                    if slice_id in slice_ids]
 
     def stored_matches(self, prop: str, test) -> list[DocumentId]:
         """Stored documents whose bag for prop passes test(bag), in no
@@ -1188,13 +1191,8 @@ class MemoryBackend:
         others are taken as they are."""
         if name == "schema":
             if section.chunks is None:
-                block = "".join(
-                    schema_record(schema, slice_id) + "\n"
-                    for schema, slice_id in sorted(self._view("_schemas").values(), key=lambda pair: pair[1])
-                ).encode("utf-8")
-                chunk = _Chunk([])
-                chunk.data, chunk.node = block, self._leaf(block)
-                section.chunks = [chunk] if block else []
+                block = self._schema_block()
+                section.chunks = [_schema_chunk(block, self._leaf(block))] if block else []
             return list(map(_NODE, section.chunks))
         table_name, encode = _DOC_SECTIONS[name]
         table = self._view(table_name)
@@ -1207,6 +1205,13 @@ class MemoryBackend:
                 self._fold_chunk(chunk, table, encode)
             nodes = list(map(_NODE, section.chunks))
         return nodes
+
+    def _schema_block(self) -> bytes:
+        """The SCHEMA section's one block: every definition, by slice."""
+        return "".join(
+            schema_record(schema, slice_id) + "\n"
+            for schema, slice_id in sorted(self._view("_schemas").values(), key=lambda pair: pair[1])
+        ).encode("utf-8")
 
     def _fold_chunk(self, chunk: "_Chunk", table: Mapping, encode) -> None:
         """Joins a changed chunk's blocks again, its unchanged blocks sliced
@@ -1238,9 +1243,11 @@ class MemoryBackend:
         runs of lines, one per document, arrive in strictly increasing id
         order with one record per line. Every body byte is checksummed once:
         each seeded chunk's span, and each gap between them (headers, SCHEMA
-        lines, unseeded sections). Those are the leaves of the image tree,
-        each seeded section's chunks padded as a write pads them, and END
-        must equal the tree's root.
+        lines, unseeded sections), cut at each header's edges and the SCHEMA
+        lines' as a write cuts its leaves. Those are the leaves of the image
+        tree, each seeded section's chunks padded as a write pads them, and
+        END must equal the tree's root. SCHEMA lines equal to the canonical
+        block become the SCHEMA section's chunk, with their leaf's node.
 
         Every record is checked here, each PROPS record as the bags built
         from it will read it: ordinals serial, one slice per property, so
@@ -1276,11 +1283,18 @@ class MemoryBackend:
         seeded = self._seed_sections(data, decoder)
         decoded = time.perf_counter()
         leaves: list[int] = []
+        gaps: dict[tuple[int, int], int] = {}  # (start, end) -> node, of each leaf between seeded chunks
+        schema = tuple(decoder.schema_span or (0, 0))
+        cuts = sorted({*decoder.cuts, *schema})
         pos = 0
         view = memoryview(data)
         for start, end, chunks in sorted(seeded, key=itemgetter(0)) + [(body_end, body_end, [])]:
-            if start > pos:
-                leaves.append(self._leaf(view[pos:start]))
+            # a gap breaks where a write's leaves do: at each header and around the SCHEMA block
+            edges = [pos, *(cut for cut in cuts if pos < cut < start), start]
+            for span in zip(edges, edges[1:]):
+                if span[1] > span[0]:
+                    node = gaps[span] = self._leaf(view[span[0] : span[1]])
+                    leaves.append(node)
             for chunk in chunks:
                 chunk.node = self._leaf(chunk.data)
             leaves += map(_NODE, chunks)
@@ -1289,6 +1303,9 @@ class MemoryBackend:
         self.crc_combines += self._image.refold(leaves)
         if self._image.root()[0] != stated:
             raise CorruptStore("checksum mismatch")
+        block = self._schema_block()
+        if data[schema[0] : schema[1]] == block:  # canonical: seeded with the node its leaf has
+            self._sections["schema"].chunks = [_schema_chunk(block, gaps[schema])] if block else []
         logger.debug(
             "opened checkpoint: %d bytes, %d records, %d distinct values, decode %.2f ms, checksum %.2f ms",
             len(data), decoder.records, len(decoder.checked),
@@ -1482,6 +1499,13 @@ class _Chunk:
         self.data: Optional[bytes] = None
 
 
+def _schema_chunk(block: bytes, node: int) -> _Chunk:
+    """The SCHEMA section's one chunk: block, of node, with no ids."""
+    chunk = _Chunk([])
+    chunk.data, chunk.node = block, node
+    return chunk
+
+
 def _first_key(chunk: _Chunk) -> int:
     return chunk.keys[0]
 
@@ -1568,36 +1592,41 @@ class _Tree:
         return combines
 
 
+# The block encoders escape only the fields that can hold a tab, newline,
+# CR or backslash: property and schema names and content tokens. Ids, kinds,
+# integers and value texts never do (Text and Bytes payloads are hex).
+
 def _props_block(doc: str, homes: Homes) -> str:
+    names = {prop: escape_field(prop) for prop in homes}
     encoded = sorted(
         (slice_id, prop, encode_value(value), ordinal)
         for prop, (slice_id, values) in homes.items()
         for value, ordinal in occurrences(values)
     )
-    return "".join(_fields(doc, str(s), prop, value, str(o)) + "\n" for s, prop, value, o in encoded)
+    return "".join(f"{doc}\t{s}\t{names[prop]}\t{value}\t{o}\n" for s, prop, value, o in encoded)
 
 
 def _doc_block(doc: str, kind: DocumentKind) -> str:
-    return _fields("DOC", doc, kind.value) + "\n"
+    return f"DOC\t{doc}\t{kind.value}\n"
 
 
 def _enforce_block(doc: str, entry: dict[str, int]) -> str:
     return "".join(
-        _fields("ENFORCE", doc, str(seq), name) + "\n"
+        f"ENFORCE\t{doc}\t{seq}\t{escape_field(name)}\n"
         for name, seq in sorted(entry.items(), key=lambda kv: kv[1])
     )
 
 
 def _assign_block(doc: str, entry: dict[str, int]) -> str:
-    return "".join(_fields("ASSIGN", doc, prop, str(entry[prop])) + "\n" for prop in sorted(entry))
+    return "".join(f"ASSIGN\t{doc}\t{escape_field(prop)}\t{entry[prop]}\n" for prop in sorted(entry))
 
 
 def _member_block(collection: str, members: set[DocumentId]) -> str:
-    return "".join(_fields("MEMBER", collection, str(m)) + "\n" for m in sorted(members))
+    return "".join(f"MEMBER\t{collection}\t{m}\n" for m in sorted(members))
 
 
 def _content_block(doc: str, ref: ContentRef) -> str:
-    return _fields(doc, str(ref.length), " ".join(sorted(ref.tokens))) + "\n"
+    return f"{doc}\t{ref.length}\t{escape_field(' '.join(sorted(ref.tokens)))}\n"
 
 
 # sections in checkpoint order, each with the fixed text before it
@@ -1784,6 +1813,11 @@ class _Decoder:
         # per document section: (id value, offset of its first line) for each run
         self.runs: dict[str, list[tuple[int, int]]] = {name: [] for name in _DOC_SECTIONS}
         self.ends: dict[str, int] = {}  # section -> offset just past its last line so far
+        # where a write's leaves that are not chunks of ids start and end: each
+        # header's edges (the magic and PROPS lines are one header) and the
+        # SCHEMA lines' first offset and end
+        self.cuts: list[int] = []
+        self.schema_span: Optional[list[int]] = None
         self.unseeded: set[str] = set()
         self.records = 0
 
@@ -1800,6 +1834,9 @@ class _Decoder:
                 self._segment(lines[lo:at], starts[lo : at + 1], escaped)
             if at < len(batch):
                 self.marker = lines[at]
+                self.cuts.append(starts[at + 1])
+                if self.marker != "PROPS":
+                    self.cuts.append(starts[at])
             lo = at + 1
 
     def _segment(self, lines: list[str], starts: list[int], escaped: bool) -> None:
@@ -1904,6 +1941,7 @@ class _Decoder:
                 prop, type_tag, arity = part.rsplit(":", 2)
                 constraints[prop] = Constraint.from_text(type_tag, arity)
             self.backend._schemas[fields[1]] = (Schema(fields[1], constraints), int(fields[2]))
+        self.schema_span = [(self.schema_span or starts)[0], starts[-1]]
         self.current, self.run_text = "schema", None  # SCHEMA lines make no run
 
     def _enforce(self, rows, starts) -> None:

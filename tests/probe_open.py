@@ -10,9 +10,9 @@ benchmark's cli workload. The probe then prints:
 - `DiskBackend.open` of that store, best and median of --repeat opens,
   with the decode and checksum times of the DEBUG record open logs;
 - open plus one `fetch_slices` of every slice of one document (what a
-  `get` reads; it builds one PROPS chunk's rows), and open plus the build
+  `get` reads; it builds one PROPS chunk's bags), and open plus the build
   of the `From` column (what a query on it reads; it builds every
-  chunk's rows), best and median of --repeat each;
+  chunk's bags), best and median of --repeat each;
 - whether open, with every document then read in a random order, holds
   the tables that `reference_loader.load_line_at_a_time` loads from the
   same bytes;

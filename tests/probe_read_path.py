@@ -1,0 +1,123 @@
+"""Read-path probe: what a point read and a query cost on the query workload.
+
+    PYTHONPATH=src python tests/probe_read_path.py [--rounds 2000] [--repeat 5]
+
+The benchmark's query workload (`bench/workloads.py`, seed 1, scale 1)
+generates its inputs with the `bench/corpus.py` generator, builds its
+2,000-document disk store and opens it with the default cache (1,024
+documents). The probe then replays the workload's round mix --repeat
+times on that one repository: per round one selective query, half the
+round's point reads, one broad query and the other half, each query
+reading `Subject` of its first page of results, and each read
+`get_document(id).snapshot()` of one document, 2/3 of them among the
+newest 500.
+
+Each read is timed alone and filed by the `cache_misses` and
+`backend_fetches` deltas of `Repository.stats()` around it:
+
+    hit         cached, every slice loaded: no miss, no fetch
+    hit+fetch   cached with some slice not loaded (a query read one slice
+                of it): no miss, one fetch
+    miss        not cached: one miss, one fetch
+
+For each pass it prints the count, p50 and p90 of each class and the p50
+of each query kind, in microseconds, and last the best p50 of each over
+the passes. Every timing runs in this process on this host, so compare
+two commits by running both here. It exits non-zero when a read returns
+other properties than the corpus gave the document. The file name keeps
+pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))  # bench
+
+from bench.workloads import Query, _expected, pct  # noqa: E402
+
+CLASSES = ("hit", "hit+fetch", "miss")
+
+
+def replay(workload: Query, rounds: int) -> dict[str, list[float]]:
+    """One pass of the round mix; latencies in microseconds by class and
+    query kind."""
+    repo = workload.repo
+    times: dict[str, list[float]] = {name: [] for name in (*CLASSES, "selective", "broad")}
+    clock = time.perf_counter
+
+    def query(kind: str, expr: str) -> None:
+        start = clock()
+        workload._query(expr)
+        times[kind].append((clock() - start) * 1e6)
+
+    def read(index: int) -> None:
+        doc_id = workload.ids[index]
+        before = repo.stats()
+        start = clock()
+        snapshot = repo.get_document(doc_id).snapshot()
+        elapsed = (clock() - start) * 1e6
+        after = repo.stats()
+        if after["cache_misses"] > before["cache_misses"]:
+            kind = "miss"
+        elif after["backend_fetches"] > before["backend_fetches"]:
+            kind = "hit+fetch"
+        else:
+            kind = "hit"
+        times[kind].append(elapsed)
+        if dict(snapshot.properties) != _expected(workload.docs[index])[0]:
+            sys.exit(f"read of document {index} returned {dict(snapshot.properties)!r}")
+
+    per_round = workload.READS_PER_ROUND
+    half = per_round // 2
+    for r in range(rounds):
+        reads = workload.reads[r * per_round:(r + 1) * per_round]
+        query("selective", workload.selective[r % len(workload.selective)])
+        for index in reads[:half]:
+            read(index)
+        query("broad", workload.broad[r % len(workload.broad)])
+        for index in reads[half:]:
+            read(index)
+    return times
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=Query.PLANNED_ROUNDS, help="rounds per pass")
+    parser.add_argument("--repeat", type=int, default=5, help="passes over the rounds; best p50 of each")
+    args = parser.parse_args(argv)
+    rounds = min(args.rounds, Query.PLANNED_ROUNDS)  # the workload plans this many rounds of reads
+
+    with tempfile.TemporaryDirectory() as scratch:
+        workload = Query(seed=1, scale=1.0, workdir=Path(scratch))
+        workload.generate()
+        start = time.perf_counter()
+        workload.setup()
+        print(f"store of {len(workload.docs)} documents built and opened in {time.perf_counter() - start:.2f} s")
+        workload.after_setup()
+        best: dict[str, float] = {}
+        try:
+            for n in range(1, args.repeat + 1):
+                times = replay(workload, rounds)
+                cells = []
+                for name in CLASSES:
+                    lat = times[name]
+                    cells.append(f"{name} {len(lat)}" + (f": p50 {pct(lat, 50):.1f} p90 {pct(lat, 90):.1f}" if lat else ""))
+                for name in ("selective", "broad"):
+                    cells.append(f"{name} p50 {pct(times[name], 50):.0f}")
+                for name, lat in times.items():
+                    if lat:
+                        best[name] = min(best.get(name, float("inf")), pct(lat, 50))
+                print(f"pass {n} (us): " + "; ".join(cells))
+        finally:
+            workload.teardown()
+        print("best p50 (us): " + "; ".join(f"{name} {value:.1f}" for name, value in best.items()))
+
+
+if __name__ == "__main__":
+    main()

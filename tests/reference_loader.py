@@ -9,7 +9,8 @@ and metadata entry one record at a time. A row goes into its property's
 and once every line is read each value's ordinals must run 0, 1, 2, ...
 with no gap, one at a time, before the values become the property's bag.
 It seeds the returned backend's block cache and checks END exactly as
-`MemoryBackend._load_checkpoint` specifies. Stdlib only, so the stdlib
+`MemoryBackend._load_checkpoint` specifies, the SCHEMA section seeded
+when its lines are the canonical block. Stdlib only, so the stdlib
 check script imports it too.
 """
 
@@ -30,6 +31,7 @@ from harland.store import (
     _DOC_SECTIONS,
     crc32c,
     crc32c_combine,
+    schema_record,
     unescape_field,
 )
 
@@ -92,6 +94,7 @@ def load_line_at_a_time(data: bytes) -> MemoryBackend:
     ends: dict[str, int] = {}
     unseeded: set[str] = set()
     marker = current = run_text = None
+    schema_span: list[int] = []  # the first SCHEMA line's offset and the last one's end
     pos = len(first)
     try:
         for raw in lines:
@@ -116,6 +119,8 @@ def load_line_at_a_time(data: bytes) -> MemoryBackend:
                 home[1].setdefault(value, set()).add(ordinal)
             elif marker == "META":
                 name, id_text = _load_meta_record(backend, fields, parse_id)
+                if name == "schema":
+                    schema_span[:] = [(schema_span or [pos])[0], pos + len(raw)]
             elif marker == "CONTENT":
                 name, id_text = "content", fields[0]
                 doc_id = parse_id(id_text)
@@ -158,6 +163,16 @@ def load_line_at_a_time(data: bytes) -> MemoryBackend:
     crc = crc32c_combine(crc, crc32c(data[pos:body_end]), body_end - pos)
     if crc != stated:
         raise CorruptStore("checksum mismatch")
+    block = "".join(
+        schema_record(schema, slice_id) + "\n"
+        for schema, slice_id in sorted(backend._schemas.values(), key=lambda pair: pair[1])
+    ).encode("utf-8")
+    if data[slice(*schema_span or (0, 0))] == block:
+        backend._sections["schema"].chunks = []
+        if block:
+            chunk = _Chunk([])
+            chunk.data, chunk.node = block, len(block) << 32 | crc32c(block)
+            backend._sections["schema"].chunks.append(chunk)
     return backend
 
 

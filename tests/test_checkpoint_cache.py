@@ -283,9 +283,9 @@ def test_a_flipped_bit_in_a_long_chunk_a_short_chunk_or_a_gap_fails_the_checksum
     repo.close()
     data = (root / CHECKPOINT_NAME).read_bytes()
     backend = DiskBackend.open(root)
-    spans = sorted(
+    spans = sorted(  # the document sections' chunks; open checksums the SCHEMA block as a gap
         (data.index(chunk.data), len(chunk.data))
-        for section in backend._sections.values() for chunk in section.chunks or ()
+        for name in store._DOC_SECTIONS for chunk in backend._sections[name].chunks or ()
     )
     props = sorted(backend._sections["props"].chunks, key=lambda chunk: len(chunk.data))
     assert len(props[-1].data) >= 15 * 1024 and len(props[0].data) < len(props[-1].data) // 4
@@ -660,6 +660,51 @@ def test_every_write_checksums_exactly_the_chunk_it_changed(tmp_path):
         assert second.value in chunk.keys and len(props.chunks) > 1
         for doc_id, text in ((first, "changed"), (second, "changed too"), (first, "changed again")):
             assert write(doc_id, text) == len(chunk.data) < sum(map(len, blocks_of(props).values()))
+
+
+def test_first_write_after_reopen_of_a_store_without_props_folds_like_the_next(tmp_path):
+    """With no PROPS record, open still folds the magic and PROPS lines and
+    the META line as two leaves, as a write does, so the first write after
+    a reopen re-folds no more of the image tree than the next one."""
+    root = tmp_path / "store"
+    with Repository.init(root, id_seed=7) as repo:
+        collection = repo.create_document(DocumentKind.COLLECTION)
+        for _ in range(200):
+            collection.add_member(repo.create_document())
+    with Repository.open(root, CacheConfig(auto_flush=False)) as repo:
+        assert not repo.backend._sections["props"].chunks
+        collection = repo.get_document(collection.doc_id)
+        combines = []
+        for _ in range(2):
+            before = repo.stats()["crc_combines"]
+            collection.add_member(repo.create_document())
+            repo.flush()
+            combines.append(repo.stats()["crc_combines"] - before)
+        assert combines[0] <= 2 * combines[1]
+
+
+def test_open_seeds_the_schema_block(tmp_path):
+    """Open keeps the SCHEMA lines, when they are the canonical block, as the
+    section's chunk, so the first write after open neither encodes nor
+    checksums them again: two identical updates checksum the same bytes."""
+    root = tmp_path / "store"
+    with Repository.init(root, id_seed=7) as repo:
+        repo.define_schema(Schema("note", {"Subject": Constraint.from_text("text", "0..1")}))
+        handle = repo.create_document()
+        handle.set_property("Subject", [Value.text("a")])
+        handle.enforce("note")
+    data = (root / CHECKPOINT_NAME).read_bytes()
+    with Repository.open(root, CacheConfig(auto_flush=False)) as repo:
+        (chunk,) = repo.backend._sections["schema"].chunks
+        assert chunk.data == repo.backend._schema_block() and chunk.data in data
+        handle = repo.get_document(handle.doc_id)
+        checksummed = []
+        for text in ("b", "c"):
+            before = repo.stats()["checksummed_bytes"]
+            handle.set_property("Subject", [Value.text(text)])
+            repo.flush()
+            checksummed.append(repo.stats()["checksummed_bytes"] - before)
+        assert checksummed[0] == checksummed[1]
 
 def test_body_that_is_not_utf8_is_a_corrupt_store(tmp_path):
     body = f"{store.MAGIC}\nPROPS\n\xff\nMETA\nCONTENT\n".encode("latin-1")

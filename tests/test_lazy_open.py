@@ -35,7 +35,7 @@ import pytest
 
 from harland import cli, store
 from harland.errors import CorruptStore, StorageFailure
-from harland.model import DocumentId, DocumentKind, Value
+from harland.model import DocumentId, DocumentKind, Value, occurrences
 from harland.store import CHECKPOINT_NAME, DiskBackend, DocumentRecord, PropertyRow
 
 from reference_loader import load_batched, load_line_at_a_time, load_outcome
@@ -168,7 +168,14 @@ def test_two_texts_of_one_value_load_as_the_line_at_a_time_loader_loads_them(tmp
 # ---- a random replay that touches unbuilt chunks first in every way ----
 
 def _rows_of(backend, doc_id) -> set:
-    return set(backend.fetch_slices(doc_id, {0, 1, 2}))
+    """The rows that fetches of slices 0, 1 and 2, one slice each, hand
+    back: each occurrence of a value in a fetched bag, numbered from 0."""
+    return {
+        PropertyRow(doc_id, slice_id, prop, value, ordinal)
+        for slice_id in (0, 1, 2)
+        for prop, values in backend.fetch_slices(doc_id, {slice_id})
+        for value, ordinal in occurrences(values)
+    }
 
 
 def _bag_rows_of(backend, doc_id) -> set:

@@ -110,9 +110,11 @@ def test_fetch_slices_returns_requested_rows():
     b = MemoryBackend()
     _seed(b)
     before = b.fetch_count
-    rows = b.fetch_slices(D1, {1})
+    fetched = b.fetch_slices(D1, {1})
     assert b.fetch_count == before + 1
-    assert {r.prop for r in rows} == {"Subject", "Received"}
+    assert dict(fetched) == {"Subject": (Value.text("x"),), "Received": (Value.timestamp(0),)}
+    # each bag is the backend's own tuple, handed over by reference
+    assert all(values is b.stored_bags_of(D1)[prop][1] for prop, values in fetched)
     assert b.stored_docs()[D1] is DocumentKind.PLAIN
     assert b.stored_enforcement()[D1] == {"email": 1}
     assert b.stored_assignments()[D1] == {"Subject": 1, "Received": 1, "Deadline": 2}
@@ -130,7 +132,7 @@ def test_put_rows_detects_drift():
     with pytest.raises(StorageFailure):
         b.put_rows(rows=[], deletes=[(D1, "Subject", Value.text("no-such"), 0)], meta=[])
     # neither failed batch changed anything
-    assert {r.prop for r in b.fetch_slices(D1, {1})} == {"Subject", "Received"}
+    assert {prop for prop, _ in b.fetch_slices(D1, {1})} == {"Subject", "Received"}
 
 
 @pytest.mark.parametrize("rows,deletes", [
@@ -160,8 +162,7 @@ def test_put_rows_replaces_value():
         deletes=[(D1, "Subject", Value.text("x"), 0)],
         meta=[],
     )
-    rows = b.fetch_slices(D1, {1})
-    subject = [r.value for r in rows if r.prop == "Subject"]
+    subject = [v for prop, values in b.fetch_slices(D1, {1}) if prop == "Subject" for v in values]
     assert subject == [Value.text("y")]
 
 
@@ -231,8 +232,8 @@ def test_disk_backend_batches_survive_reopen(tmp_path):
     b = DiskBackend.init(root)
     _seed(b)
     again = DiskBackend.open(root)
-    rows = again.fetch_slices(D1, {1, 2})
-    assert {r.prop for r in rows} == {"Subject", "Received", "Deadline"}
+    fetched = again.fetch_slices(D1, {1, 2})
+    assert {prop for prop, _ in fetched} == {"Subject", "Received", "Deadline"}
     assert again.stored_enforcement()[D1] == {"email": 1}
     assert again.schema_defs()["email"][1] == 1  # slice id survived
 
@@ -306,10 +307,10 @@ def test_failed_persist_applies_nothing(tmp_path):
             deletes=[],
             meta=[],
         )
-    subjects = [r.value for r in b.fetch_slices(D1, {1}) if r.prop == "Subject"]
+    subjects = [v for prop, values in b.fetch_slices(D1, {1}) if prop == "Subject" for v in values]
     assert subjects == [Value.text("x")]
     reopened = DiskBackend.open(root)
-    subjects = [r.value for r in reopened.fetch_slices(D1, {1}) if r.prop == "Subject"]
+    subjects = [v for prop, values in reopened.fetch_slices(D1, {1}) if prop == "Subject" for v in values]
     assert subjects == [Value.text("x")]
 
 
