@@ -144,6 +144,7 @@ class CommitHub:
         self._pending: deque[CommitEvent] = deque()
         self._seq = 0
         self._queued = 0  # events ever queued for dispatch
+        self._failed = 0  # events whose dispatch raised; the dispatcher thread alone writes it
         self._in_flight = 0
         self._stopped = False
         self._subs: list[Subscription] = []  # the active transition subscriptions
@@ -193,9 +194,10 @@ class CommitHub:
             return self._seq
 
     def counts(self) -> dict[str, int]:
-        """Commits numbered, and of those the ones queued for dispatch."""
+        """Commits numbered, of those the ones queued for dispatch, and of
+        those the ones whose dispatch raised."""
         with self._cond:
-            return {"commits": self._seq, "commits_dispatched": self._queued}
+            return {"commits": self._seq, "commits_dispatched": self._queued, "dispatch_failures": self._failed}
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Wait until every queued event has been dispatched."""
@@ -229,6 +231,7 @@ class CommitHub:
             try:
                 self._dispatch(event)
             except Exception:
+                self._failed += 1
                 logger.exception("dispatch failed for commit %d", event.seq)
             finally:
                 with self._cond:

@@ -5,9 +5,10 @@ kind, slice assignments, enforcement, membership and content tokens. A
 document whose metadata differs from its committed entry (new, or changed
 since its last flush) carries one pending record with its whole live
 entry, copied from the committed entry on its first metadata change; reads
-take the pending record when there is one, else the committed entry. A
-read looks its document up in the cache once and takes its whole metadata
-entry from there (_load, _entry).
+take the pending record when there is one, else the committed entry. An
+operation, a read or a write, looks its document up in the cache once and
+reads its whole metadata entry once (_load, _entry); only the lock-free
+query-view readers (_kind_of, _enforcement_of, _members_of) read one field.
 A cached document holds one value bag per property, filled a slice at a
 time on demand: reading any property of a document fetches the whole slice
 that property is assigned to, in one backend round trip, so the other
@@ -48,10 +49,11 @@ since its collection (its stamp in the dirty map moved), or dirtied after
 it, is collected then. close() and hub.drain() never run under it,
 because the dispatcher thread calls back into the repository.
 
-A commit builds the before and after snapshots of its event only while the
-hub is watched (an active transition subscription exists); otherwise it
-publishes its document id alone, which is numbered and not queued. A
-mutation checks only the property it changes. The hub registers a
+Every snapshot comes from one trusted builder (_snapshot_locked). A commit
+builds the before and after snapshots of its event only while the hub is
+watched (an active transition subscription exists); otherwise it publishes
+its document id alone, which is numbered and not queued, and its schema
+check snapshots only the properties it checks. The hub registers a
 subscription under the repository lock, so it cannot become watched
 between a commit's look at it and its publish.
 """
@@ -370,6 +372,7 @@ class Repository:
         self._misses = 0
         self._evictions = 0
         self._flushes = 0
+        self._flush_failures = 0  # background flushes that raised; the flusher thread alone writes it
 
         self._ids.prime(backend.stored_docs())
         self.hub = CommitHub(self)
@@ -442,10 +445,6 @@ class Repository:
         pending = self._pending(doc_id)
         return pending.kind if pending is not None else self.backend.stored_docs().get(doc_id)
 
-    def _assignments_of(self, doc_id: DocumentId) -> Mapping[str, int]:
-        pending = self._pending(doc_id)
-        return pending.assignments if pending is not None else self.backend.stored_assignments().get(doc_id, {})
-
     def _enforcement_of(self, doc_id: DocumentId) -> Mapping[str, int]:
         pending = self._pending(doc_id)
         return pending.enforcement if pending is not None else self.backend.stored_enforcement().get(doc_id, {})
@@ -460,13 +459,7 @@ class Repository:
         The document is dirty from then on."""
         self._mark_dirty(idoc.doc_id)
         if idoc.pending is None:
-            backend, doc_id = self.backend, idoc.doc_id
-            idoc.pending = _Pending(
-                backend.stored_docs()[doc_id],
-                backend.stored_assignments().get(doc_id, ()),
-                backend.stored_enforcement().get(doc_id, ()),
-                backend.stored_members().get(doc_id, ()),
-            )
+            idoc.pending = _Pending(*self._entry(idoc.doc_id, None))
         return idoc.pending
 
     def _stored(self, doc_id: DocumentId) -> bool:
@@ -573,40 +566,30 @@ class Repository:
             idoc.bags.update(self.backend.fetch_slices(idoc.doc_id, missing))
         idoc.loaded |= missing
 
-    def _snapshot_locked(self, idoc: _IDoc, entry: tuple) -> DocumentSnapshot:
-        """The whole live document, from its cached image and its metadata
-        entry (see _entry), its slices loaded."""
+    def _snapshot_locked(self, idoc: _IDoc, entry: tuple, props: Optional[Iterable[str]] = None) -> DocumentSnapshot:
+        """The engine's one snapshot builder: the live document from its
+        cached image and its metadata entry (see _entry), built trusted. It
+        holds the whole document, every slice loaded; or, with props given,
+        what a schema check reads: the bags of props alone, only their
+        slices loaded, and no members."""
         kind, assignments, enforcement, members = entry
-        self._materialize(idoc, assignments.values())
-        return DocumentSnapshot.trusted(idoc.doc_id, kind, dict(idoc.bags), frozenset(enforcement), frozenset(members))
+        if props is None:
+            self._materialize(idoc, assignments.values())
+            return DocumentSnapshot.trusted(idoc.doc_id, kind, dict(idoc.bags), frozenset(enforcement), frozenset(members))
+        self._materialize(idoc, {assignments[p] for p in props if p in assignments})
+        bags = idoc.bags
+        return DocumentSnapshot.trusted(idoc.doc_id, kind, {p: bags[p] for p in props if p in bags}, frozenset(enforcement), frozenset())
 
-    def _check_snapshot(self, doc_id: DocumentId, idoc: _IDoc, props: Iterable[str]) -> DocumentSnapshot:
-        """What a schema check reads of the live document: its kind and
-        enforcement, and the bags of props alone, their slices loaded."""
-        assigned = self._assignments_of(doc_id)
-        self._materialize(idoc, {assigned[p] for p in props if p in assigned})
-        return DocumentSnapshot(
-            doc_id=doc_id,
-            kind=self._kind_of(doc_id),
-            properties={p: idoc.bags[p] for p in props if p in idoc.bags},
-            enforced=frozenset(self._enforcement_of(doc_id)),
-            members=frozenset(),
-        )
-
-    def _published(self, doc_id: DocumentId, before: Optional[DocumentSnapshot], **fields) -> None:
+    def _published(self, idoc: _IDoc, before: Optional[DocumentSnapshot], **fields) -> None:
         """Publishes a commit that changed a live document's enforcement,
         members or content: with the snapshots around the change when before
         was taken, because the hub was watched, else its number alone."""
+        doc_id = idoc.doc_id
         if before is None:
             self.hub.publish(doc_id=doc_id)
             return
-        after = DocumentSnapshot(
-            doc_id=doc_id,
-            kind=before.kind,
-            properties=before.properties,
-            enforced=frozenset(self._enforcement_of(doc_id)),
-            members=frozenset(self._members_of(doc_id)),
-        )
+        _, _, enforcement, members = self._entry(doc_id, idoc)
+        after = DocumentSnapshot.trusted(doc_id, before.kind, before.properties, frozenset(enforcement), frozenset(members))
         self.hub.publish(doc_id=doc_id, before=before, after=after, **fields)
 
     # ---- document lifecycle ----
@@ -620,10 +603,7 @@ class Repository:
             self._mark_dirty(doc_id)
             self._evict_if_needed(exclude=doc_id)
             if self.hub.watched:
-                after = DocumentSnapshot(
-                    doc_id=doc_id, kind=kind, properties={},
-                    enforced=frozenset(), members=frozenset(),
-                )
+                after = DocumentSnapshot.trusted(doc_id, kind, {}, frozenset(), frozenset())
                 self.hub.publish(doc_id=doc_id, before=None, after=after)
             else:
                 self.hub.publish(doc_id=doc_id)
@@ -691,7 +671,7 @@ class Repository:
             prop = change.prop
             # the whole document only for the commit event; the check reads prop alone
             watched = self.hub.watched
-            before = self._snapshot_locked(idoc, entry) if watched else self._check_snapshot(doc_id, idoc, (prop,))
+            before = self._snapshot_locked(idoc, entry, None if watched else (prop,))
             old = before.values_of(prop)
             new = self._apply_change(old, change)
             if new == old:
@@ -701,15 +681,15 @@ class Repository:
                 properties[prop] = new
             else:
                 properties.pop(prop, None)
-            proposed = DocumentSnapshot(doc_id, before.kind, properties, before.enforced, before.members)
+            proposed = DocumentSnapshot.trusted(doc_id, before.kind, properties, before.enforced, before.members)
             violations = self.registry.validate_mutation(before, proposed)
             if violations:
                 raise SchemaViolation(violations)
 
-            slice_id = self._assignments_of(doc_id).get(prop)
+            slice_id = entry[1].get(prop)
             if slice_id is None:
                 # the first write of a property picks its slice, permanently
-                slice_id = self.registry.slice_for(prop, self._enforcement_of(doc_id))
+                slice_id = self.registry.slice_for(prop, entry[2])
                 self._pending_of(idoc).assignments[prop] = slice_id
             self._materialize(idoc, {slice_id})
             if new:
@@ -745,42 +725,40 @@ class Repository:
         self._check_open()
         doc_id = handle.doc_id
         with self._lock:
-            self._kind(doc_id)
+            idoc = self._cache.get(doc_id)
+            entry = self._entry(doc_id, idoc)
             schema = self.registry.get(schema_name)  # raises UnknownSchema
-            if schema_name in self._enforcement_of(doc_id):
+            if schema_name in entry[2]:  # a no-op counts no cache lookup
                 return
-            idoc = self._counted(doc_id, self._cache.get(doc_id))
+            idoc = self._counted(doc_id, idoc)
             watched = self.hub.watched
-            before = (
-                self._snapshot_locked(idoc, self._entry(doc_id, idoc)) if watched
-                else self._check_snapshot(doc_id, idoc, schema.constraints)
-            )
+            before = self._snapshot_locked(idoc, entry, None if watched else schema.constraints)
             violations = self.registry.violations(before, schema.name)
             if violations:
                 raise NotConforming(violations)
             enforcement = self._pending_of(idoc).enforcement
             enforcement[schema_name] = max(enforcement.values(), default=0) + 1
-            self._published(doc_id, before if watched else None, schemas_added=frozenset({schema_name}))
+            self._published(idoc, before if watched else None, schemas_added=frozenset({schema_name}))
 
     def unenforce(self, handle: Handle, schema_name: str) -> None:
         """Stops enforcement; property values are retained untouched."""
         self._check_open()
         doc_id = handle.doc_id
         with self._lock:
-            self._kind(doc_id)
+            idoc = self._cache.get(doc_id)
+            entry = self._entry(doc_id, idoc)
             self.registry.get(schema_name)
-            if schema_name not in self._enforcement_of(doc_id):
+            if schema_name not in entry[2]:  # a no-op counts no cache lookup
                 return
-            idoc = self._counted(doc_id, self._cache.get(doc_id))
-            before = self._snapshot_locked(idoc, self._entry(doc_id, idoc)) if self.hub.watched else None
+            idoc = self._counted(doc_id, idoc)
+            before = self._snapshot_locked(idoc, entry) if self.hub.watched else None
             del self._pending_of(idoc).enforcement[schema_name]
-            self._published(doc_id, before, schemas_removed=frozenset({schema_name}))
+            self._published(idoc, before, schemas_removed=frozenset({schema_name}))
 
     def enforcement_seqs(self, doc_id: DocumentId) -> list[tuple[str, int]]:
         """(schema, enforcement seq) of each schema enforced on the live
         document, earliest enforced first."""
-        self._kind(doc_id)
-        return sorted(self._enforcement_of(doc_id).items(), key=itemgetter(1))
+        return sorted(self._entry(doc_id, self._cache.get(doc_id))[2].items(), key=itemgetter(1))
 
     # ---- membership ----
 
@@ -791,22 +769,22 @@ class Repository:
             idoc, entry = self._load(doc_id, DocumentKind.COLLECTION)
             if self._kind_of(member_id) is None:
                 raise UnknownDocument(f"member {member_id} does not exist")
-            if member_id in self._members_of(doc_id):
+            if member_id in entry[3]:
                 return
             before = self._snapshot_locked(idoc, entry) if self.hub.watched else None
             self._pending_of(idoc).members.add(member_id)
-            self._published(doc_id, before, members_added=frozenset({member_id}))
+            self._published(idoc, before, members_added=frozenset({member_id}))
 
     def remove_member(self, handle: Handle, member_id: DocumentId) -> None:
         self._check_open()
         doc_id = handle.doc_id
         with self._lock:
             idoc, entry = self._load(doc_id, DocumentKind.COLLECTION)
-            if member_id not in self._members_of(doc_id):
+            if member_id not in entry[3]:
                 return
             before = self._snapshot_locked(idoc, entry) if self.hub.watched else None
             self._pending_of(idoc).members.discard(member_id)
-            self._published(doc_id, before, members_removed=frozenset({member_id}))
+            self._published(idoc, before, members_removed=frozenset({member_id}))
 
     def members_of_handle(self, handle: Handle) -> frozenset[DocumentId]:
         if self._kind(handle.doc_id) is not DocumentKind.COLLECTION:
@@ -821,13 +799,14 @@ class Repository:
             raise TypeError("content must be bytes")
         doc_id = handle.doc_id
         with self._lock:
-            idoc, _ = self._load(doc_id, DocumentKind.CONTENT)
-            # the blob needs its document record first
+            idoc, entry = self._load(doc_id, DocumentKind.CONTENT)
+            # the blob needs its document record first; the commit leaves
+            # the metadata as it was
             self._commit_locked({doc_id: (idoc, self._flush_doc_locked(doc_id, idoc))})
             tokens_before = self.content_tokens(doc_id)
-            before = self._snapshot_locked(idoc, self._entry(doc_id, idoc)) if self.hub.watched else None
+            before = self._snapshot_locked(idoc, entry) if self.hub.watched else None
             ref = self.backend.content_write(doc_id, data)
-            self._published(doc_id, before, tokens_before=tokens_before, tokens_after=ref.tokens)
+            self._published(idoc, before, tokens_before=tokens_before, tokens_after=ref.tokens)
 
     def get_content(self, handle: Handle) -> bytes:
         with self._lock:
@@ -1057,7 +1036,7 @@ class Repository:
         rows: list[PropertyRow] = []
         deletes: list[tuple] = []
         if idoc.dirty_props:  # each dirty property's bag against its stored bag
-            assigned = self._assignments_of(doc_id)
+            assigned = self._entry(doc_id, idoc)[1]
             stored = backend.stored_bags_of(doc_id)
             for prop in sorted(idoc.dirty_props):
                 live = list(occurrences(idoc.bags.get(prop, ())))
@@ -1093,6 +1072,7 @@ class Repository:
             except Exception:
                 # state stays dirty in memory and the next pass retries;
                 # close() flushes in the caller's thread and raises
+                self._flush_failures += 1
                 logger.exception("background flush failed; retrying")
 
     # ---- stats ----
@@ -1107,6 +1087,7 @@ class Repository:
                 "cache_misses": self._misses,
                 "evictions": self._evictions,
                 "flushes": self._flushes,
+                "flush_failures": self._flush_failures,
                 "backend_batches": self.backend.batch_count,
                 "backend_scans": self.backend.scan_count,
                 "encoded_blocks": self.backend.encoded_blocks,

@@ -520,10 +520,37 @@ def test_background_flusher_survives_os_errors(tmp_path, monkeypatch):
         assert faults == []
         assert repo._flusher.is_alive()
         assert repo.backend.scan_rows(h.doc_id)
+        assert repo.stats()["flush_failures"] == 3
     finally:
         repo.close()
     with Repository.open(tmp_path / "store", config=CacheConfig(auto_flush=False)) as reopened:
         assert reopened.get_document(h.doc_id).values("x") == (Value.integer(1),)
+
+
+def test_dispatcher_counts_a_failed_dispatch_and_delivers_the_next_commit(monkeypatch):
+    from harland import coordination
+
+    real_evaluate = coordination.evaluate_doc
+    raised = []
+
+    def evaluate_once_failing(*args):
+        if not raised:
+            raised.append(True)
+            raise RuntimeError("injected evaluation failure")
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(coordination, "evaluate_doc", evaluate_once_failing)
+    with fresh() as repo:
+        repo.define_schema(Schema("ready", {}))
+        first, second = repo.create_document(), repo.create_document()
+        sub = repo.subscribe('schema:"ready"')
+        first.enforce("ready")  # its dispatch raises
+        second.enforce("ready")
+        assert repo.hub.drain()
+        assert repo.stats()["dispatch_failures"] == 1
+        assert repo.hub._thread.is_alive()
+        assert sub.take(timeout=5).doc_id == second.doc_id
+        assert sub.take(timeout=0.1) is None
 
 
 # ---- the repository lock and the dirty set ----

@@ -4,12 +4,19 @@ Seeded random steps (create, set, add, remove, enforce, unenforce,
 membership, delete, flush and read) run on a disk store whose cache holds
 four documents, so reads hit documents with every slice loaded, documents
 with some slice loaded, and evicted ones. The test keeps each live
-document's kind, property bags, enforced schemas and members in plain
-dicts and sets. Every `snapshot()` and `values()` must equal that model,
-and every snapshot is built again with the validated `DocumentSnapshot`
-constructor, so a snapshot that breaks an invariant raises. A snapshot
-must not change once taken. After each flush a second repository opens
-the store's file and must read the same snapshot of every document.
+document's kind, property bags, enforced schemas (in the order they were
+enforced) and members in plain dicts and lists. Every `snapshot()` and
+`values()` must equal that model, and every snapshot is built again with
+the validated `DocumentSnapshot` constructor, so a snapshot that breaks an
+invariant raises. A snapshot must not change once taken. After each flush
+a second repository opens the store's file and must read the same snapshot
+of every document.
+
+After every step each metadata reader (`document_kind`, `enforced_of`,
+`members_of`, `Handle.enforced()` and `Handle.kind`) must agree with the
+model for every live document, whether it has a pending record, is cached
+clean or has been evicted, and for a deleted and a never-created id, which
+read as None, the empty set or `UnknownDocument`.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ import random
 
 import pytest
 
-from harland.engine import CacheConfig, Repository
+from harland.engine import CacheConfig, Handle, Repository
 from harland.errors import NotConforming, SchemaViolation, UnknownDocument
-from harland.model import Constraint, DocumentKind, DocumentSnapshot, Schema, Value, bag
+from harland.model import Constraint, DocumentId, DocumentKind, DocumentSnapshot, Schema, Value, bag
 from harland.store import MemoryBackend
 
 SCHEMAS = (
@@ -28,6 +35,7 @@ SCHEMAS = (
     Schema("sized", {"size": Constraint.from_text("integer", "0..1"), "Tags": Constraint.from_text("text", "0..*")}),
 )
 PROPS = ("Subject", "size", "Tags", "tab\there")
+NEVER_CREATED = DocumentId.parse("00000000-0000-0000-0000-00000000beef")
 
 
 class Model:
@@ -36,7 +44,7 @@ class Model:
     def __init__(self, kind: DocumentKind):
         self.kind = kind
         self.props: dict[str, tuple[Value, ...]] = {}
-        self.enforced: set[str] = set()
+        self.enforced: list[str] = []  # earliest enforced first
         self.members: set = set()
 
     def snapshot(self, doc_id) -> DocumentSnapshot:
@@ -71,6 +79,7 @@ class Run:
         self.deleted: list = []
         self.taken: list[tuple[DocumentSnapshot, DocumentSnapshot]] = []  # (snapshot, what it read then)
         self.reads = {"hit": 0, "hit+fetch": 0, "miss": 0}  # snapshot reads, by what they cost
+        self.states = {"pending": 0, "clean": 0, "evicted": 0}  # metadata checks, by the document's state
 
     def pick(self, kind=None):
         ids = sorted(d for d, m in self.docs.items() if kind is None or m.kind is kind)
@@ -88,6 +97,29 @@ class Run:
             self.reads["hit+fetch"] += 1
         else:
             self.reads["hit"] += 1
+
+    def check_metadata(self) -> None:
+        """Every metadata reader against the model, for every live document,
+        filed by the document's state, and for a deleted and a never-created
+        id."""
+        repo = self.repo
+        for doc_id, model in self.docs.items():
+            idoc = repo._cache.get(doc_id)
+            state = "evicted" if idoc is None else "clean" if idoc.pending is None else "pending"
+            self.states[state] += 1
+            handle = Handle(repo, doc_id)
+            assert repo.document_kind(doc_id) is model.kind is handle.kind
+            assert repo.enforced_of(doc_id) == frozenset(model.enforced)
+            assert handle.enforced() == tuple(model.enforced)
+            assert repo.members_of(doc_id) == frozenset(model.members)
+        for gone in (*self.deleted[-1:], NEVER_CREATED):
+            handle = Handle(repo, gone)
+            assert repo.document_kind(gone) is None
+            assert repo.enforced_of(gone) == frozenset() == repo.members_of(gone)
+            with pytest.raises(UnknownDocument):
+                handle.enforced()
+            with pytest.raises(UnknownDocument):
+                handle.kind
 
     def step(self) -> None:
         rng, repo, docs = self.rng, self.repo, self.docs
@@ -124,10 +156,12 @@ class Run:
                 name = rng.choice(SCHEMAS).name
                 if action == "enforce":
                     handle.enforce(name)
-                    model.enforced.add(name)
+                    if name not in model.enforced:
+                        model.enforced.append(name)
                 else:
                     handle.unenforce(name)
-                    model.enforced.discard(name)
+                    if name in model.enforced:
+                        model.enforced.remove(name)
                 return
             elif action == "member":
                 collection = self.pick(DocumentKind.COLLECTION)
@@ -181,6 +215,7 @@ def test_every_read_equals_the_model(tmp_path, seed):
         run = Run(rng, repo, root)
         for _ in range(1500):
             run.step()
+            run.check_metadata()
         stats = repo.stats()
         assert stats["cache_misses"] > 20 and stats["evictions"] > 20  # reads went past the cache
         for snapshot, read in run.taken:  # a snapshot does not change once taken
@@ -188,3 +223,4 @@ def test_every_read_equals_the_model(tmp_path, seed):
         repo.flush()
         _check_reopened(root, run.docs)
     assert min(run.reads.values()) >= 10, run.reads
+    assert min(run.states.values()) >= 100, run.states
