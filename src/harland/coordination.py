@@ -12,11 +12,17 @@ deliver a document exactly when its match status flips false -> true for
 that commit; membership changes re-evaluate the affected member documents,
 which is sound because no predicate joins across documents.
 
-Delivery is at-least-once: consumers must tolerate duplicates. Workers
-bound retries per document and park repeat offenders on a dead-letter list
-instead of blocking the queue. Documents are never removed from the
-repository by any of this machinery; "done" is only ever expressed by
-enforcing another schema.
+Delivery is at-least-once: consumers must tolerate duplicates. The
+dispatcher evaluates each (subscription, document) pair of a commit on
+its own: a pair whose evaluation raises is counted in dispatch_failures
+and kept as a hub dead letter (CommitHub.dead_letters), and every other
+pair still gets its delivery. A dead-lettered pair is reported, not
+redelivered: its subscriber learns of the document from the dead letter,
+from poll(), or from a later commit that flips it. Workers bound retries
+per document and park repeat offenders on a dead-letter list instead of
+blocking the queue. Documents are never removed from the repository by
+any of this machinery; "done" is only ever expressed by enforcing another
+schema.
 """
 
 from __future__ import annotations
@@ -144,7 +150,8 @@ class CommitHub:
         self._pending: deque[CommitEvent] = deque()
         self._seq = 0
         self._queued = 0  # events ever queued for dispatch
-        self._failed = 0  # events whose dispatch raised; the dispatcher thread alone writes it
+        self._failed = 0  # evaluations and events whose dispatch raised; the dispatcher thread alone writes it
+        self._dead: list[DeadLetter] = []  # the (subscription, document) pairs whose evaluation raised
         self._in_flight = 0
         self._stopped = False
         self._subs: list[Subscription] = []  # the active transition subscriptions
@@ -194,10 +201,16 @@ class CommitHub:
             return self._seq
 
     def counts(self) -> dict[str, int]:
-        """Commits numbered, of those the ones queued for dispatch, and of
-        those the ones whose dispatch raised."""
+        """Commits numbered, of those the ones queued for dispatch, and the
+        evaluations and commits whose dispatch raised."""
         with self._cond:
             return {"commits": self._seq, "commits_dispatched": self._queued, "dispatch_failures": self._failed}
+
+    def dead_letters(self) -> list["DeadLetter"]:
+        """The (subscription, document) pairs whose evaluation raised, one
+        per failed pair, in dispatch order."""
+        with self._cond:
+            return list(self._dead)
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Wait until every queued event has been dispatched."""
@@ -253,6 +266,12 @@ class CommitHub:
                     now = self._phase_match(sub.plan, after_view, doc_id, event, phase_before=False)
                 except UnknownDocument:
                     continue  # raced with a delete; the next commit re-evaluates
+                except Exception as exc:  # this pair only: every other pair still gets its delivery
+                    logger.exception("evaluation failed for commit %d, document %s", event.seq, doc_id)
+                    with self._cond:
+                        self._failed += 1
+                        self._dead.append(DeadLetter(doc_id, event.seq, repr(exc), sub))
+                    continue
                 if now and not was:
                     sub.queue.put(Delivery(event.seq, doc_id))
 
@@ -268,9 +287,13 @@ class CommitHub:
 
 @dataclass(frozen=True)
 class DeadLetter:
+    """A delivery given up: a worker's action, or the hub's evaluation of
+    one subscription for one document, failed."""
+
     doc_id: DocumentId
     seq: int
     error: str
+    subscription: Optional[Subscription] = None
 
 
 class Worker:
@@ -330,7 +353,7 @@ class Worker:
                 if count > self.max_retries:
                     logger.warning("%s: parking %s after %d attempts", self.name, delivery.doc_id, count)
                     with self._dead_lock:
-                        self._dead.append(DeadLetter(delivery.doc_id, delivery.seq, repr(exc)))
+                        self._dead.append(DeadLetter(delivery.doc_id, delivery.seq, repr(exc), self.subscription))
                     self._attempts.pop(delivery.doc_id, None)
                 else:
                     self.subscription.requeue(delivery)

@@ -59,17 +59,24 @@ zlib's crc32_combine), the backend's image tree, whose leaves are the
 parts the file is written from, in file order: each header, every chunk
 of every section, and the SCHEMA block. Each document section's leaves
 are padded with empty leaves to a multiple of _RUN (128), so a chunk that
-one section gains or loses moves no other section's leaves. A write
-re-folds only the tree nodes above the leaves it changed, so a
-one-document write costs O(log chunks) combines; a write never sorts a
-section, and its Python work does not grow with the store.
+one section gains or loses moves no other section's leaves. The backend
+keeps the list of parts and the tree's leaves between writes, and each
+section keeps the chunks a batch cleared and the first index where it
+gained or lost one: an encode folds those chunks, puts their parts and
+leaves in place, and re-folds only the tree nodes above the leaves that
+changed, so a one-document write costs O(log chunks) combines. A write
+never sorts a section; its Python work grows with the store only where a
+chunk gained or lost moves the rest of its section's parts and leaves,
+and where a section's padded run grows or shrinks, which lays the whole
+image out again.
 
 A DiskBackend writes those parts with os.pwritev into the inode of the
 image that its last write replaced, kept as a spare beside the checkpoint
 (store.hl1.old) while the backend is open, and renames the result onto
-store.hl1, so the kernel copies the image once into pages it already holds
-and frees none (see _atomic_write and DiskBackend). store.hl1 always names
-a complete image.
+store.hl1, so the kernel copies the image once into pages it already
+holds, and allocates blocks only for the bytes by which the image
+outgrows the spare, before it writes them (see _atomic_write and
+DiskBackend). store.hl1 always names a complete image.
 
 Opening a store seeds the same cache from the bytes it has just read: each
 chunk's bytes are one slice of the file, each document's run of lines is
@@ -158,7 +165,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from math import copysign
-from operator import add, attrgetter, floordiv, is_, itemgetter, lt, ne, sub
+from operator import add, attrgetter, floordiv, itemgetter, lt, ne, sub
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -787,6 +794,7 @@ class MemoryBackend:
         self._unbuilt: set[_Chunk] = set()  # seeded PROPS chunks whose bags are not built yet
         self._builder: Optional[_Decoder] = None  # builds their bags; its caches go with the last of them
         self._image = _Tree()  # END's fold over the parts of the file, from open or the first encode
+        self._parts: list[bytes] = []  # the file's parts, END last, in step with the image tree's leaves
         self.fail_next_persist = False
 
     # ---- batches: stage, persist, install ----
@@ -1160,11 +1168,65 @@ class MemoryBackend:
         return b"".join(self._checkpoint_parts())
 
     def _checkpoint_parts(self) -> list[bytes]:
-        """The checkpoint as a list of cached parts, in file order: each
-        header, each chunk of each section, then END. Only the blocks
-        dropped since the last call are encoded again, only the chunks that
-        hold them are checksummed again, and END re-folds only the nodes of
-        the image tree above the leaves that changed (see _Tree)."""
+        """The checkpoint as the backend's kept list of parts, in file order:
+        each non-empty header, each chunk of each section, then END; a
+        caller reads it and never changes it. Only the chunks that a batch
+        cleared since the last call are joined and checksummed again, their
+        parts and leaves are replaced where they sit, and END re-folds only
+        the nodes of the image tree above the leaves that changed (see
+        _Tree). A chunk that a section gained or lost moves the section's
+        later parts and leaves, within its padded run of leaves; when a run
+        grows or shrinks, or a section is new to the image (the first
+        encode, and the first after open), the whole image is laid out
+        again and its leaves compared with the last ones."""
+        sections = self._sections
+        for name, section in sections.items():  # what can raise comes before any layout edit
+            self._fold(name, section)
+        if any(section.laid is None or _run(name, len(section.chunks)) != _run(name, section.laid)
+               for name, section in sections.items()):
+            self._lay_out()
+        else:
+            changed: list[int] = []
+            part = leaf = 0
+            for name, header in _LAYOUT:
+                if header:
+                    part += 1
+                    leaf += 1
+                section = sections[name]
+                if section.cleared or section.moved is not None:
+                    self._place(section, part, leaf, changed)
+                part += section.laid
+                leaf += _run(name, section.laid)
+            if changed:
+                self.crc_combines += self._image.refold(self._image.levels[0], sorted(changed))
+        self._parts[-1] = f"END {self._image.root()[0]}\n".encode("ascii")
+        return self._parts
+
+    def _fold(self, name: str, section: "_Section") -> None:
+        """Gives each chunk that a batch cleared its bytes and node again.
+        The SCHEMA block is one chunk, or none when it is empty, encoded
+        again after any batch that stages a schema. A document section is
+        cut into chunks by the first encode that finds it has none; after
+        that, a chunk whose node a batch cleared joins its blocks and
+        checksums its bytes again, and the others are taken as they are."""
+        if name == "schema":
+            if section.chunks is None:
+                block = self._schema_block()
+                section.chunks = [_schema_chunk(block, self._leaf(block))] if block else []
+                section.cleared = dict.fromkeys(section.chunks)
+            return
+        table_name, encode = _DOC_SECTIONS[name]
+        table = self._view(table_name)
+        if section.chunks is None:
+            keys = sorted(doc_id.value for doc_id, entry in table.items() if entry is not None)
+            section.chunks = [_Chunk(keys[i : i + _CHUNK]) for i in range(0, len(keys), _CHUNK)]
+            section.cleared = dict.fromkeys(section.chunks)
+        for chunk in section.cleared:
+            if chunk.node is None:
+                self._fold_chunk(chunk, table, encode)
+
+    def _lay_out(self) -> None:
+        """Builds the part list and the image tree's leaves from every chunk."""
         parts: list[bytes] = []
         leaves: list[int] = []
         for name, header in _LAYOUT:
@@ -1172,39 +1234,38 @@ class MemoryBackend:
                 parts.append(header)
                 leaves.append(_HEADER_NODES[name])
             section = self._sections[name]
-            nodes = self._nodes(name, section)
             parts += map(_DATA, section.chunks)
-            leaves += nodes
-            if name != "schema":
-                leaves += [0] * (-len(nodes) % _RUN)
+            leaves += map(_NODE, section.chunks)
+            leaves += [0] * (_run(name, len(section.chunks)) - len(section.chunks))
+            section.laid_out()
+        parts.append(b"")  # END
+        self._parts = parts
         self.crc_combines += self._image.refold(leaves)
-        parts.append(f"END {self._image.root()[0]}\n".encode("ascii"))
-        return parts
 
-    def _nodes(self, name: str, section: "_Section") -> list[int]:
-        """The node of each of the section's chunks, in order, once each
-        chunk has its bytes and node. The SCHEMA block is one chunk, or
-        none when it is empty, encoded again after any batch that stages a
-        schema. A document section is cut into chunks by the first encode
-        that finds it has none; after that, a chunk whose node a batch
-        cleared joins its blocks and checksums its bytes again, and the
-        others are taken as they are."""
-        if name == "schema":
-            if section.chunks is None:
-                block = self._schema_block()
-                section.chunks = [_schema_chunk(block, self._leaf(block))] if block else []
-            return list(map(_NODE, section.chunks))
-        table_name, encode = _DOC_SECTIONS[name]
-        table = self._view(table_name)
-        if section.chunks is None:
-            keys = sorted(doc_id.value for doc_id, entry in table.items() if entry is not None)
-            section.chunks = [_Chunk(keys[i : i + _CHUNK]) for i in range(0, len(keys), _CHUNK)]
-        nodes = list(map(_NODE, section.chunks))
-        if None in nodes:  # chunks that a batch changed
-            for chunk in itertools.compress(section.chunks, map(is_, nodes, itertools.repeat(None))):
-                self._fold_chunk(chunk, table, encode)
-            nodes = list(map(_NODE, section.chunks))
-        return nodes
+    def _place(self, section: "_Section", part: int, leaf: int, changed: list[int]) -> None:
+        """Puts the section's cleared chunks, and every chunk from the first
+        one that moved, at their places in the part list and the leaves,
+        whose positions for the section start at part and leaf; adds to
+        changed each leaf position whose node changed."""
+        parts, leaves = self._parts, self._image.levels[0]
+        moved = section.moved
+        for chunk in section.cleared:
+            i = section.index(chunk)
+            if moved is None or i < moved:
+                parts[part + i] = chunk.data
+                if leaves[leaf + i] != chunk.node:
+                    leaves[leaf + i] = chunk.node
+                    changed.append(leaf + i)
+        if moved is not None:
+            chunks = section.chunks
+            end = max(section.laid, len(chunks))  # the leaves past it are padding before and after
+            parts[part + moved : part + section.laid] = map(_DATA, chunks[moved:])
+            nodes = list(map(_NODE, chunks[moved:]))
+            nodes += [0] * (end - len(chunks))
+            old = leaves[leaf + moved : leaf + end]
+            leaves[leaf + moved : leaf + end] = nodes
+            changed += itertools.compress(range(leaf + moved, leaf + end), map(ne, nodes, old))
+        section.laid_out()
 
     def _schema_block(self) -> bytes:
         """The SCHEMA section's one block: every definition, by slice."""
@@ -1375,7 +1436,8 @@ class MemoryBackend:
 
     def _write_checkpoint(self, target: Path) -> Path:
         """Writes the whole image to target, counted in checkpoint_writes."""
-        _atomic_write(target, self._checkpoint_parts())
+        parts = self._checkpoint_parts()
+        _atomic_write(target, _Parts(parts, self._image.root()[1] + len(parts[-1])))
         self.checkpoint_writes += 1
         return target
 
@@ -1429,22 +1491,44 @@ class _Section:
     """Cached encoding of one checkpoint section: the sorted chunks that
     order a document section's ids, or the SCHEMA block as one chunk. A
     block's span lives in the chunk that holds the block, and a CRC only
-    per chunk; a chunk whose node is None is folded again at the next
-    encode. Open or the first encode fills the chunks."""
+    per chunk. Open or the first encode fills the chunks.
 
-    __slots__ = ("chunks",)
+    Between encodes the section also keeps what a batch changed: the
+    chunks whose node it cleared (and each new chunk), which the next
+    encode folds again, and the lowest index at which it inserted or
+    removed a chunk, from which on the section's parts and leaves move.
+    laid is the count of chunks that the image's parts and leaves hold
+    for the section, None while they hold none."""
+
+    __slots__ = ("chunks", "cleared", "moved", "laid")
 
     def __init__(self):
         self.chunks: Optional[list[_Chunk]] = None  # every id of the section's table, in order
+        self.cleared: dict[_Chunk, None] = {}  # in the chunks, with node None unless folded since
+        self.moved: Optional[int] = None
+        self.laid: Optional[int] = None
 
     def _at(self, value: int) -> int:
         """The index of the chunk that holds or would hold value, of a
         section that has chunks."""
         return max(bisect.bisect_right(self.chunks, value, key=_first_key) - 1, 0)
 
+    def index(self, chunk: "_Chunk") -> int:
+        """The index of one of the section's chunks; the SCHEMA block's is 0."""
+        return self._at(chunk.keys[0]) if chunk.keys else 0
+
     def holder(self, value: int) -> Optional["_Chunk"]:
         """The chunk that holds or would hold value, or None when there is none."""
         return self.chunks[self._at(value)] if self.chunks else None
+
+    def laid_out(self) -> None:
+        """Notes that the image's parts and leaves hold the chunks as they are."""
+        self.cleared = {}
+        self.moved = None
+        self.laid = len(self.chunks)
+
+    def _move(self, i: int) -> None:
+        self.moved = i if self.moved is None else min(self.moved, i)
 
     def drop(self, value: int, present: bool) -> None:
         """Forgets value's block, files value in or out of the chunks by
@@ -1457,6 +1541,8 @@ class _Section:
         if not chunks or (value > chunks[-1].keys[-1] and len(chunks[-1].keys) >= _CHUNK):
             if present:
                 chunks.append(_Chunk([value]))
+                self.cleared[chunks[-1]] = None
+                self._move(len(chunks) - 1)
             return
         i = self._at(value)
         chunk = chunks[i]
@@ -1472,14 +1558,20 @@ class _Section:
                 split = _Chunk(keys[_CHUNK:], spans[_CHUNK:])
                 split.data = chunk.data  # its spans point into these bytes until it is folded
                 chunks.insert(i + 1, split)
+                self.cleared[split] = None
+                self._move(i + 1)
                 del keys[_CHUNK:], spans[_CHUNK:]
         elif held:
             del keys[j], spans[j]
             if not keys:
                 del chunks[i]
+                self.cleared.pop(chunk, None)
+                self._move(i)
+                return
         else:
             return  # neither held nor stored: nothing to fold again
         chunk.node = None
+        self.cleared[chunk] = None
 
 
 class _Chunk:
@@ -1535,11 +1627,12 @@ class _Tree:
     folded with another node, it carries that node up without a combine,
     so empty leaves cost only their place.
 
-    refold compares new parts with the last ones. When their count is the
-    same, it re-folds only the nodes above the parts that differ, so one
-    changed part of n costs log2(n) combines; when the count changed, it
-    re-folds every node from the first difference on, which for a part
-    added or removed at the end is again log2(n)."""
+    refold re-folds only the nodes above the parts that changed, so one
+    changed part of n costs log2(n) combines. A caller that knows which
+    parts it changed names them; otherwise refold compares new parts with
+    the last ones. When their count is the same, those that differ
+    changed; when the count changed, every one from the first difference
+    on, which for a part added or removed at the end is again log2(n)."""
 
     __slots__ = ("levels",)
 
@@ -1551,16 +1644,21 @@ class _Tree:
         top = self.levels[-1]
         return (top[0] & 0xFFFFFFFF, top[0] >> 32) if top else (0, 0)
 
-    def refold(self, parts: list[int]) -> int:
-        """Makes parts the bottom level; returns the number of combines."""
-        old = self.levels[0]
-        n = min(len(old), len(parts))
-        # each block of 64 parts is compared whole first: one C-level list compare
-        changed: Iterable[int] = [i for lo in range(0, n, 64) if old[lo : lo + 64] != parts[lo : lo + 64]
-                                  for i in range(lo, min(lo + 64, n)) if old[i] != parts[i]]
-        if len(parts) != len(old):  # every position from the first difference on may have moved
-            first = changed[0] if changed else n
-            changed = range(first, max(len(old), len(parts)))
+    def refold(self, parts: list[int], changed: Optional[Iterable[int]] = None) -> int:
+        """Makes parts the bottom level; returns the number of combines.
+        changed, in increasing order, holds every position whose part
+        differs from the last bottom level's (parts may be that list,
+        edited in place, at an unchanged length); without it the parts are
+        compared."""
+        if changed is None:
+            old = self.levels[0]
+            n = min(len(old), len(parts))
+            # each block of 64 parts is compared whole first: one C-level list compare
+            changed = [i for lo in range(0, n, 64) if old[lo : lo + 64] != parts[lo : lo + 64]
+                       for i in range(lo, min(lo + 64, n)) if old[i] != parts[i]]
+            if len(parts) != len(old):  # every position from the first difference on may have moved
+                first = changed[0] if changed else n
+                changed = range(first, max(len(old), len(parts)))
         level = self.levels[0] = parts
         combines = depth = 0
         while len(level) > 1:
@@ -1655,6 +1753,14 @@ _CHUNK = 32  # ids per chunk: the last one takes new last ids up to this, any ch
 # a document section's leaves in the image tree, padded with empty ones to a
 # multiple of this, so that a chunk gained or lost moves no other section's
 _RUN = 128
+
+
+def _run(name: str, chunks: int) -> int:
+    """The image tree's leaves for a section of that many chunks: SCHEMA's
+    zero or one, a document section's padded."""
+    return chunks if name == "schema" else chunks + -chunks % _RUN
+
+
 _CONTAINERS = ("_rows", "_enforcement", "_assignments", "_members")  # tables of maps or sets, never empty
 
 
@@ -1688,16 +1794,33 @@ def _spare(target: Path) -> Path:
     return target.with_name(target.name + ".old")
 
 
-def _atomic_write(target: Path, parts: list[bytes]) -> None:
-    """Replaces target with parts joined, whole or not at all, overwriting
-    the inode of the image that target named before its last write.
+class _Parts(NamedTuple):
+    """Buffers to write joined, in file order, and their joined length."""
 
-    The spare (see _spare) is renamed to the temp name and overwritten in
-    place, then truncated; target's current image is linked as the next
-    spare, and the temp file replaces target. A temp file that is another
-    link to target (a crash between the link and the replace leaves the
-    spare so) is unlinked and created afresh, so target's inode is never
-    written. Without a spare, the temp file is a new one.
+    parts: list
+    length: int
+
+
+def _atomic_write(target: Path, image: _Parts) -> None:
+    """Replaces target with image's parts joined, whole or not at all,
+    overwriting the inode of the image that target named before its last
+    write.
+
+    The spare (see _spare) is renamed to the temp name; the bytes by which
+    the image is longer than it are allocated (_allocate), then it is
+    overwritten in place and truncated; target's current image is linked
+    as the next spare, and the temp file replaces target. A temp file that
+    is another link to target (a crash between the link and the replace
+    leaves the spare so) is unlinked and created afresh, so target's inode
+    is never written. Without a spare, the temp file is a new one, and all
+    of it is allocated.
+
+    Allocating the growth changes no guarantee: nothing is fsynced, before
+    or after, and a power loss may still leave an older or a torn image
+    (see DiskBackend). It keeps the replace from flushing: ext4 (with its
+    default auto_da_alloc) starts writeback of a file's whole page cache
+    when a rename replaces another file with it while its new bytes wait
+    for delayed allocation, and allocated blocks do not wait.
     """
     tmp = target.with_name(target.name + ".tmp")
     try:
@@ -1706,12 +1829,18 @@ def _atomic_write(target: Path, parts: list[bytes]) -> None:
         except FileNotFoundError:
             pass
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT, 0o666)
-        if os.fstat(fd).st_nlink != 1:  # tmp is also target's image
+        held = os.fstat(fd)
+        size = held.st_size
+        if held.st_nlink != 1:  # tmp is also target's image
             os.close(fd)
             os.unlink(tmp)
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            size = 0
         try:
-            os.ftruncate(fd, _pwrite_all(fd, parts))
+            if image.length > size:
+                _allocate(fd, size, image.length - size)
+            _pwrite_all(fd, image.parts, image.length)
+            os.ftruncate(fd, image.length)
         finally:
             os.close(fd)
         try:
@@ -1734,24 +1863,44 @@ def _remove_spare(target: Path) -> None:
         raise StorageFailure(f"cannot remove {_spare(target)}: {exc}") from exc
 
 
+_UNALLOCATABLE = (errno.EOPNOTSUPP, errno.EINVAL, errno.ENOSYS)  # no fallocate on this file system
+
+
+def _allocate(fd: int, offset: int, length: int) -> None:
+    """Allocates length bytes of fd from offset with os.posix_fallocate,
+    where the platform and the file system have it; any other OSError
+    propagates."""
+    allocate = getattr(os, "posix_fallocate", None)
+    if allocate is None:
+        return
+    try:
+        allocate(fd, offset, length)
+    except OSError as exc:
+        if exc.errno not in _UNALLOCATABLE:
+            raise
+
+
 _IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers per pwritev call
 
 
-def _pwrite_all(fd: int, parts: list[bytes]) -> int:
-    """Writes parts joined at offset 0 of fd with os.pwritev, _IOV_MAX
-    buffers a call, resuming after a short write; returns the length."""
-    parts = list(parts)
-    offset = 0
-    while parts:
-        batch = parts[:_IOV_MAX]
+def _pwrite_all(fd: int, parts: list, length: int) -> None:
+    """Writes parts joined, length bytes, at offset 0 of fd with os.pwritev,
+    _IOV_MAX buffers a call, resuming after a short write. A call takes
+    parts itself when they fit in one, and a slice otherwise: parts are
+    never copied whole, and only a call that ends short of length walks
+    its buffers, to find where the next one starts."""
+    offset = first = skip = 0  # the next call starts skip bytes into parts[first]
+    while offset < length:
+        batch = parts if not first and len(parts) <= _IOV_MAX else parts[first : first + _IOV_MAX]
+        if skip:
+            batch = [memoryview(batch[0])[skip:], *batch[1:]]
         written = os.pwritev(fd, batch, offset)
         offset += written
-        ends = list(itertools.accumulate(map(len, batch)))
-        done = bisect.bisect_right(ends, written)  # the parts written whole
-        del parts[:done]
-        if done < len(batch):  # a short write ended inside parts[0]
-            parts[0] = memoryview(parts[0])[written - (ends[done - 1] if done else 0) :]
-    return offset
+        if offset < length:
+            ends = list(itertools.accumulate(map(len, batch)))
+            whole = bisect.bisect_right(ends, written)  # the buffers written whole
+            skip = (0 if whole else skip) + written - (ends[whole - 1] if whole else 0)
+            first += whole
 
 
 # ---- checkpoint decoding ----
@@ -2089,15 +2238,18 @@ class DiskBackend(MemoryBackend):
     holds. While the backend is open, the image that store.hl1 named before
     the last write stays beside it as a spare (store.hl1.old, a second
     link made just before the replace); the next write renames the spare
-    to store.hl1.tmp, writes the cached chunk bytes into it with
-    os.pwritev, truncates it, and replaces store.hl1 with it (see
-    _atomic_write). close() removes the spare, and a one-shot checkpoint
-    to a path keeps none, so a closed store holds store.hl1 and content/
-    only. store.hl1 always names a complete image; a killed process leaves
-    one that passes its CRC check, and open recycles or replaces a spare
-    or temp file it leaves. There is no fsync: after a power loss the file
-    may hold an older image, or a torn one that open reports as
-    CorruptStore."""
+    to store.hl1.tmp, allocates the bytes by which the new image outgrows
+    it (os.posix_fallocate, skipped where the platform or file system
+    lacks it), writes the cached chunk bytes into it with os.pwritev,
+    truncates it, and replaces store.hl1 with it (see _atomic_write). The
+    first write after open has no spare, and allocates its whole temp
+    file. close() removes the spare, and a one-shot checkpoint to a path
+    keeps none, so a closed store holds store.hl1 and content/ only.
+    store.hl1 always names a complete image; a killed process leaves one
+    that passes its CRC check, and open recycles or replaces a spare or
+    temp file it leaves. There is no fsync, and the allocation changes
+    none of this: after a power loss the file may hold an older image, or
+    a torn one that open reports as CorruptStore."""
 
     def __init__(self, root: Path):
         super().__init__()

@@ -739,6 +739,73 @@ def test_chunks_split_past_twice_their_size_and_go_when_empty():
     assert batch(docs([7])) == [1]
 
 
+def _laid_out(backend) -> tuple[list[bytes], list[int]]:
+    """The parts before END and the image tree's leaves, built afresh from
+    every chunk of every section."""
+    parts, leaves = [], []
+    for name, header in store._LAYOUT:
+        if header:
+            parts.append(header)
+            leaves.append(store._HEADER_NODES[name])
+        chunks = backend._sections[name].chunks
+        parts += [chunk.data for chunk in chunks]
+        leaves += [chunk.node for chunk in chunks]
+        leaves += [0] * (store._run(name, len(chunks)) - len(chunks))
+    return parts, leaves
+
+
+def test_each_encode_keeps_the_layout_a_full_one_builds():
+    """The part list and the image tree that encodes keep from batch to
+    batch equal those built afresh from the chunks, and each encode makes
+    the combines that comparing its leaves with the last ones makes:
+    through new chunks at the end, inserts that split a chunk, documents
+    deleted until a chunk empties, several batches between two encodes,
+    and sections whose padded runs of leaves grow past _RUN chunks and
+    shrink back."""
+    rng = random.Random(26)
+    backend, shadow = MemoryBackend(), Shadow()
+    live: list[int] = []
+    top = 1 << 40
+
+    def add(values):
+        meta = [DocumentRecord(DocumentId(value), DocumentKind.PLAIN) for value in values]
+        rows = [PropertyRow(DocumentId(value), 0, "n", Value.integer(value % 97), 0) for value in values]
+        backend.put_rows(rows=rows, meta=meta)
+        shadow.apply(rows, [], meta)
+        live.extend(values)
+
+    def delete(values):
+        for value in values:
+            backend.delete_document(DocumentId(value))
+            shadow.delete(DocumentId(value))
+            live.remove(value)
+
+    for step in range(160):
+        for _ in range(rng.randrange(1, 4)):
+            pick = rng.random()
+            if step < 80 and pick < 0.6:  # in id order, past every id
+                values = [top + 1000 * k for k in range(1, rng.randrange(20, 160))]
+                top = values[-1]
+                add(values)
+            elif pick < 0.75:  # ids among the others
+                add(list({rng.randrange(1 << 40, top + 1) for _ in range(rng.randrange(1, 60))} - set(live)))
+            elif live:  # a run of neighbours, in the middle or at the end
+                ordered = sorted(live)
+                start = rng.randrange(len(ordered)) if pick < 0.9 else max(len(ordered) - 200, 0)
+                delete(ordered[start : start + rng.randrange(1, 200 if step >= 80 else 60)])
+        tree = store._Tree()
+        tree.levels = [list(level) for level in backend._image.levels]
+        combines = backend.crc_combines
+        parts = backend._checkpoint_parts()
+        expected, leaves = _laid_out(backend)
+        assert parts[:-1] == expected
+        assert backend._image.levels[0] == leaves
+        assert backend.crc_combines - combines == tree.refold(leaves)
+        assert backend._image.levels == tree.levels
+        _assert_chunk_nodes_checksum_their_bytes(backend)
+    assert backend._encode_checkpoint() == shadow.encode()
+
+
 def test_acceptance_store_encodes_cold_to_its_own_bytes(tmp_path):
     """The store of acceptance 8, reopened with no cached encoding: its
     tables alone encode to the file, so decode then encode is the identity."""

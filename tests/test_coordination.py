@@ -102,6 +102,36 @@ def test_membership_change_re_evaluates_member():
         assert len(take_all(sub, repo)) == 1
 
 
+def test_a_failed_evaluation_dead_letters_its_pair_and_every_other_pair_is_delivered(monkeypatch):
+    """A membership change affects the collection and the member; the first
+    subscription's evaluation of the collection raises. In each of two
+    such commits that pair becomes one hub dead letter, counted once, and
+    both subscriptions still get the member."""
+    from harland import coordination
+
+    real_evaluate = coordination.evaluate_doc
+    with fresh() as repo:
+        coll = repo.create_document(DocumentKind.COLLECTION)
+        members = [repo.create_document() for _ in range(2)]
+        first, second = (repo.subscribe(f"member-of:{coll.doc_id}") for _ in range(2))
+
+        def evaluate(compiled, view, doc_id):
+            if compiled is first.plan and doc_id == coll.doc_id:
+                raise RuntimeError("injected evaluation failure")
+            return real_evaluate(compiled, view, doc_id)
+
+        monkeypatch.setattr(coordination, "evaluate_doc", evaluate)
+        for member in members:
+            coll.add_member(member)
+        drain(repo)
+        for sub in (first, second):
+            assert [d.doc_id for d in take_all(sub, repo)] == [m.doc_id for m in members]
+        dead = repo.hub.dead_letters()
+        assert [(d.subscription, d.doc_id) for d in dead] == [(first, coll.doc_id)] * 2
+        assert "injected evaluation failure" in dead[0].error and dead[0].seq < dead[1].seq
+        assert repo.stats()["dispatch_failures"] == 2
+
+
 def test_content_write_can_trigger_transition():
     with fresh() as repo:
         sub = repo.subscribe('content:"receipt"')

@@ -2,9 +2,11 @@
 
 A DiskBackend keeps the image that store.hl1 named before its last write
 as a spare (store.hl1.old), and the next write renames the spare to
-store.hl1.tmp, overwrites it in place with os.pwritev, truncates it, links
-the current image as the next spare and replaces store.hl1. Here an
-OSError is injected at each of those steps, pwritev writes short, the
+store.hl1.tmp, allocates the bytes by which the new image outgrows it
+(os.posix_fallocate), overwrites it in place with os.pwritev, truncates
+it, links the current image as the next spare and replaces store.hl1.
+Here an OSError is injected at each of those steps, the allocation is
+missing or refused by the file system, pwritev writes short, the
 spare is planted as a second link to store.hl1 (what a crash between the
 link and the replace leaves), and a child process that loops over writes
 is killed; after each, store.hl1 and a reopen must equal the shadow of the
@@ -120,6 +122,71 @@ def test_failure_at_each_step_keeps_the_last_committed_image(tmp_path, monkeypat
         _check(root, shadow)
     _write(DiskBackend.open(root), shadow, 6)  # and so does a new one
     _check(root, shadow)
+
+
+# ---- the growth is allocated ----
+
+def test_a_write_allocates_just_the_bytes_by_which_the_image_outgrows_the_spare(tmp_path, monkeypatch):
+    root = tmp_path / "store"
+    backend, shadow = _store(root)
+    real = os.posix_fallocate
+    calls = []
+
+    def spy(fd, offset, length):
+        calls.append((offset, length))
+        real(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", spy)
+    held = (root / SPARE).stat().st_size
+    _write(backend, shadow, 3)  # a new document: the image outgrows the spare
+    assert calls == [(held, len(shadow.encode()) - held)]
+    _check(root, shadow)
+    long = PropertyRow(_doc(3), 0, "m", Value.text("w" * 3000), 0)
+    for rows, deletes in (([long], []), ([], [long.key()])):  # the spare is then the long image
+        backend.put_rows(rows, deletes)
+        shadow.apply(rows, deletes)
+    calls.clear()
+    _write(backend, shadow, 4)  # shorter than the file it overwrites
+    assert calls == []
+    _check(root, shadow)
+
+
+@pytest.mark.parametrize("refusal", [None, errno.EOPNOTSUPP, errno.EINVAL, errno.ENOSYS])
+def test_a_platform_or_file_system_without_fallocate_still_writes_the_image(tmp_path, monkeypatch, refusal):
+    root = tmp_path / "store"
+    backend, shadow = _store(root)
+
+    def refuse(*args):
+        raise OSError(refusal, "fallocate not supported")
+
+    if refusal is None:
+        monkeypatch.delattr(os, "posix_fallocate")
+    else:
+        monkeypatch.setattr(os, "posix_fallocate", refuse)
+    for k in range(3, 7):
+        _write(backend, shadow, k)
+        _check(root, shadow)
+
+
+@pytest.mark.parametrize("code", [errno.EIO, errno.ENOSPC])
+def test_a_failed_fallocate_keeps_the_last_committed_image(tmp_path, monkeypatch, code):
+    root = tmp_path / "store"
+    backend, shadow = _store(root)
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise OSError(code, "injected fallocate failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "posix_fallocate", fail)
+        with pytest.raises(StorageFailure):
+            backend.put_rows(*_step(3))  # a new document: the image grows
+    assert calls
+    _check(root, shadow)
+    for k in range(3, 6):
+        _write(backend, shadow, k)
+        _check(root, shadow)
 
 
 def test_file_system_without_hard_links_keeps_no_spare(tmp_path, monkeypatch):
