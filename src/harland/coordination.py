@@ -201,10 +201,20 @@ class CommitHub:
             return self._seq
 
     def counts(self) -> dict[str, int]:
-        """Commits numbered, of those the ones queued for dispatch, and the
-        evaluations and commits whose dispatch raised."""
+        """Commits numbered, of those the ones queued for dispatch, the
+        evaluations and commits whose dispatch raised, the hub dead letters,
+        the hub lag (events queued and not yet dispatched, the one being
+        dispatched among them) and the most deliveries waiting on one
+        subscription's queue."""
         with self._cond:
-            return {"commits": self._seq, "commits_dispatched": self._queued, "dispatch_failures": self._failed}
+            return {
+                "commits": self._seq,
+                "commits_dispatched": self._queued,
+                "dispatch_failures": self._failed,
+                "hub_dead_letters": len(self._dead),
+                "hub_lag": len(self._pending) + self._in_flight,
+                "deepest_queue": max((sub.queue.qsize() for sub in self._subs), default=0),
+            }
 
     def dead_letters(self) -> list["DeadLetter"]:
         """The (subscription, document) pairs whose evaluation raised, one

@@ -161,6 +161,10 @@ class RemoveProperty:
 Change = Union[SetProperty, AddValues, RemoveValues, RemoveProperty]
 
 
+# compiled plans a repository keeps, by query text (Repository._compiled)
+PLAN_CACHE_SIZE = 64
+
+
 @dataclass
 class CacheConfig:
     max_docs: int = 1024
@@ -326,7 +330,10 @@ def _as_id(ref: Union[Handle, DocumentId, str]) -> DocumentId:
 
 class Cursor:
     """Query results. The match set is pinned when the query runs; iteration
-    prefetches each document's relevant slices just before yielding it."""
+    prefetches each document's relevant slices just before yielding it: the
+    slices of the schemas the plan touches, resolved when the plan was
+    compiled, and those the referenced properties are assigned to. Cursors
+    of one query text share its cached plan, which is immutable."""
 
     def __init__(self, repo: "Repository", compiled: QueryPlan, matches: list[DocumentId]):
         self._repo = repo
@@ -373,6 +380,9 @@ class Repository:
         self._evictions = 0
         self._flushes = 0
         self._flush_failures = 0  # background flushes that raised; the flusher thread alone writes it
+        # compiled plans by (query text, schemas defined when compiled), least recently used first
+        self._plans: "OrderedDict[tuple[str, int], QueryPlan]" = OrderedDict()
+        self._plans_compiled = 0
 
         self._ids.prime(backend.stored_docs())
         self.hub = CommitHub(self)
@@ -871,17 +881,18 @@ class Repository:
 
         No source fetches a slice or touches the cache, and each costs its
         matches plus a bisect. Schema, membership and content leaves are
-        exact (unsure is empty): the backend's inverted file of enforcement
-        with the pending records laid over it, the collection's live members
-        (in id order, which keeps the final sort of the candidates cheap),
-        and the inverted file of content tokens. A value leaf reads the
-        documents whose stored bag passes it from the backend's column for
-        its property: `=`, `<`, `<=`, `>` and `>=` against a literal of an
-        ordered type by a bisect slice of the sorted postings, any other
-        leaf by a scan of the column. A Range (several such comparisons of
-        one And on one property) reads the one slice where theirs overlap,
-        plus the column's multi-valued documents whose stored bags pass
-        every bound, each tested in place.
+        exact (unsure is empty) and list their ids as the keys of a dict in
+        id order: the backend's id-ordered copy of the schema's enforcement
+        postings, handed over as it is (or with the pending records laid
+        over it and sorted again), the collection's live members, sorted,
+        and the backend's id-ordered copy of the token's content postings.
+        A value leaf reads the documents whose stored bag passes it from the
+        backend's column for its property: `=`, `<`, `<=`, `>` and `>=`
+        against a literal of an ordered type by a bisect slice of the
+        sorted postings, any other leaf by a scan of the column. A Range
+        (several such comparisons of one And on one property) reads the one
+        slice where theirs overlap, plus the column's multi-valued documents
+        whose stored bags pass every bound, each tested in place.
         The dirty documents are added and are unsure, since their values in
         memory may differ from the store; a clean document's stored bag is
         its live bag. All of it is read under the repository lock, so no
@@ -895,11 +906,12 @@ class Repository:
                     hits = self.backend.stored_enforcing(pred.name)
                     pending = dict(self._pending_records())
                     if pending:  # their pending records replace their committed entries
-                        hits = [d for d in hits if d not in pending]
-                        hits.extend(d for d, record in pending.items() if pred.name in record.enforcement)
+                        laid = [d for d in hits if d not in pending]
+                        laid += [d for d, record in pending.items() if pred.name in record.enforcement]
+                        hits = dict.fromkeys(sorted(laid, key=itemgetter(0)))
                     served[pred] = ("schema", hits, ())
                 elif isinstance(pred, MemberOf):
-                    members = sorted(self._members_of(pred.collection), key=itemgetter(0))
+                    members = dict.fromkeys(sorted(self._members_of(pred.collection), key=itemgetter(0)))
                     served[pred] = ("members", members, ())
                 elif isinstance(pred, ContentContains):
                     served[pred] = ("content", self.backend.stored_containing(pred.token.casefold()), ())
@@ -920,9 +932,34 @@ class Repository:
     def _as_expr(self, query: Union[str, QueryExpr]) -> QueryExpr:
         return parse_query(query) if isinstance(query, str) else query
 
+    def _compiled(self, query: Union[str, QueryExpr]) -> QueryPlan:
+        """query's plan. The plan of a text comes from a least recently used
+        cache of PLAN_CACHE_SIZE plans, keyed by the text and the number of
+        schemas defined: the schema table only grows and a schema never
+        changes its slice, so a plan compiled since the last definition is
+        the plan the text compiles to now, and a definition makes every
+        text compile again. An expression is compiled on every call.
+        What a plan reads of the store is read when it executes."""
+        key = None
+        if isinstance(query, str):
+            key = (query, len(self.backend.schema_defs()))  # counted before the plan reads the registry
+            with self._lock:
+                compiled = self._plans.get(key)
+                if compiled is not None:
+                    self._plans.move_to_end(key)
+                    return compiled
+        compiled = plan(self._as_expr(query), self.registry)
+        with self._lock:
+            self._plans_compiled += 1
+            if key is not None:
+                self._plans[key] = compiled
+                if len(self._plans) > PLAN_CACHE_SIZE:
+                    self._plans.popitem(last=False)
+        return compiled
+
     def query(self, query: Union[str, QueryExpr]) -> Cursor:
         self._check_open()
-        compiled = plan(self._as_expr(query), self.registry)
+        compiled = self._compiled(query)
         return Cursor(self, compiled, execute(compiled, self))
 
     def explain(self, query: Union[str, QueryExpr]) -> dict:
@@ -932,9 +969,9 @@ class Repository:
         candidates are the answer (no candidate is evaluated), and whether
         the plan fell back to a full scan."""
         self._check_open()
-        expr = self._as_expr(query)
-        validate_references(expr, self)
-        found = candidates(plan(expr, self.registry), self)
+        compiled = self._compiled(query)
+        validate_references(compiled.expr, self)
+        found = candidates(compiled, self)
         return {
             "sources": [
                 {"source": source, "leaf": None if leaf is None else repr(leaf), "candidates": n}
@@ -950,22 +987,20 @@ class Repository:
         return naive_eval(self._as_expr(query), self)
 
     def _prefetch(self, doc_id: DocumentId, compiled: QueryPlan) -> None:
-        slices: set[int] = set()
-        for name in compiled.prefetch_schemas:
-            if self.registry.has(name):
-                slices.add(self.registry.slice_of_schema(name))
+        """Loads the slices of doc_id that a cursor of compiled reads: the
+        plan's prefetch slices and those of its properties."""
         with self._lock:
             idoc = self._cache.get(doc_id)
             assigned = self._entry(doc_id, idoc)[1]
-            slices.update(assigned[p] for p in compiled.props if p in assigned)
+            slices = compiled.prefetch_slices.union([assigned[p] for p in compiled.props if p in assigned])
             if slices:
                 self._materialize(self._counted(doc_id, idoc), slices)
 
     def subscribe(self, query: Union[str, QueryExpr], mode: SubscriptionMode = SubscriptionMode.TRANSITION) -> Subscription:
         self._check_open()
-        expr = self._as_expr(query)
-        validate_references(expr, self)
-        return self.hub.subscribe(expr, mode, plan(expr, self.registry))
+        compiled = self._compiled(self._as_expr(query))  # a subscription's own plan, never a cached one
+        validate_references(compiled.expr, self)
+        return self.hub.subscribe(compiled.expr, mode, compiled)
 
     # ---- writeback ----
 
@@ -1097,6 +1132,7 @@ class Repository:
                 "checkpoint_writes": self.backend.checkpoint_writes,
                 "column_scans": self.backend.column_scans,
                 "column_probes": self.backend.column_probes,
+                "plans_compiled": self._plans_compiled,
                 **self.hub.counts(),
             }
 

@@ -12,10 +12,14 @@ documents whose bag passes it, united with the documents changed since
 their last flush, which are unsure. The comparison leaves of one And on one
 property with a lower and an upper bound are served together as one Range:
 one slice of the property's postings, plus the multi-valued stored bags
-that pass every bound by different values, tested in place. An And
-intersects its parts' sources and keeps the rest as residual filters, an
-Or unions them when every child has one, and anything else, a negated
-leaf on its own for one, scans every document.
+that pass every bound by different values, tested in place. The schema,
+membership and content sources list their ids in id order, as the keys of
+a dict: an answer drawn from one of them costs a list copy and no sort. An And walks
+its smallest part's source, probes the others, and keeps the rest as
+residual filters; an Or unions its children's sources when every child
+has one; anything else, a negated leaf on its own for one, scans every
+document. Only candidates out of id order (a column source, an Or) are
+sorted.
 A candidate is sure when its sources vouch for it and no residual filter
 remains; only the unsure ones are evaluated, with short-circuiting, and
 load only the slices of the properties the query references. Tests hold
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterator, Optional
+from typing import AbstractSet, Collection, Iterator, Optional
 
 from harland.errors import UnknownCollection, UnknownSchema
 from harland.model import (
@@ -311,12 +315,19 @@ def _merge_ranges(children: tuple) -> tuple:
     return tuple(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryPlan:
+    """A compiled query. Immutable: a repository caches the plan of a query
+    text and every cursor of that text shares it. prefetch_slices are the
+    slices of prefetch_schemas, resolved when the plan is compiled (a
+    defined schema never changes its slice); props are the properties the
+    query references."""
+
     expr: QueryExpr
     root: object  # SliceFilter | BooleanCombine
     prefetch_schemas: frozenset[str]
     props: frozenset[str]
+    prefetch_slices: frozenset[int] = frozenset()
 
     def leaf_nodes(self) -> list[SliceFilter]:
         seen: list[SliceFilter] = []
@@ -341,10 +352,13 @@ def plan(expr: QueryExpr, registry=None) -> QueryPlan:
 
     The prefetch set covers every schema the query touches: schemas named
     by HasSchema plus, when a registry is supplied, registered schemas
-    containing any referenced property. Within And/Or, children that need
-    no stored rows (schema, membership, content tests) run first. Each
-    And's range pairs become one Range part for candidates (see
-    _merge_ranges).
+    containing any referenced property; with a registry, the plan also
+    carries their slices, skipping a named schema that is not defined
+    (execute raises UnknownSchema for it). So a plan compiled from a
+    registry holds while no schema is defined. Within And/Or, children
+    that need no stored rows (schema, membership, content tests) run
+    first. Each And's range pairs become one Range part for candidates
+    (see _merge_ranges).
     """
     normalized = rewrite(expr)
     leaves: dict[tuple, SliceFilter] = {}
@@ -368,11 +382,12 @@ def plan(expr: QueryExpr, registry=None) -> QueryPlan:
     root = build(normalized)
     prefetch = set(referenced_schemas(expr))
     props = referenced_props(expr)
+    slices: frozenset[int] = frozenset()
     if registry is not None:
         for prop in props:
             prefetch.update(registry.schemas_containing(prop))
-    return QueryPlan(expr, root, frozenset(prefetch), props)
-
+        slices = frozenset(registry.slice_of_schema(name) for name in prefetch if registry.has(name))
+    return QueryPlan(expr, root, frozenset(prefetch), props, slices)
 
 
 def _node_cost(node) -> int:
@@ -489,7 +504,7 @@ def execute(query_plan: QueryPlan, view) -> list[DocumentId]:
 class Candidates:
     """The candidate documents of a plan, and where they came from."""
 
-    ids: list[DocumentId]  # sorted; a superset of the matches
+    ids: list[DocumentId]  # in id order, each once; a superset of the matches
     unsure: AbstractSet[DocumentId]  # the ids execute evaluates; every other id matches
     sources: list[tuple]   # (source, leaf, candidate count) per leaf or Range used; ("scan", None, n) for a full scan
 
@@ -510,12 +525,15 @@ def candidates(query_plan: QueryPlan, view) -> Candidates:
     A view with leaf_candidates(preds) maps each positive leaf and Range of
     the plan's parts that it can serve to (source, ids, unsure): ids is a
     superset of the live documents that match it, and each id outside
-    unsure matches it. An And intersects the sources of its sourced parts
-    (a Range in place of the leaves it merges) and leaves the rest (negated
-    leaves, for one) as residual filters; an Or unions its children's
-    sources only when every child has one. Anything else, and any view
-    without sources, falls back to every document, all of them unsure. See
-    _combine for which ids stay sure.
+    unsure matches it. A schema, members or content source lists its ids
+    as the keys of a dict in id order (_IN_ID_ORDER); a column source lists
+    them in no order and may repeat one. An And intersects the sources of
+    its sourced parts (a Range in place of the leaves it merges) and leaves
+    the rest (negated leaves, for one) as residual filters; an Or unions
+    its children's sources only when every child has one. Anything else,
+    and any view without sources, falls back to every document, all of
+    them unsure. See _combine for which ids stay sure. Candidates in id
+    order cost one list copy; only the others are sorted.
     """
     sources: list[tuple] = []
     found = None
@@ -525,25 +543,37 @@ def candidates(query_plan: QueryPlan, view) -> Candidates:
     if found is None:
         ids = sorted(view.document_ids())
         return Candidates(ids, set(ids), [("scan", None, len(ids))])
-    ids, unsure = found
-    return Candidates(sorted(ids), unsure, sources)
+    ids, unsure, in_order = found
+    return Candidates(list(ids) if in_order else sorted(ids), unsure, sources)
 
 
-def _combine(node, served: dict, sources: list) -> Optional[tuple[dict, set]]:
-    """(ids, a superset of node's matches as dict keys in source order; the
-    ids among them that may not match), or None when node has no source.
-    Appends each leaf source used to sources. An id is sure in an And when
-    it is sure in every part and no part is a residual filter, and sure in
-    an Or when it is sure in some child. Sources mostly list ids in id
-    order, and keeping that order makes the final sort nearly free."""
+# the sources whose ids are, by contract, the keys of a dict in id order
+_IN_ID_ORDER = frozenset({"schema", "members", "content"})
+
+
+def _combine(node, served: dict, sources: list) -> Optional[tuple[Collection, set, bool]]:
+    """(ids, unsure, in_order), or None when node has no source: ids a dict
+    or set of a superset of node's matches, a dict in id order when
+    in_order; unsure the ids among them that may not match. Appends each
+    leaf source used to sources.
+
+    A source in id order is handed on as it is, never copied; a column
+    source becomes a set. An And walks its smallest part and keeps the ids
+    that each other part holds, probed through that part's dict or set,
+    so it costs its smallest source, not its largest; its ids keep the
+    smallest part's order. An Or is the set union of its children. An id
+    is sure in an And when it is sure in every part and no part is a
+    residual filter, and sure in an Or when it is sure in some child."""
     if isinstance(node, SliceFilter):
         got = None if node.negated else served.get(node.pred)
         if got is None:
             return None
         source, ids, unsure = got
-        ids = dict.fromkeys(ids)
+        in_order = source in _IN_ID_ORDER
+        if not in_order:
+            ids = set(ids)
         sources.append((source, node.pred, len(ids)))
-        return ids, set(unsure)
+        return ids, set(unsure), in_order
     mark = len(sources)
     parts = []
     for part in node.parts:
@@ -556,21 +586,21 @@ def _combine(node, served: dict, sources: list) -> Optional[tuple[dict, set]]:
     if not sourced:
         return None
     if node.op == "or":
-        merged: dict = {}
-        for ids, _ in sourced:
-            merged.update(ids)
 
         def sure(doc_id) -> bool:
-            return any(doc_id in ids and doc_id not in maybe for ids, maybe in sourced)
+            return any(doc_id in ids and doc_id not in maybe for ids, maybe, _ in sourced)
 
-        return merged, {d for _, maybe in sourced for d in maybe if not sure(d)}
+        merged = set().union(*(ids for ids, _, _ in sourced))
+        return merged, {d for _, maybe, _ in sourced for d in maybe if not sure(d)}, False
     sourced.sort(key=lambda part: len(part[0]))
-    ids = sourced[0][0]
-    for other, _ in sourced[1:]:
-        ids = dict.fromkeys(filter(other.__contains__, ids))
+    ids, _, in_order = sourced[0]
+    for other, _, _ in sourced[1:]:
+        kept = filter(other.__contains__, ids)
+        ids = dict.fromkeys(kept) if in_order else set(kept)
     if len(sourced) < len(parts):  # a residual filter decides every id
-        return ids, set(ids)
-    return ids, {d for _, maybe in sourced for d in maybe if d in ids}
+        return ids, set(ids), in_order
+    maybe = set().union(*(maybe for _, maybe, _ in sourced))
+    return ids, maybe.intersection(ids), in_order
 
 
 def _sourced(node) -> Iterator[QueryExpr]:

@@ -144,7 +144,9 @@ bounds in place. Likewise inverted files (Zobel and Moffat, ACM
 Computing Surveys 2006) map each schema to the documents enforcing it,
 each content token to the documents holding it, and each member to the
 collections holding it, built from the tables the first time a reader
-names them and kept current by the install step.
+names them and kept current by the install step. A term a reader asks for
+is handed over in id order, from a sorted copy made on that read and kept
+until the install step moves a document in or out of the term.
 """
 
 from __future__ import annotations
@@ -748,17 +750,20 @@ def _invert(table: Mapping) -> dict:
     return index
 
 
-def _repost(index: dict, doc_id: DocumentId, old, new) -> None:
+def _repost(index: dict, ordered: dict, doc_id: DocumentId, old, new) -> None:
     """Moves doc_id in index from the postings of the terms old to those of
-    the terms new; a term left with no document leaves index."""
+    the terms new, and drops the id-ordered copy (ordered) of each term it
+    moves; a term left with no document leaves index."""
     for term in old:
         if term not in new:
+            ordered.pop(term, None)
             posting = index[term]
             del posting[doc_id]
             if not posting:
                 del index[term]
     for term in new:
         if term not in old:
+            ordered.pop(term, None)
             index.setdefault(term, {})[doc_id] = None
 
 
@@ -780,6 +785,7 @@ class MemoryBackend:
         self._sections = {name: _Section() for name, _ in _LAYOUT}
         self._columns: dict[str, _Column] = {}  # for the properties some query has named
         self._inverted: dict[str, dict] = {}  # table name -> term -> {document: None}, once some reader names it
+        self._ordered: dict[str, dict] = {}  # table name -> term -> its postings in id order, once read (_in_order)
         self._staged: dict[str, dict] = {}  # table -> key -> entry (None: removed), while a batch is written
         self.fetch_count = 0
         self.batch_count = 0
@@ -939,7 +945,7 @@ class MemoryBackend:
             index = self._inverted.get(name)
             for key, entry in entries.items():
                 if index is not None:
-                    _repost(index, key, _terms(table.get(key)), _terms(entry))
+                    _repost(index, self._ordered[name], key, _terms(table.get(key)), _terms(entry))
                 if entry is None:
                     table.pop(key, None)
                 else:
@@ -984,16 +990,32 @@ class MemoryBackend:
             column = self._columns[prop] = _Column(prop, self._rows)
         return column
 
-    def stored_enforcing(self, schema: str) -> list[DocumentId]:
-        """The stored documents that enforce schema, from its inverted file."""
+    def stored_enforcing(self, schema: str) -> Mapping[DocumentId, None]:
+        """The stored documents that enforce schema, from its inverted file,
+        in id order (see _in_order)."""
         with self._lock:
-            return list(self._index("_enforcement").get(schema, ()))
+            return self._in_order("_enforcement", schema)
 
-    def stored_containing(self, token: str) -> list[DocumentId]:
+    def stored_containing(self, token: str) -> Mapping[DocumentId, None]:
         """The stored content documents whose tokens hold token (casefolded),
-        from their inverted file."""
+        from their inverted file, in id order (see _in_order)."""
         with self._lock:
-            return list(self._index("_content").get(token, ()))
+            return self._in_order("_content", token)
+
+    def _in_order(self, name: str, term) -> Mapping[DocumentId, None]:
+        """The documents of term in the inverted file of table name, as the
+        keys of a dict in id order. The dict is made on the first read of
+        the term and kept until a commit moves a document in or out of the
+        term, which drops it (_repost): the same dict is handed to every
+        reader until then, and a caller never changes it."""
+        index = self._index(name)
+        docs = self._ordered[name].get(term)
+        if docs is None:
+            posting = index.get(term)
+            if not posting:
+                return {}
+            docs = self._ordered[name][term] = dict.fromkeys(sorted(posting))
+        return docs
 
     def _index(self, name: str) -> dict:
         """The inverted file of table name (_enforcement, _content or
@@ -1002,6 +1024,7 @@ class MemoryBackend:
         index = self._inverted.get(name)
         if index is None:
             index = self._inverted[name] = _invert(getattr(self, name))
+            self._ordered[name] = {}
         return index
 
     def scan_rows(self, doc_id: DocumentId) -> list[PropertyRow]:
@@ -1885,13 +1908,30 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers per pwritev call
 
 def _pwrite_all(fd: int, parts: list, length: int) -> None:
     """Writes parts joined, length bytes, at offset 0 of fd with os.pwritev,
-    _IOV_MAX buffers a call, resuming after a short write. A call takes
-    parts itself when they fit in one, and a slice otherwise: parts are
-    never copied whole, and only a call that ends short of length walks
-    its buffers, to find where the next one starts."""
+    _IOV_MAX buffers a call. A call takes parts itself when they fit in
+    one, and a slice otherwise: parts are never copied whole. Each call
+    starts where the calls before it ended, as if every call wrote its
+    whole batch; the calls write length bytes in all only when each did,
+    so no buffer length is walked unless the total falls short. Then the
+    image is written again from the start, resuming after each short write
+    (_pwrite_resuming)."""
+    if len(parts) <= _IOV_MAX:
+        written = os.pwritev(fd, parts, 0)
+    else:
+        written = 0
+        for first in range(0, len(parts), _IOV_MAX):
+            written += os.pwritev(fd, parts[first : first + _IOV_MAX], written)
+    if written != length:
+        _pwrite_resuming(fd, parts, length)
+
+
+def _pwrite_resuming(fd: int, parts: list, length: int) -> None:
+    """Writes parts joined, length bytes, at offset 0 of fd, _IOV_MAX
+    buffers a call; a call that ends short of length walks its buffers to
+    find where the next one starts."""
     offset = first = skip = 0  # the next call starts skip bytes into parts[first]
     while offset < length:
-        batch = parts if not first and len(parts) <= _IOV_MAX else parts[first : first + _IOV_MAX]
+        batch = parts[first : first + _IOV_MAX]
         if skip:
             batch = [memoryview(batch[0])[skip:], *batch[1:]]
         written = os.pwritev(fd, batch, offset)
