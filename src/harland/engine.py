@@ -457,7 +457,7 @@ class Repository:
 
     def _enforcement_of(self, doc_id: DocumentId) -> Mapping[str, int]:
         pending = self._pending(doc_id)
-        return pending.enforcement if pending is not None else self.backend.stored_enforcement().get(doc_id, {})
+        return pending.enforcement if pending is not None else self.backend.stored_enforcement_of(doc_id)
 
     def _members_of(self, doc_id: DocumentId) -> AbstractSet[DocumentId]:
         pending = self._pending(doc_id)
@@ -504,8 +504,8 @@ class Repository:
             raise UnknownDocument(f"document {doc_id} does not exist")
         return (
             kind,
-            backend.stored_assignments().get(doc_id, {}),
-            backend.stored_enforcement().get(doc_id, {}),
+            backend.stored_assignments_of(doc_id),
+            backend.stored_enforcement_of(doc_id),
             backend.stored_members().get(doc_id, frozenset()),
         )
 
@@ -1088,9 +1088,9 @@ class Repository:
         if pending is not None:
             if not self._stored(doc_id):
                 meta.append(DocumentRecord(doc_id, pending.kind))
-            assigned = backend.stored_assignments().get(doc_id, {})
+            assigned = backend.stored_assignments_of(doc_id)
             meta.extend(SliceAssignment(doc_id, p, s) for p, s in pending.assignments.items() if p not in assigned)
-            enforced = backend.stored_enforcement().get(doc_id, {})
+            enforced = backend.stored_enforcement_of(doc_id)
             meta.extend(Enforcement(doc_id, n, seq) for n, seq in pending.enforcement.items() if enforced.get(n) != seq)
             meta_deletes.extend(Enforcement(doc_id, n, 0) for n in enforced if n not in pending.enforcement)
             members = backend.stored_members().get(doc_id, frozenset())
@@ -1129,6 +1129,7 @@ class Repository:
                 "checksummed_bytes": self.backend.checksummed_bytes,
                 "crc_combines": self.backend.crc_combines,
                 "decoded_chunks": self.backend.decoded_chunks,
+                "decoded_meta_chunks": self.backend.decoded_meta_chunks,
                 "checkpoint_writes": self.backend.checkpoint_writes,
                 "column_scans": self.backend.column_scans,
                 "column_probes": self.backend.column_probes,

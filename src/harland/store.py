@@ -105,16 +105,19 @@ file's bytes and the tables it fills, open holds one batch's lines and
 columns at a time, so its extra memory does not grow with the store.
 
 Open checks every record that it could fail on later, an ordinal gap and
-a property in two slices included, but it builds the bags of a seeded
-PROPS section late (Abadi et al., *Materialization Strategies in a
-Column-Oriented DBMS*, ICDE 2007): it parses each value text into its
-payload and checks it as Value does, builds no Value or bag, and leaves
-each chunk's bytes the one home of its documents' values. The first read
-of any of them (a fetch, a scan, a write or delete of one, a column
-build, the engine's flush diff) builds the chunk's bags with the same
-decoder, under the lock; a batch builds every chunk it drops a block from
-before it drops it, so no span is cleared while its values live only in
-the bytes it names. The bags of an unseeded PROPS section, or of one with
+a property in two slices included, but it builds the entries of a seeded
+PROPS, ENFORCE or ASSIGN section (_LAZY) late (Abadi et al.,
+*Materialization Strategies in a Column-Oriented DBMS*, ICDE 2007): it
+parses each id and int text, and each value text into its payload,
+checked as Value checks it, builds no Value, bag or entry, and leaves
+each chunk's bytes the one home of its documents' entries. The first
+read of any of them (a fetch, a scan, a metadata read, a write or delete
+of one, an inverted file, the engine's flush diff) builds the chunk's
+entries with the same decoder, under the lock; a batch builds every
+chunk it drops a block from before it drops it, so no span is cleared
+while its entries live only in the bytes it names. A column is built
+from the lines of its one property in each unbuilt PROPS chunk, and
+builds no bag. The bags of an unseeded PROPS section, or of one with
 a value, ordinal or slice text that the encoder would not write (two
 texts could then read as one, and only Values tell duplicates and gaps
 apart), are built at open.
@@ -166,7 +169,7 @@ from collections import ChainMap, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from math import copysign
+from math import copysign, isnan
 from operator import add, attrgetter, floordiv, itemgetter, lt, ne, sub
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Union
@@ -415,40 +418,76 @@ def encode_value(value: Value) -> str:
     return f"{t.value}:{body}"
 
 
-def _boolean_payload(body: str) -> bool:
-    if body not in ("true", "false"):
-        raise ValueError(body)
-    return body == "true"
-
-
 _CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _ONE_MS = timedelta(milliseconds=1)
+_INT64 = (-(2**63), 2**63 - 1)
+_BOOLEAN_TEXTS = frozenset(("true", "false"))
+
+# Each parser below takes the bodies of one tag's value texts and returns
+# (their payloads, whether each body is the one encode_value writes for its
+# payload). It raises ValueError or OverflowError unless every payload is one
+# that Value accepts (check_payload), checked in aggregate: a Text decodes
+# from UTF-8, so it encodes again; an Integer's range is its least and
+# greatest payload's; a Float is not NaN; a Timestamp of the canonical form
+# lies within datetime's range, and any other form is parsed into a Value,
+# which checks it. Each step is a C-level map where it can be.
 
 
-def _timestamp_payloads(bodies: list[str]) -> list[int]:
+def _text_payloads(bodies: list[str]) -> tuple[list[str], bool]:
+    raw = list(map(bytes.fromhex, bodies))
+    return list(map(bytes.decode, raw)), list(map(bytes.hex, raw)) == bodies
+
+
+def _bytes_payloads(bodies: list[str]) -> tuple[list[bytes], bool]:
+    payloads = list(map(bytes.fromhex, bodies))
+    return payloads, list(map(bytes.hex, payloads)) == bodies
+
+
+def _integer_payloads(bodies: list[str]) -> tuple[list[int], bool]:
+    payloads = list(map(int, bodies))
+    if min(payloads) < _INT64[0] or max(payloads) > _INT64[1]:
+        raise ValueError("Integer payload out of signed 64-bit range")
+    return payloads, list(map(str, payloads)) == bodies
+
+
+def _float_payloads(bodies: list[str]) -> tuple[list[float], bool]:
+    payloads = list(map(float, bodies))
+    if any(map(isnan, payloads)):
+        raise ValueError("NaN is rejected at ingestion")
+    return payloads, list(map(repr, payloads)) == bodies
+
+
+def _boolean_payloads(bodies: list[str]) -> tuple[list[bool], bool]:
+    if not _BOOLEAN_TEXTS.issuperset(bodies):
+        raise ValueError(f"not a Boolean: {sorted(set(bodies) - _BOOLEAN_TEXTS)[0]!r}")
+    return list(map("true".__eq__, bodies)), True
+
+
+def _timestamp_payloads(bodies: list[str]) -> tuple[list[int], bool]:
     """[Value.timestamp_text(body).payload for body in bodies], in C-level
     maps when every body has the canonical form that encode_value writes
-    (YYYY-MM-DDTHH:MM:SS.mmmZ, in UTC)."""
+    (YYYY-MM-DDTHH:MM:SS.mmmZ, in UTC), which is then all the canonical
+    test there is."""
     if not all(map(_CANONICAL_TIMESTAMP.fullmatch, bodies)):
-        return [Value.timestamp_text(body).payload for body in bodies]
+        return [Value.timestamp_text(body).payload for body in bodies], False
     seconds = map(datetime.fromisoformat, map(itemgetter(slice(19)), bodies))
     millis = map(floordiv, map(sub, seconds, itertools.repeat(_NAIVE_EPOCH)), itertools.repeat(_ONE_MS))
-    return list(map(add, millis, map(int, map(itemgetter(slice(20, 23)), bodies))))
+    return list(map(add, millis, map(int, map(itemgetter(slice(20, 23)), bodies)))), True
 
 
 def decode_timestamp(body: str) -> Value:
     """Value.timestamp_text(body), with a fast path for the canonical form."""
-    return Value.timestamp(_timestamp_payloads([body])[0])
+    return Value.timestamp(_timestamp_payloads([body])[0][0])
 
 
-# value tag -> (type, the payloads of a list of bodies), each step a C-level map where it can be
+# value tag -> (type, its parser)
 _PAYLOADS = {
-    TEXT.value: (TEXT, lambda bodies: list(map(bytes.decode, map(bytes.fromhex, bodies)))),
-    BYTES.value: (BYTES, lambda bodies: list(map(bytes.fromhex, bodies))),
-    INTEGER.value: (INTEGER, lambda bodies: list(map(int, bodies))),
-    FLOAT.value: (FLOAT, lambda bodies: list(map(float, bodies))),
-    BOOLEAN.value: (BOOLEAN, lambda bodies: list(map(_boolean_payload, bodies))),
+    TEXT.value: (TEXT, _text_payloads),
+    BYTES.value: (BYTES, _bytes_payloads),
+    INTEGER.value: (INTEGER, _integer_payloads),
+    FLOAT.value: (FLOAT, _float_payloads),
+    BOOLEAN.value: (BOOLEAN, _boolean_payloads),
     TIMESTAMP.value: (TIMESTAMP, _timestamp_payloads),
 }
 
@@ -463,7 +502,7 @@ def _checked_payload(text: str) -> tuple[ValueType, object]:
         raise CorruptStore(f"malformed value encoding {text!r}")
     vtype, payloads_of = parse
     try:
-        (payload,) = payloads_of([body])
+        (payload,), _ = payloads_of([body])
         check_payload(vtype, payload)
     except (ValueError, OverflowError) as exc:  # OverflowError: a timestamp offset past year 1 or 9999
         raise CorruptStore(f"malformed value encoding {text!r}: {exc}") from exc
@@ -474,43 +513,47 @@ def decode_value(text: str) -> Value:
     return Value(*_checked_payload(text))
 
 
-def _parsed_by_tag(texts: Iterable[str]) -> Iterator[tuple[ValueType, list[str], list[str], list]]:
-    """(type, texts, bodies, payloads) for each tag among the encoded values
-    texts: the texts of that tag, the body of each and its payload, parsed
-    a type at a time and checked as Value checks them. A malformed text
-    raises CorruptStore, as _checked_payload does."""
-    groups: dict[str, list[str]] = {}
-    for text in texts:
-        tag, sep, _ = text.partition(":")
-        if not sep:
-            _checked_payload(text)  # raises
-        groups.setdefault(tag, []).append(text)
-    for tag, group in groups.items():
+def _checked_by_tag(texts: Iterable[str]) -> Iterator[tuple[ValueType, list[str], list[str], list, bool]]:
+    """(type, texts, bodies, payloads, canonical) for each tag among the
+    encoded values texts: the texts of that tag, the body of each and its
+    payload, parsed a type at a time and checked as Value checks them (see
+    the parsers above), and whether every body of the tag is the one
+    encode_value writes. The texts are sorted once, and each tag's texts
+    are the run between two bisections, so no Python code runs per text. A
+    malformed text raises CorruptStore, as _checked_payload does."""
+    texts = sorted(texts)
+    tagged = 0
+    for tag, (vtype, payloads_of) in _PAYLOADS.items():
+        lo = bisect.bisect_left(texts, tag + ":")
+        hi = bisect.bisect_left(texts, tag + ";", lo)  # ";" follows ":"
+        if lo == hi:
+            continue
+        group = texts[lo:hi]
+        tagged += len(group)
         bodies = list(map(itemgetter(slice(len(tag) + 1, None)), group))
         try:
-            vtype, payloads_of = _PAYLOADS[tag]
-            payloads = payloads_of(bodies)
-            deque(map(check_payload, itertools.repeat(vtype), payloads), 0)
-        except (LookupError, ValueError, OverflowError):
+            payloads, canonical = payloads_of(bodies)
+        except (ValueError, OverflowError):
             for text in group:
                 _checked_payload(text)  # raises, naming the first malformed text
             raise
+        yield vtype, group, bodies, payloads, canonical
+    if tagged < len(texts):
+        for text in texts:
+            _checked_payload(text)  # raises at the first text of no known tag
+
+
+def _parsed_by_tag(texts: Iterable[str]) -> Iterator[tuple[ValueType, list[str], list[str], list]]:
+    """(type, texts, bodies, payloads) for each tag among the encoded values
+    texts, as _checked_by_tag parses and checks them."""
+    for vtype, group, bodies, payloads, _ in _checked_by_tag(texts):
         yield vtype, group, bodies, payloads
 
 
 def _canonical(vtype: ValueType, bodies: list[str], payloads: list) -> bool:
-    """Whether each body is the one encode_value writes for its payload."""
-    if vtype is TEXT:
-        return list(map(bytes.hex, map(str.encode, payloads))) == bodies
-    if vtype is BYTES:
-        return list(map(bytes.hex, payloads)) == bodies
-    if vtype is INTEGER:
-        return list(map(str, payloads)) == bodies
-    if vtype is FLOAT:
-        return list(map(repr, payloads)) == bodies
-    if vtype is TIMESTAMP:  # the fast path's form: it reads back exactly
-        return all(map(_CANONICAL_TIMESTAMP.fullmatch, bodies))
-    return True  # Boolean: only "true" and "false" parse
+    """Whether each body is the one encode_value writes for its payload, as
+    _checked_by_tag tells it while it parses them."""
+    return _PAYLOADS[vtype.value][1](bodies)[1]
 
 
 # ---- content tokenization ----
@@ -670,20 +713,21 @@ class _Column:
 
     __slots__ = ("bags", "multi", "postings")
 
-    def __init__(self, prop: str, homes: dict[DocumentId, Homes]):
-        self.bags: dict[DocumentId, tuple[Value, ...]] = {}
-        self.multi: set[DocumentId] = set()
+    def __init__(self, prop: str, homes: dict[DocumentId, Homes],
+                 bags: Iterable[tuple[DocumentId, tuple[Value, ...]]] = ()):
+        """prop's column of the bags in homes, and of the (document, bag)
+        pairs of bags, whose documents homes does not hold."""
+        self.bags: dict[DocumentId, tuple[Value, ...]] = {
+            doc_id: doc_homes[prop][1] for doc_id, doc_homes in homes.items() if prop in doc_homes
+        }
+        self.bags.update(bags)
+        self.multi: set[DocumentId] = {doc_id for doc_id, values in self.bags.items() if len(values) > 1}
         self.postings: dict[ValueType, list[tuple]] = {}
-        for doc_id, doc_homes in homes.items():
-            home = doc_homes.get(prop)
-            if home is not None:
-                values = self.bags[doc_id] = home[1]
-                if len(values) > 1:
-                    self.multi.add(doc_id)
-                for value in values:
-                    key = _posting_key(value)
-                    if key is not None:
-                        self.postings.setdefault(value.vtype, []).append((key, doc_id))
+        for doc_id, values in self.bags.items():
+            for value in values:
+                key = _posting_key(value)
+                if key is not None:
+                    self.postings.setdefault(value.vtype, []).append((key, doc_id))
         for posting in self.postings.values():
             posting.sort()
 
@@ -768,6 +812,10 @@ def _repost(index: dict, ordered: dict, doc_id: DocumentId, old, new) -> None:
 
 
 
+# the sections whose seeded chunks open checks but leaves as bytes, built a chunk at a time when first read
+_LAZY = ("props", "enforce", "assign")
+
+
 class MemoryBackend:
     """In-memory reference backend. One writer batch at a time; reads see
     only committed batches. Counters instrument every backend round trip."""
@@ -797,8 +845,9 @@ class MemoryBackend:
         self.crc_combines = 0  # crc32c_combine calls, by open and by encodes
         self.checkpoint_writes = 0  # whole images written to a file
         self.decoded_chunks = 0  # seeded PROPS chunks whose bags were built after open
-        self._unbuilt: set[_Chunk] = set()  # seeded PROPS chunks whose bags are not built yet
-        self._builder: Optional[_Decoder] = None  # builds their bags; its caches go with the last of them
+        self.decoded_meta_chunks = 0  # seeded ENFORCE and ASSIGN chunks whose entries were built after open
+        self._unbuilt: set[_Chunk] = set()  # seeded chunks of the _LAZY sections whose entries are not built yet
+        self._builder: Optional[_Decoder] = None  # builds them; its caches go with the last of them
         self._image = _Tree()  # END's fold over the parts of the file, from open or the first encode
         self._parts: list[bytes] = []  # the file's parts, END last, in step with the image tree's leaves
         self.fail_next_persist = False
@@ -902,15 +951,14 @@ class MemoryBackend:
     def _entry(self, staged: dict[str, dict], name: str, key):
         """key's entry in table name as the batch staged leaves it, or None."""
         entries = staged.get(name, {})
-        return entries[key] if key in entries else getattr(self, name).get(key)
+        return entries[key] if key in entries else self._built(name, key)
 
     def _edit(self, staged: dict[str, dict], name: str, key, container: type):
         """The batch's own copy of key's map or set in table name, made on its
         first edit; a document's property map is copied, not its bags."""
         entries = staged.setdefault(name, {})
         if key not in entries:
-            held = self.stored_bags_of(key) if name == "_rows" else getattr(self, name).get(key)
-            entries[key] = container(held or ())
+            entries[key] = container(self._built(name, key) or ())
         return entries[key]
 
     def _commit(self, staged: dict[str, dict]) -> None:
@@ -982,12 +1030,17 @@ class MemoryBackend:
             return self._column(prop).compared(bounds)
 
     def _column(self, prop: str) -> _Column:
-        """prop's column, built from the bags the first time a caller names
-        prop and kept current by every committed batch and delete."""
+        """prop's column, built the first time a caller names prop and kept
+        current by every committed batch and delete. It is built from the
+        built bags and, for each unbuilt PROPS chunk, from the lines of the
+        chunk's bytes that name prop alone (_Decoder.bags_of), which open
+        checked: no other bag of the chunk is built, and the chunk stays
+        unbuilt (late materialization, as in Abadi et al., ICDE 2007)."""
         column = self._columns.get(prop)
         if column is None:
-            self._build_all()
-            column = self._columns[prop] = _Column(prop, self._rows)
+            unbuilt = [chunk for chunk in self._sections["props"].chunks or () if chunk in self._unbuilt]
+            bags = itertools.chain.from_iterable(self._builder.bags_of(chunk.data, prop) for chunk in unbuilt)
+            column = self._columns[prop] = _Column(prop, self._rows, bags)
         return column
 
     def stored_enforcing(self, schema: str) -> Mapping[DocumentId, None]:
@@ -1019,10 +1072,12 @@ class MemoryBackend:
 
     def _index(self, name: str) -> dict:
         """The inverted file of table name (_enforcement, _content or
-        _members), built from the table the first time a caller names it
-        and kept current by every committed batch and delete."""
+        _members), built from the table, every chunk of it built first, the
+        first time a caller names it and kept current by every committed
+        batch and delete."""
         index = self._inverted.get(name)
         if index is None:
+            self._build_all((_SECTION_OF[name],))
             index = self._inverted[name] = _invert(getattr(self, name))
             self._ordered[name] = {}
         return index
@@ -1037,6 +1092,7 @@ class MemoryBackend:
 
     def meta_view(self) -> MetaView:
         with self._lock:
+            self._build_all(("enforce", "assign"))
             return MetaView(
                 docs=dict(self._docs),
                 schemas=dict(self._schemas),
@@ -1048,7 +1104,10 @@ class MemoryBackend:
 
     # The committed tables, for the engine and the schema registry to read
     # without the lock. Each is the table itself, not a copy, and a caller
-    # never changes it.
+    # never changes it. A table of a lazily built section (enforcement,
+    # assignments) is whole only once every chunk of it is built: its
+    # whole-table reader builds them all, and a document's reader
+    # (stored_*_of) builds the one chunk that holds the document.
 
     def schema_defs(self) -> Mapping[str, tuple[Schema, int]]:
         return self._schemas
@@ -1057,10 +1116,20 @@ class MemoryBackend:
         return self._docs
 
     def stored_assignments(self) -> Mapping[DocumentId, Mapping[str, int]]:
+        self._build_all(("assign",))
         return self._assignments
 
     def stored_enforcement(self) -> Mapping[DocumentId, Mapping[str, int]]:
+        self._build_all(("enforce",))
         return self._enforcement
+
+    def stored_assignments_of(self, doc_id: DocumentId) -> Mapping[str, int]:
+        """doc_id's committed prop -> slice assignments ({}: none)."""
+        return self._assignments.get(doc_id) or self._built("_assignments", doc_id) or {}
+
+    def stored_enforcement_of(self, doc_id: DocumentId) -> Mapping[str, int]:
+        """doc_id's committed schema -> enforcement seq ({}: none)."""
+        return self._enforcement.get(doc_id) or self._built("_enforcement", doc_id) or {}
 
     def stored_members(self) -> Mapping[DocumentId, AbstractSet[DocumentId]]:
         return self._members
@@ -1068,36 +1137,45 @@ class MemoryBackend:
     def stored_content(self) -> Mapping[DocumentId, ContentRef]:
         return self._content
 
-    # ---- bags built when first read ----
+    # ---- entries built when first read ----
 
     def stored_bags_of(self, doc_id: DocumentId) -> Homes:
-        """doc_id's committed (slice, bag) by property. Until something reads
-        them, the bags of a seeded PROPS chunk live only in its rows' bytes:
-        the first read builds every document of the chunk, under the lock."""
-        unbuilt = bool(self._unbuilt)  # read first: once empty, it stays so
-        homes = self._rows.get(doc_id)
-        if homes is None and unbuilt:
-            with self._lock:
-                self._build_chunk(self._sections["props"].holder(doc_id.value))
-                homes = self._rows.get(doc_id)
-        return homes or {}
+        """doc_id's committed (slice, bag) by property ({}: none)."""
+        return self._rows.get(doc_id) or self._built("_rows", doc_id) or {}
 
-    def _build_chunk(self, chunk: Optional["_Chunk"]) -> None:
-        """Builds the bags of chunk's documents from its bytes, unless they
-        are built already; the caller holds the lock."""
+    def _built(self, name: str, key):
+        """key's committed entry in table name, or None. Until something
+        reads them, the entries of a seeded chunk of a lazily built section
+        (_LAZY) live only in the chunk's bytes: the first read of any of
+        them builds every document of the chunk, under the lock. A point
+        read that finds its entry built need not call this."""
+        section = _SECTION_OF.get(name)
+        if self._unbuilt and section in _LAZY:  # read before the table: once empty, it stays so
+            with self._lock:
+                self._build_chunk(section, self._sections[section].holder(key.value))
+        return getattr(self, name).get(key)
+
+    def _build_chunk(self, section: str, chunk: Optional["_Chunk"]) -> None:
+        """Builds the entries of chunk's documents, in the named lazily built
+        section, from its bytes, unless they are built already; the caller
+        holds the lock."""
         if chunk in self._unbuilt:
-            self._builder.build(chunk.data)
+            self._builder.build(section, chunk.data)
             self._unbuilt.remove(chunk)
-            self.decoded_chunks += 1
+            if section == "props":
+                self.decoded_chunks += 1
+            else:
+                self.decoded_meta_chunks += 1
             if not self._unbuilt:
                 self._builder = None
 
-    def _build_all(self) -> None:
-        """Builds every bag still unbuilt, chunk by chunk in id order."""
+    def _build_all(self, sections: Iterable[str] = _LAZY) -> None:
+        """Builds every entry of sections still unbuilt, chunk by chunk in id order."""
         with self._lock:
-            if self._unbuilt:
-                for chunk in self._sections["props"].chunks:
-                    self._build_chunk(chunk)
+            for section in sections:
+                if self._unbuilt:
+                    for chunk in self._sections[section].chunks or ():
+                        self._build_chunk(section, chunk)
 
     def _require(self, doc_id: DocumentId) -> DocumentKind:
         kind = self._docs.get(doc_id)
@@ -1176,8 +1254,8 @@ class MemoryBackend:
                 section.chunks = None  # the next encode encodes the block again
                 continue
             for doc_id in entries:
-                if section_name == "props":  # a chunk's bytes must outlive its unbuilt bags
-                    self._build_chunk(section.holder(doc_id.value))
+                if section_name in _LAZY:  # a chunk's bytes must outlive its unbuilt entries
+                    self._build_chunk(section_name, section.holder(doc_id.value))
                 section.drop(doc_id.value, self._entry(self._staged, name, doc_id) is not None)
 
     def _view(self, name: str) -> Mapping:
@@ -1333,12 +1411,17 @@ class MemoryBackend:
         END must equal the tree's root. SCHEMA lines equal to the canonical
         block become the SCHEMA section's chunk, with their leaf's node.
 
-        Every record is checked here, each PROPS record as the bags built
-        from it will read it: ordinals serial, one slice per property, so
-        a file with an ordinal gap raises CorruptStore here, wherever the
-        gap sits. The bags of a seeded PROPS section are deferred: they are
-        built a chunk at a time on first read (see stored_bags_of). Everything
-        else, the metadata tables included, is decoded now.
+        Every record is checked here, each record of a lazily built section
+        (PROPS, ENFORCE, ASSIGN) as the entries built from it will read it,
+        a PROPS record's ordinals serial and one slice per property, so a
+        file with an ordinal gap raises CorruptStore here, wherever the gap
+        sits. The entries of a seeded lazily built section are deferred:
+        they are built a chunk at a time on first read (see _built), and a
+        column from a PROPS chunk's lines of one property (see _column).
+        Everything else, DOC, SCHEMA, MEMBER and CONTENT, is decoded now.
+        The DEBUG record splits the decode into the PROPS check, the META
+        and CONTENT decode and the seeding, and counts the chunks left
+        unbuilt.
         """
         started = time.perf_counter()
         try:
@@ -1364,6 +1447,7 @@ class MemoryBackend:
                 decoder.feed(batch)
         except (LookupError, ValueError, OverflowError) as exc:
             raise CorruptStore(f"malformed record: {exc}") from exc
+        seeding = time.perf_counter()
         seeded = self._seed_sections(data, decoder)
         decoded = time.perf_counter()
         leaves: list[int] = []
@@ -1391,26 +1475,31 @@ class MemoryBackend:
         if data[schema[0] : schema[1]] == block:  # canonical: seeded with the node its leaf has
             self._sections["schema"].chunks = [_schema_chunk(block, gaps[schema])] if block else []
         logger.debug(
-            "opened checkpoint: %d bytes, %d records, %d distinct values, decode %.2f ms, checksum %.2f ms",
-            len(data), decoder.records, len(decoder.checked),
-            (decoded - started) * 1e3, (time.perf_counter() - decoded) * 1e3,
+            "opened checkpoint: %d bytes, %d records, %d distinct values, decode %.2f ms "
+            "(PROPS check %.2f, META check %.2f, seeding %.2f), checksum %.2f ms, %d chunks unbuilt",
+            len(data), decoder.records, len(decoder.checked), (decoded - started) * 1e3,
+            decoder.seconds["PROPS"] * 1e3, (decoder.seconds["META"] + decoder.seconds["CONTENT"]) * 1e3,
+            (decoded - seeding) * 1e3, (time.perf_counter() - decoded) * 1e3, len(self._unbuilt),
         )
 
     def _seed_sections(self, data: bytes, decoder: "_Decoder") -> list[tuple[int, int, list["_Chunk"]]]:
         """Keeps each run of lines of every seedable section as its document's
         block, and chunks the runs; returns (start, end, chunks) for every
         seeded section that holds a document, whose chunk nodes the caller
-        fills in. The bags of a seeded PROPS section stay in its chunks'
-        bytes until something reads them (stored_bags_of); those of an
-        unseeded or not canonical one (see _Decoder) are built now, which
-        checks them."""
+        fills in. A section is seedable when its records, counted as its
+        table counts them, are its lines: a lazily built section's are
+        counted from their texts (_Decoder.counts), the others' from their
+        tables. The entries of a seeded lazily built section stay in its
+        chunks' bytes until something reads them (_built); those of an
+        unseeded one, or of a PROPS section that is not canonical (see
+        _Decoder), are built now, which checks them."""
         seeded = []
-        built = not decoder.canonical  # only Values tell its duplicate records and gaps apart
+        built = not decoder.canonical  # only Values tell its duplicate PROPS records and gaps apart
         if built:
-            decoder.build_lines(data)
+            decoder.build_lines("props", data)
         for name, section_runs in decoder.runs.items():
-            if name == "props" and not built:
-                records = decoder.prop_records
+            if name in decoder.counts and not (name == "props" and built):
+                records = decoder.counts[name]
             elif name == "props":
                 records = sum(len(values) for homes in self._rows.values() for _, values in homes.values())
             else:
@@ -1430,16 +1519,20 @@ class MemoryBackend:
                 section.chunks.append(chunk)
             if keys:
                 seeded.append((bounds[0], bounds[-1], section.chunks))
-        chunks = self._sections["props"].chunks
-        if chunks is None and not built:
-            decoder.build_lines(data)
-        elif chunks and not built:
-            # exact here: one run per document, one text per value, ordinal and slice
-            if decoder.wanted:
-                raise CorruptStore(f"ordinal gap: no PROPS record {min(decoder.wanted)!r}")
-            if not decoder.one_slice:
-                raise CorruptStore("a property of a document stored in two slices")
-            self._unbuilt.update(chunks)
+        for name in _LAZY:
+            chunks = self._sections[name].chunks
+            if name == "props" and built:
+                continue
+            if chunks is None:
+                decoder.build_lines(name, data)
+            elif chunks and name == "props":
+                # exact here: one run per document, one text per value, ordinal and slice
+                if decoder.wanted:
+                    raise CorruptStore(f"ordinal gap: no PROPS record {min(decoder.wanted)!r}")
+                if not decoder.one_slice:
+                    raise CorruptStore("a property of a document stored in two slices")
+            self._unbuilt.update(chunks or ())
+        if self._unbuilt:
             self._builder = _Decoder(self, 0)
             self._builder.ids = decoder.ids
         return seeded
@@ -1953,7 +2046,8 @@ _KINDS = {kind.value: kind for kind in DocumentKind}
 class _Decoder:
     """Checks checkpoint lines and decodes them into a backend's tables, a
     batch at a time, noting each document section's runs of lines for
-    seeding; later, builds PROPS bags from whole lines (build).
+    seeding; later, builds a lazily built section's entries from whole
+    lines (build), and one property's bags from PROPS lines (bags_of).
 
     A batch is decoded with one UTF-8 decode and one split. Its marker lines
     cut it into segments, a META segment is cut into groups of one record
@@ -1963,22 +2057,25 @@ class _Decoder:
     is a stretch of consecutive records of one section that name the same
     id text; marker lines do not end one, and one may span batches.
 
-    The pass over the file checks every PROPS record as build would read
-    it, but builds no Value or bag: it parses each distinct id, slice and
-    ordinal text, parses each distinct value text into its payload a type
-    at a time and checks it (check_payload, as Value does), and counts the
-    distinct (id, prop, value, ordinal) texts of each run, one group's
-    runs at a time. That is the section's count of records, as its bags
-    count them, while every value, ordinal and slice text is the one the
-    encoder writes (canonical): no two texts then read as one. On the same
-    texts it looks, for each record of ordinal other than 0, for the one
-    below it, and for an (id, prop) with two slices; in a seeded section
-    (one run per document) of canonical texts that is exact, and a gap
-    or a second slice fails open. When a text is not canonical, only
-    Values tell duplicates and gaps apart. build runs over a seeded
-    chunk's bytes when something first reads them, and over every PROPS
-    line at the end of open, checking them, when the section is unseeded
-    or not canonical.
+    The lazily built sections (_LAZY: PROPS, ENFORCE and ASSIGN) are checked
+    as build would read them, but nothing of them is built. For each it
+    parses each distinct id and int text, and counts the distinct records
+    of each run, one group's runs at a time: (id, prop, slice, value,
+    ordinal) texts for PROPS, (id, schema) for ENFORCE and (id, prop) for
+    ASSIGN, as the built table keys them. That is the section's count of
+    records, as its table counts them. For PROPS it also parses each
+    distinct value text into its payload a type at a time and checks it
+    (_checked_by_tag, as Value does); the count is exact while every value,
+    ordinal and slice text is the one the encoder writes (canonical): no two
+    texts then read as one. On the same texts it looks, for each record of
+    ordinal other than 0, for the one below it, and through one (id, prop)
+    -> slice map per group, for an (id, prop) with two slices; in a seeded
+    section (one run per document) of canonical texts that is exact, and a
+    gap or a second slice fails open. When a text is not canonical, only
+    Values tell duplicates and gaps apart. build runs over a seeded chunk's
+    bytes when something first reads them, and over every line of a lazily
+    built section at the end of open when the section is unseeded, or for
+    PROPS not canonical, checking them.
     Malformed input raises CorruptStore, LookupError or ValueError.
     """
 
@@ -1991,14 +2088,16 @@ class _Decoder:
         self.ids: dict[str, DocumentId] = {}
         self.values: dict[str, Value] = {}  # value text -> Value, for build
         self.checked: set[str] = set()  # the value texts whose payload is checked
-        self.slices: set[str] = set()  # the slice texts read as ints
+        self.slices: set[str] = set()  # the PROPS slice texts read as ints
         self.ordinals: set[str] = set()  # the ordinal texts read as ints
+        self.ints: set[str] = set()  # the ENFORCE seq and ASSIGN slice texts read as ints
         self.canonical = True  # every PROPS value, ordinal and slice text so far is the encoder's
-        self.prop_records = 0  # distinct PROPS records of each run, summed
-        self.last_run: set[tuple] = set()  # the PROPS records of the last run so far
+        self.counts: dict[str, int] = dict.fromkeys(_LAZY, 0)  # distinct records of each run, summed
+        self.last_run: dict[str, set[tuple]] = {}  # per lazily built section, the records of its last run so far
         self.wanted: set[tuple] = set()  # the record below each one of ordinal other than 0, not seen yet
         self.one_slice = True  # no (id, prop) texts so far with two slice texts
-        self.prop_lines: list[tuple[int, int]] = []  # offsets of each PROPS segment's lines
+        self.last_slices: dict[tuple, str] = {}  # (id, prop) -> slice text, of the last PROPS run so far
+        self.lines: dict[str, list[tuple[int, int]]] = {name: [] for name in _LAZY}  # each group's offsets
         # per document section: (id value, offset of its first line) for each run
         self.runs: dict[str, list[tuple[int, int]]] = {name: [] for name in _DOC_SECTIONS}
         self.ends: dict[str, int] = {}  # section -> offset just past its last line so far
@@ -2009,6 +2108,7 @@ class _Decoder:
         self.schema_span: Optional[list[int]] = None
         self.unseeded: set[str] = set()
         self.records = 0
+        self.seconds = {"PROPS": 0.0, "META": 0.0, "CONTENT": 0.0}  # spent on each marker's segments
 
     def feed(self, batch: list[bytes]) -> None:
         """Decodes the next lines, each with its newline."""
@@ -2032,6 +2132,7 @@ class _Decoder:
         """Lines under one marker; starts holds each line's offset and the end."""
         if self.marker is None:
             raise CorruptStore(f"record outside any section: {lines[0]!r}")
+        started = time.perf_counter()
         self.records += len(lines)
         rows = _split_fields(lines, escaped)
         if self.marker == "PROPS":
@@ -2046,25 +2147,19 @@ class _Decoder:
                 if load is None:
                     raise CorruptStore(f"unknown metadata record kind {kinds[a]!r}")
                 load(self, rows[a:b], starts[a : b + 1])
+        self.seconds[self.marker] += time.perf_counter() - started
 
-    # ---- one group of records of one section ----
+    # ---- one group of records of one section, at open ----
 
     def _props(self, rows, starts) -> None:
         texts, slices, props, encoded, ordinals = _columns(rows, 5)
-        self._parse_ids(texts)
+        self._note_ids(texts)
         if not (_check_ints(slices, self.slices) & _check_ints(ordinals, self.ordinals)):
             self.canonical = False
         self._check_values(encoded)
         continued = self.current == "props" and texts[0] == self.run_text
         bounds = self._runs("props", texts, starts)
-        # records of different runs name different ids, so a group counts its
-        # runs' distinct records at once; one that continues the last run
-        # counts those it does not share with it
-        records = set(zip(texts, props, slices, encoded, ordinals))
-        if continued:
-            self.prop_records -= len(self.last_run)
-            records |= self.last_run
-        self.prop_records += len(records)
+        records = self._count("props", (texts, props, slices, encoded, ordinals), bounds, continued)
         # a record of ordinal other than 0 needs the one below it, which a
         # later group of its run may hold
         for i in itertools.compress(itertools.count(), map(ne, ordinals, itertools.repeat("0"))):
@@ -2073,28 +2168,89 @@ class _Decoder:
                 self.wanted.add(below)
         if self.wanted:
             self.wanted -= records
-        homes = set(map(itemgetter(0, 1, 2), records))
-        if len(homes) != len(set(map(itemgetter(0, 1), homes))):
+        # one slice per (id, prop): each record's slice is its pair's in one
+        # map of the group, which starts from the last run's when it continues
+        pairs = list(zip(texts, props))
+        slice_of = dict(self.last_slices) if continued else {}
+        slice_of.update(zip(pairs, slices))
+        if self.one_slice and (
+            any(map(ne, map(slice_of.__getitem__, pairs), slices))
+            or (continued and any(slice_of[pair] != text for pair, text in self.last_slices.items()))
+        ):
             self.one_slice = False
         last = bounds[-2]
-        self.last_run = records if last == 0 else set(
-            zip(texts[last:], props[last:], slices[last:], encoded[last:], ordinals[last:])
+        self.last_slices = slice_of if last == 0 else dict(zip(pairs[last:], slices[last:]))
+        self.lines["props"].append((starts[0], starts[-1]))
+
+    def _doc(self, rows, starts) -> None:
+        _, texts, kinds = _columns(rows, 3)
+        self.backend._docs.update(zip(self._parse_ids(texts), map(_KINDS.__getitem__, kinds)))
+        self._runs("doc", texts, starts)
+
+    def _schema(self, rows, starts) -> None:
+        for fields in rows:
+            constraints = {}
+            for part in fields[3:]:
+                prop, type_tag, arity = part.rsplit(":", 2)
+                constraints[prop] = Constraint.from_text(type_tag, arity)
+            self.backend._schemas[fields[1]] = (Schema(fields[1], constraints), int(fields[2]))
+        self.schema_span = [(self.schema_span or starts)[0], starts[-1]]
+        self.current, self.run_text = "schema", None  # SCHEMA lines make no run
+
+    def _enforce(self, rows, starts) -> None:
+        _, texts, seqs, names = _columns(rows, 4)
+        self._check_entries("enforce", texts, seqs, names, starts)
+
+    def _assign(self, rows, starts) -> None:
+        _, texts, props, slices = _columns(rows, 4)
+        self._check_entries("assign", texts, slices, props, starts)
+
+    def _member(self, rows, starts) -> None:
+        _, texts, member_texts = _columns(rows, 3)
+        docs = self._parse_ids(texts)
+        members = self._parse_ids(member_texts)
+        bounds = self._runs("member", texts, starts)
+        _merge(self.backend._members, docs, bounds, lambda a, b: set(members[a:b]))
+
+    def _content(self, rows, starts) -> None:
+        texts, lengths, tokens = _columns(rows, 3)
+        self.backend._content.update(
+            (doc, ContentRef(doc, int(length), frozenset(words.split(" ")) if words else frozenset()))
+            for doc, length, words in zip(self._parse_ids(texts), lengths, tokens)
         )
-        self.prop_lines.append((starts[0], starts[-1]))
+        self._runs("content", texts, starts)
 
-    def build_lines(self, data: bytes) -> None:
-        """Builds the bags of every PROPS line of data, the whole file."""
-        self.build(b"".join(data[start:end] for start, end in self.prop_lines))
+    _META = {"DOC": _doc, "SCHEMA": _schema, "ENFORCE": _enforce, "ASSIGN": _assign, "MEMBER": _member}
 
-    def build(self, data: bytes) -> None:
-        """Files the PROPS records of data, whole lines that open has
-        checked and every record of each document they name, into the
-        backend's table: one UTF-8 decode and one split, then columns, and
-        one bag map per document. A property with two slices, or a value
-        whose ordinals are not 0 to n - 1, raises CorruptStore, which
-        open's checks rule out for the chunks built after it."""
+    def _check_entries(self, name: str, texts, ints, keys, starts) -> None:
+        """Checks one group of ENFORCE or ASSIGN records (an id, an int and a
+        key: a seq and a schema, or a slice and a property) as build would
+        read them, and counts them by (id, key), as the built table holds
+        them; builds nothing."""
+        self._note_ids(texts)
+        _check_ints(ints, self.ints)
+        continued = self.current == name and texts[0] == self.run_text
+        self._count(name, (texts, keys), self._runs(name, texts, starts), continued)
+        self.lines[name].append((starts[0], starts[-1]))
+
+    # ---- building what open checked ----
+
+    def build_lines(self, name: str, data: bytes) -> None:
+        """Builds every record of section name in data, the whole file."""
+        self.build(name, b"".join(data[start:end] for start, end in self.lines[name]))
+
+    def build(self, name: str, data: bytes) -> None:
+        """Files the records of data, whole lines of the lazily built section
+        name that open has checked and every record of each document they
+        name, into the backend's table: one UTF-8 decode and one split,
+        then columns, and one entry per document."""
         text = data.decode("utf-8")
-        rows = _split_fields(text.split("\n")[:-1], "\\" in text)
+        self._BUILD[name](self, _split_fields(text.split("\n")[:-1], "\\" in text))
+
+    def _build_props(self, rows) -> None:
+        """One bag map per document. A property with two slices, or a value
+        whose ordinals are not 0 to n - 1, raises CorruptStore, which open's
+        checks rule out for the chunks built after it."""
         texts, slices, props, encoded, ordinals = _columns(rows, 5)
         docs = self._parse_ids(texts)
         values = self._decode_values(encoded)
@@ -2118,60 +2274,52 @@ class _Decoder:
                 homes[prop] = _home(doc_id, prop, rows, CorruptStore)
             table[doc_id] = homes
 
-    def _doc(self, rows, starts) -> None:
-        _, texts, kinds = _columns(rows, 3)
-        self.backend._docs.update(zip(self._parse_ids(texts), map(_KINDS.__getitem__, kinds)))
-        self._runs("doc", texts, starts)
-
-    def _schema(self, rows, starts) -> None:
-        for fields in rows:
-            constraints = {}
-            for part in fields[3:]:
-                prop, type_tag, arity = part.rsplit(":", 2)
-                constraints[prop] = Constraint.from_text(type_tag, arity)
-            self.backend._schemas[fields[1]] = (Schema(fields[1], constraints), int(fields[2]))
-        self.schema_span = [(self.schema_span or starts)[0], starts[-1]]
-        self.current, self.run_text = "schema", None  # SCHEMA lines make no run
-
-    def _enforce(self, rows, starts) -> None:
+    def _build_enforce(self, rows) -> None:
         _, texts, seqs, names = _columns(rows, 4)
-        docs = self._parse_ids(texts)
         seqs = list(map(int, seqs))
-        bounds = self._runs("enforce", texts, starts)
-        _merge(self.backend._enforcement, docs, bounds, lambda a, b: dict(zip(names[a:b], seqs[a:b])))
+        _merge(self.backend._enforcement, self._parse_ids(texts), _changes(texts),
+               lambda a, b: dict(zip(names[a:b], seqs[a:b])))
 
-    def _assign(self, rows, starts) -> None:
+    def _build_assign(self, rows) -> None:
         _, texts, props, slices = _columns(rows, 4)
-        docs = self._parse_ids(texts)
-        props = list(map(sys.intern, props))
-        slices = list(map(int, slices))
-        bounds = self._runs("assign", texts, starts)
-        _merge(self.backend._assignments, docs, bounds, lambda a, b: dict(zip(props[a:b], slices[a:b])))
+        props, slices = list(map(sys.intern, props)), list(map(int, slices))
+        _merge(self.backend._assignments, self._parse_ids(texts), _changes(texts),
+               lambda a, b: dict(zip(props[a:b], slices[a:b])))
 
-    def _member(self, rows, starts) -> None:
-        _, texts, member_texts = _columns(rows, 3)
-        docs = self._parse_ids(texts)
-        members = self._parse_ids(member_texts)
-        bounds = self._runs("member", texts, starts)
-        _merge(self.backend._members, docs, bounds, lambda a, b: set(members[a:b]))
+    _BUILD = {"props": _build_props, "enforce": _build_enforce, "assign": _build_assign}
 
-    def _content(self, rows, starts) -> None:
-        texts, lengths, tokens = _columns(rows, 3)
-        self.backend._content.update(
-            (doc, ContentRef(doc, int(length), frozenset(words.split(" ")) if words else frozenset()))
-            for doc, length, words in zip(self._parse_ids(texts), lengths, tokens)
-        )
-        self._runs("content", texts, starts)
-
-    _META = {"DOC": _doc, "SCHEMA": _schema, "ENFORCE": _enforce, "ASSIGN": _assign, "MEMBER": _member}
+    def bags_of(self, data: bytes, prop: str) -> list[tuple[DocumentId, tuple[Value, ...]]]:
+        """(document, bag) for each document of data, whole PROPS lines that
+        open has checked, whose prop bag holds a value: only the lines that
+        name prop are split, and only their values built, so no other bag
+        is. A seeded section's canonical lines hold each record once, so a
+        document's lines of prop are its bag's values."""
+        text = data.decode("utf-8")
+        lines = text.split("\n")[:-1]
+        needle = f"\t{escape_field(prop)}\t"  # in another field too, now and then: the split tells
+        lines = list(itertools.compress(lines, map(str.__contains__, lines, itertools.repeat(needle))))
+        if not lines:
+            return []
+        texts, _, props, encoded, _ = _columns(_split_fields(lines, "\\" in text), 5)
+        named = list(map(prop.__eq__, props))
+        docs = self._parse_ids(list(itertools.compress(texts, named)))
+        values = self._decode_values(list(itertools.compress(encoded, named)))
+        held: dict[DocumentId, list[Value]] = {}
+        for doc_id, value in zip(docs, values):
+            held.setdefault(doc_id, []).append(value)
+        return [(doc_id, (found[0],) if len(found) == 1 else bag(found)) for doc_id, found in held.items()]
 
     # ---- shared steps ----
 
-    def _parse_ids(self, texts) -> list[DocumentId]:
+    def _note_ids(self, texts) -> None:
+        """Parses each id text not seen before."""
         ids = self.ids
         for text in set(texts).difference(ids):
             ids[text] = DocumentId.parse(text)
-        return list(map(ids.__getitem__, texts))
+
+    def _parse_ids(self, texts) -> list[DocumentId]:
+        self._note_ids(texts)
+        return list(map(self.ids.__getitem__, texts))
 
     def _decode_values(self, texts) -> list[Value]:
         values = self.values
@@ -2181,12 +2329,28 @@ class _Decoder:
 
     def _check_values(self, texts) -> None:
         """Parses and checks the payload of each value text not seen before
-        (see _parsed_by_tag), and notes one that is not canonical."""
+        (see _checked_by_tag), and notes one that is not canonical."""
         fresh = set(texts).difference(self.checked)
         self.checked.update(fresh)
-        for vtype, _, bodies, payloads in _parsed_by_tag(fresh):
-            if not _canonical(vtype, bodies, payloads):
+        for *_, canonical in _checked_by_tag(fresh):
+            if not canonical:
                 self.canonical = False
+
+    def _count(self, name: str, columns: tuple, bounds: list[int], continued: bool) -> set[tuple]:
+        """Adds the group's distinct records, the rows of columns, to the
+        count of section name, and returns them, with the last run's when
+        the group continues it. Records of different runs name different
+        ids, so a group counts its runs' distinct records at once; one that
+        continues the last run counts those it does not share with it."""
+        records = set(zip(*columns))
+        if continued:
+            last = self.last_run[name]
+            self.counts[name] -= len(last)
+            records |= last
+        self.counts[name] += len(records)
+        start = bounds[-2]
+        self.last_run[name] = records if start == 0 else set(zip(*(column[start:] for column in columns)))
+        return records
 
     def _runs(self, name: str, texts, starts: list[int]) -> list[int]:
         """The bounds of the group's runs of equal id text (see _changes);
@@ -2268,9 +2432,10 @@ class DiskBackend(MemoryBackend):
     and only the image tree's nodes above those chunks are folded again;
     the rest come from the chunk cache and the image tree, which open seeds
     from the bytes it checked, so the first write after open costs what it
-    changes too. Open checks every record but leaves the property values of
-    each seeded chunk in its bytes until something reads one of its
-    documents, so a command pays to build only the chunks it reads. The engine commits all
+    changes too. Open checks every record but leaves the property values,
+    enforcement and assignments of each seeded chunk in its bytes until
+    something reads one of its documents, so a command pays to build only
+    the chunks it reads. The engine commits all
     of a flush's documents in one batch (group commit), so a flush writes
     the file once or twice, whatever it changed.
 

@@ -8,14 +8,17 @@ For each size N, the benchmark's corpus generator (`bench/corpus.py`, seed
 benchmark's cli workload. The probe then prints:
 
 - `DiskBackend.open` of that store, best and median of --repeat opens,
-  with the decode and checksum times of the DEBUG record open logs;
-- open plus one `fetch_slices` of every slice of one document (what a
-  `get` reads; it builds one PROPS chunk's bags), and open plus the build
-  of the `From` column (what a query on it reads; it builds every
-  chunk's bags), best and median of --repeat each;
-- whether open, with every document then read in a random order, holds
-  the tables that `reference_loader.load_line_at_a_time` loads from the
-  same bytes;
+  with the split of the DEBUG record open logs: the decode (the PROPS
+  check, the META and CONTENT check and decode, the seeding) and the
+  checksum;
+- open plus one `fetch_slices` of every slice of one document (it builds
+  one chunk each of PROPS, ASSIGN and ENFORCE), `Repository.open` plus
+  the snapshot of one document and the close (what `harland get`
+  does), and open plus the build of the `From` column (what a query on
+  it reads; it builds no bag), best and median of --repeat each;
+- whether open, with every document's assignments, enforcement and
+  slices then read in a random order, holds the tables that
+  `reference_loader.load_line_at_a_time` loads from the same bytes;
 - `crc32c` of 100 B, 450 B, 2 KB and 15 KB of random bytes and of the
   whole store file, best of --repeat calls of each after one untimed call;
 - the first `crc32c` of the store file in a fresh interpreter (best of
@@ -50,10 +53,14 @@ sys.path.insert(0, str(ROOT))  # bench.corpus
 
 from bench import corpus  # noqa: E402
 from harland import store  # noqa: E402
+from harland.engine import Repository  # noqa: E402
 from harland.store import CHECKPOINT_NAME, DiskBackend, crc32c  # noqa: E402
 from reference_loader import TABLES, load_line_at_a_time  # noqa: E402  (this directory)
 
-SPLIT = re.compile(r"decode ([\d.]+) ms, checksum ([\d.]+) ms")
+SPLIT = re.compile(
+    r"decode ([\d.]+) ms \(PROPS check ([\d.]+), META check ([\d.]+), seeding ([\d.]+)\), checksum ([\d.]+) ms"
+)
+PARTS = ("decode", "  PROPS check", "  META check", "  seeding", "checksum")
 KERNEL_SIZES = (("100 B", 100), ("450 B", 450), ("2 KB", 2048), ("15 KB", 15360))
 
 # the first crc32c of a file in a fresh interpreter: timed, then timed again;
@@ -75,16 +82,16 @@ else:
 
 
 class _Split(logging.Handler):
-    """Keeps the decode and checksum times of each open's DEBUG record."""
+    """Keeps the times of PARTS from each open's DEBUG record."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.splits: list[tuple[float, float]] = []
+        self.splits: list[tuple[float, ...]] = []
 
     def emit(self, record: logging.LogRecord) -> None:
         found = SPLIT.search(record.getMessage())
         if found:
-            self.splits.append((float(found[1]), float(found[2])))
+            self.splits.append(tuple(map(float, found.groups())))
 
 
 def _best_median(values: list) -> str:
@@ -117,10 +124,8 @@ def probe_open(path: Path, repeat: int) -> None:
         logger.removeHandler(handler)
         logger.setLevel(level)
     print(f"  DiskBackend.open  {_best_median(times)} ms of {repeat}")
-    if handler.splits:
-        decode, checksum = zip(*handler.splits)
-        print(f"    decode   {_best_median(decode)} ms")
-        print(f"    checksum {_best_median(checksum)} ms")
+    for part, times in zip(PARTS, zip(*handler.splits)):
+        print(f"    {part:<13} {_best_median(times)} ms")
 
 
 def _timed_ms(fn) -> float:
@@ -132,32 +137,47 @@ def _timed_ms(fn) -> float:
 def probe_reads(path: Path, repeat: int) -> None:
     ids = sorted(DiskBackend.open(path).stored_docs())
     rng = random.Random(4)
-    fetches, columns = [], []
+    fetches, gets, columns = [], [], []
     for _ in range(repeat):
         doc_id = rng.choice(ids)
 
         def fetch():
             backend = DiskBackend.open(path)
-            backend.fetch_slices(doc_id, set(backend.stored_assignments().get(doc_id, {}).values()))
+            backend.fetch_slices(doc_id, set(backend.stored_assignments_of(doc_id).values()))
+
+        def get():
+            repo = Repository.open(path)
+            repo.get_document(doc_id).snapshot()
+            repo.close()
 
         fetches.append(_timed_ms(fetch))
+        gets.append(_timed_ms(get))
         columns.append(_timed_ms(lambda: DiskBackend.open(path).stored_matches("From", bool)))
     print(f"  open + fetch_slices of one document  {_best_median(fetches)} ms of {repeat}")
-    print(f"  open + the From column build        {_best_median(columns)} ms of {repeat}")
+    print(f"  open + get of one document + close   {_best_median(gets)} ms of {repeat}")
+    print(f"  open + the From column build         {_best_median(columns)} ms of {repeat}")
 
 
 def check_walk(path: Path, data: bytes) -> None:
-    """Exits 1 unless open, with every document then read in a random
-    order, holds the reference loader's tables and has built every chunk."""
+    """Exits 1 unless open, with every document's assignments, enforcement
+    and slices then read, each kind in its own random order, holds the
+    reference loader's tables and has built every chunk."""
     backend = DiskBackend.open(path)
     ids = list(backend.stored_docs())
-    random.Random(5).shuffle(ids)
+    rng = random.Random(5)
+    for read in (backend.stored_enforcement_of, backend.stored_assignments_of):
+        rng.shuffle(ids)
+        for doc_id in ids:
+            read(doc_id)
+    rng.shuffle(ids)
     for doc_id in ids:
-        backend.fetch_slices(doc_id, set(backend.stored_assignments().get(doc_id, {}).values()))
+        backend.fetch_slices(doc_id, set(backend.stored_assignments_of(doc_id).values()))
     reference = load_line_at_a_time(data)
     differ = [name for name in TABLES if getattr(backend, name) != getattr(reference, name)]
-    chunks = len(backend._sections["props"].chunks or ())
-    print(f"  walked open: {backend.decoded_chunks} of {chunks} PROPS chunks built, "
+    built = (backend.decoded_chunks, backend.decoded_meta_chunks)
+    chunks = [len(backend._sections[name].chunks or ()) for name in ("props", "enforce", "assign")]
+    print(f"  walked open: {built[0]} of {chunks[0]} PROPS chunks and {built[1]} of {sum(chunks[1:])} "
+          f"ENFORCE and ASSIGN chunks built, "
           f"tables {'differ: ' + ', '.join(differ) if differ else 'equal the line-at-a-time loader'}")
     if differ or backend._unbuilt:
         sys.exit(1)

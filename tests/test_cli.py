@@ -44,9 +44,9 @@ def test_stats_prints_every_counter_in_sorted_order(capsys, tmp_path):
     assert [line.split(" ")[0] for line in out.splitlines()] == [
         "backend_batches", "backend_fetches", "backend_scans", "cache_hits", "cache_misses",
         "cached_documents", "checkpoint_writes", "checksummed_bytes", "column_probes", "column_scans",
-        "commits", "commits_dispatched", "crc_combines", "decoded_chunks", "deepest_queue", "dispatch_failures",
-        "documents", "encoded_blocks", "evictions", "flush_failures", "flushes", "hub_dead_letters", "hub_lag",
-        "plans_compiled",
+        "commits", "commits_dispatched", "crc_combines", "decoded_chunks", "decoded_meta_chunks",
+        "deepest_queue", "dispatch_failures", "documents", "encoded_blocks", "evictions", "flush_failures",
+        "flushes", "hub_dead_letters", "hub_lag", "plans_compiled",
     ]
 
 
