@@ -12,11 +12,15 @@ import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from math import isnan
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
+_INT64_RANGE = "Integer payload out of signed 64-bit range"
+_NAN = "NaN is rejected at ingestion"
+_TS_RANGE = "Timestamp out of representable range"
 
 
 def _dt_to_ms(dt: datetime) -> int:
@@ -55,8 +59,7 @@ def check_payload(t: ValueType, p) -> None:
     """Raises ValueError unless p is a valid payload of a Value of type t:
     Integer in the signed 64-bit range, Float not NaN, Timestamp within
     datetime's range, and each payload of its type's Python type. Value
-    checks every payload it is built with through this, and so does open
-    for each value text it reads without building its Value."""
+    checks every payload it is built with through this."""
     if t is TEXT:
         if not isinstance(p, str):
             raise ValueError("Text payload must be str")
@@ -68,12 +71,12 @@ def check_payload(t: ValueType, p) -> None:
         if isinstance(p, bool) or not isinstance(p, int):
             raise ValueError("Integer payload must be int")
         if not _INT64_MIN <= p <= _INT64_MAX:
-            raise ValueError("Integer payload out of signed 64-bit range")
+            raise ValueError(_INT64_RANGE)
     elif t is FLOAT:
         if not isinstance(p, float):
             raise ValueError("Float payload must be float")
         if p != p:
-            raise ValueError("NaN is rejected at ingestion")
+            raise ValueError(_NAN)
     elif t is BOOLEAN:
         if not isinstance(p, bool):
             raise ValueError("Boolean payload must be bool")
@@ -81,10 +84,26 @@ def check_payload(t: ValueType, p) -> None:
         if isinstance(p, bool) or not isinstance(p, int):
             raise ValueError("Timestamp payload must be epoch milliseconds (int)")
         if not _TS_MIN <= p <= _TS_MAX:
-            raise ValueError("Timestamp out of representable range")
+            raise ValueError(_TS_RANGE)
     elif t is BYTES:
         if not isinstance(p, bytes):
             raise ValueError("Bytes payload must be bytes")
+
+
+def check_payloads(t: ValueType, ps: list) -> None:
+    """check_payload's range checks over a non-empty list of payloads of
+    type t, each already of t's Python type, in aggregate: the least and
+    greatest Integer or Timestamp, and any NaN Float. A reader that parses
+    many payloads of one type (open) checks them through this."""
+    if t is INTEGER:
+        if min(ps) < _INT64_MIN or max(ps) > _INT64_MAX:
+            raise ValueError(_INT64_RANGE)
+    elif t is FLOAT:
+        if any(map(isnan, ps)):
+            raise ValueError(_NAN)
+    elif t is TIMESTAMP:
+        if min(ps) < _TS_MIN or max(ps) > _TS_MAX:
+            raise ValueError(_TS_RANGE)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -169,7 +169,7 @@ from collections import ChainMap, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from math import copysign, isnan
+from math import copysign
 from operator import add, attrgetter, floordiv, itemgetter, lt, ne, sub
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Union
@@ -190,6 +190,7 @@ from harland.model import (
     ValueType,
     bag,
     check_payload,
+    check_payloads,
     compare_values,
     occurrences,
 )
@@ -421,17 +422,13 @@ def encode_value(value: Value) -> str:
 _CANONICAL_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z")
 _NAIVE_EPOCH = datetime(1970, 1, 1)
 _ONE_MS = timedelta(milliseconds=1)
-_INT64 = (-(2**63), 2**63 - 1)
 _BOOLEAN_TEXTS = frozenset(("true", "false"))
 
 # Each parser below takes the bodies of one tag's value texts and returns
 # (their payloads, whether each body is the one encode_value writes for its
-# payload). It raises ValueError or OverflowError unless every payload is one
-# that Value accepts (check_payload), checked in aggregate: a Text decodes
-# from UTF-8, so it encodes again; an Integer's range is its least and
-# greatest payload's; a Float is not NaN; a Timestamp of the canonical form
-# lies within datetime's range, and any other form is parsed into a Value,
-# which checks it. Each step is a C-level map where it can be.
+# payload). It raises ValueError or OverflowError on a body that does not
+# parse into a payload of its type's Python type; check_payloads then checks
+# the payloads' range. Each step is a C-level map where it can be.
 
 
 def _text_payloads(bodies: list[str]) -> tuple[list[str], bool]:
@@ -446,15 +443,11 @@ def _bytes_payloads(bodies: list[str]) -> tuple[list[bytes], bool]:
 
 def _integer_payloads(bodies: list[str]) -> tuple[list[int], bool]:
     payloads = list(map(int, bodies))
-    if min(payloads) < _INT64[0] or max(payloads) > _INT64[1]:
-        raise ValueError("Integer payload out of signed 64-bit range")
     return payloads, list(map(str, payloads)) == bodies
 
 
 def _float_payloads(bodies: list[str]) -> tuple[list[float], bool]:
     payloads = list(map(float, bodies))
-    if any(map(isnan, payloads)):
-        raise ValueError("NaN is rejected at ingestion")
     return payloads, list(map(repr, payloads)) == bodies
 
 
@@ -516,9 +509,9 @@ def decode_value(text: str) -> Value:
 def _checked_by_tag(texts: Iterable[str]) -> Iterator[tuple[ValueType, list[str], list[str], list, bool]]:
     """(type, texts, bodies, payloads, canonical) for each tag among the
     encoded values texts: the texts of that tag, the body of each and its
-    payload, parsed a type at a time and checked as Value checks them (see
-    the parsers above), and whether every body of the tag is the one
-    encode_value writes. The texts are sorted once, and each tag's texts
+    payload, parsed a type at a time (the parsers above) and checked as
+    Value checks them (check_payloads), and whether every body of the tag
+    is the one encode_value writes. The texts are sorted once, and each tag's texts
     are the run between two bisections, so no Python code runs per text. A
     malformed text raises CorruptStore, as _checked_payload does."""
     texts = sorted(texts)
@@ -533,6 +526,7 @@ def _checked_by_tag(texts: Iterable[str]) -> Iterator[tuple[ValueType, list[str]
         bodies = list(map(itemgetter(slice(len(tag) + 1, None)), group))
         try:
             payloads, canonical = payloads_of(bodies)
+            check_payloads(vtype, payloads)
         except (ValueError, OverflowError):
             for text in group:
                 _checked_payload(text)  # raises, naming the first malformed text
@@ -541,19 +535,6 @@ def _checked_by_tag(texts: Iterable[str]) -> Iterator[tuple[ValueType, list[str]
     if tagged < len(texts):
         for text in texts:
             _checked_payload(text)  # raises at the first text of no known tag
-
-
-def _parsed_by_tag(texts: Iterable[str]) -> Iterator[tuple[ValueType, list[str], list[str], list]]:
-    """(type, texts, bodies, payloads) for each tag among the encoded values
-    texts, as _checked_by_tag parses and checks them."""
-    for vtype, group, bodies, payloads, _ in _checked_by_tag(texts):
-        yield vtype, group, bodies, payloads
-
-
-def _canonical(vtype: ValueType, bodies: list[str], payloads: list) -> bool:
-    """Whether each body is the one encode_value writes for its payload, as
-    _checked_by_tag tells it while it parses them."""
-    return _PAYLOADS[vtype.value][1](bodies)[1]
 
 
 # ---- content tokenization ----
@@ -1072,12 +1053,14 @@ class MemoryBackend:
 
     def _index(self, name: str) -> dict:
         """The inverted file of table name (_enforcement, _content or
-        _members), built from the table, every chunk of it built first, the
-        first time a caller names it and kept current by every committed
-        batch and delete."""
+        _members), built from the table (every chunk of a lazily built one
+        built first) the first time a caller names it, and kept current by
+        every committed batch and delete."""
         index = self._inverted.get(name)
         if index is None:
-            self._build_all((_SECTION_OF[name],))
+            section = _SECTION_OF[name]
+            if section in _LAZY:
+                self._build_all((section,))
             index = self._inverted[name] = _invert(getattr(self, name))
             self._ordered[name] = {}
         return index
@@ -1105,23 +1088,15 @@ class MemoryBackend:
     # The committed tables, for the engine and the schema registry to read
     # without the lock. Each is the table itself, not a copy, and a caller
     # never changes it. A table of a lazily built section (enforcement,
-    # assignments) is whole only once every chunk of it is built: its
-    # whole-table reader builds them all, and a document's reader
-    # (stored_*_of) builds the one chunk that holds the document.
+    # assignments) is whole only once every chunk of it is built, so it is
+    # read a document at a time (stored_*_of), which builds the one chunk
+    # that holds the document; meta_view builds them all.
 
     def schema_defs(self) -> Mapping[str, tuple[Schema, int]]:
         return self._schemas
 
     def stored_docs(self) -> Mapping[DocumentId, DocumentKind]:
         return self._docs
-
-    def stored_assignments(self) -> Mapping[DocumentId, Mapping[str, int]]:
-        self._build_all(("assign",))
-        return self._assignments
-
-    def stored_enforcement(self) -> Mapping[DocumentId, Mapping[str, int]]:
-        self._build_all(("enforce",))
-        return self._enforcement
 
     def stored_assignments_of(self, doc_id: DocumentId) -> Mapping[str, int]:
         """doc_id's committed prop -> slice assignments ({}: none)."""
@@ -1254,7 +1229,7 @@ class MemoryBackend:
                 section.chunks = None  # the next encode encodes the block again
                 continue
             for doc_id in entries:
-                if section_name in _LAZY:  # a chunk's bytes must outlive its unbuilt entries
+                if self._unbuilt and section_name in _LAZY:  # a chunk's bytes must outlive its unbuilt entries
                     self._build_chunk(section_name, section.holder(doc_id.value))
                 section.drop(doc_id.value, self._entry(self._staged, name, doc_id) is not None)
 
@@ -2323,7 +2298,7 @@ class _Decoder:
 
     def _decode_values(self, texts) -> list[Value]:
         values = self.values
-        for vtype, group, _, payloads in _parsed_by_tag(set(texts).difference(values)):
+        for vtype, group, _, payloads, _ in _checked_by_tag(set(texts).difference(values)):
             values.update(zip(group, map(Value, itertools.repeat(vtype), payloads)))
         return list(map(values.__getitem__, texts))
 

@@ -561,11 +561,11 @@ def test_the_encoders_texts_are_canonical_and_no_other_text_is():
     rng = random.Random(41)
     values = [_random_value(rng) for _ in range(400)] + [Value.floating(v) for v in (0.0, -0.0, 1e300, 5e-324)]
     texts = sorted({store.encode_value(v) for v in values})
-    parsed = list(store._parsed_by_tag(texts))
-    assert all(store._canonical(vtype, bodies, payloads) for vtype, _, bodies, payloads in parsed)
-    assert {text: Value(vtype, payload) for vtype, group, _, payloads in parsed
+    parsed = list(store._checked_by_tag(texts))
+    assert all(canonical for *_, canonical in parsed)
+    assert {text: Value(vtype, payload) for vtype, group, _, payloads, _ in parsed
             for text, payload in zip(group, payloads)} == {text: store.decode_value(text) for text in texts}
     for other in ("integer:+5", "integer:05", "text:4A", "bytes:0A", "float:1e300", "float:0",
                   "timestamp:2001-01-01T00:00:00Z"):
-        ((vtype, _, bodies, payloads),) = store._parsed_by_tag([other])
-        assert not store._canonical(vtype, bodies, payloads), other
+        ((*_, canonical),) = store._checked_by_tag([other])
+        assert not canonical, other

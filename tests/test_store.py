@@ -116,8 +116,8 @@ def test_fetch_slices_returns_requested_rows():
     # each bag is the backend's own tuple, handed over by reference
     assert all(values is b.stored_bags_of(D1)[prop][1] for prop, values in fetched)
     assert b.stored_docs()[D1] is DocumentKind.PLAIN
-    assert b.stored_enforcement()[D1] == {"email": 1}
-    assert b.stored_assignments()[D1] == {"Subject": 1, "Received": 1, "Deadline": 2}
+    assert b.stored_enforcement_of(D1) == {"email": 1}
+    assert b.stored_assignments_of(D1) == {"Subject": 1, "Received": 1, "Deadline": 2}
     assert b.fetch_slices(D1, set()) == []
     with pytest.raises(UnknownDocument):
         b.fetch_slices(DocumentId(99), {1})
@@ -171,7 +171,7 @@ def test_meta_deletes_retract_records():
     _seed(b)
     b.put_rows(rows=[], deletes=[], meta=[], meta_deletes=[Enforcement(D1, "email", 0), Membership(D2, D1)])
     # an emptied entry leaves its table, as it would across a reopen
-    assert D1 not in b.stored_enforcement()
+    assert D1 not in b.meta_view().enforcement
     assert D2 not in b.stored_members()
 
 
@@ -194,7 +194,7 @@ def test_put_rows_takes_records_before_the_documents_they_name():
     backward.put_rows(meta=meta[::-1])
     assert backward.batch_count == 1
     assert backward.stored_members() == {D2: {D1}}
-    assert backward.stored_enforcement() == {D1: {"marker": 1}}
+    assert backward.meta_view().enforcement == {D1: {"marker": 1}}
     assert backward._encode_checkpoint() == forward._encode_checkpoint()
 
 
@@ -234,7 +234,7 @@ def test_disk_backend_batches_survive_reopen(tmp_path):
     again = DiskBackend.open(root)
     fetched = again.fetch_slices(D1, {1, 2})
     assert {prop for prop, _ in fetched} == {"Subject", "Received", "Deadline"}
-    assert again.stored_enforcement()[D1] == {"email": 1}
+    assert again.stored_enforcement_of(D1) == {"email": 1}
     assert again.schema_defs()["email"][1] == 1  # slice id survived
 
 
