@@ -86,7 +86,6 @@ from harland.model import (
     Schema,
     Value,
     bag,
-    occurrences,
 )
 from harland.parsing import parse_query
 from harland.query import (
@@ -112,7 +111,6 @@ from harland.store import (
     Enforcement,
     Membership,
     MemoryBackend,
-    PropertyRow,
     SliceAssignment,
 )
 
@@ -239,13 +237,9 @@ class _Pending:
 class _Writeback(NamedTuple):
     """What one document's flush writes."""
 
-    rows: list
-    deletes: list
+    bags: dict
     meta: list
     meta_deletes: list
-
-    def writes(self) -> bool:
-        return bool(self.rows or self.deletes or self.meta or self.meta_deletes)
 
 
 class Handle:
@@ -1043,13 +1037,12 @@ class Repository:
         batch; returns how many documents wrote records. Then each document
         is clean. A failed batch leaves every document dirty, with its
         pending record."""
-        writing = [writeback for _, writeback in batch.values() if writeback.writes()]
+        writing = [w for _, w in batch.values() if w.bags or w.meta or w.meta_deletes]
         if writing:
             self.backend.put_rows(
-                rows=[row for w in writing for row in w.rows],
-                deletes=[key for w in writing for key in w.deletes],
                 meta=[record for w in writing for record in w.meta],
                 meta_deletes=[record for w in writing for record in w.meta_deletes],
+                bags={key: home for w in writing for key, home in w.bags.items()},
             )
             self._flushes += len(writing)
         for doc_id, (idoc, _) in batch.items():
@@ -1065,23 +1058,21 @@ class Repository:
 
     def _flush_doc_locked(self, doc_id: DocumentId, idoc: _IDoc) -> _Writeback:
         """The records that write how the live document differs from what
-        the backend has committed. Changes nothing."""
+        the backend has committed: each dirty property whose bag differs
+        from its stored one, as (doc, prop) -> (slice, bag), the live bag
+        itself in its canonical model.bag form (empty: the property is
+        removed), and the metadata records. Changes nothing."""
         pending = idoc.pending
         backend = self.backend
-        rows: list[PropertyRow] = []
-        deletes: list[tuple] = []
-        if idoc.dirty_props:  # each dirty property's bag against its stored bag
+        bags: dict[tuple[DocumentId, str], tuple[int, tuple[Value, ...]]] = {}
+        if idoc.dirty_props:
             assigned = self._entry(doc_id, idoc)[1]
             stored = backend.stored_bags_of(doc_id)
             for prop in sorted(idoc.dirty_props):
-                live = list(occurrences(idoc.bags.get(prop, ())))
-                held = list(occurrences(stored.get(prop, (None, ()))[1]))
-                if live == held:
-                    continue
-                # with serial ordinals, a value gains or loses its top ones
-                live_rows, held_rows = set(live), set(held)
-                rows += [PropertyRow(doc_id, assigned[prop], prop, *row) for row in live if row not in held_rows]
-                deletes += [(doc_id, prop, *row) for row in held if row not in live_rows]
+                live = idoc.bags.get(prop, ())
+                held = stored.get(prop, (None, ()))[1]
+                if live is not held and live != held:
+                    bags[doc_id, prop] = (assigned[prop], live) if live else (0, ())
 
         meta: list = []
         meta_deletes: list = []
@@ -1097,7 +1088,7 @@ class Repository:
             meta.extend(Membership(doc_id, m) for m in pending.members - members)
             meta_deletes.extend(Membership(doc_id, m) for m in members - pending.members)
 
-        return _Writeback(rows, deletes, meta, meta_deletes)
+        return _Writeback(bags, meta, meta_deletes)
 
     def _flush_loop(self) -> None:
         interval = max(self.config.flush_interval / 2, 0.01)

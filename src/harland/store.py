@@ -1,15 +1,15 @@
 """Vertical-row persistence: one row per property value, plus metadata.
 
-Rows are the records of the checkpoint file and of the backend's write
-and audit API (put_rows, scan_rows). In memory a backend keeps each
-document's values as {prop: (slice, bag)}, bag the canonical model.bag
-tuple, and makes rows from bags only where those need them; a read
-(fetch_slices) hands over (prop, bag) pairs, each bag the backend's own
-tuple, so the engine caches a reference, not a copy. Ordinals are
-serial: a value held n times by a property of a document has the
-ordinals 0 to n - 1, and the property has one slice. put_rows refuses a
-batch whose result breaks either, and open raises CorruptStore for a
-file that does.
+Rows are the records of the checkpoint file and the audit and test form
+of the backend's API (put_rows' rows and deletes, scan_rows). In memory
+a backend keeps each document's values as {prop: (slice, bag)}, bag the
+canonical model.bag tuple. The engine writes bags (put_rows' bags), which
+the backend stores by reference, and a read (fetch_slices) hands over
+(prop, bag) pairs, each bag the backend's own tuple, so the engine
+caches a reference, not a copy. Ordinals are serial: a value held n
+times by a property of a document has the ordinals 0 to n - 1, and the
+property has one slice. put_rows refuses a batch whose result breaks
+either, and open raises CorruptStore for a file that does.
 
 Two reference backends share one checkpoint format:
 
@@ -574,7 +574,6 @@ class PropertyRow(NamedTuple):
         return (self.doc_id, self.prop, self.value, self.ordinal)
 
 
-_new_row = tuple.__new__  # _new_row(PropertyRow, fields) skips the Python-level __new__
 RowKey = tuple  # (doc_id, prop, value, ordinal)
 Homes = dict  # one document's values, prop -> (slice, bag)
 
@@ -643,19 +642,6 @@ def _posting_key(value: Value):
     if t is BOOLEAN or t is BYTES:
         return None
     return value.payload
-
-
-def _rows_of(doc_id: DocumentId, homes: Iterable[tuple[str, tuple]]) -> list[PropertyRow]:
-    """The rows of each (prop, (slice, bag)) of homes, in that order."""
-    rows: list[PropertyRow] = []
-    append = rows.append
-    for prop, (slice_id, values) in homes:
-        if len(values) == 1:  # the usual bag: no ordinal to count
-            append(_new_row(PropertyRow, (doc_id, slice_id, prop, values[0], 0)))
-        else:
-            for value, ordinal in occurrences(values):
-                append(_new_row(PropertyRow, (doc_id, slice_id, prop, value, ordinal)))
-    return rows
 
 
 def _home(doc_id: DocumentId, prop: str, held: dict[tuple[Value, int], int],
@@ -841,16 +827,20 @@ class MemoryBackend:
         deletes: Iterable[RowKey] = (),
         meta: Iterable[MetadataRecord] = (),
         meta_deletes: Iterable[MetadataRecord] = (),
+        bags: Optional[Mapping[tuple[DocumentId, str], tuple[int, tuple[Value, ...]]]] = None,
     ) -> None:
         """Apply one atomic batch; on any error nothing is applied. Records
         may come in any order: document records and schema definitions are
-        staged before the records that name them, and deletes before rows.
+        staged before the records that name them.
 
-        A row is stored when its property's bag holds its value at least
-        ordinal + 1 times, so the batch's result must keep ordinals serial
-        (a value held n times has the ordinals 0 to n - 1) and every
-        property of a document in one slice; either failing raises
-        StorageFailure."""
+        bags maps (doc, prop) to the property's new (slice, bag), the bag in
+        canonical model.bag form, stored as it is in the mapping's order; an
+        empty bag deletes the property. rows and deletes, the row form of a
+        write, apply after the bags, deletes first: a row is stored when its
+        property's bag holds its value at least ordinal + 1 times. A batch
+        that names an unknown document or a negative slice, puts a property
+        in two slices, or leaves an ordinal gap (a value held n times has
+        the ordinals 0 to n - 1) raises StorageFailure."""
         deletes = [tuple(k) for k in deletes]
         meta = sorted(meta, key=lambda record: not isinstance(record, (DocumentRecord, SchemaDef)))
         with self._lock:
@@ -896,12 +886,29 @@ class MemoryBackend:
                     members.remove(record.member)
                 else:
                     raise StorageFailure(f"metadata record {type(record).__name__} cannot be retracted")
+
+            def stage(entries: Iterable[tuple[tuple[DocumentId, str], tuple]]) -> None:
+                for (doc_id, prop), (slice_id, values) in entries:
+                    if entry("_docs", doc_id) is None:
+                        raise StorageFailure(f"values for unknown document {doc_id}")
+                    homes = edit("_rows", doc_id, dict)
+                    if not values:
+                        homes.pop(prop, None)
+                        continue
+                    if slice_id < 0:
+                        raise StorageFailure("negative slice id")
+                    home = homes.get(prop)
+                    if home is not None and home[0] != slice_id:
+                        raise StorageFailure(f"property ({doc_id}, {prop!r}) stored in 2 slices")
+                    homes[prop] = (slice_id, values)
+
+            stage(bags.items() if bags else ())
             touched: dict[tuple, dict[tuple, int]] = {}  # (doc, prop) -> its rows, (value, ordinal) -> slice
 
             def touch(doc_id: DocumentId, prop: str) -> dict[tuple, int]:
                 held = touched.get((doc_id, prop))
-                if held is None:
-                    slice_id, values = edit("_rows", doc_id, dict).get(prop, (0, ()))
+                if held is None:  # the property's staged bag becomes its rows, staged again below
+                    slice_id, values = edit("_rows", doc_id, dict).pop(prop, (0, ()))
                     held = touched[doc_id, prop] = dict.fromkeys(occurrences(values), slice_id)
                 return held
 
@@ -920,12 +927,7 @@ class MemoryBackend:
                 held.setdefault((row.value, row.ordinal), row.slice_id)  # one hash of the value, not two
                 if len(held) == size:
                     raise StorageFailure(f"row {row.key()!r} already stored")
-            for (doc_id, prop), held in touched.items():
-                home = _home(doc_id, prop, held)
-                if home is None:
-                    staged["_rows"][doc_id].pop(prop, None)
-                else:
-                    staged["_rows"][doc_id][prop] = home
+            stage((key, _home(*key, held) or (0, ())) for key, held in touched.items())
             self._commit(staged)
             self.batch_count += 1
 
@@ -1070,8 +1072,9 @@ class MemoryBackend:
         sort_key of the value and ordinal. Audit use."""
         with self._lock:
             self.scan_count += 1
-            homes = self.stored_bags_of(doc_id).items()
-            return _rows_of(doc_id, sorted(homes, key=lambda item: (item[1][0], item[0])))
+            homes = sorted(self.stored_bags_of(doc_id).items(), key=lambda item: (item[1][0], item[0]))
+            return [PropertyRow(doc_id, slice_id, prop, value, ordinal)
+                    for prop, (slice_id, values) in homes for value, ordinal in occurrences(values)]
 
     def meta_view(self) -> MetaView:
         with self._lock:

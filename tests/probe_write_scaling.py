@@ -54,6 +54,12 @@ A write that changes one property should cost what that property holds,
 not what the document holds, so each case at 10,000 rows must cost at
 most 4 times its cost at 10 rows.
 
+Then a Repository.in_memory flush() of one value appended (add_values) to
+a property that holds 10, 1,000 and 10,000 values is timed, best of 200.
+The engine hands the backend the property's new bag whole, so this case
+shows what the engine and the backend pay per value a flushed bag holds.
+It is reported, not checked.
+
 The default sizes end with 40,000 documents, a size that CI does not
 run: the last line reports, per size, the one-document write less the
 raw recycled-inode write of the same bytes, which should stay flat from
@@ -85,6 +91,7 @@ from harland.store import CHECKPOINT_NAME, DocumentRecord, MemoryBackend, Proper
 
 COUNTERS = ("backend_batches", "checkpoint_writes", "crc_combines", "checksummed_bytes")
 ROW_COUNTS = (10, 1000, 10000)  # rows of the one document, over 10 properties
+VALUE_COUNTS = (10, 1000, 10000)  # values of the one property an append flushes
 FLAT = 4  # the most a 10,000-row write may cost against its 10-row case
 APPENDS = 64  # new-document writes timed at each size: two chunks' worth
 REOPENED = 2  # the most the first write after a reopen may fold against a later one
@@ -308,6 +315,28 @@ def one_property_flush(rows: int, repeat: int) -> float:
     return min(times)
 
 
+def one_value_append(values: int, repeat: int) -> float:
+    """Best time of Repository.in_memory flush() after add_values of one
+    new value to a property holding values values."""
+    with Repository.in_memory(CacheConfig(auto_flush=False), id_seed=1) as repo:
+        handle = repo.create_document()
+        handle.set_property("p", [Value.integer(i) for i in range(values)])
+        repo.flush()
+        times = []
+        for k in range(repeat):
+            handle.add_values("p", [Value.integer(values + k)])
+            times.append(_timed(repo.flush))
+    return min(times)
+
+
+def append_report() -> None:
+    """Prints the one-value append flush at each of VALUE_COUNTS."""
+    best = [one_value_append(values, 200) for values in VALUE_COUNTS]
+    times = " / ".join(f"{t * 1e6:.1f}" for t in best)
+    print(f"Repository.in_memory flush() of one value appended to a property of "
+          f"{' / '.join(f'{v:,}' for v in VALUE_COUNTS)} values: {times} us (best; report only)")
+
+
 def row_scaling() -> bool:
     """Times the three one-property writes at each of ROW_COUNTS; whether
     each stays within FLAT times its cost at the fewest rows."""
@@ -356,6 +385,7 @@ def main(argv=None) -> None:
         sys.exit("a one-document write checksummed more bytes than the largest chunk holds")
     if not reopen_folds_its_change:
         sys.exit(f"the first write after a reopen made more than {REOPENED}x the crc_combines of a later one")
+    append_report()
     if not row_scaling():
         sys.exit(f"a {ROW_COUNTS[-1]:,}-row write costs more than {FLAT}x its {ROW_COUNTS[0]:,}-row case")
 

@@ -198,6 +198,78 @@ def test_put_rows_takes_records_before_the_documents_they_name():
     assert backward._encode_checkpoint() == forward._encode_checkpoint()
 
 
+# ---- put_rows(bags=...): the engine's write shape ----
+
+D3 = DocumentId(3)
+
+
+@pytest.mark.parametrize("key,home", [
+    ((DocumentId(99), "Subject"), (1, (Value.text("y"),))),  # no such document
+    ((D1, "Fresh"), (-1, (Value.text("y"),))),  # negative slice
+    ((D1, "Subject"), (2, (Value.text("y"),))),  # Subject's bag is in slice 1
+])
+def test_put_rows_refuses_a_bad_bag_and_applies_nothing(tmp_path, key, home):
+    root = tmp_path / "store"
+    b = DiskBackend.init(root)
+    _seed(b)
+    image = (root / "store.hl1").read_bytes()
+    batches = b.batch_count
+    meta = [DocumentRecord(D3, DocumentKind.PLAIN), Enforcement(D1, "email", 5), SliceAssignment(D1, "Fresh", 1)]
+    good = {(D1, "Received"): (1, (Value.timestamp(5),))}
+    with pytest.raises(StorageFailure):
+        b.put_rows(meta=meta, meta_deletes=[Membership(D2, D1)], bags={**good, key: home})
+    assert b.batch_count == batches
+    assert (root / "store.hl1").read_bytes() == image
+    assert D3 not in b.stored_docs()
+    assert b.stored_enforcement_of(D1) == {"email": 1}
+    assert b.stored_assignments_of(D1) == {"Subject": 1, "Received": 1, "Deadline": 2}
+    assert b.stored_members() == {D2: {D1}}
+    assert b.stored_bags_of(D1)["Received"] == (1, (Value.timestamp(0),))
+    b.put_rows(meta=meta, meta_deletes=[Membership(D2, D1)], bags=good)  # the batch less the bad bag
+    assert D3 in b.stored_docs() and b.stored_bags_of(D1)["Received"] == good[D1, "Received"]
+
+
+def test_put_rows_stores_the_callers_bag_and_an_empty_bag_deletes():
+    b = MemoryBackend()
+    _seed(b)
+    subject = (Value.text("a"), Value.text("a"), Value.text("b"))
+    b.put_rows(bags={(D1, "Subject"): (1, subject), (D1, "Deadline"): (2, ())})
+    homes = b.stored_bags_of(D1)
+    assert homes["Subject"][1] is subject
+    assert "Deadline" not in homes
+    assert [row.key() for row in b.scan_rows(D1)] == [
+        (D1, "Received", Value.timestamp(0), 0),
+        (D1, "Subject", Value.text("a"), 0),
+        (D1, "Subject", Value.text("a"), 1),
+        (D1, "Subject", Value.text("b"), 0),
+    ]
+    b.put_rows(bags={(D1, "Subject"): (1, ()), (D1, "Received"): (0, ())})  # an empty bag's slice is not read
+    assert D1 not in b._rows
+    assert b.scan_rows(D1) == []
+
+
+@pytest.mark.parametrize("rows,deletes", [
+    ([PropertyRow(D1, 2, "Subject", Value.text("z"), 0)], []),  # the bag is in slice 1
+    ([PropertyRow(D1, 1, "Subject", Value.text("y"), 2)], []),  # y at 0 only: no ordinal 1
+    ([], [(D1, "Subject", Value.text("x"), 0)]),  # the bag holds no x
+])
+def test_put_rows_checks_a_bag_and_rows_of_one_property_together(rows, deletes):
+    b = MemoryBackend()
+    _seed(b)
+    with pytest.raises(StorageFailure):
+        b.put_rows(rows=rows, deletes=deletes, bags={(D1, "Subject"): (1, (Value.text("y"),))})
+    assert b.stored_bags_of(D1)["Subject"] == (1, (Value.text("x"),))
+    b.put_rows(rows=[PropertyRow(D1, 1, "Subject", Value.text("y"), 1)], bags={(D1, "Subject"): (1, (Value.text("y"),))})
+    assert b.stored_bags_of(D1)["Subject"] == (1, (Value.text("y"), Value.text("y")))
+
+
+def test_put_rows_rows_may_move_a_property_whose_rows_they_replace():
+    b = MemoryBackend()
+    _seed(b)
+    b.put_rows(rows=[PropertyRow(D1, 2, "Subject", Value.text("z"), 0)], deletes=[(D1, "Subject", Value.text("x"), 0)])
+    assert b.stored_bags_of(D1)["Subject"] == (2, (Value.text("z"),))
+
+
 def test_content_round_trip_and_token_coherence():
     b = MemoryBackend()
     _seed(b)
