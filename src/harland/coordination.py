@@ -94,11 +94,11 @@ class Subscription:
         self.queue.put(delivery)
 
     def poll(self) -> set[DocumentId]:
-        """Current match set, evaluated against the reference semantics."""
+        """Current match set, through the query path."""
         repo = self._hub.repo
         if repo is None:
             raise StorageFailure("repository is closed")
-        return repo.match_now(self.expr)
+        return set(repo.query(self.expr).ids())
 
     def cancel(self) -> None:
         self.active = False
@@ -437,7 +437,7 @@ def run_pipeline_demo(repo, doc_count: int, stage_count: int = 3, timeout: float
     deadline = started + timeout
     while time.monotonic() < deadline:
         sample_count()
-        if len(repo.match_now(all_stages)) >= doc_count:
+        if len(repo.query(all_stages)) >= doc_count:
             completed = True
             break
         time.sleep(0.02)

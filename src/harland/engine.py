@@ -24,8 +24,8 @@ and ships the records of all of them as one atomic batch (group commit),
 so a flush writes the checkpoint once. Every live document without a
 store record is dirty, so a membership whose member is new travels in the
 same batch as the member's document record. Schema definitions (through
-the schema registry) and content writes go through to the backend
-immediately.
+the schema registry) go through to the backend immediately, and a content
+write commits at once, in one batch with its document's own records.
 
 Only flushed documents leave the cache, and a new document enters the
 cache before its id becomes live, so a live document outside the cache
@@ -60,6 +60,7 @@ between a commit's look at it and its publish.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import logging
@@ -86,6 +87,7 @@ from harland.model import (
     Schema,
     Value,
     bag,
+    sort_key,
 )
 from harland.parsing import parse_query
 from harland.query import (
@@ -106,6 +108,7 @@ from harland.query import (
 )
 from harland.schemas import SchemaRegistry
 from harland.store import (
+    ContentWrite,
     DiskBackend,
     DocumentRecord,
     Enforcement,
@@ -711,14 +714,21 @@ class Repository:
     def _apply_change(old: tuple[Value, ...], change: Change) -> tuple[Value, ...]:
         if isinstance(change, SetProperty):
             return change.values
+        # old is canonical, so a change bisects it: equal values share a sort key, unequal ones never
         if isinstance(change, AddValues):
-            return bag(list(old) + list(change.values))
+            if len(change.values) * (len(old) + len(change.values)).bit_length() > len(old):  # a sort takes fewer keys
+                return bag(old + change.values)
+            merged = list(old)
+            for v in change.values:
+                bisect.insort(merged, v, key=sort_key)
+            return tuple(merged)
         if isinstance(change, RemoveValues):
             remaining = list(old)
             for v in change.values:
-                if v in remaining:
-                    remaining.remove(v)
-            return bag(remaining)
+                i = bisect.bisect_left(remaining, sort_key(v), key=sort_key)
+                if i < len(remaining) and remaining[i] == v:
+                    del remaining[i]
+            return tuple(remaining)
         if isinstance(change, RemoveProperty):
             return ()
         raise TypeError(f"unsupported change: {change!r}")
@@ -804,13 +814,12 @@ class Repository:
         doc_id = handle.doc_id
         with self._lock:
             idoc, entry = self._load(doc_id, DocumentKind.CONTENT)
-            # the blob needs its document record first; the commit leaves
-            # the metadata as it was
-            self._commit_locked({doc_id: (idoc, self._flush_doc_locked(doc_id, idoc))})
             tokens_before = self.content_tokens(doc_id)
             before = self._snapshot_locked(idoc, entry) if self.hub.watched else None
-            ref = self.backend.content_write(doc_id, data)
-            self._published(idoc, before, tokens_before=tokens_before, tokens_after=ref.tokens)
+            writeback = self._flush_doc_locked(doc_id, idoc)
+            writeback.meta.append(ContentWrite(doc_id, data))  # one batch with the document's own records
+            self._commit_locked({doc_id: (idoc, writeback)})
+            self._published(idoc, before, tokens_before=tokens_before, tokens_after=self.content_tokens(doc_id))
 
     def get_content(self, handle: Handle) -> bytes:
         with self._lock:

@@ -32,17 +32,21 @@ written in a canonical sort order, which makes checkpoint bytes a pure
 function of store state. Content bytes live outside the checkpoint in
 content/<doc-id> files under the store root.
 
-Every writer (put_rows, content_write, delete_document) stages, persists,
-then installs. A batch copies only the entries it touches, each document's
-map or set copied on its first edit, with None for an entry it removes or
-empties, and checks every record against its staged entries first and the
-committed tables second. The staged entries are the one record of what a
-batch changes: they name the blocks to encode again and the documents
-whose columns to refresh. The checkpoint is encoded from the committed
-tables with the staged entries laid over them; only once it is written do
-the staged entries replace the committed ones, one assignment or pop per
-table and key. A failed write leaves every committed table as it was, so
-a reader without the lock never sees an entry that is not on disk.
+put_rows is the one writer (content_write and delete_document are one
+put_rows batch each): it stages, persists, then installs. A batch copies
+only the entries it touches, each document's map or set copied on its
+first edit, with None for an entry it removes or empties, and checks every
+record against its staged entries first and the committed tables second.
+The staged entries are the one record of what a batch changes: they name
+the blocks to encode again and the documents whose columns to refresh.
+The checkpoint is encoded from the committed tables with the staged
+entries laid over them; only once it is written do the staged entries
+replace the committed ones, one assignment or pop per table and key. A
+failed write leaves every committed table as it was, so a reader without
+the lock never sees an entry that is not on disk. DiskBackend._persist
+does every file write: each staged blob file, then the checkpoint, the
+old blob files put back if either fails, and a deleted document's blob
+file unlinked once the checkpoint is written.
 
 Every section except SCHEMA is document-major in sorted id order (MEMBER by
 collection), so the body is a join of per-document record blocks. Each
@@ -155,6 +159,7 @@ until the install step moves a document in or out of the term.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import errno
 import functools
 import io
@@ -610,7 +615,12 @@ class Membership:
     member: DocumentId
 
 
-MetadataRecord = Union[DocumentRecord, SchemaDef, Enforcement, SliceAssignment, Membership]
+class ContentWrite(NamedTuple):  # a document's new content: its CONTENT entry and blob
+    doc_id: DocumentId
+    data: bytes
+
+
+MetadataRecord = Union[DocumentRecord, SchemaDef, Enforcement, SliceAssignment, Membership, ContentWrite]
 
 
 @dataclass(frozen=True)
@@ -831,7 +841,8 @@ class MemoryBackend:
     ) -> None:
         """Apply one atomic batch; on any error nothing is applied. Records
         may come in any order: document records and schema definitions are
-        staged before the records that name them.
+        staged before the records that name them. A ContentWrite replaces a
+        document's content; a DocumentRecord in meta_deletes deletes it, last.
 
         bags maps (doc, prop) to the property's new (slice, bag), the bag in
         canonical model.bag form, stored as it is in the mapping's order; an
@@ -873,10 +884,20 @@ class MemoryBackend:
                     if entry("_docs", record.collection) is None or entry("_docs", record.member) is None:
                         raise StorageFailure("membership references unknown document")
                     edit("_members", record.collection, set).add(record.member)
+                elif isinstance(record, ContentWrite):
+                    if entry("_docs", record.doc_id) is None:
+                        raise StorageFailure("content for unknown document")
+                    data = staged.setdefault("_blobs", {})[record.doc_id] = bytes(record.data)
+                    staged.setdefault("_content", {})[record.doc_id] = ContentRef(record.doc_id, len(data), tokenize(data))
                 else:
                     raise StorageFailure(f"unsupported metadata record {record!r}")
+            deleted = []
             for record in meta_deletes:
-                if isinstance(record, Enforcement):
+                if isinstance(record, DocumentRecord):
+                    if entry("_docs", record.doc_id) is None:
+                        raise StorageFailure(f"deleting unknown document {record.doc_id}")
+                    deleted.append(record.doc_id)
+                elif isinstance(record, Enforcement):
                     if edit("_enforcement", record.doc_id, dict).pop(record.schema, None) is None:
                         raise StorageFailure("retracting enforcement that is not stored")
                 elif isinstance(record, Membership):
@@ -928,6 +949,11 @@ class MemoryBackend:
                 if len(held) == size:
                     raise StorageFailure(f"row {row.key()!r} already stored")
             stage((key, _home(*key, held) or (0, ())) for key, held in touched.items())
+            for doc_id in deleted:
+                for collection in [*self._index("_members").get(doc_id, ()), *staged.get("_members", ())]:
+                    (edit("_members", collection, set) or set()).discard(doc_id)  # None: a collection deleted too
+                for name in ("_docs", "_rows", "_enforcement", "_assignments", "_members", "_content", "_blobs"):
+                    staged.setdefault(name, {})[doc_id] = None
             self._commit(staged)
             self.batch_count += 1
 
@@ -1163,22 +1189,10 @@ class MemoryBackend:
 
     # ---- content ----
 
-    def content_write(self, doc_id: DocumentId, data: bytes) -> ContentRef:
+    def content_write(self, doc_id: DocumentId, data: bytes) -> None:
         with self._lock:
             self._require(doc_id)
-            data = bytes(data)
-            ref = ContentRef(doc_id, len(data), tokenize(data))
-            old_blob = self._blobs.get(doc_id)
-            self._persist_blob(doc_id, data)  # replaces the file whole or not at all
-            try:
-                self._commit({"_content": {doc_id: ref}, "_blobs": {doc_id: data}})
-            except BaseException:
-                if old_blob is None:
-                    self._remove_blob_file(doc_id)
-                else:
-                    self._persist_blob(doc_id, old_blob)
-                raise
-            return ref
+            self.put_rows(meta=[ContentWrite(doc_id, data)])
 
     def content_read(self, doc_id: DocumentId) -> bytes:
         with self._lock:
@@ -1190,30 +1204,14 @@ class MemoryBackend:
     def delete_document(self, doc_id: DocumentId) -> None:
         """Remove values, metadata, memberships in both directions, and content."""
         with self._lock:
-            self._require(doc_id)
-            staged: dict[str, dict] = {}
-            for collection in self._index("_members").get(doc_id, ()):
-                self._edit(staged, "_members", collection, set).discard(doc_id)
-            for name in ("_docs", "_rows", "_enforcement", "_assignments", "_members", "_content", "_blobs"):
-                staged.setdefault(name, {})[doc_id] = None
-            self._commit(staged)
-            try:
-                self._remove_blob_file(doc_id)
-            except StorageFailure:
-                pass  # the delete is committed; open never reads a leftover content file
+            self.put_rows(meta_deletes=[DocumentRecord(doc_id, self._require(doc_id))])
 
-    # ---- persistence hooks (memory backend keeps state only in RAM) ----
+    # ---- persistence hook (a memory backend keeps state only in RAM) ----
 
     def _persist(self) -> None:
         if self.fail_next_persist:
             self.fail_next_persist = False
             raise StorageFailure("injected persist failure")
-
-    def _persist_blob(self, doc_id: DocumentId, data: bytes) -> None:
-        pass
-
-    def _remove_blob_file(self, doc_id: DocumentId) -> None:
-        pass
 
     # ---- checkpoint codec ----
 
@@ -2456,21 +2454,34 @@ class DiskBackend(MemoryBackend):
 
     def _persist(self) -> None:
         super()._persist()  # honors injected failures
-        self._write_checkpoint(self.root / CHECKPOINT_NAME)
+        blobs = self._staged.get("_blobs", {})  # None: a deleted document's
+        replaced = []
+        try:
+            for doc_id, data in blobs.items():
+                if data is not None:
+                    self._persist_blob(doc_id, data)
+                    replaced.append(doc_id)
+            self._write_checkpoint(self.root / CHECKPOINT_NAME)
+        except BaseException:
+            for doc_id in replaced:
+                self._persist_blob(doc_id, self._blobs.get(doc_id))  # the committed blob, or no file
+            raise
+        for doc_id in [doc_id for doc_id, data in blobs.items() if data is None]:
+            with contextlib.suppress(StorageFailure):  # the delete is committed; open never reads the file
+                self._persist_blob(doc_id, None)
 
     def close(self) -> None:
         """Removes the spare image."""
         with self._lock:
             _remove_spare(self.root / CHECKPOINT_NAME)
 
-    def _persist_blob(self, doc_id: DocumentId, data: bytes) -> None:
-        _replace_file(self.root / CONTENT_DIR / str(doc_id), data)
-
-    def _remove_blob_file(self, doc_id: DocumentId) -> None:
+    def _persist_blob(self, doc_id: DocumentId, data: Optional[bytes]) -> None:
+        """Replaces doc_id's content file with data, whole or not at all, or removes it (None)."""
+        path = self.root / CONTENT_DIR / str(doc_id)
+        if data is not None:
+            return _replace_file(path, data)
         try:
-            os.remove(self.root / CONTENT_DIR / str(doc_id))
-        except FileNotFoundError:
-            pass
+            path.unlink(missing_ok=True)
         except OSError as exc:
             raise StorageFailure(f"cannot remove content file for {doc_id}: {exc}") from exc
 

@@ -22,6 +22,13 @@ waits for it). For each it prints the repository's `commits` and
 started. It exits 1 when an unwatched load queued an event or started the
 thread, or a watched one did not queue one event per commit.
 
+Then, for each size, a report-only content case opens the N-document store
+that the last load checkpointed and calls `put_content` on 20 content
+documents --repeat times over, once on new documents (dirty, never
+committed) and once on documents flushed just before. It prints the
+backend batches and checkpoint writes per `put_content` and the best and
+median time of one call.
+
 Every timing runs in this process on this host, so compare two commits by
 running both here. The file name keeps pytest from collecting it.
 """
@@ -43,6 +50,9 @@ sys.path.insert(0, str(ROOT))  # bench.corpus
 
 from bench import corpus  # noqa: E402
 from harland.engine import CacheConfig, Repository  # noqa: E402
+from harland.model import DocumentKind  # noqa: E402
+
+CONTENT_WRITES = 20  # put_content calls per round of the content case
 
 
 def dispatcher_started(repo: Repository) -> bool:
@@ -78,6 +88,30 @@ def load(docs: list, watched: bool, scratch: Path) -> dict:
     return {"times": times, "commits": stats["commits"], "dispatched": stats["commits_dispatched"], "started": started}
 
 
+def content_writes(path: Path, clean: bool, repeat: int) -> dict:
+    """put_content on CONTENT_WRITES new content documents, repeat rounds,
+    into the store at path: per call, the backend batches and checkpoint
+    writes, and each call's seconds. clean: flush the documents first."""
+    repo = Repository.open(path, CacheConfig(auto_flush=False))
+    times, batches, writes = [], 0, 0
+    try:
+        for _ in range(repeat):
+            handles = [repo.create_document(DocumentKind.CONTENT) for _ in range(CONTENT_WRITES)]
+            if clean:
+                repo.flush()
+            before = repo.stats()
+            for i, handle in enumerate(handles):
+                t0 = time.perf_counter()
+                handle.put_content(f"status report {i} due friday".encode())
+                times.append(time.perf_counter() - t0)
+            after = repo.stats()
+            batches += after["backend_batches"] - before["backend_batches"]
+            writes += after["checkpoint_writes"] - before["checkpoint_writes"]
+    finally:
+        repo.close()
+    return {"times": times, "batches": batches / len(times), "writes": writes / len(times)}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--sizes", default="2000", help="comma-separated document counts")
@@ -105,6 +139,12 @@ def main(argv=None) -> int:
                         failures += 1
                         print(f"FAIL N={n} {label}: commits {r['commits']}, commits_dispatched {r['dispatched']}, "
                               f"dispatcher {'started' if r['started'] else 'not started'}")
+            for clean in (False, True):
+                label = "clean" if clean else "new"
+                r = content_writes(Path(tmp) / "store", clean, args.repeat)
+                ms = [t * 1e3 for t in r["times"]]
+                print(f"N={n} content {label}: {r['batches']:.2f} batches and {r['writes']:.2f} checkpoint writes "
+                      f"per put_content, best {min(ms):.2f} ms, median {statistics.median(ms):.2f} ms")
     return 1 if failures else 0
 
 

@@ -290,3 +290,22 @@ def test_poll_after_close_is_a_storage_failure():
     repo.close()
     with pytest.raises(StorageFailure, match="repository is closed"):
         sub.poll()
+
+
+def test_poll_answers_through_the_query_path_without_evicting():
+    with fresh(config=CacheConfig(max_docs=8, auto_flush=False)) as repo:
+        repo.define_schema(Schema("to-do", {}))
+        sub = repo.subscribe('schema:"to-do"', SubscriptionMode.MATCH)
+        for i in range(40):
+            doc = repo.create_document()
+            doc.set_property("n", [Value.integer(i)])
+            if i % 3 == 0:
+                doc.enforce("to-do")
+        repo.flush()
+        before = repo.stats()
+        polled = sub.poll()
+        after = repo.stats()
+        assert after["evictions"] == before["evictions"]
+        assert after["cache_misses"] == before["cache_misses"]
+        assert polled == repo.match_now('schema:"to-do"')
+        assert len(polled) == 14
